@@ -409,7 +409,6 @@ sim::Task<Status> SharedFs::ReplicateHyperloop(ClientState* state, uint64_t from
                                                bool urgent, obs::TraceContext ctx) {
   uint64_t bytes = to - from;
   std::vector<int> chain = ChainFor(node_->id());
-  hw::Node& hw = node_->hw();
 
   // Periodic verb-batch pre-posting: the one host-CPU dependency Hyperloop
   // keeps — and it is REPLICA-side (the WAIT-verb chains live on the remote

@@ -98,8 +98,8 @@ Status DirStore::Add(InodeNum dir, std::string_view name, InodeNum child) {
     slot = cache->free_slots.back();
     cache->free_slots.pop_back();
   } else {
-    // Extend the directory by one block.
-    Result<uint64_t> block = allocator_->Alloc();
+    // Extend the directory by one block (metadata: kept out of data runs).
+    Result<uint64_t> block = allocator_->AllocFromTop();
     if (!block.ok()) {
       return block.status();
     }

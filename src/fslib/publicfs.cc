@@ -70,10 +70,8 @@ Status PublicFs::Mount() {
     if (!inode.ok()) {
       continue;
     }
-    uint64_t chain = inode->extent_root;
-    while (chain != 0) {
-      allocator_.MarkAllocated(chain, 1);
-      chain = region_->ReadObject<uint64_t>((chain << kBlockShift) + 8);  // NodeHeader.next
+    for (uint64_t block : extents_.ChainBlocks(*inode)) {
+      allocator_.MarkAllocated(block, 1);
     }
     for (const Extent& e : extents_.Load(*inode)) {
       allocator_.MarkAllocated(e.pblock, e.count);

@@ -4,7 +4,7 @@ namespace linefs::pmem {
 
 BlockAllocator::BlockAllocator(uint64_t first_block, uint64_t total_blocks)
     : first_block_(first_block), total_blocks_(total_blocks), free_blocks_(total_blocks),
-      bitmap_(total_blocks, false) {}
+      top_hint_(total_blocks - 1), bitmap_(total_blocks, false) {}
 
 Result<uint64_t> BlockAllocator::Alloc(uint64_t count) {
   if (count == 0 || count > free_blocks_) {
@@ -38,6 +38,23 @@ Result<uint64_t> BlockAllocator::Alloc(uint64_t count) {
   return Status::Error(ErrorCode::kNoSpace, "no contiguous run");
 }
 
+Result<uint64_t> BlockAllocator::AllocFromTop() {
+  if (free_blocks_ == 0) {
+    return Status::Error(ErrorCode::kNoSpace, "allocator exhausted");
+  }
+  // Next-fit scan downwards with wrap-around.
+  for (uint64_t n = 0; n < total_blocks_; ++n) {
+    uint64_t i = (top_hint_ + total_blocks_ - n) % total_blocks_;
+    if (!bitmap_[i]) {
+      bitmap_[i] = true;
+      --free_blocks_;
+      top_hint_ = (i + total_blocks_ - 1) % total_blocks_;
+      return first_block_ + i;
+    }
+  }
+  return Status::Error(ErrorCode::kNoSpace, "allocator exhausted");
+}
+
 void BlockAllocator::Free(uint64_t block, uint64_t count) {
   uint64_t idx = block - first_block_;
   for (uint64_t i = 0; i < count; ++i) {
@@ -67,6 +84,7 @@ void BlockAllocator::Reset() {
   std::fill(bitmap_.begin(), bitmap_.end(), false);
   free_blocks_ = total_blocks_;
   next_hint_ = 0;
+  top_hint_ = total_blocks_ - 1;
 }
 
 }  // namespace linefs::pmem

@@ -22,6 +22,11 @@ class BlockAllocator {
   // Allocates `count` contiguous blocks; returns the first block number.
   Result<uint64_t> Alloc(uint64_t count = 1);
 
+  // Allocates one block, searching down from the top of the area. Small
+  // metadata blocks go here so they never split the data runs that Alloc()
+  // lays out from the bottom up.
+  Result<uint64_t> AllocFromTop();
+
   // Frees `count` blocks starting at `block`.
   void Free(uint64_t block, uint64_t count = 1);
 
@@ -42,6 +47,7 @@ class BlockAllocator {
   uint64_t total_blocks_;
   uint64_t free_blocks_;
   uint64_t next_hint_ = 0;  // Next-fit cursor: keeps typical allocations sequential.
+  uint64_t top_hint_;      // AllocFromTop()'s cursor, moving down.
   std::vector<bool> bitmap_;
 };
 

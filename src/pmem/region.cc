@@ -131,6 +131,14 @@ void Region::Persist(uint64_t offset, uint64_t n) {
       ++i;
     }
   }
+  if (live_.empty()) {
+    // Nothing left to roll back: drop the dead records now instead of letting
+    // large writes (replica chunk images) pile up in the arena until the
+    // compaction threshold.
+    undo_log_.clear();
+    undo_arena_.clear();
+    return;
+  }
   MaybeCompact();
 }
 

@@ -269,7 +269,10 @@ TEST(BenchReport, JsonSchemaContainsStagesAndScalars) {
 TEST(BenchReport, WriteBenchJsonCreatesFile) {
   BenchReportData data;
   data.name = "smoke";
-  data.runs.push_back(BenchRun{"r0", {{"x", 1.0}}, {}});
+  BenchRun run;
+  run.label = "r0";
+  run.scalars = {{"x", 1.0}};
+  data.runs.push_back(run);
   std::string dir = ::testing::TempDir();
   Status st = WriteBenchJson(data, dir);
   ASSERT_TRUE(st.ok()) << st.ToString();

@@ -104,6 +104,39 @@ TEST(Region, PartialPersistKeepsOtherWritesVolatile) {
   EXPECT_EQ(out_b, 0);
 }
 
+TEST(Region, CrashRestoresDurableImageAcrossDrainedUndoLogs) {
+  // Persisted writes drain the undo log between them; one write in the middle
+  // stays volatile while later writes are persisted around it.
+  Region region(1 << 20);
+  std::vector<uint8_t> durable(8192, 0);
+  const uint64_t kVolatileOff = 16384;
+  std::vector<uint8_t> before(100, 0xA5);
+  region.Write(kVolatileOff, before.data(), before.size());
+  region.Persist(kVolatileOff, before.size());
+  for (int i = 0; i < 64; ++i) {
+    std::vector<uint8_t> data(100 + i * 13, static_cast<uint8_t>(i + 1));
+    uint64_t off = (static_cast<uint64_t>(i) * 977) % (durable.size() - data.size());
+    region.Write(off, data.data(), data.size());
+    region.Persist(off, data.size());
+    std::memcpy(durable.data() + off, data.data(), data.size());
+    if (i == 20) {
+      std::vector<uint8_t> lost(100, 0x5A);
+      region.Write(kVolatileOff, lost.data(), lost.size());
+    }
+  }
+  EXPECT_EQ(region.pending_undo_count(), 1u);
+  EXPECT_EQ(region.unpersisted_bytes(), 100u);
+
+  region.Crash();
+  std::vector<uint8_t> out(durable.size());
+  region.Read(0, out.data(), out.size());
+  EXPECT_EQ(out, durable);
+  std::vector<uint8_t> volatile_out(before.size());
+  region.Read(kVolatileOff, volatile_out.data(), volatile_out.size());
+  EXPECT_EQ(volatile_out, before);
+  EXPECT_EQ(region.pending_undo_count(), 0u);
+}
+
 TEST(Region, CopyMovesData) {
   Region region(1 << 20);
   const char msg[] = "dma copy list";
@@ -160,6 +193,27 @@ TEST(Allocator, WrapAroundSearch) {
   Result<uint64_t> b = alloc.Alloc(16);  // must wrap to find it
   ASSERT_TRUE(b.ok());
   EXPECT_LT(*b, 60u);
+}
+
+TEST(Allocator, AllocFromTopStaysOutOfDataRuns) {
+  BlockAllocator alloc(100, 16);
+  Result<uint64_t> a = alloc.Alloc(4);
+  ASSERT_TRUE(a.ok());
+  Result<uint64_t> meta = alloc.AllocFromTop();
+  ASSERT_TRUE(meta.ok());
+  EXPECT_EQ(*meta, 115u);
+  Result<uint64_t> b = alloc.Alloc(4);
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(*b, *a + 4);  // The data run continues past the metadata block.
+  EXPECT_EQ(*alloc.AllocFromTop(), 114u);
+  alloc.Free(115);
+  // The downward cursor wraps to the top once it runs into allocated blocks.
+  for (uint64_t expect = 113; expect >= 108; --expect) {
+    EXPECT_EQ(*alloc.AllocFromTop(), expect);
+  }
+  EXPECT_EQ(*alloc.AllocFromTop(), 115u);
+  EXPECT_EQ(alloc.free_blocks(), 0u);
+  EXPECT_FALSE(alloc.AllocFromTop().ok());
 }
 
 TEST(Allocator, MarkAllocatedForRecovery) {

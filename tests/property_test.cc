@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,68 +30,168 @@ namespace {
 
 // --- Extent list vs reference model ------------------------------------------------
 
-class ExtentPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+class ExtentPropertyTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  // Chain block capacity: a 16-byte header, then 24-byte entries.
+  static constexpr uint64_t kEntriesPerChainBlock =
+      (fslib::kBlockSize - 16) / sizeof(fslib::Extent);
+
+  ExtentPropertyTest() : region_(64 << 20), alloc_(1024, 8192), extents_(&region_, &alloc_) {
+    inode_.inum = 7;
+    inode_.type = fslib::FileType::kRegular;
+  }
+
+  void Insert(uint64_t lblock, uint64_t count, uint64_t pblock) {
+    std::vector<fslib::Extent> freed;
+    ASSERT_TRUE(extents_.InsertRange(&inode_, lblock, count, pblock, &freed).ok());
+    for (const fslib::Extent& f : freed) {
+      alloc_.Free(f.pblock, f.count);
+    }
+    for (uint64_t i = 0; i < count; ++i) {
+      reference_[lblock + i] = pblock + i;
+    }
+  }
+
+  void Truncate(uint64_t cut) {
+    std::vector<fslib::Extent> freed;
+    ASSERT_TRUE(extents_.TruncateTo(&inode_, cut, &freed).ok());
+    for (const fslib::Extent& f : freed) {
+      alloc_.Free(f.pblock, f.count);
+    }
+    reference_.erase(reference_.lower_bound(cut), reference_.end());
+  }
+
+  // The allocator holds exactly the reachable chain blocks plus the mapped
+  // data blocks (nothing leaked, nothing freed twice), and the chain is no
+  // longer than its entries need.
+  void CheckAllocation() {
+    std::vector<uint64_t> chain = extents_.ChainBlocks(inode_);
+    std::vector<fslib::Extent> all = extents_.Load(inode_);
+    ASSERT_EQ(chain.size(), (all.size() + kEntriesPerChainBlock - 1) / kEntriesPerChainBlock);
+    std::vector<bool> owned(alloc_.total_blocks(), false);
+    auto own = [&](uint64_t block) {
+      ASSERT_GE(block, alloc_.first_block());
+      uint64_t idx = block - alloc_.first_block();
+      ASSERT_LT(idx, owned.size());
+      ASSERT_FALSE(owned[idx]) << "block " << block << " referenced twice";
+      owned[idx] = true;
+    };
+    for (uint64_t block : chain) {
+      own(block);
+    }
+    for (const fslib::Extent& e : all) {
+      for (uint64_t i = 0; i < e.count; ++i) {
+        own(e.pblock + i);
+      }
+    }
+    for (uint64_t idx = 0; idx < owned.size(); ++idx) {
+      ASSERT_EQ(alloc_.IsAllocated(alloc_.first_block() + idx), owned[idx])
+          << "block " << alloc_.first_block() + idx;
+    }
+  }
+
+  void ProbeLookups(sim::Rng* rng, uint64_t range) {
+    for (int probe = 0; probe < 40; ++probe) {
+      uint64_t lblock = rng->Uniform(range);
+      std::optional<fslib::Extent> found = extents_.Lookup(inode_, lblock);
+      auto it = reference_.find(lblock);
+      if (it == reference_.end()) {
+        ASSERT_FALSE(found.has_value()) << "phantom mapping at " << lblock;
+      } else {
+        ASSERT_TRUE(found.has_value()) << "missing mapping at " << lblock;
+        ASSERT_EQ(found->pblock, it->second) << "wrong mapping at " << lblock;
+      }
+    }
+  }
+
+  void CheckFullMap() {
+    std::vector<fslib::Extent> all = extents_.Load(inode_);
+    uint64_t mapped = 0;
+    for (const fslib::Extent& e : all) {
+      for (uint64_t i = 0; i < e.count; ++i) {
+        auto it = reference_.find(e.lblock + i);
+        ASSERT_TRUE(it != reference_.end());
+        ASSERT_EQ(it->second, e.pblock + i);
+        ++mapped;
+      }
+    }
+    ASSERT_EQ(mapped, reference_.size());
+  }
+
+  pmem::Region region_;
+  pmem::BlockAllocator alloc_;
+  fslib::ExtentList extents_;
+  fslib::Inode inode_;
+  std::map<uint64_t, uint64_t> reference_;  // lblock -> pblock
+};
 
 TEST_P(ExtentPropertyTest, MatchesReferenceBlockMap) {
   sim::Rng rng(GetParam());
-  pmem::Region region(64 << 20);
-  pmem::BlockAllocator alloc(1024, 8192);
-  fslib::ExtentList extents(&region, &alloc);
-  fslib::Inode inode;
-  inode.inum = 7;
-  inode.type = fslib::FileType::kRegular;
-
-  std::map<uint64_t, uint64_t> reference;  // lblock -> pblock
   for (int op = 0; op < 200; ++op) {
     if (rng.Uniform(10) < 8) {
       uint64_t lblock = rng.Uniform(512);
       uint64_t count = 1 + rng.Uniform(32);
-      Result<uint64_t> pblock = alloc.Alloc(count);
+      Result<uint64_t> pblock = alloc_.Alloc(count);
       ASSERT_TRUE(pblock.ok());
-      std::vector<fslib::Extent> freed;
-      ASSERT_TRUE(extents.InsertRange(&inode, lblock, count, *pblock, &freed).ok());
-      for (const fslib::Extent& f : freed) {
-        alloc.Free(f.pblock, f.count);
-      }
-      for (uint64_t i = 0; i < count; ++i) {
-        reference[lblock + i] = *pblock + i;
-      }
+      ASSERT_NO_FATAL_FAILURE(Insert(lblock, count, *pblock));
     } else {
-      uint64_t cut = rng.Uniform(512);
-      std::vector<fslib::Extent> freed;
-      ASSERT_TRUE(extents.TruncateTo(&inode, cut, &freed).ok());
-      for (const fslib::Extent& f : freed) {
-        alloc.Free(f.pblock, f.count);
-      }
-      reference.erase(reference.lower_bound(cut), reference.end());
+      ASSERT_NO_FATAL_FAILURE(Truncate(rng.Uniform(512)));
     }
+    ASSERT_NO_FATAL_FAILURE(CheckAllocation());
     // Spot-check a sample of blocks every few ops.
     if (op % 10 == 9) {
-      for (int probe = 0; probe < 40; ++probe) {
-        uint64_t lblock = rng.Uniform(560);
-        std::optional<fslib::Extent> found = extents.Lookup(inode, lblock);
-        auto it = reference.find(lblock);
-        if (it == reference.end()) {
-          ASSERT_FALSE(found.has_value()) << "phantom mapping at " << lblock;
-        } else {
-          ASSERT_TRUE(found.has_value()) << "missing mapping at " << lblock;
-          ASSERT_EQ(found->pblock, it->second) << "wrong mapping at " << lblock;
-        }
+      ASSERT_NO_FATAL_FAILURE(ProbeLookups(&rng, 560));
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(CheckFullMap());
+}
+
+// Mostly appends at the end of the file, as fsync-per-write publication does:
+// contiguous ones grow the last run in place, gapped ones add entries to the
+// tail block and spill into new chain blocks, while rarer middle overwrites
+// and truncates rewrite a chain suffix.
+TEST_P(ExtentPropertyTest, AppendHeavyMixMatchesReferenceBlockMap) {
+  sim::Rng rng(GetParam());
+  uint64_t end = 0;  // Logical end of the file.
+  int in_place = 0;
+  int rewritten = 0;
+  for (int op = 0; op < 1500; ++op) {
+    uint64_t before = region_.total_bytes_written();
+    uint32_t kind = rng.Uniform(100);
+    uint64_t count = 1 + rng.Uniform(4);
+    if (kind < 85 || end == 0) {
+      // Append; a gapped one leaves a free block before its run so it cannot
+      // merge with the previous run.
+      bool gapped = kind >= 45;
+      Result<uint64_t> run = alloc_.Alloc(count + (gapped ? 1 : 0));
+      ASSERT_TRUE(run.ok());
+      if (gapped) {
+        alloc_.Free(*run);
       }
+      ASSERT_NO_FATAL_FAILURE(Insert(end, count, *run + (gapped ? 1 : 0)));
+      end += count;
+    } else if (kind < 95) {
+      uint64_t lblock = rng.Uniform(end);
+      Result<uint64_t> pblock = alloc_.Alloc(count);
+      ASSERT_TRUE(pblock.ok());
+      ASSERT_NO_FATAL_FAILURE(Insert(lblock, count, *pblock));
+      end = std::max(end, lblock + count);
+    } else {
+      end -= rng.Uniform(std::min<uint64_t>(end, 24) + 1);
+      ASSERT_NO_FATAL_FAILURE(Truncate(end));
+    }
+    // An in-place update writes at most one entry plus a count.
+    uint64_t written = region_.total_bytes_written() - before;
+    (written <= sizeof(fslib::Extent) + sizeof(uint32_t) ? in_place : rewritten) += 1;
+    ASSERT_NO_FATAL_FAILURE(CheckAllocation());
+    if (op % 25 == 24) {
+      ASSERT_NO_FATAL_FAILURE(ProbeLookups(&rng, end + 64));
     }
   }
-  // Full final sweep.
-  std::vector<fslib::Extent> all = extents.Load(inode);
-  uint64_t mapped = 0;
-  for (const fslib::Extent& e : all) {
-    for (uint64_t i = 0; i < e.count; ++i) {
-      auto it = reference.find(e.lblock + i);
-      ASSERT_TRUE(it != reference.end());
-      ASSERT_EQ(it->second, e.pblock + i);
-      ++mapped;
-    }
-  }
-  ASSERT_EQ(mapped, reference.size());
+  ASSERT_NO_FATAL_FAILURE(CheckFullMap());
+  EXPECT_GT(extents_.ChainBlocks(inode_).size(), 1u);
+  EXPECT_GT(in_place, 0);
+  EXPECT_GT(rewritten, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtentPropertyTest, ::testing::Range<uint64_t>(1, 9));

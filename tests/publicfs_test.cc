@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -235,6 +236,47 @@ TEST_F(PublicFsTest, MountRebuildsAllocator) {
   Result<uint64_t> n = remounted.ReadData(130, 0, out);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(out, content);
+}
+
+TEST_F(PublicFsTest, SequentialAppendsKeepOneExtentAndConstantMetadata) {
+  // fsync-per-write publication: 2,000 block-aligned appends, one batch each.
+  // Each publish must touch O(1) metadata, and the data blocks (allocated
+  // back to back) must coalesce into a single extent.
+  std::vector<ParsedEntry> create;
+  create.push_back(AppendCreate(kRootInode, "seq", 210));
+  ASSERT_TRUE(fs_.Publish(create, log_, true).ok());
+  log_.Reclaim(log_.tail());
+
+  constexpr int kAppends = 2000;
+  std::vector<uint8_t> block = Pattern(kBlockSize, 4);
+  uint64_t max_publish_bytes = 0;
+  for (int i = 0; i < kAppends; ++i) {
+    std::vector<ParsedEntry> batch;
+    batch.push_back(AppendData(210, static_cast<uint64_t>(i) * kBlockSize, block));
+    uint64_t before = region_.total_bytes_written();
+    ASSERT_TRUE(fs_.Publish(batch, log_, /*materialize=*/false).ok());
+    max_publish_bytes = std::max(max_publish_bytes, region_.total_bytes_written() - before);
+    log_.Reclaim(log_.tail());
+  }
+  EXPECT_LT(max_publish_bytes, 1024u);
+
+  Result<Inode> inode = fs_.inodes().Get(210);
+  ASSERT_TRUE(inode.ok());
+  EXPECT_EQ(inode->size, kAppends * kBlockSize);
+  std::vector<Extent> extents = fs_.extents().Load(*inode);
+  ASSERT_EQ(extents.size(), 1u);
+  EXPECT_EQ(extents[0].lblock, 0u);
+  EXPECT_EQ(extents[0].count, static_cast<uint64_t>(kAppends));
+  EXPECT_EQ(fs_.extents().ChainBlocks(*inode).size(), 1u);
+
+  PublicFs remounted(&region_, layout_);
+  ASSERT_TRUE(remounted.Mount().ok());
+  const pmem::BlockAllocator& live = fs_.allocator();
+  const pmem::BlockAllocator& rebuilt = remounted.allocator();
+  EXPECT_EQ(rebuilt.free_blocks(), live.free_blocks());
+  for (uint64_t b = live.first_block(); b < live.first_block() + live.total_blocks(); ++b) {
+    ASSERT_EQ(rebuilt.IsAllocated(b), live.IsAllocated(b)) << "block " << b;
+  }
 }
 
 TEST_F(PublicFsTest, PlanSeparatesCopiesFromMetadata) {
