@@ -9,11 +9,11 @@
 //
 // Window sweep: on top of the breakdown, sweeps the windowed data path —
 // transfer_window in {1,2,4,8} crossed with fetch_depth in {1,4} — over a
-// seq-write+fsync run. transfer_window=1 takes the legacy blocking round-trip
-// control path (the pre-windowing lock-step schedule), so the sweep measures
-// the one-way control conversion and the sliding window together: throughput
-// must be monotone-or-flat in the window and the fsync critical path's
-// replicate-net + wait share must shrink as the window opens.
+// seq-write+fsync run. Every point runs the same windowed one-way data path;
+// a window of 1 is its lock-step point (one DMA / one chunk in flight), so
+// the sweep measures what opening the window buys: throughput must be
+// monotone-or-flat in the window, and the report splits the fsync critical
+// path into its replicate-net and wait shares.
 
 #include <benchmark/benchmark.h>
 
@@ -171,15 +171,9 @@ WindowPoint RunWindowPoint(int transfer_window, int fetch_depth) {
   core::DfsConfig config = BenchConfig(core::DfsMode::kLineFS);
   config.repl.transfer_window = transfer_window;
   config.repl.fetch_depth = fetch_depth;
-  // The tw=1 points measure the legacy blocking round-trip schedule, which is
-  // now the explicit chain_sync protocol (a window of 1 on plain chain would
-  // still use one-way posts and ack out-of-band).
-  if (transfer_window == 1) {
-    config.repl.protocol = "chain_sync";
-  }
   // 1MB chunks: more control operations per byte, so the sweep isolates what
-  // the window actually removes (per-chunk round trips and send-completion
-  // waits) instead of burying it under 4MB serialization time.
+  // the window actually removes (per-chunk send-completion and ack waits)
+  // instead of burying it under 4MB serialization time.
   config.chunk_size = 1ULL << 20;
   Experiment exp(config);
   core::LibFs* fs = exp.cluster().CreateClient(0);
@@ -301,7 +295,7 @@ void PrintTable() {
     std::printf("%-10s %6d %12d %10.3f %16.1f %9.1f\n", name, p.transfer_window,
                 p.fetch_depth, p.gbps, p.replicate_net_pct, p.wait_pct);
   }
-  std::printf("(tw=1 is the legacy blocking round-trip control path)\n");
+  std::printf("(tw=1 / fd=1 is the lock-step point of the same windowed path)\n");
 
   std::printf("\n=== Stage mix: plugin stages in the replication chain (1MB chunks) ===\n");
   std::printf("%-14s %8s  %-44s %s\n", "mix", "GB/s", "stage latency us (mean)",

@@ -34,7 +34,9 @@ Row RunOne(bool compression, double zero_fraction) {
   core::DfsConfig config =
       BenchConfig(compression ? core::DfsMode::kLineFS : core::DfsMode::kAssise,
                   /*materialize=*/true);
-  config.compression = compression;
+  if (compression) {
+    config.pipeline_stages = "validate,compress";
+  }
   Experiment exp(config);
   exp.cluster().fabric().tx(0).EnableTimeseries(500 * sim::kMillisecond);
   std::vector<core::LibFs*> clients;

@@ -183,7 +183,6 @@ class Experiment {
     v.Set("num_nodes", c.num_nodes);
     v.Set("chunk_size", c.chunk_size);
     v.Set("materialize_data", c.materialize_data);
-    v.Set("compression", c.compression);
     v.Set("coalescing", c.coalescing);
     v.Set("publish_method", core::PublishMethodName(c.publish_method));
     v.Set("replica_publish", c.replica_publish);

@@ -27,7 +27,7 @@ double RunWithZeroFraction(double zero_fraction) {
   config.pm_size = 1ULL << 30;
   config.log_size = 32ULL << 20;
   config.chunk_size = 2ULL << 20;
-  config.compression = true;        // Enable the compression pipeline stage.
+  config.pipeline_stages = "validate,compress";  // Enable the compression stage.
   config.materialize_data = true;   // The codec needs real bytes.
   core::Cluster cluster(&engine, config);
   Status start_st = cluster.Start();

@@ -55,10 +55,6 @@ sim::Task<> PersistTxnRecord(rdma::Network* net, rdma::Initiator init, rdma::Mem
 Cluster::Cluster(sim::Engine* engine, const DfsConfig& config)
     : engine_(engine), config_(config) {
   config_.node_params.host.pm_size = config_.pm_size;
-  // Fold deprecated flat replication knobs into config_.repl before any
-  // service reads them; a conflicting config keeps its contradiction and is
-  // rejected by Start()'s Validate().
-  (void)config_.Normalize();
 
   metrics_ = std::make_unique<obs::MetricsRegistry>();
   // Before any service mints a series: the window is stamped at creation.

@@ -16,57 +16,9 @@ Status Invalid(const std::string& message) {
   return Status::Error(ErrorCode::kInvalid, "DfsConfig: " + message);
 }
 
-// One deprecated flat alias -> ReplConfig field. `flat` 0 means unset.
-template <typename T>
-Status FoldAlias(const char* name, T* flat, T* canonical, T canonical_default) {
-  if (*flat != T{0}) {
-    if (*canonical != canonical_default && *canonical != *flat) {
-      return Invalid(std::string("deprecated flat ") + name + " (" +
-                     std::to_string(*flat) + ") contradicts repl." + name + " (" +
-                     std::to_string(*canonical) + "); set only one");
-    }
-    *canonical = *flat;
-  }
-  *flat = T{0};
-  return Status::Ok();
-}
-
 }  // namespace
 
-Status DfsConfig::Normalize() {
-  const ReplConfig defaults;
-  if (Status st = FoldAlias("fetch_depth", &fetch_depth, &repl.fetch_depth,
-                            defaults.fetch_depth);
-      !st.ok()) {
-    return st;
-  }
-  if (Status st = FoldAlias("transfer_window", &transfer_window,
-                            &repl.transfer_window, defaults.transfer_window);
-      !st.ok()) {
-    return st;
-  }
-  if (Status st = FoldAlias("retry_interval", &repl_retry_interval,
-                            &repl.retry_interval, defaults.retry_interval);
-      !st.ok()) {
-    return st;
-  }
-  if (Status st = FoldAlias("retry_timeout", &repl_retry_timeout,
-                            &repl.retry_timeout, defaults.retry_timeout);
-      !st.ok()) {
-    return st;
-  }
-  return Status::Ok();
-}
-
 Status DfsConfig::Validate() const {
-  DfsConfig norm = *this;
-  if (Status folded = norm.Normalize(); !folded.ok()) {
-    return folded;
-  }
-  return norm.ValidateNormalized();
-}
-
-Status DfsConfig::ValidateNormalized() const {
   if (num_nodes < 1) {
     return Invalid("num_nodes must be >= 1, got " + std::to_string(num_nodes));
   }
@@ -137,7 +89,7 @@ Status DfsConfig::ValidateNormalized() const {
   }
   {
     if (!repl::Protocols().Contains(repl.protocol)) {
-      return Invalid("replication_protocol names unknown protocol '" +
+      return Invalid("repl.protocol names unknown protocol '" +
                      repl.protocol + "'");
     }
     repl::ProtocolParams params;
@@ -153,14 +105,8 @@ Status DfsConfig::ValidateNormalized() const {
     }
     if (repl.quorum_size > 0 && !protocol->info().quorum) {
       return Invalid("quorum_size is only meaningful for quorum-style protocols; "
-                     "replication_protocol '" + repl.protocol + "' ignores acks "
+                     "repl.protocol '" + repl.protocol + "' ignores acks "
                      "past its own commit rule");
-    }
-    if (protocol->info().blocking && repl.transfer_window > 1) {
-      return Invalid("replication_protocol '" + repl.protocol + "' is the blocking "
-                     "round-trip schedule; repl.transfer_window " +
-                     std::to_string(repl.transfer_window) +
-                     " would overlap it (use 1, or the non-blocking variant)");
     }
   }
   if (read_path != "host" && read_path != "nic_rpc" && read_path != "adaptive") {
@@ -209,9 +155,6 @@ Status DfsConfig::ValidateNormalized() const {
     auto pos = [&stages](const std::string& name) {
       return std::find(stages.begin(), stages.end(), name);
     };
-    if (compression && pos("compress") == stages.end()) {
-      return Invalid("compression=true requires 'compress' in pipeline_stages");
-    }
     auto compress_it = pos("compress");
     auto encrypt_it = pos("xor_encrypt");
     if (compress_it != stages.end() && encrypt_it != stages.end() &&

@@ -35,16 +35,12 @@ enum class PublishMethod {
 
 const char* PublishMethodName(PublishMethod method);
 
-// Replication-layer knobs, grouped and validated as a unit (the flat DfsConfig
-// fields of the same meaning are deprecated aliases; see Normalize()).
+// Replication-layer knobs, grouped and validated as a unit.
 struct ReplConfig {
   // Names a protocol registered in repl::Protocols(). Built-ins:
-  //   chain      - successor-chain forwarding, one-way posts (default).
-  //   chain_sync - same topology on the legacy blocking round-trip schedule
-  //                (the pre-window `transfer_window=1` special case, now an
-  //                explicit config point; requires transfer_window = 1).
-  //   quorum     - primary fans out to every live replica in parallel; the
-  //                client ack fires at a write quorum (majority by default).
+  //   chain  - successor-chain forwarding, one-way posts (default).
+  //   quorum - primary fans out to every live replica in parallel; the
+  //            client ack fires at a write quorum (majority by default).
   std::string protocol = "chain";
 
   // Write-quorum size for quorum-style protocols, counting the origin's own
@@ -56,7 +52,7 @@ struct ReplConfig {
   // outstanding PCIe log reads in the fetch stage; `transfer_window` bounds
   // replication chunks in flight past the transfer stage (submission stays in
   // client-log order; completion is decoupled — the per-replica ack tracking
-  // tolerates out-of-order acks).
+  // tolerates out-of-order acks). 1 is the lock-step point of the same path.
   int fetch_depth = 4;
   int transfer_window = 4;
 
@@ -85,18 +81,17 @@ struct DfsConfig {
   // Benchmarks may elide payload byte movement; tests always materialize.
   bool materialize_data = true;
 
-  // Replication-pipeline compression stage (§5.4).
-  bool compression = false;
+  // Cores the replication-pipeline compression stage (§5.4) splits a chunk
+  // across.
   int compression_threads = 16;
 
   // Per-pipe pipeline-stage chain, composed from the StageRegistry
   // (src/pipeline). Comma-separated stage names; "validate" must come first,
   // "checksum" (when present) must come last so the seal covers the sent
   // bytes, and "xor_encrypt" must follow "compress" so ciphertext never feeds
-  // LZW. The "compress" entry is armed by the `compression` knob: listing it
-  // declares where compression sits in the chain, `compression=true` turns it
-  // on.
-  std::string pipeline_stages = "validate,compress";
+  // LZW. A stage runs if and only if it is listed: compression (§5.4) is on
+  // exactly when "compress" is in the chain.
+  std::string pipeline_stages = "validate";
 
   // StagePlacer (src/pipeline/placer.h): with pooling enabled, grown stage
   // workers may land on the least-busy remote NIC once the local NIC passes
@@ -155,12 +150,6 @@ struct DfsConfig {
   // Replication knobs live here; read them as `config.repl.*`.
   ReplConfig repl;
 
-  // Deprecated flat aliases of the ReplConfig knobs, kept for pre-grouping
-  // call sites. 0 means "unset"; Normalize() folds a non-zero value into
-  // `repl` and rejects a value that contradicts an explicitly-set repl field.
-  int fetch_depth = 0;
-  int transfer_window = 0;
-
   // Replication flow control watermarks (§4).
   double mem_high_watermark = 0.70;
   double mem_low_watermark = 0.30;
@@ -170,11 +159,6 @@ struct DfsConfig {
   sim::Time kworker_rpc_timeout = 30 * sim::kMillisecond;
   sim::Time heartbeat_interval = sim::kSecond;  // Cluster manager (§3.6).
   sim::Time heartbeat_timeout = 2 * sim::kSecond;
-
-  // Deprecated flat aliases of ReplConfig::retry_interval / retry_timeout
-  // (same 0 = "unset" convention as fetch_depth/transfer_window above).
-  sim::Time repl_retry_interval = 0;
-  sim::Time repl_retry_timeout = 0;
 
   // Lease management.
   sim::Time lease_duration = sim::kSecond;
@@ -214,22 +198,11 @@ struct DfsConfig {
   }
   bool pipeline_parallel() const { return mode == DfsMode::kLineFS; }
 
-  // Folds the deprecated flat replication aliases into `repl` (non-zero flat
-  // value wins over an untouched repl default; a flat value that contradicts
-  // an explicitly-set repl field is an error) and clears the aliases so
-  // `repl.*` is the single source of truth afterwards. Idempotent; called by
-  // the Cluster constructor before any knob is read.
-  Status Normalize();
-
   // Range-checks every knob (watermarks ordered and in (0,1), num_nodes >= 1,
-  // chunk_size > 0, positive timeouts, registered replication protocol, ...)
-  // on a normalized copy of *this. Cluster::Start() refuses to boot on a
-  // failing config instead of silently misbehaving later.
+  // chunk_size > 0, positive timeouts, registered replication protocol, ...).
+  // Cluster::Start() refuses to boot on a failing config instead of silently
+  // misbehaving later.
   Status Validate() const;
-
- private:
-  // The check body behind Validate(); assumes Normalize() already ran.
-  Status ValidateNormalized() const;
 };
 
 }  // namespace linefs::core

@@ -5,7 +5,6 @@
 #include "src/core/cluster.h"
 #include "src/core/nicfs.h"
 #include "src/core/sharedfs.h"
-#include "src/sim/trace.h"
 
 namespace linefs::core {
 

@@ -548,24 +548,15 @@ sim::Task<> NicFs::FetchSlot(ClientPipe* pipe, ChunkPtr chunk, bool credited) {
 }
 
 sim::Task<> NicFs::FetchLoop(ClientPipe* pipe) {
-  const bool windowed = config_->repl.fetch_depth > 1;
   while (!shutdown_) {
     if (!FetchReady(pipe)) {
       co_await pipe->fetch_cv.Wait();
       continue;
     }
-    if (!windowed) {
-      // fetch_depth == 1: the exact lock-step schedule — admit, DMA, push,
-      // all inline, one chunk at a time.
-      ChunkPtr chunk = co_await FetchOne(pipe);
-      if (chunk != nullptr) {
-        pipe->stages.front()->queue.Push(std::move(chunk));
-      }
-      continue;
-    }
-    // Windowed prefetch: hold a credit per outstanding DMA. An urgent fsync
-    // must not queue behind a full window — it admits uncredited so the
-    // synchronous path is never throttled by background prefetch depth.
+    // Windowed prefetch: hold a credit per outstanding DMA (fetch_depth 1 is
+    // the lock-step point). An urgent fsync must not queue behind a full
+    // window — it admits uncredited so the synchronous path is never
+    // throttled by background prefetch depth.
     bool credited = true;
     if (pipe->urgent) {
       credited = pipe->fetch_credits.TryAcquire();
@@ -593,10 +584,6 @@ sim::Task<> NicFs::FetchLoop(ClientPipe* pipe) {
 
 void NicFs::BuildStages(ClientPipe* pipe) {
   for (const std::string& name : pipeline::ParseStageList(config_->pipeline_stages)) {
-    if (name == "compress" && !config_->compression) {
-      // The chain declares where compression sits; the knob arms it.
-      continue;
-    }
     std::unique_ptr<pipeline::Stage> stage = pipeline::Stages().Create(name);
     if (stage == nullptr) {
       continue;  // Validate() rejects unknown names before boot.
@@ -822,7 +809,6 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
   // message — issued back-to-back under the pipe's wire mutex so concurrent
   // window slots submit to the QP strictly in client-log order (a fan-out's
   // sends also stay contiguous on the local link).
-  const bool blocking = protocol_->info().blocking;
   co_await pipe->wire_mutex.Lock();
   // The stage histogram measures this chunk's own wire occupancy; time queued
   // behind other window slots is their wire time, not this chunk's (the
@@ -857,45 +843,25 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
     msg.hop = target.hop;
     msg.fanout = target.terminal ? 1 : 0;
     msg.ctx = span.context();
-    if (blocking) {
-      // The legacy blocking round trip (chain_sync): the receiver's dispatch
-      // wakeup, its handler admission, and the response's return flight all
-      // sit on the sender's critical path before the next chunk may start —
-      // exactly the pre-windowing lock-step schedule, and the baseline the
-      // window sweep measures the one-way control path against.
-      Result<Ack> rt = co_await cluster_->rpc().Call<ReplChunkMsg, Ack>(
-          NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-          EndpointName(target.node),
-          urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-          kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context());
-      if (!rt.ok()) {
-        OnReplSendFailure(pipe, chunk->no, target.node);
-      }
-    } else {
-      // One-way send: the chunk's completion travels back as kRpcReplAck from
-      // each replica, so there is no response to wait for — the transfer
-      // stage resolves at its own send completion and the ack path runs fully
-      // decoupled. The wire mutex releases as soon as the final control
-      // message is on the wire (`on_wire`), so the next window slot's bulk
-      // write books the link while this slot is still processing its send
-      // completion.
-      rdma::Initiator ctl_init = NicInitiator(urgent);
-      ctl_init.batched = BatchedPost(pipe, target.node);
-      Status sent = co_await cluster_->rpc().Post(
-          ctl_init, rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-          EndpointName(target.node),
-          urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-          kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context(),
-          last_target ? std::function<void()>([pipe] { pipe->wire_mutex.Unlock(); })
-                      : std::function<void()>{});
-      if (!sent.ok()) {
-        OnReplSendFailure(pipe, chunk->no, target.node);
-      }
+    // One-way send: the chunk's completion travels back as kRpcReplAck from
+    // each replica, so there is no response to wait for — the transfer stage
+    // resolves at its own send completion and the ack path runs fully
+    // decoupled. The wire mutex releases as soon as the final control message
+    // is on the wire (`on_wire`), so the next window slot's bulk write books
+    // the link while this slot is still processing its send completion.
+    rdma::Initiator ctl_init = NicInitiator(urgent);
+    ctl_init.batched = BatchedPost(pipe, target.node);
+    Status sent = co_await cluster_->rpc().Post(
+        ctl_init, rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
+        EndpointName(target.node),
+        urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
+        kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context(),
+        last_target ? std::function<void()>([pipe] { pipe->wire_mutex.Unlock(); })
+                    : std::function<void()>{});
+    if (!sent.ok()) {
+      OnReplSendFailure(pipe, chunk->no, target.node);
     }
     metrics_.wire_bytes->Add(wire_bytes);
-  }
-  if (blocking) {
-    pipe->wire_mutex.Unlock();
   }
   span.End();
   metrics_.chunks_transferred->Increment();
@@ -918,19 +884,13 @@ sim::Task<> NicFs::TransferSlot(ClientPipe* pipe, ChunkPtr chunk) {
 sim::Task<> NicFs::TransferWorker(ClientPipe* pipe) {
   // In-order submission: the reorder buffer releases chunks in client-log
   // order, and slots are spawned in that order, so replicas receive chunks in
-  // sequence. With transfer_window > 1 completion is decoupled — up to
-  // `transfer_window` chunks ride the wire concurrently and the per-replica
-  // ack tracking (pending_acks / AdvanceReplicated) absorbs any ack reorder.
-  const bool windowed = config_->repl.transfer_window > 1;
+  // sequence. Completion is decoupled — up to `transfer_window` chunks ride
+  // the wire concurrently (1 is the lock-step point) and the per-replica ack
+  // tracking (pending_acks / AdvanceReplicated) absorbs any ack reorder.
   while (true) {
     std::optional<ChunkPtr> popped = co_await pipe->transfer_rb.PopNext();
     if (!popped.has_value()) {
       break;
-    }
-    if (!windowed) {
-      // transfer_window == 1: the exact lock-step schedule.
-      co_await DoTransfer(pipe, *popped);
-      continue;
     }
     co_await pipe->transfer_credits.Acquire();
     ++pipe->transfer_inflight;
@@ -1260,29 +1220,16 @@ sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, WirePayload payload,
                                    rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
                                    rdma::MemAddr{next, rdma::Space::kNicMem}, msg.wire_bytes);
   }
-  if (protocol_->info().blocking) {
-    // chain_sync: legacy blocking forward (see DoTransfer).
-    Result<Ack> rt = co_await cluster_->rpc().Call<ReplChunkMsg, Ack>(
-        NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        EndpointName(next), urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-        kRpcReplChunk, fwd, 10 * sim::kMillisecond, span.context());
-    wire_mu->Unlock();
-    if (!rt.ok()) {
-      metrics_.repl_send_failures->Increment();
-    }
-  } else {
-    // One-way forward; the downstream replica acks the origin directly, so
-    // the only failure this hop can see (and count) is its own send
-    // completion. The origin's retransmit sweeper covers a lost forward
-    // either way.
-    Status sent = co_await cluster_->rpc().Post(
-        NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        EndpointName(next), urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-        kRpcReplChunk, fwd, 10 * sim::kMillisecond, span.context(),
-        [wire_mu] { wire_mu->Unlock(); });
-    if (!sent.ok()) {
-      metrics_.repl_send_failures->Increment();
-    }
+  // One-way forward; the downstream replica acks the origin directly, so the
+  // only failure this hop can see (and count) is its own send completion. The
+  // origin's retransmit sweeper covers a lost forward either way.
+  Status sent = co_await cluster_->rpc().Post(
+      NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
+      EndpointName(next), urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
+      kRpcReplChunk, fwd, 10 * sim::kMillisecond, span.context(),
+      [wire_mu] { wire_mu->Unlock(); });
+  if (!sent.ok()) {
+    metrics_.repl_send_failures->Increment();
   }
 }
 
@@ -1312,27 +1259,15 @@ sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, WirePayload payload,
   ack.to = msg.to;
   ack.replica_node = node_->id();
   ack.ctx = span.context();
-  if (protocol_->info().blocking) {
-    // chain_sync: legacy round-trip ack (see DoTransfer).
-    Result<Ack> rt = co_await cluster_->rpc().Call<ReplAckMsg, Ack>(
-        NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        EndpointName(msg.origin_node),
-        urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput, kRpcReplAck, ack,
-        10 * sim::kMillisecond, span.context());
-    if (!rt.ok()) {
-      metrics_.repl_send_failures->Increment();
-    }
-  } else {
-    // The ack is itself one-way: a lost ack leaves the chunk pending at the
-    // origin until its sweeper retransmits, and the re-delivery re-acks.
-    Status sent = co_await cluster_->rpc().Post(
-        NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        EndpointName(msg.origin_node),
-        urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput, kRpcReplAck, ack,
-        10 * sim::kMillisecond, span.context());
-    if (!sent.ok()) {
-      metrics_.repl_send_failures->Increment();
-    }
+  // The ack is itself one-way: a lost ack leaves the chunk pending at the
+  // origin until its sweeper retransmits, and the re-delivery re-acks.
+  Status sent = co_await cluster_->rpc().Post(
+      NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
+      EndpointName(msg.origin_node),
+      urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput, kRpcReplAck, ack,
+      10 * sim::kMillisecond, span.context());
+  if (!sent.ok()) {
+    metrics_.repl_send_failures->Increment();
   }
 }
 

@@ -10,14 +10,15 @@
 // transfer apply strictly in client-log order via per-pipe tickets, which is
 // what preserves linearizability and prefix crash consistency (§3.1).
 //
-// Stages are windowed rather than lock-step: fetch keeps up to
-// DfsConfig::fetch_depth PCIe DMA reads outstanding and transfer keeps up to
-// DfsConfig::transfer_window chunks in flight on the wire, each bounded by
-// explicit per-pipe credits. Submission order never changes — only who waits.
-// Replication control messages (kRpcReplChunk, chain forwards, kRpcReplAck)
-// are one-way rdma::RpcSystem::Post sends; completion is signalled solely by
-// the ReplAckMsg path, and a send-completion error kicks the retransmit
-// sweeper immediately (see DESIGN.md §10).
+// Stages are windowed, and the window is the only data path: fetch keeps up
+// to ReplConfig::fetch_depth PCIe DMA reads outstanding and transfer keeps up
+// to ReplConfig::transfer_window chunks in flight on the wire, each bounded by
+// explicit per-pipe credits (a window of 1 is the lock-step point).
+// Submission order never changes — only who waits. Replication control
+// messages (kRpcReplChunk, chain forwards, kRpcReplAck) are one-way
+// rdma::RpcSystem::Post sends; completion is signalled solely by the
+// ReplAckMsg path, and a send-completion error kicks the retransmit sweeper
+// immediately (see DESIGN.md §10).
 //
 // Also implements: lease arbitration (§3.4), replication flow control via NIC
 // memory watermarks (§4), the kernel-worker failure detector and isolated
@@ -222,10 +223,10 @@ class NicFs {
     uint64_t reclaimed_upto = 0;
     sim::Condition progress;
     // Wakes ReplRetryMonitor out of turn: the periodic ticker notifies every
-    // repl_retry_interval, and a failed one-way send notifies immediately.
+    // repl.retry_interval, and a failed one-way send notifies immediately.
     sim::Condition retry_kick;
     // Windowed data path credits: outstanding PCIe fetch DMAs and in-flight
-    // replication transfers, bounded by DfsConfig::{fetch_depth,
+    // replication transfers, bounded by ReplConfig::{fetch_depth,
     // transfer_window}. Credits are held from admission to completion.
     sim::Semaphore fetch_credits;
     sim::Semaphore transfer_credits;
@@ -263,10 +264,10 @@ class NicFs {
   sim::Task<ChunkPtr> AdmitFetch(ClientPipe* pipe);
   sim::Task<> FetchDma(ClientPipe* pipe, ChunkPtr chunk);
   sim::Task<> FetchSlot(ClientPipe* pipe, ChunkPtr chunk, bool credited);
+  // Admit + DMA inline, for SequentialLoop (the LineFS-NotParallel ablation).
   sim::Task<ChunkPtr> FetchOne(ClientPipe* pipe);
   sim::Task<> FetchLoop(ClientPipe* pipe);
-  // Instantiates the pipe's stage chain from DfsConfig::pipeline_stages (the
-  // "compress" entry is armed by the compression knob).
+  // Instantiates the pipe's stage chain from DfsConfig::pipeline_stages.
   void BuildStages(ClientPipe* pipe);
   // Generic queue-fed stage worker executing at `where`. Handles retire
   // pills, the generalized optional-stage bypass (§3.3.2), the relocated
@@ -303,11 +304,11 @@ class NicFs {
   bool CommitComplete(const ClientPipe::AckState& state) const;
   bool RetireComplete(const ClientPipe::AckState& state) const;
   void AdvanceReplicated(ClientPipe* pipe);
-  // A failed send to `peer` (send-completion error from Post, or a blocking
-  // round trip that errored) marks the affected staleness clocks expired and
-  // kicks the sweeper immediately instead of waiting out the tick. Forwarding
-  // protocols lose the whole downstream chain with the first hop, so they
-  // expire every clock; fan-out protocols expire only `peer`'s.
+  // A failed send to `peer` (send-completion error from Post) marks the
+  // affected staleness clocks expired and kicks the sweeper immediately
+  // instead of waiting out the tick. Forwarding protocols lose the whole
+  // downstream chain with the first hop, so they expire every clock; fan-out
+  // protocols expire only `peer`'s.
   void OnReplSendFailure(ClientPipe* pipe, uint64_t chunk_no, int peer);
   sim::Task<> ReplRetryTicker(ClientPipe* pipe);
   sim::Task<> ReplRetryMonitor(ClientPipe* pipe);

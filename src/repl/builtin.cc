@@ -2,11 +2,11 @@
 
 namespace linefs::repl {
 
-void RegisterChainProtocols(ProtocolRegistry& registry);
+void RegisterChainProtocol(ProtocolRegistry& registry);
 void RegisterQuorumProtocol(ProtocolRegistry& registry);
 
 void RegisterBuiltinProtocols(ProtocolRegistry& registry) {
-  RegisterChainProtocols(registry);
+  RegisterChainProtocol(registry);
   RegisterQuorumProtocol(registry);
 }
 

@@ -2,9 +2,8 @@
 // behavior: the origin wires each chunk to its first live successor, replicas
 // forward down the rotation, and acks return one-way to the origin. Commit
 // and retire coincide -- every live replica must ack before a chunk is
-// client-visible. "chain_sync" is the same topology on the legacy blocking
-// round-trip schedule (the pre-window tw=1 special case, now an explicit
-// protocol config point).
+// client-visible. The lock-step schedule is the same protocol at
+// repl.transfer_window = 1, not a separate one.
 
 #include "src/repl/registry.h"
 
@@ -13,9 +12,7 @@ namespace {
 
 class ChainProtocol : public Protocol {
  public:
-  explicit ChainProtocol(bool blocking)
-      : info_{blocking ? "chain_sync" : "chain", blocking,
-              /*forwards=*/true, /*quorum=*/false} {}
+  ChainProtocol() : info_{"chain", /*forwards=*/true, /*quorum=*/false} {}
 
   const Info& info() const override { return info_; }
 
@@ -37,12 +34,9 @@ class ChainProtocol : public Protocol {
 
 }  // namespace
 
-void RegisterChainProtocols(ProtocolRegistry& registry) {
+void RegisterChainProtocol(ProtocolRegistry& registry) {
   registry.Register("chain", [](const ProtocolParams&) {
-    return std::make_unique<ChainProtocol>(/*blocking=*/false);
-  });
-  registry.Register("chain_sync", [](const ProtocolParams&) {
-    return std::make_unique<ChainProtocol>(/*blocking=*/true);
+    return std::make_unique<ChainProtocol>();
   });
 }
 

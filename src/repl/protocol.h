@@ -1,13 +1,13 @@
 #pragma once
 
-// Replication-protocol API (ISSUE 7).
+// Replication-protocol API.
 //
 // A repl::Protocol describes *what* a replication scheme does -- which peers a
 // freshly staged chunk is wired to, when a chunk becomes client-visible
 // (commit point), and when its log range may be reclaimed (retire point) --
-// while the surrounding services (transfer_window flow control, single-QP wire
-// ordering, the retransmit sweeper, ack dedup) stay protocol-agnostic in
-// core::NicFs / core::SharedFs. Protocols are pure decision objects: they
+// while the surrounding services (the windowed one-way send path and its
+// transfer_window flow control, single-QP wire ordering, the retransmit
+// sweeper, ack dedup) stay protocol-agnostic in core::NicFs / core::SharedFs. Protocols are pure decision objects: they
 // never touch the wire themselves and hold no per-chunk state, which keeps
 // them trivially usable from both the NIC-offloaded and host-only data paths.
 
@@ -49,10 +49,6 @@ class Protocol {
  public:
   struct Info {
     std::string name;
-    // Blocking protocols use request/response round trips on every hop (the
-    // legacy pre-window schedule); non-blocking ones use one-way posts with
-    // acks returning out-of-band.
-    bool blocking = false;
     // Forwarding protocols relay chunks replica-to-replica (chain); fan-out
     // protocols reach every replica directly from the origin.
     bool forwards = false;

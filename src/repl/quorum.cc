@@ -17,7 +17,7 @@ class QuorumProtocol : public Protocol {
  public:
   explicit QuorumProtocol(int quorum_size)
       : quorum_size_(quorum_size),
-        info_{"quorum", /*blocking=*/false, /*forwards=*/false, /*quorum=*/true} {}
+        info_{"quorum", /*forwards=*/false, /*quorum=*/true} {}
 
   const Info& info() const override { return info_; }
 

@@ -2,7 +2,7 @@
 
 // Process-wide replication-protocol registry, mirroring pipeline::Stages().
 // Protocols self-register at static-init time; DfsConfig::Validate() checks
-// `replication_protocol` against Contains(), and NicFs / SharedFs build their
+// `repl.protocol` against Contains(), and NicFs / SharedFs build their
 // protocol instance through Create().
 
 #include <functional>
@@ -37,10 +37,10 @@ class ProtocolRegistry {
 };
 
 // The process-wide registry holding the built-in protocols
-// (chain, chain_sync, quorum) plus any test-registered ones.
+// (chain, quorum) plus any test-registered ones.
 ProtocolRegistry& Protocols();
 
-// Installs chain, chain_sync, and quorum into `registry`; called once by
+// Installs chain and quorum into `registry`; called once by
 // Protocols() and directly by tests that build a private registry.
 void RegisterBuiltinProtocols(ProtocolRegistry& registry);
 

@@ -303,7 +303,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, DfsModeTest,
 
 TEST(LineFsTest, CompressionRoundTripsThroughReplication) {
   DfsConfig config = SmallConfig(DfsMode::kLineFS);
-  config.compression = true;
+  config.pipeline_stages = "validate,compress";
   ClusterHarness harness(config);
   LibFs* fs = harness.cluster().CreateClient(0);
   // Highly compressible data.

@@ -96,7 +96,7 @@ TEST_F(NicFsMechanicsTest, FlowControlPausesFetchAtHighWatermark) {
 
 TEST_F(NicFsMechanicsTest, CompressionBypassesWhenBacklogged) {
   DfsConfig config = Config();
-  config.compression = true;
+  config.pipeline_stages = "validate,compress";
   config.compression_threads = 1;   // Starve the stage.
   config.max_stage_workers = 1;     // No scaling relief.
   config.stage_queue_threshold = 1;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "tests/co_test_util.h"
@@ -57,9 +58,10 @@ int OverlapCount(const std::vector<obs::TraceEvent>& spans) {
 }
 
 struct WindowRun {
-  std::vector<obs::TraceEvent> transfers;  // Primary-side transfer spans.
-  std::vector<obs::TraceEvent> fetches;    // Primary-side fetch spans.
-  sim::Time fsync_done = 0;                // Simulated time the fsync returned.
+  std::vector<obs::TraceEvent> transfers;    // Primary-side transfer spans.
+  std::vector<obs::TraceEvent> fetches;      // Primary-side fetch spans.
+  std::vector<obs::TraceEvent> fsync_waits;  // Primary-side fsync_wait spans.
+  sim::Time fsync_done = 0;                  // Simulated time the fsync returned.
 };
 
 // Runs a fixed 12MB sequential write + fsync in a fresh cluster and returns
@@ -90,6 +92,7 @@ WindowRun RunWindowedWrite(const DfsConfig& config) {
 
   out.transfers = StageSpans(cluster.trace(), "nicfs.0", "transfer");
   out.fetches = StageSpans(cluster.trace(), "nicfs.0", "fetch");
+  out.fsync_waits = StageSpans(cluster.trace(), "nicfs.0", "fsync_wait");
   if (getenv("WINDOW_DEBUG")) {
     NicFs::StatsSnapshot st = cluster.nicfs(0)->stats();
     fprintf(stderr, "=== fd=%d tw=%d fsync_done=%lld stall=%llu\n", config.repl.fetch_depth,
@@ -241,35 +244,51 @@ TEST_F(NicFsWindowTest, OpenWindowStillRespectsNicMemoryWatermarks) {
   EXPECT_EQ(attr->size, 16ULL << 20);
 }
 
+void ExpectSameSpans(const std::vector<obs::TraceEvent>& a,
+                     const std::vector<obs::TraceEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].begin, b[i].begin) << "index " << i;
+    EXPECT_EQ(a[i].end, b[i].end) << "index " << i;
+    EXPECT_EQ(a[i].chunk_no, b[i].chunk_no) << "index " << i;
+  }
+}
+
 TEST(NicFsWindowSchedule, DepthOneIsLockStepAndDeterministic) {
+  // A window of 1 is the lock-step point of the one windowed path.
   DfsConfig config = Config();
-  // chain_sync is the explicit name for the legacy blocking round-trip
-  // schedule that used to be implied by transfer_window=1.
-  config.repl.protocol = "chain_sync";
   config.repl.fetch_depth = 1;
   config.repl.transfer_window = 1;
 
   WindowRun first = RunWindowedWrite(config);
   ASSERT_GE(first.transfers.size(), 8u);
-  // Lock-step: with one credit everywhere, no two transfer DMA+send windows
-  // on the primary ever overlap, and neither do two fetch DMAs.
+  ASSERT_FALSE(first.fsync_waits.empty());
+  // One transfer credit: no two transfer spans on the primary ever overlap.
   EXPECT_EQ(OverlapCount(first.transfers), 0);
-  EXPECT_EQ(OverlapCount(first.fetches), 0);
+  // One fetch credit: two fetch DMAs overlap only while an fsync waits on the
+  // pipe, because urgent admissions bypass the credit (DESIGN.md §10).
+  sim::Time prev_end = 0;
+  for (const obs::TraceEvent& f : first.fetches) {
+    if (f.begin < prev_end) {
+      sim::Time overlap_end = std::min(f.end, prev_end);
+      bool inside = std::any_of(first.fsync_waits.begin(), first.fsync_waits.end(),
+                                [&](const obs::TraceEvent& w) {
+                                  return w.begin <= f.begin && overlap_end <= w.end;
+                                });
+      EXPECT_TRUE(inside) << "fetch #" << f.chunk_no << " overlaps outside fsync_wait";
+    }
+    prev_end = std::max(prev_end, f.end);
+  }
 
   // Determinism: an identical rerun reproduces the schedule event-for-event.
   WindowRun second = RunWindowedWrite(config);
-  ASSERT_EQ(first.transfers.size(), second.transfers.size());
-  for (size_t i = 0; i < first.transfers.size(); ++i) {
-    EXPECT_EQ(first.transfers[i].begin, second.transfers[i].begin) << "index " << i;
-    EXPECT_EQ(first.transfers[i].end, second.transfers[i].end) << "index " << i;
-    EXPECT_EQ(first.transfers[i].chunk_no, second.transfers[i].chunk_no) << "index " << i;
-  }
+  ExpectSameSpans(first.transfers, second.transfers);
+  ExpectSameSpans(first.fetches, second.fetches);
   EXPECT_EQ(first.fsync_done, second.fsync_done);
 }
 
 TEST(NicFsWindowSchedule, OpenWindowOverlapsTransfersAndIsNoSlower) {
   DfsConfig lockstep = Config();
-  lockstep.repl.protocol = "chain_sync";
   lockstep.repl.fetch_depth = 1;
   lockstep.repl.transfer_window = 1;
   WindowRun serial = RunWindowedWrite(lockstep);
@@ -293,11 +312,7 @@ TEST(NicFsWindowSchedule, OpenWindowOverlapsTransfersAndIsNoSlower) {
   // Determinism holds for the windowed schedule too.
   WindowRun again = RunWindowedWrite(windowed);
   EXPECT_EQ(overlapped.fsync_done, again.fsync_done);
-  ASSERT_EQ(overlapped.transfers.size(), again.transfers.size());
-  for (size_t i = 0; i < overlapped.transfers.size(); ++i) {
-    EXPECT_EQ(overlapped.transfers[i].begin, again.transfers[i].begin) << "index " << i;
-    EXPECT_EQ(overlapped.transfers[i].end, again.transfers[i].end) << "index " << i;
-  }
+  ExpectSameSpans(overlapped.transfers, again.transfers);
 }
 
 TEST_F(NicFsWindowTest, ScalingRetiresIdleExtraWorkers) {

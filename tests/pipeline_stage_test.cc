@@ -121,7 +121,6 @@ TEST(StageChainValidation, AcceptsWellFormedChains) {
   DfsConfig config = TestConfig();
   EXPECT_TRUE(config.Validate().ok()) << config.Validate().ToString();
   config.pipeline_stages = "validate,compress,xor_encrypt,checksum";
-  config.compression = true;
   EXPECT_TRUE(config.Validate().ok()) << config.Validate().ToString();
   config = TestConfig();
   config.pipeline_stages = "validate,checksum";
@@ -129,10 +128,9 @@ TEST(StageChainValidation, AcceptsWellFormedChains) {
 }
 
 TEST(StageChainValidation, RejectsMalformedChains) {
-  auto invalid = [](const std::string& stages, bool compression = false) {
+  auto invalid = [](const std::string& stages) {
     DfsConfig config = TestConfig();
     config.pipeline_stages = stages;
-    config.compression = compression;
     return config.Validate().code() == ErrorCode::kInvalid;
   };
   EXPECT_TRUE(invalid(""));                            // empty chain
@@ -142,7 +140,6 @@ TEST(StageChainValidation, RejectsMalformedChains) {
   EXPECT_TRUE(invalid("validate,compress,compress"));  // duplicate
   EXPECT_TRUE(invalid("validate,checksum,compress"));  // checksum not last
   EXPECT_TRUE(invalid("validate,xor_encrypt,compress"));  // LZW after cipher
-  EXPECT_TRUE(invalid("validate", /*compression=*/true));  // knob without stage
 }
 
 // --- Per-chunk stage-order preservation --------------------------------------------
@@ -224,7 +221,6 @@ TEST(StageChainTest, ChunksTraverseConfiguredStagesInOrder) {
 TEST(StagePluginTest, ChecksumAndCipherRoundTripThroughReplication) {
   DfsConfig config = TestConfig();
   config.pipeline_stages = "validate,compress,xor_encrypt,checksum";
-  config.compression = true;
   ASSERT_TRUE(config.Validate().ok()) << config.Validate().ToString();
   PipelineHarness harness(config);
   LibFs* fs = harness.cluster_->CreateClient(0);
@@ -391,7 +387,6 @@ TEST(StagePlacerTest, MigrationPreservesChunkWireOrder) {
 TEST(StageTortureTest, PluginChainSurvivesSeededFaults) {
   DfsConfig config = TestConfig();
   config.pipeline_stages = "validate,compress,xor_encrypt,checksum";
-  config.compression = true;
   config.heartbeat_interval = 200 * sim::kMillisecond;
   config.heartbeat_timeout = 300 * sim::kMillisecond;
   PipelineHarness harness(config);

@@ -1,7 +1,7 @@
-// Replication-protocol API (ISSUE 7): registry and protocol-object units,
-// config validation of the new ReplConfig group (including the deprecated
-// flat-knob shim), and a cluster-level conformance suite that runs the same
-// replicate/agree/failure invariants against every registered protocol.
+// Replication-protocol API: registry and protocol-object units, config
+// validation of the ReplConfig group, and a cluster-level conformance suite
+// that runs the same replicate/agree/failure invariants against every
+// registered protocol.
 
 #include <gtest/gtest.h>
 
@@ -27,13 +27,12 @@ namespace {
 TEST(ReplRegistryTest, BuiltinsAreRegistered) {
   repl::ProtocolRegistry& reg = repl::Protocols();
   EXPECT_TRUE(reg.Contains("chain"));
-  EXPECT_TRUE(reg.Contains("chain_sync"));
   EXPECT_TRUE(reg.Contains("quorum"));
   EXPECT_FALSE(reg.Contains("paxos"));
   EXPECT_EQ(reg.Create("paxos"), nullptr);
 
   std::vector<std::string> names = reg.Names();
-  for (const char* expected : {"chain", "chain_sync", "quorum"}) {
+  for (const char* expected : {"chain", "quorum"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end()) << expected;
   }
 }
@@ -78,7 +77,6 @@ TEST(ReplProtocolUnitTest, ChainDispatchesOneForwardingHop) {
   auto chain = repl::Protocols().Create("chain");
   ASSERT_NE(chain, nullptr);
   EXPECT_EQ(chain->info().name, "chain");
-  EXPECT_FALSE(chain->info().blocking);
   EXPECT_TRUE(chain->info().forwards);
   EXPECT_FALSE(chain->info().quorum);
 
@@ -112,25 +110,11 @@ TEST(ReplProtocolUnitTest, ChainCommitNeedsEveryLivePeer) {
   EXPECT_TRUE(chain->RetirePoint(degraded, {1}));
 }
 
-TEST(ReplProtocolUnitTest, ChainSyncIsTheBlockingVariant) {
-  auto sync = repl::Protocols().Create("chain_sync");
-  ASSERT_NE(sync, nullptr);
-  EXPECT_EQ(sync->info().name, "chain_sync");
-  EXPECT_TRUE(sync->info().blocking);
-  EXPECT_TRUE(sync->info().forwards);
-
-  // Same topology decisions as chain.
-  std::vector<repl::Target> targets = sync->OnChunkReady(ViewOf(0, 3));
-  ASSERT_EQ(targets.size(), 1u);
-  EXPECT_EQ(targets[0].node, 1);
-}
-
 TEST(ReplProtocolUnitTest, QuorumFansOutAndCommitsAtMajority) {
   auto quorum = repl::Protocols().Create("quorum");
   ASSERT_NE(quorum, nullptr);
   EXPECT_TRUE(quorum->info().quorum);
   EXPECT_FALSE(quorum->info().forwards);
-  EXPECT_FALSE(quorum->info().blocking);
 
   // Fan-out: every live peer gets a terminal point-to-point delivery.
   std::vector<repl::Target> targets = quorum->OnChunkReady(ViewOf(0, 3));
@@ -182,11 +166,15 @@ DfsConfig ValidConfig() {
 }
 
 TEST(ReplConfigValidateTest, UnknownProtocolRejected) {
-  DfsConfig config = ValidConfig();
-  config.repl.protocol = "raft";
-  Status st = config.Validate();
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("unknown protocol"), std::string::npos) << st.ToString();
+  // "chain_sync" is not a protocol (the lock-step schedule is chain at
+  // repl.transfer_window = 1); a config naming it must fail loudly.
+  for (const char* name : {"raft", "chain_sync"}) {
+    DfsConfig config = ValidConfig();
+    config.repl.protocol = name;
+    Status st = config.Validate();
+    EXPECT_FALSE(st.ok()) << name;
+    EXPECT_NE(st.ToString().find("unknown protocol"), std::string::npos) << st.ToString();
+  }
 }
 
 TEST(ReplConfigValidateTest, QuorumSizeRejectedForNonQuorumProtocols) {
@@ -204,43 +192,6 @@ TEST(ReplConfigValidateTest, QuorumSizeRejectedForNonQuorumProtocols) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
-TEST(ReplConfigValidateTest, BlockingProtocolRejectsOpenWindow) {
-  DfsConfig config = ValidConfig();
-  config.repl.protocol = "chain_sync";
-  // Default transfer_window=4 contradicts the blocking round-trip schedule.
-  EXPECT_FALSE(config.Validate().ok());
-  config.repl.transfer_window = 1;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST(ReplConfigValidateTest, DeprecatedFlatKnobsFoldIntoReplConfig) {
-  DfsConfig config = ValidConfig();
-  config.transfer_window = 8;
-  config.fetch_depth = 2;
-  EXPECT_TRUE(config.Validate().ok());
-  ASSERT_TRUE(config.Normalize().ok());
-  EXPECT_EQ(config.repl.transfer_window, 8);
-  EXPECT_EQ(config.repl.fetch_depth, 2);
-  // The flat aliases are consumed: a second Normalize is a no-op.
-  EXPECT_EQ(config.transfer_window, 0);
-  EXPECT_EQ(config.fetch_depth, 0);
-  ASSERT_TRUE(config.Normalize().ok());
-  EXPECT_EQ(config.repl.transfer_window, 8);
-}
-
-TEST(ReplConfigValidateTest, ContradictoryFlatAndGroupedKnobsRejected) {
-  DfsConfig config = ValidConfig();
-  config.transfer_window = 8;
-  config.repl.transfer_window = 2;  // Explicit non-default: contradiction.
-  Status st = config.Validate();
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("contradicts"), std::string::npos) << st.ToString();
-
-  // Agreeing values are tolerated (common in configs mid-migration).
-  config.repl.transfer_window = 8;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
 // --- Cluster-level conformance: every registered protocol ---------------------------
 
 DfsConfig ConformanceConfig(const std::string& protocol) {
@@ -253,10 +204,6 @@ DfsConfig ConformanceConfig(const std::string& protocol) {
   config.chunk_size = 1ULL << 20;
   config.materialize_data = true;
   config.repl.protocol = protocol;
-  auto instance = repl::Protocols().Create(protocol);
-  if (instance != nullptr && instance->info().blocking) {
-    config.repl.transfer_window = 1;  // Blocking schedules forbid open windows.
-  }
   return config;
 }
 

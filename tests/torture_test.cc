@@ -46,6 +46,7 @@
 #include "src/fault/schedule.h"
 #include "src/fslib/oplog.h"
 #include "src/fslib/publicfs.h"
+#include "src/repl/registry.h"
 #include "src/sim/engine.h"
 #include "src/workloads/filebench.h"
 #include "src/workloads/minikv.h"
@@ -57,12 +58,12 @@ using sim::kMillisecond;
 using sim::kSecond;
 
 // Replication protocols the torture suite sweeps. CI pins one per job via
-// LINEFS_REPL_PROTOCOL; a bare local run covers both built-in data paths.
+// LINEFS_REPL_PROTOCOL; a bare local run covers every registered protocol.
 std::vector<std::string> TortureProtocols() {
   if (const char* pinned = std::getenv("LINEFS_REPL_PROTOCOL")) {
     return {pinned};
   }
-  return {"chain", "quorum"};
+  return repl::Protocols().Names();
 }
 
 core::DfsConfig TortureConfig(const std::string& protocol) {
