@@ -135,6 +135,12 @@ class Experiment {
     registry.GetCounter("sim.events_processed")->Add(engine_.events_processed());
     registry.GetCounter("sim.schedule.calls")->Add(engine_.schedule_calls());
     registry.GetCounter("sim.schedule.clamped")->Add(engine_.schedule_clamps());
+    // Host memory backing simulated PM (informational, not gated).
+    uint64_t pm_backed = 0;
+    for (int i = 0; i < cluster_->num_nodes(); ++i) {
+      pm_backed += cluster_->hw_node(i).pm().bytes_backed();
+    }
+    registry.GetCounter("pmem.bytes_backed")->Add(pm_backed);
     // Engine-speed trajectory (informational, tracked across PRs): how many
     // DES events the engine retires per wall-clock second, and how much wall
     // time one simulated second costs for this run's workload.

@@ -1,6 +1,8 @@
 #include "src/core/libfs.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "src/core/cluster.h"
 #include "src/core/nicfs.h"
@@ -569,24 +571,33 @@ uint64_t LibFs::EffectiveSize(fslib::InodeNum inum) {
 
 // --- Write ---------------------------------------------------------------------------------
 
-sim::Task<Result<uint64_t>> LibFs::WriteInternal(FdState* fd, std::span<const uint8_t> data,
-                                                 uint64_t len, uint64_t offset, uint8_t seed) {
+sim::Task<Result<uint64_t>> LibFs::WriteInternal(fslib::InodeNum inum,
+                                                 std::span<const uint8_t> data, uint64_t len,
+                                                 uint64_t offset, uint8_t seed) {
   if (Status up = CheckServiceUp(); !up.ok()) {
     co_return up;
   }
-  Status lease = co_await BeginMutation(fd->inum);
+  Status lease = co_await BeginMutation(inum);
   if (!lease.ok()) {
     co_return lease;
   }
   MutationGuard guard(this);
   bool materialize = config_->materialize_data;
+  // Generated payloads repeat every 251 bytes: byte `pos` of the file is
+  // seed + (pos * 131) % 251, copied out of one tile in slices.
   std::vector<uint8_t> generated;
+  std::array<uint8_t, 251> tile{};
+  if (materialize && data.empty()) {
+    for (uint64_t j = 0; j < tile.size(); ++j) {
+      tile[j] = static_cast<uint8_t>(seed + (j * 131) % 251);
+    }
+  }
   uint64_t done = 0;
   while (done < len) {
     uint64_t n = std::min(len - done, kMaxEntryPayload);
     fslib::LogEntryHeader h;
     h.type = fslib::LogOpType::kData;
-    h.inum = fd->inum;
+    h.inum = inum;
     h.offset = offset + done;
     h.payload_len = static_cast<uint32_t>(n);
     std::span<const uint8_t> payload;
@@ -595,8 +606,12 @@ sim::Task<Result<uint64_t>> LibFs::WriteInternal(FdState* fd, std::span<const ui
         payload = data.subspan(done, n);
       } else {
         generated.resize(n);
-        for (uint64_t i = 0; i < n; ++i) {
-          generated[i] = static_cast<uint8_t>(seed + ((offset + done + i) * 131) % 251);
+        uint64_t phase = (offset + done) % tile.size();
+        for (uint64_t i = 0; i < n;) {
+          uint64_t slice = std::min(n - i, tile.size() - phase);
+          std::memcpy(generated.data() + i, tile.data() + phase, slice);
+          i += slice;
+          phase = 0;
         }
         payload = generated;
       }
@@ -616,10 +631,10 @@ sim::Task<Result<uint64_t>> LibFs::Write(int fd, std::span<const uint8_t> data) 
   if (fd < 0 || fd >= static_cast<int>(fds_.size()) || !fds_[fd].open) {
     co_return Status::Error(ErrorCode::kBadFd, "write");
   }
-  FdState* state = &fds_[fd];
-  Result<uint64_t> n = co_await WriteInternal(state, data, data.size(), state->cursor, 0);
+  Result<uint64_t> n =
+      co_await WriteInternal(fds_[fd].inum, data, data.size(), fds_[fd].cursor, 0);
   if (n.ok()) {
-    state->cursor += *n;
+    fds_[fd].cursor += *n;
   }
   co_return n;
 }
@@ -630,7 +645,7 @@ sim::Task<Result<uint64_t>> LibFs::Pwrite(int fd, std::span<const uint8_t> data,
   if (fd < 0 || fd >= static_cast<int>(fds_.size()) || !fds_[fd].open) {
     co_return Status::Error(ErrorCode::kBadFd, "pwrite");
   }
-  co_return co_await WriteInternal(&fds_[fd], data, data.size(), offset, 0);
+  co_return co_await WriteInternal(fds_[fd].inum, data, data.size(), offset, 0);
 }
 
 sim::Task<Result<uint64_t>> LibFs::PwriteGen(int fd, uint64_t len, uint64_t offset,
@@ -639,15 +654,15 @@ sim::Task<Result<uint64_t>> LibFs::PwriteGen(int fd, uint64_t len, uint64_t offs
   if (fd < 0 || fd >= static_cast<int>(fds_.size()) || !fds_[fd].open) {
     co_return Status::Error(ErrorCode::kBadFd, "pwritegen");
   }
-  co_return co_await WriteInternal(&fds_[fd], {}, len, offset, seed);
+  co_return co_await WriteInternal(fds_[fd].inum, {}, len, offset, seed);
 }
 
 // --- Read -----------------------------------------------------------------------------------
 
-sim::Task<Result<uint64_t>> LibFs::ReadInternal(FdState* fd, std::span<uint8_t> out,
+sim::Task<Result<uint64_t>> LibFs::ReadInternal(fslib::InodeNum inum, std::span<uint8_t> out,
                                                 uint64_t offset) {
   hw::Node& hw = node_->hw();
-  uint64_t size = EffectiveSize(fd->inum);
+  uint64_t size = EffectiveSize(inum);
   if (offset >= size) {
     co_return static_cast<uint64_t>(0);
   }
@@ -674,7 +689,7 @@ sim::Task<Result<uint64_t>> LibFs::ReadInternal(FdState* fd, std::span<uint8_t> 
     Result<Ack> ack = co_await cluster_->rpc().Call<ReadReq, Ack>(
         init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, NicFs::EndpointName(node_id_),
         rdma::Channel::kLowLat, kRpcRead,
-        ReadReq{static_cast<uint32_t>(client_id_), fd->inum, offset, len},
+        ReadReq{static_cast<uint32_t>(client_id_), inum, offset, len},
         /*timeout=*/10 * sim::kSecond);
     if (ack.ok() && ack->status == 0) {
       metrics_.reads_nic_routed->Increment();
@@ -694,13 +709,13 @@ sim::Task<Result<uint64_t>> LibFs::ReadInternal(FdState* fd, std::span<uint8_t> 
     // Base from the public area, then overlay pending log writes (oldest to
     // newest) — the two-step read of §3.2.
     std::span<uint8_t> window = out.subspan(0, len);
-    Result<uint64_t> base = node_->fs().ReadData(fd->inum, offset, window, true);
+    Result<uint64_t> base = node_->fs().ReadData(inum, offset, window, true);
     if (!base.ok()) {
       std::fill(window.begin(), window.end(), 0);
     } else if (*base < len) {
       std::fill(window.begin() + *base, window.end(), 0);
     }
-    for (const fslib::PrivateIndex::Overlay& o : index_.LookupRange(fd->inum, offset, len)) {
+    for (const fslib::PrivateIndex::Overlay& o : index_.LookupRange(inum, offset, len)) {
       uint64_t start = std::max<uint64_t>(o.file_offset, offset);
       uint64_t end = std::min<uint64_t>(o.file_offset + o.len, offset + len);
       if (end <= start) {
@@ -719,10 +734,9 @@ sim::Task<Result<uint64_t>> LibFs::Read(int fd, std::span<uint8_t> out) {
   if (fd < 0 || fd >= static_cast<int>(fds_.size()) || !fds_[fd].open) {
     co_return Status::Error(ErrorCode::kBadFd, "read");
   }
-  FdState* state = &fds_[fd];
-  Result<uint64_t> n = co_await ReadInternal(state, out, state->cursor);
+  Result<uint64_t> n = co_await ReadInternal(fds_[fd].inum, out, fds_[fd].cursor);
   if (n.ok()) {
-    state->cursor += *n;
+    fds_[fd].cursor += *n;
   }
   co_return n;
 }
@@ -732,7 +746,7 @@ sim::Task<Result<uint64_t>> LibFs::Pread(int fd, std::span<uint8_t> out, uint64_
   if (fd < 0 || fd >= static_cast<int>(fds_.size()) || !fds_[fd].open) {
     co_return Status::Error(ErrorCode::kBadFd, "pread");
   }
-  co_return co_await ReadInternal(&fds_[fd], out, offset);
+  co_return co_await ReadInternal(fds_[fd].inum, out, offset);
 }
 
 // --- fsync ----------------------------------------------------------------------------------

@@ -1,78 +1,196 @@
 #include "src/pmem/region.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
+#include <new>
 
 namespace linefs::pmem {
 
 namespace {
 
-// Process-wide recycled slabs. Benchmarks construct Regions by the hundred;
-// reusing backing pages avoids re-paying allocation + fault-in each time.
-// Single-threaded by design (the whole simulator is).
-std::vector<std::unique_ptr<uint8_t[]>>& SlabPool() {
-  static std::vector<std::unique_ptr<uint8_t[]>> pool;
-  return pool;
+constexpr size_t kMaxPooledBlocks = 4096;  // 8 GB worth of 2 MB blocks.
+
+// Bits first..last (inclusive) of a page's 64-bit lines mask.
+uint64_t LineBits(uint64_t first, uint64_t last) {
+  return ((2ULL << last) - 1) & ~((1ULL << first) - 1);
 }
-constexpr size_t kMaxPooledSlabs = 4096;  // 8 GB worth of 2 MB slabs.
 
 }  // namespace
 
+// Benchmarks construct Regions by the hundred; reusing blocks avoids
+// re-paying allocation + fault-in each time. Single-threaded by design (the
+// whole simulator is).
+std::vector<Region::Block>& Region::BlockPool() {
+  static std::vector<Block> pool;
+  return pool;
+}
+
 Region::Region(uint64_t size) : size_(size) {
-  slabs_.resize((size + kSlabSize - 1) >> kSlabShift);
+  dirs_.resize((size + (1ULL << kDirShift) - 1) >> kDirShift);
 }
 
 Region::~Region() {
-  std::vector<std::unique_ptr<uint8_t[]>>& pool = SlabPool();
-  for (std::unique_ptr<uint8_t[]>& slab : slabs_) {
-    if (slab && pool.size() < kMaxPooledSlabs) {
-      pool.push_back(std::move(slab));
+  std::vector<Block>& pool = BlockPool();
+  for (Block& block : blocks_) {
+    if (pool.size() < kMaxPooledBlocks) {
+      pool.push_back(std::move(block));
     }
   }
 }
 
-uint8_t* Region::SlabFor(uint64_t offset, bool create) {
-  uint64_t idx = offset >> kSlabShift;
-  assert(idx < slabs_.size());
-  if (!slabs_[idx] && create) {
-    std::vector<std::unique_ptr<uint8_t[]>>& pool = SlabPool();
-    if (!pool.empty()) {
-      slabs_[idx] = std::move(pool.back());
-      pool.pop_back();
-      std::memset(slabs_[idx].get(), 0, kSlabSize);  // Recycled slabs are dirty.
-    } else {
-      slabs_[idx] = std::make_unique<uint8_t[]>(kSlabSize);  // Value-init zeroes.
-    }
+uint8_t* Region::WritablePage(uint64_t offset, uint64_t n) {
+  uint64_t dir_idx = offset >> kDirShift;
+  assert(dir_idx < dirs_.size());
+  std::unique_ptr<Directory>& dir = dirs_[dir_idx];
+  if (!dir) {
+    dir = std::make_unique<Directory>();  // Value-init: all pages unbacked.
   }
-  return slabs_[idx] ? slabs_[idx].get() + (offset & (kSlabSize - 1)) : nullptr;
+  uint64_t idx = (offset >> kPageShift) & (kPagesPerDir - 1);
+  uint8_t*& page = dir->pages[idx];
+  if (page == nullptr) {
+    if (block_pages_used_ == kPagesPerBlock) {
+      std::vector<Block>& pool = BlockPool();
+      if (!pool.empty()) {
+        blocks_.push_back(std::move(pool.back()));
+        pool.pop_back();
+      } else {
+        // Left uninitialised.
+        Block block(static_cast<uint8_t*>(std::aligned_alloc(kBlockSize, kBlockSize)));
+        if (!block) {
+          throw std::bad_alloc();
+        }
+#ifdef MADV_HUGEPAGE
+        madvise(block.get(), kBlockSize, MADV_HUGEPAGE);  // Best effort.
+#endif
+        blocks_.push_back(std::move(block));
+      }
+      block_pages_used_ = 0;
+    }
+    // Not zeroed: its lines mask is 0, so every byte reads as zero.
+    page = blocks_.back().get() + (block_pages_used_++ << kPageShift);
+    ++pages_backed_;
+  }
+  uint64_t begin = offset & (kPageSize - 1);
+  uint64_t end = begin + n;
+  assert(n > 0 && end <= kPageSize);
+  uint64_t first = begin >> kLineShift;
+  uint64_t last = (end - 1) >> kLineShift;
+  uint64_t& lines = dir->lines[idx];
+  uint64_t fresh = LineBits(first, last) & ~lines;
+  if (fresh != 0) {
+    // Only the two end lines can hold bytes the write does not cover, and
+    // those bytes are stale (the block may come dirty from the pool).
+    if ((fresh >> first) & 1) {
+      std::memset(page + (first << kLineShift), 0, begin & (kLineSize - 1));
+    }
+    if ((fresh >> last) & 1) {
+      std::memset(page + end, 0, (kLineSize - (end & (kLineSize - 1))) & (kLineSize - 1));
+    }
+    lines |= fresh;
+  }
+  return page;
 }
+
+// Both copies walk the range page by page but issue one memcpy per run of
+// pages that are adjacent in host memory (pages carved in write order are).
 
 void Region::CopyIn(uint64_t offset, const void* src, uint64_t n) {
   const uint8_t* p = static_cast<const uint8_t*>(src);
+  // The pending run: host bytes [run, run + run_len) take p's next bytes.
+  uint8_t* run = nullptr;
+  uint64_t run_len = 0;
+  auto flush = [&] {
+    std::memcpy(run, p, run_len);
+    p += run_len;
+    run_len = 0;
+  };
   while (n > 0) {
-    uint64_t in_slab = std::min<uint64_t>(n, kSlabSize - (offset & (kSlabSize - 1)));
-    uint8_t* dst = SlabFor(offset, /*create=*/true);
-    std::memcpy(dst, p, in_slab);
-    offset += in_slab;
-    p += in_slab;
-    n -= in_slab;
+    uint64_t in_page = std::min(n, kPageSize - (offset & (kPageSize - 1)));
+    uint8_t* dst = WritablePage(offset, in_page) + (offset & (kPageSize - 1));
+    if (run_len > 0 && dst != run + run_len) {
+      flush();
+    }
+    if (run_len == 0) {
+      run = dst;
+    }
+    run_len += in_page;
+    offset += in_page;
+    n -= in_page;
+  }
+  if (run_len > 0) {
+    flush();
   }
 }
 
 void Region::CopyOut(uint64_t offset, void* dst, uint64_t n) const {
   uint8_t* p = static_cast<uint8_t*>(dst);
-  while (n > 0) {
-    uint64_t in_slab = std::min<uint64_t>(n, kSlabSize - (offset & (kSlabSize - 1)));
-    uint64_t idx = offset >> kSlabShift;
-    assert(idx < slabs_.size());
-    if (slabs_[idx]) {
-      std::memcpy(p, slabs_[idx].get() + (offset & (kSlabSize - 1)), in_slab);
+  // The pending run: host bytes [run, run + run_len), or zeros if run is null.
+  const uint8_t* run = nullptr;
+  uint64_t run_len = 0;
+  auto flush = [&] {
+    if (run != nullptr) {
+      std::memcpy(p, run, run_len);
     } else {
-      std::memset(p, 0, in_slab);
+      std::memset(p, 0, run_len);
     }
-    offset += in_slab;
-    p += in_slab;
-    n -= in_slab;
+    p += run_len;
+    run_len = 0;
+  };
+  while (n > 0) {
+    uint64_t begin = offset & (kPageSize - 1);
+    uint64_t in_page = std::min(n, kPageSize - begin);
+    uint64_t dir_idx = offset >> kDirShift;
+    assert(dir_idx < dirs_.size());
+    const Directory* dir = dirs_[dir_idx].get();
+    uint64_t idx = (offset >> kPageShift) & (kPagesPerDir - 1);
+    uint64_t want = LineBits(begin >> kLineShift, (begin + in_page - 1) >> kLineShift);
+    // An unbacked page has no written lines.
+    uint64_t have = dir != nullptr ? dir->lines[idx] & want : 0;
+    if (have != 0 && have != want) {
+      // Written and unwritten lines mixed: copy this page on its own.
+      if (run_len > 0) {
+        flush();
+      }
+      CopyOutLines(dir->pages[idx], have, begin, p, in_page);
+      p += in_page;
+    } else {
+      const uint8_t* src = have != 0 ? dir->pages[idx] + begin : nullptr;
+      bool extends = src == nullptr ? run == nullptr : run != nullptr && src == run + run_len;
+      if (run_len > 0 && !extends) {
+        flush();
+      }
+      if (run_len == 0) {
+        run = src;
+      }
+      run_len += in_page;
+    }
+    offset += in_page;
+    n -= in_page;
+  }
+  if (run_len > 0) {
+    flush();
+  }
+}
+
+void Region::CopyOutLines(const uint8_t* page, uint64_t lines, uint64_t offset, uint8_t* dst,
+                          uint64_t n) {
+  uint64_t end = offset + n;
+  while (offset < end) {
+    // One memcpy or memset per stretch of lines in the same state.
+    bool written = (lines >> (offset >> kLineShift)) & 1;
+    uint64_t stop = std::min(end, ((offset >> kLineShift) + 1) << kLineShift);
+    while (stop < end && ((lines >> (stop >> kLineShift)) & 1) == written) {
+      stop = std::min(end, stop + kLineSize);
+    }
+    if (written) {
+      std::memcpy(dst, page + offset, stop - offset);
+    } else {
+      std::memset(dst, 0, stop - offset);
+    }
+    dst += stop - offset;
+    offset = stop;
   }
 }
 

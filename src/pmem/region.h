@@ -7,11 +7,24 @@
 // by rolling back every unpersisted write (undo data is captured per write),
 // restoring the most recent durable image.
 //
-// Backing storage is allocated lazily in 2MB slabs so multi-GB simulated
-// regions only consume host memory where touched. Untouched bytes read as 0.
-// Slabs are recycled through a process-wide free pool: benchmarks construct
-// hundreds of Regions back to back, and reusing slabs avoids re-paying the
-// mmap/munmap + page-fault cost on every experiment.
+// Backing storage is allocated lazily in 4KB pages, so multi-GB simulated
+// regions only consume host memory where touched. Untouched bytes read as 0,
+// and reading them backs nothing. A two-level page table maps region offsets
+// to pages: one directory per 2MB of region space, created on first touch,
+// each holding 512 page pointers. Pages are carved in first-touch order out
+// of 2MB host blocks the Region owns, so pages written in order sit next to
+// each other in host memory and CopyIn/CopyOut merge them into one memcpy.
+// Blocks are 2MB-aligned and advised as huge pages, so where the host has
+// transparent huge pages one fault and one TLB entry cover a block instead
+// of 512. They are recycled through a process-wide pool because benchmarks
+// construct hundreds of Regions back to back, and reusing blocks avoids
+// re-paying mmap/munmap + page faults.
+//
+// A carved page is not zeroed. Each page keeps a 64-bit mask of its 64-byte
+// lines that hold written bytes; the other lines read as zero whatever the
+// host bytes are. The first write into a line zeroes the part of the line it
+// does not cover. With payloads elided a page often holds one log header, so
+// this zeroes tens of bytes per page instead of 4KB.
 //
 // Undo capture is the hottest path in the whole simulator (every simulated
 // log append lands here), so it is allocation-free in steady state: old data
@@ -26,7 +39,9 @@
 #ifndef SRC_PMEM_REGION_H_
 #define SRC_PMEM_REGION_H_
 
+#include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -87,9 +102,30 @@ class Region {
   // Lifetime counters (write amplification studies).
   uint64_t total_bytes_written() const { return total_bytes_written_; }
 
+  // Host memory backing this region's touched pages (pages backed x 4KB).
+  uint64_t bytes_backed() const { return pages_backed_ << kPageShift; }
+
  private:
-  static constexpr uint64_t kSlabShift = 21;  // 2 MB slabs.
-  static constexpr uint64_t kSlabSize = 1ULL << kSlabShift;
+  static constexpr uint64_t kPageShift = 12;  // 4 KB pages.
+  static constexpr uint64_t kPageSize = 1ULL << kPageShift;
+  static constexpr uint64_t kDirShift = 21;  // One directory per 2 MB.
+  static constexpr uint64_t kPagesPerDir = 1ULL << (kDirShift - kPageShift);
+  static constexpr uint64_t kPagesPerBlock = 512;  // 2 MB host blocks.
+  static constexpr uint64_t kBlockSize = kPagesPerBlock << kPageShift;
+  static constexpr uint64_t kLineShift = 6;  // 64 lines of 64 bytes per page.
+  static constexpr uint64_t kLineSize = 1ULL << kLineShift;
+
+  // The pages of 2 MB of region space and, per page, its written lines.
+  struct Directory {
+    std::array<uint8_t*, kPagesPerDir> pages{};
+    std::array<uint64_t, kPagesPerDir> lines{};
+  };
+
+  // A 2 MB host block from std::aligned_alloc.
+  struct FreeBlock {
+    void operator()(uint8_t* block) const { std::free(block); }
+  };
+  using Block = std::unique_ptr<uint8_t, FreeBlock>;
 
   // One captured write: `arena_off/len` locate the old bytes in undo_arena_.
   struct UndoEntry {
@@ -99,13 +135,25 @@ class Region {
     bool dead = false;
   };
 
-  uint8_t* SlabFor(uint64_t offset, bool create);
+  // Page containing [offset, offset + n), which must not cross a page edge:
+  // backs it if needed and marks the range's lines written, zeroing what the
+  // range leaves uncovered of a line written for the first time.
+  uint8_t* WritablePage(uint64_t offset, uint64_t n);
+  // Copies n bytes at `offset` (within one partly written page) line by line.
+  static void CopyOutLines(const uint8_t* page, uint64_t lines, uint64_t offset, uint8_t* dst,
+                           uint64_t n);
   void CopyIn(uint64_t offset, const void* src, uint64_t n);
   void CopyOut(uint64_t offset, void* dst, uint64_t n) const;
   void MaybeCompact();
+  // Process-wide recycled host blocks.
+  static std::vector<Block>& BlockPool();
 
   uint64_t size_;
-  std::vector<std::unique_ptr<uint8_t[]>> slabs_;
+  std::vector<std::unique_ptr<Directory>> dirs_;
+  // Host blocks pages are carved from; the last one is filled first.
+  std::vector<Block> blocks_;
+  uint64_t block_pages_used_ = kPagesPerBlock;
+  uint64_t pages_backed_ = 0;
   // Append-ordered undo records (Crash unwinds newest first) + their data.
   std::vector<UndoEntry> undo_log_;
   std::vector<uint8_t> undo_arena_;

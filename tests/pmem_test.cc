@@ -30,17 +30,129 @@ TEST(Region, WriteReadRoundTrip) {
   EXPECT_STREQ(out, msg);
 }
 
-TEST(Region, WriteAcrossSlabBoundary) {
+TEST(Region, WriteAcrossPageAndBlockBoundaries) {
   Region region(8 << 20);
   std::vector<uint8_t> data(4 << 20);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>(i * 31);
   }
-  uint64_t offset = (2 << 20) - 777;  // Straddles the 2MB slab boundary.
+  // Unaligned at both ends, straddles the 2MB page-directory boundary, and
+  // backs more pages than one 2MB host block holds.
+  uint64_t offset = (2 << 20) - 777;
   region.Write(offset, data.data(), data.size());
   std::vector<uint8_t> out(data.size());
   region.Read(offset, out.data(), out.size());
   EXPECT_EQ(out, data);
+  uint64_t first_page = offset / 4096;
+  uint64_t last_page = (offset + data.size() - 1) / 4096;
+  EXPECT_EQ(region.bytes_backed(), (last_page - first_page + 1) * 4096);
+}
+
+TEST(Region, RecycledPagesReadZero) {
+  constexpr uint64_t kPages = 600;  // More than one 2MB host block.
+  {
+    Region dirty(8 << 20);
+    std::vector<uint8_t> junk(kPages * 4096, 0xEE);
+    dirty.Write(0, junk.data(), junk.size());
+  }
+  // The pooled blocks come back dirty; every page must still read zero
+  // around the one byte written into it.
+  Region region(8 << 20);
+  for (uint64_t page = 0; page < kPages; ++page) {
+    uint8_t one = 1;
+    region.Write(page * 4096 + page % 4096, &one, 1);
+  }
+  std::vector<uint8_t> out(kPages * 4096);
+  region.Read(0, out.data(), out.size());
+  for (uint64_t i = 0; i < out.size(); ++i) {
+    uint64_t page = i / 4096;
+    ASSERT_EQ(out[i], i == page * 4096 + page % 4096 ? 1 : 0) << "byte " << i;
+  }
+}
+
+TEST(Region, FirstWriteIntoALineZeroesOnlyWhatItLeavesUncovered) {
+  {
+    Region dirty(1 << 20);
+    std::vector<uint8_t> junk(4 * 4096, 0xEE);
+    dirty.Write(0, junk.data(), junk.size());
+  }
+  Region region(1 << 20);  // Its pages come from the dirty pooled block.
+  std::vector<uint8_t> expect(2 * 4096, 0);
+  auto write = [&](uint64_t offset, uint64_t n, uint8_t value) {
+    std::vector<uint8_t> data(n, value);
+    region.Write(offset, data.data(), n);
+    std::memset(expect.data() + offset, value, n);
+  };
+  write(10, 1, 0xA1);     // Line 0.
+  write(60, 20, 0xB2);    // Ends line 0 (already written: byte 10 stays), starts line 1.
+  write(200, 1, 0xC3);    // Line 3; line 2 stays unwritten between.
+  write(4066, 60, 0xD4);  // Last line of page 0 and first line of page 1.
+  std::vector<uint8_t> out(expect.size(), 0xFF);
+  region.Read(0, out.data(), out.size());
+  EXPECT_EQ(out, expect);
+  uint8_t pair[2] = {9, 9};
+  region.Read(127, pair, sizeof(pair));  // Written line 1 into unwritten line 2.
+  EXPECT_EQ(pair[0], 0);
+  EXPECT_EQ(pair[1], 0);
+  EXPECT_EQ(region.bytes_backed(), 2u * 4096);
+}
+
+TEST(Region, WriteAcrossPagesTouchedOutOfOrder) {
+  // Pages 3 then 1 are backed first, so in host memory 1 and 2 end up
+  // adjacent but 3 does not follow 2: the copy must split its run there.
+  Region region(1 << 20);
+  uint8_t marker3 = 0x33;
+  uint8_t marker1 = 0x11;
+  region.Write(3 * 4096 + 4000, &marker3, 1);
+  region.Write(1 * 4096 + 5, &marker1, 1);
+  std::vector<uint8_t> data(2 * 4096 + 200);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  uint64_t offset = 1 * 4096 + 100;  // Pages 1..3.
+  region.Write(offset, data.data(), data.size());
+
+  std::vector<uint8_t> expect(5 * 4096, 0);
+  expect[1 * 4096 + 5] = marker1;
+  expect[3 * 4096 + 4000] = marker3;
+  std::memcpy(expect.data() + offset, data.data(), data.size());
+  std::vector<uint8_t> out(expect.size());
+  region.Read(0, out.data(), out.size());  // Pages 0 and 4 are unbacked.
+  EXPECT_EQ(out, expect);
+  EXPECT_EQ(region.bytes_backed(), 3u * 4096);
+}
+
+TEST(Region, CrashRollsBackWriteIntoFreshPages) {
+  Region region(1 << 20);
+  uint8_t durable = 0x7D;
+  region.Write(0, &durable, 1);
+  region.Persist(0, 1);
+  std::vector<uint8_t> data(3 * 4096, 0xC4);
+  region.Write(5 * 4096 + 10, data.data(), data.size());  // Backs pages 5..8.
+  EXPECT_EQ(region.bytes_backed(), 5u * 4096);
+  region.Crash();
+  std::vector<uint8_t> out(data.size(), 0xFF);
+  region.Read(5 * 4096 + 10, out.data(), out.size());
+  EXPECT_EQ(out, std::vector<uint8_t>(data.size(), 0));
+  uint8_t kept = 0;
+  region.Read(0, &kept, 1);
+  EXPECT_EQ(kept, durable);
+}
+
+TEST(Region, ReadsOfUntouchedRangesBackNothing) {
+  Region region(8 << 20);
+  EXPECT_EQ(region.bytes_backed(), 0u);
+  uint8_t one = 1;
+  region.Write(4096 + 7, &one, 1);
+  EXPECT_EQ(region.bytes_backed(), 4096u);
+  std::vector<uint8_t> out(8 << 20);
+  region.Read(0, out.data(), out.size());  // Whole region, mostly unbacked.
+  uint8_t pair[2] = {9, 9};
+  region.Read((4 << 20) - 1, pair, sizeof(pair));  // Across a directory edge.
+  EXPECT_EQ(region.bytes_backed(), 4096u);
+  EXPECT_EQ(out[4096 + 7], 1);
+  EXPECT_EQ(pair[0], 0);
+  EXPECT_EQ(pair[1], 0);
 }
 
 TEST(Region, CrashRollsBackUnpersistedWrites) {

@@ -298,6 +298,9 @@ std::string RunClusterDigest(sim::Time timeline_window, bool selfprof) {
     digest << ';' << name << '=' << value;
   }
   engine.SetObserver(nullptr);
+  // Let in-flight RPC timers finish so no suspended coroutine frame outlives
+  // the engine.
+  engine.Run();
   return digest.str();
 }
 
