@@ -137,7 +137,7 @@ StageMixPoint RunStageMix(const char* mix_name, const std::string& stages,
     double us = sim::ToMicros(static_cast<sim::Time>(it->second.latency.mean));
     p.stage_us.emplace_back(name, us);
     exp.AddScalar(name + "_us", us);
-    // Mean wait-queue occupancy sampled by the profiler (nicfs.0 scope).
+    // Mean wait-queue depth over every push and pop (nicfs.0 scope).
     const obs::Histogram* q =
         exp.cluster().metrics().FindHistogram("nicfs.0.qdepth." + name);
     double occupancy = q != nullptr ? q->Summarize().mean : 0.0;

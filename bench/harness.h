@@ -191,7 +191,6 @@ class Experiment {
     v.Set("materialize_data", c.materialize_data);
     v.Set("coalescing", c.coalescing);
     v.Set("publish_method", core::PublishMethodName(c.publish_method));
-    v.Set("replica_publish", c.replica_publish);
     v.Set("max_stage_workers", c.max_stage_workers);
     v.Set("replication_protocol", c.repl.protocol);
     v.Set("quorum_size", c.repl.quorum_size);

@@ -7,6 +7,9 @@
 // kernel worker resumes and NICFS leaves isolated mode.
 //
 //   ./examples/failover_demo
+//
+// Exits non-zero unless replica-1's NICFS both entered and left isolated mode
+// and every write+fsync cycle succeeded.
 
 #include <cassert>
 #include <cstdio>
@@ -45,8 +48,11 @@ int main() {
     cluster->hw_node(1).RecoverHost();
   }(&engine, &cluster));
 
-  // Mode observer.
-  engine.Spawn([](sim::Engine* engine, core::Cluster* cluster) -> sim::Task<> {
+  // Mode observer: counts isolated-mode entries and exits.
+  int entered = 0;
+  int left = 0;
+  engine.Spawn([](sim::Engine* engine, core::Cluster* cluster, int* entered,
+                  int* left) -> sim::Task<> {
     bool last = false;
     while (engine->Now() < 7 * sim::kSecond) {
       co_await engine->SleepFor(100 * sim::kMillisecond);
@@ -55,22 +61,26 @@ int main() {
         std::printf("[nicfs1] t=%.1fs: %s\n", sim::ToSeconds(engine->Now()),
                     isolated ? "kernel worker unresponsive -> ISOLATED operation"
                              : "kernel worker back -> normal operation");
+        ++*(isolated ? entered : left);
         last = isolated;
       }
     }
-  }(&engine, &cluster));
+  }(&engine, &cluster, &entered, &left));
 
   // The application: write + fsync every 250ms, reporting success.
   bool done = false;
-  engine.Spawn([](sim::Engine* engine, core::LibFs* fs, bool* done) -> sim::Task<> {
+  int ok = 0;
+  int total = 0;
+  engine.Spawn([](sim::Engine* engine, core::LibFs* fs, bool* done, int* ok_out,
+                  int* total_out) -> sim::Task<> {
     Result<int> fd = co_await fs->Open("/journal.log", fslib::kOpenCreate | fslib::kOpenWrite);
     if (!fd.ok()) {
       *done = true;
       co_return;
     }
     std::vector<uint8_t> block(64 << 10, 7);
-    int ok = 0;
-    int total = 0;
+    int& ok = *ok_out;
+    int& total = *total_out;
     uint64_t offset = 0;
     while (engine->Now() < 7 * sim::kSecond) {
       Result<uint64_t> w = co_await fs->Pwrite(*fd, block, offset);
@@ -90,7 +100,7 @@ int main() {
                 "(through a full host crash + recovery)\n", ok, total);
     co_await fs->Close(*fd);
     *done = true;
-  }(&engine, fs, &done));
+  }(&engine, fs, &done, &ok, &total));
 
   while (!done && engine.RunOne()) {
   }
@@ -99,5 +109,11 @@ int main() {
               static_cast<unsigned long long>(stats.isolated_publishes));
   cluster.Shutdown();
   engine.Run();
+  if (entered == 0 || left == 0 || total == 0 || ok != total) {
+    std::fprintf(stderr,
+                 "failover_demo: FAILED (isolated entered %d, left %d; %d/%d cycles ok)\n",
+                 entered, left, ok, total);
+    return 1;
+  }
   return 0;
 }

@@ -61,7 +61,6 @@ Cluster::Cluster(sim::Engine* engine, const DfsConfig& config)
   metrics_->SetTimelineWindow(config_.timeline_window);
   trace_ = std::make_unique<obs::TraceBuffer>(engine_);
   trace_->SetDroppedCounter(obs::MetricScope(metrics_.get(), "obs.trace").CounterAt("dropped"));
-  profiler_ = std::make_unique<obs::PipelineProfiler>(engine_);
 
   fabric_ = std::make_unique<hw::Fabric>(engine_);
   std::vector<hw::Node*> raw_nodes;
@@ -186,7 +185,6 @@ Status Cluster::Start() {
     }
   }
   manager_->Start();
-  profiler_->Start();
   if (config_.pipeline_parallel()) {
     placer_->Start();
   }
@@ -200,7 +198,6 @@ void Cluster::Shutdown() {
     }
   }
   placer_->Stop();
-  profiler_->Stop();
   manager_->Shutdown();
   for (auto& fs : nicfs_) {
     fs->Shutdown();

@@ -15,7 +15,6 @@
 #include "src/hw/fabric.h"
 #include "src/hw/node.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include "src/pipeline/placer.h"
 #include "src/rdma/rdma.h"
@@ -106,13 +105,12 @@ class Cluster {
     return id >= 0 && static_cast<size_t>(id) < txns_.size() ? txns_[id].get() : nullptr;
   }
 
-  // --- Observability (metrics registry, trace ring, pipeline profiler) ---------
+  // --- Observability (metrics registry, trace ring) -----------------------------
 
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
   obs::TraceBuffer& trace() { return *trace_; }
   const obs::TraceBuffer& trace() const { return *trace_; }
-  obs::PipelineProfiler& profiler() { return *profiler_; }
 
   // Cluster-wide stage-worker placement (src/pipeline/placer.h). NICFS pipes
   // register their scalable stage groups here; sites cover every node's NIC
@@ -159,7 +157,6 @@ class Cluster {
   // reference them during destruction.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<obs::TraceBuffer> trace_;
-  std::unique_ptr<obs::PipelineProfiler> profiler_;
   std::vector<std::unique_ptr<hw::Node>> hw_nodes_;
   std::vector<std::unique_ptr<DfsNode>> dfs_nodes_;
   std::unique_ptr<hw::Fabric> fabric_;

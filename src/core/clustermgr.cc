@@ -3,7 +3,6 @@
 #include "src/core/cluster.h"
 #include "src/core/nicfs.h"
 #include "src/core/sharedfs.h"
-#include "src/sim/trace.h"
 
 namespace linefs::core {
 
@@ -59,8 +58,6 @@ sim::Task<> ClusterManager::OnNicFsFailure(int node) {
   seen_alive_[node] = false;
   cluster_->SetServiceAlive(node, false);
   ++epoch_;
-  LFS_TRACE(cluster_->engine()->Now(), "clustermgr", "node %d failed; epoch -> %llu", node,
-            static_cast<unsigned long long>(epoch_));
   // Expire every lease the failed arbiter issued; a live replica takes over
   // lease management (§3.6). The sharded plane keeps the table: AcquireSerial
   // persists each grant to host PM before the reply leaves and mirrors it to
@@ -81,8 +78,6 @@ sim::Task<> ClusterManager::OnNicFsRecovered(int node) {
   seen_alive_[node] = true;
   cluster_->SetServiceAlive(node, true);
   ++epoch_;
-  LFS_TRACE(cluster_->engine()->Now(), "clustermgr", "node %d recovered; epoch -> %llu", node,
-            static_cast<unsigned long long>(epoch_));
   co_await BroadcastEpoch();
 }
 

@@ -110,8 +110,9 @@ struct DfsConfig {
   //              host CPU at the price of two PCIe crossings and NIC cycles.
   //   adaptive - per-read choice: small transfers stay on the host (fixed RPC
   //              overhead dominates), large transfers go to the NIC unless its
-  //              load EWMA (NicFs::nic_load(), fed by the per-stage queue
-  //              telemetry) is above `read_nic_load_max`.
+  //              load EWMA (NicFs::nic_load(), computed from the data path's
+  //              queues and windows when the read asks) is above
+  //              `read_nic_load_max`.
   std::string read_path = "host";
   // Adaptive route: reads of at least this many bytes prefer the NIC route.
   // Default sits just above the host/NIC cost-model crossover (~57 KB).
@@ -129,9 +130,6 @@ struct DfsConfig {
   bool coalescing = true;
 
   PublishMethod publish_method = PublishMethod::kDmaInterruptBatch;
-
-  // Whether replicas publish (digest) replicated logs into their public area.
-  bool replica_publish = true;
 
   // Assise-BgRepl worker threads (paper: 3 maximises performance).
   int bg_repl_threads = 3;

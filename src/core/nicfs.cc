@@ -1,6 +1,7 @@
 #include "src/core/nicfs.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "src/compress/lzw.h"
@@ -8,7 +9,6 @@
 #include "src/core/clustermgr.h"
 #include "src/pipeline/registry.h"
 #include "src/repl/registry.h"
-#include "src/sim/trace.h"
 
 namespace linefs::core {
 
@@ -39,9 +39,6 @@ NicFs::Metrics::Metrics(const obs::MetricScope& scope_in)
       inflight_fetch(scope.Sub("qdepth").HistogramAt("fetch_inflight")),
       inflight_transfer(scope.Sub("qdepth").HistogramAt("transfer_inflight")),
       nic_mem_utilization(scope.GaugeAt("nic_mem_utilization")),
-      lease_active(scope.Sub("lease").GaugeAt("active")),
-      lease_grants(scope.Sub("lease").GaugeAt("grants")),
-      lease_revocations(scope.Sub("lease").GaugeAt("revocations")),
       tl_transfer_inflight(
           scope.Sub("qdepth").TimeSeriesAt("transfer_inflight", obs::SeriesKind::kSampled)),
       tl_lease_grants(scope.Sub("lease").TimeSeriesAt("grants", obs::SeriesKind::kCounter)) {}
@@ -52,7 +49,6 @@ NicFs::Metrics::StageSet& NicFs::Metrics::ForStage(const std::string& name) {
     StageSet set;
     set.latency = scope.Sub("stage").HistogramAt(name);
     set.bypassed = scope.Sub("bypassed").CounterAt(name);
-    set.workers = scope.Sub("workers").GaugeAt(name);
     set.qdepth = scope.Sub("qdepth").HistogramAt(name);
     set.tl_qdepth = scope.Sub("qdepth").TimeSeriesAt(name, obs::SeriesKind::kSampled);
     it = stage_sets.emplace(name, set).first;
@@ -98,72 +94,38 @@ NicFs::StatsSnapshot NicFs::stats() const {
   return s;
 }
 
-void NicFs::SampleObs() {
-  if (shutdown_) {
-    return;
-  }
-  std::map<std::string, size_t> stage_depth;
-  std::map<std::string, int> stage_workers;
-  size_t transfer_backlog = 0;
-  size_t publish_backlog = 0;
-  int fetch_inflight = 0;
-  int transfer_inflight = 0;
+double NicFs::nic_load() {
+  // Occupancy: in-flight fetch DMAs + in-flight transfers + queued chunks,
+  // over the configured window capacity, clamped to 1.
+  size_t busy = 0;
   for (const auto& [client, pipe] : pipes_) {
     for (const auto& unit : pipe->stages) {
-      const std::string& name = unit->stage->info().name;
-      stage_depth[name] += unit->queue.size();
-      stage_workers[name] += unit->workers;
+      busy += unit->queue.size();
     }
-    transfer_backlog += pipe->transfer_rb.size();
-    publish_backlog += pipe->publish_rb.size();
-    fetch_inflight += pipe->fetch_inflight;
-    transfer_inflight += pipe->transfer_inflight;
+    busy += pipe->transfer_rb.size() + pipe->publish_rb.size();
+    busy += static_cast<size_t>(pipe->fetch_inflight + pipe->transfer_inflight);
   }
   for (const auto& [client, pipe] : replica_pipes_) {
-    publish_backlog += pipe->publish_rb.size();
-  }
-  sim::Time now = engine_->Now();
-  for (const auto& [name, depth] : stage_depth) {
-    Metrics::StageSet& set = metrics_.ForStage(name);
-    set.qdepth->Record(static_cast<sim::Time>(depth));
-    set.tl_qdepth->Record(now, static_cast<int64_t>(depth));
-  }
-  for (const auto& [name, workers] : stage_workers) {
-    metrics_.ForStage(name).workers->Set(workers);
-  }
-  metrics_.qdepth_transfer_rb->Record(static_cast<sim::Time>(transfer_backlog));
-  metrics_.qdepth_publish_rb->Record(static_cast<sim::Time>(publish_backlog));
-  metrics_.inflight_fetch->Record(static_cast<sim::Time>(fetch_inflight));
-  metrics_.inflight_transfer->Record(static_cast<sim::Time>(transfer_inflight));
-  metrics_.nic_mem_utilization->Set(node_->hw().nic().mem_utilization());
-  metrics_.lease_active->Set(static_cast<double>(leases_->active_leases()));
-  metrics_.lease_grants->Set(static_cast<double>(leases_->grants()));
-  metrics_.lease_revocations->Set(static_cast<double>(leases_->revocations()));
-  metrics_.tl_transfer_inflight->Record(now, transfer_inflight);
-  // Grant *rate*: new grants since the previous tick, so the timeline shows
-  // per-shard-root arbitration activity over time, not a running total.
-  uint64_t grants = leases_->grants();
-  if (grants > last_grant_count_) {
-    metrics_.tl_lease_grants->Record(now, static_cast<int64_t>(grants - last_grant_count_));
-  }
-  last_grant_count_ = grants;
-
-  // Adaptive read-path load signal: windowed data-path occupancy (in-flight
-  // fetch DMAs + in-flight transfers + queued chunks) over the configured
-  // window capacity, clamped to [0,1] and EWMA-smoothed so a single profiler
-  // tick's spike doesn't flip the route.
-  size_t queued = transfer_backlog + publish_backlog;
-  for (const auto& [name, depth] : stage_depth) {
-    queued += depth;
+    busy += pipe->publish_rb.size();
   }
   double capacity =
       static_cast<double>(std::max(1, config_->repl.fetch_depth) +
                           std::max(1, config_->repl.transfer_window)) *
       static_cast<double>(std::max<size_t>(1, pipes_.size()));
-  double inst = std::min(
-      1.0, (static_cast<double>(fetch_inflight + transfer_inflight) +
-            static_cast<double>(queued)) / capacity);
-  nic_load_ = 0.75 * nic_load_ + 0.25 * inst;
+  double inst = std::min(1.0, static_cast<double>(busy) / capacity);
+  sim::Time now = engine_->Now();
+  double keep = std::pow(0.75, static_cast<double>(now - nic_load_at_) /
+                                   static_cast<double>(500 * sim::kMicrosecond));
+  nic_load_ = keep * nic_load_ + (1.0 - keep) * inst;
+  nic_load_at_ = now;
+  return nic_load_;
+}
+
+void NicFs::RecordDepth(obs::Histogram* hist, size_t depth, obs::TimeSeries* tl) {
+  hist->Record(static_cast<sim::Time>(depth));
+  if (tl != nullptr) {
+    tl->Record(engine_->Now(), static_cast<int64_t>(depth));
+  }
 }
 
 NicFs::NicFs(Cluster* cluster, DfsNode* node, KernelWorker* kworker, const DfsConfig* config)
@@ -316,6 +278,7 @@ void NicFs::Start() {
       if (!expiry.ok()) {
         co_return LeaseResp{static_cast<int32_t>(expiry.code()), 0};
       }
+      metrics_.tl_lease_grants->Record(engine_->Now(), 1);
       co_return LeaseResp{0, static_cast<uint64_t>(*expiry)};
     }
     co_await node_->hw().nic().cpu().RunCycles(1200, sim::Priority::kRealtime,
@@ -324,6 +287,7 @@ void NicFs::Start() {
     if (!expiry.ok()) {
       co_return LeaseResp{static_cast<int32_t>(expiry.code()), 0};
     }
+    metrics_.tl_lease_grants->Record(engine_->Now(), 1);
     // Persist + replicate the grant asynchronously (§3.4).
     engine_->Spawn(leases_->PersistGrant(), "nicfs.lease");
     co_return LeaseResp{0, static_cast<uint64_t>(*expiry)};
@@ -375,10 +339,6 @@ void NicFs::Start() {
         }
         co_return resp;
       });
-
-  // The profiler starts after every service's Start() (Cluster::Start order),
-  // so registering here is race-free.
-  cluster_->profiler().AddSampler([this] { SampleObs(); });
 
   engine_->Spawn(KworkerMonitor(), "nicfs.monitor");
 }
@@ -505,6 +465,7 @@ sim::Task<NicFs::ChunkPtr> NicFs::AdmitFetch(ClientPipe* pipe) {
   chunk->release_refs = 2;  // Publish path + replication path.
   chunk->mem_reserved = chunk->bytes();
   nic.ReserveMem(chunk->mem_reserved);
+  metrics_.nic_mem_utilization->Set(nic.mem_utilization());
   pipe->fetch_upto = to;
   co_return chunk;
 }
@@ -540,8 +501,11 @@ sim::Task<NicFs::ChunkPtr> NicFs::FetchOne(ClientPipe* pipe) {
 // its credit back (urgent admissions past the window run uncredited).
 sim::Task<> NicFs::FetchSlot(ClientPipe* pipe, ChunkPtr chunk, bool credited) {
   co_await FetchDma(pipe, chunk);
-  pipe->stages.front()->queue.Push(std::move(chunk));
+  StageUnit* first = pipe->stages.front().get();
+  first->queue.Push(std::move(chunk));
+  RecordDepth(first->qdepth, first->queue.size(), first->tl_qdepth);
   --pipe->fetch_inflight;
+  RecordDepth(metrics_.inflight_fetch, static_cast<size_t>(pipe->fetch_inflight));
   if (credited) {
     pipe->fetch_credits.Release();
   }
@@ -576,6 +540,7 @@ sim::Task<> NicFs::FetchLoop(ClientPipe* pipe) {
       continue;
     }
     ++pipe->fetch_inflight;
+    RecordDepth(metrics_.inflight_fetch, static_cast<size_t>(pipe->fetch_inflight));
     engine_->Spawn(FetchSlot(pipe, std::move(chunk), credited), "nicfs.fetch");
   }
 }
@@ -588,9 +553,11 @@ void NicFs::BuildStages(ClientPipe* pipe) {
     if (stage == nullptr) {
       continue;  // Validate() rejects unknown names before boot.
     }
-    metrics_.ForStage(name);  // Create the metric handles up front.
-    pipe->stages.push_back(
-        std::make_unique<StageUnit>(engine_, std::move(stage), pipe->stages.size()));
+    Metrics::StageSet& set = metrics_.ForStage(name);
+    auto unit = std::make_unique<StageUnit>(engine_, std::move(stage), pipe->stages.size());
+    unit->qdepth = set.qdepth;
+    unit->tl_qdepth = set.tl_qdepth;
+    pipe->stages.push_back(std::move(unit));
   }
 }
 
@@ -643,13 +610,17 @@ void NicFs::PushDownstream(ClientPipe* pipe, StageUnit* unit, ChunkPtr chunk) {
     // Fan out to the publication pipeline: it shares the fetched+validated
     // data with replication.
     pipe->publish_rb.Push(chunk->no, chunk);
+    RecordDepth(metrics_.qdepth_publish_rb, pipe->publish_rb.size());
   }
   size_t next = unit->index + 1;
   uint64_t chunk_no = chunk->no;
   if (next < pipe->stages.size()) {
-    pipe->stages[next]->queue.Push(std::move(chunk));
+    StageUnit* down = pipe->stages[next].get();
+    down->queue.Push(std::move(chunk));
+    RecordDepth(down->qdepth, down->queue.size(), down->tl_qdepth);
   } else {
     pipe->transfer_rb.Push(chunk_no, std::move(chunk));
+    RecordDepth(metrics_.qdepth_transfer_rb, pipe->transfer_rb.size());
   }
 }
 
@@ -661,6 +632,7 @@ sim::Task<> NicFs::StageWorker(ClientPipe* pipe, StageUnit* unit,
     if (!popped.has_value()) {
       break;
     }
+    RecordDepth(unit->qdepth, unit->queue.size(), unit->tl_qdepth);
     ChunkPtr chunk = std::move(*popped);
     if (chunk == nullptr) {
       // Retire pill from the placer: this worker scales back down.
@@ -707,9 +679,10 @@ void NicFs::RegisterStageGroups(ClientPipe* pipe) {
       ++unit->workers;
       engine_->Spawn(StageWorker(pipe, unit, PlacementFor(site)), "nicfs.stage");
     };
-    group.retire = [unit] {
+    group.retire = [this, unit] {
       ++unit->retire_pending;
       unit->queue.Push(nullptr);
+      RecordDepth(unit->qdepth, unit->queue.size(), unit->tl_qdepth);
     };
     cluster_->placer().RegisterGroup(std::move(group));
   }
@@ -878,6 +851,8 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
 sim::Task<> NicFs::TransferSlot(ClientPipe* pipe, ChunkPtr chunk) {
   co_await DoTransfer(pipe, std::move(chunk));
   --pipe->transfer_inflight;
+  RecordDepth(metrics_.inflight_transfer, static_cast<size_t>(pipe->transfer_inflight),
+              metrics_.tl_transfer_inflight);
   pipe->transfer_credits.Release();
 }
 
@@ -892,8 +867,11 @@ sim::Task<> NicFs::TransferWorker(ClientPipe* pipe) {
     if (!popped.has_value()) {
       break;
     }
+    RecordDepth(metrics_.qdepth_transfer_rb, pipe->transfer_rb.size());
     co_await pipe->transfer_credits.Acquire();
     ++pipe->transfer_inflight;
+    RecordDepth(metrics_.inflight_transfer, static_cast<size_t>(pipe->transfer_inflight),
+                metrics_.tl_transfer_inflight);
     engine_->Spawn(TransferSlot(pipe, std::move(*popped)), "nicfs.transfer");
   }
 }
@@ -934,7 +912,6 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
           // that already took it owns its copy) and go isolated (§3.5).
           node_->TakePlan(plan_id);
           isolated_ = true;
-          LFS_TRACE(engine_->Now(), "nicfs", "node %d entering isolated mode", node_->id());
         }
       }
       if (!copies_done) {
@@ -991,6 +968,7 @@ sim::Task<> NicFs::PublishWorker(PipeBase* pipe) {
     if (!popped.has_value()) {
       break;
     }
+    RecordDepth(metrics_.qdepth_publish_rb, pipe->publish_rb.size());
     ChunkPtr chunk = *popped;
     Status st = co_await PublishChunk(pipe, chunk);
     if (!st.ok()) {
@@ -1045,10 +1023,8 @@ NicFs::ReplicaPipe* NicFs::GetReplicaPipe(int client) {
   pipe->log = &node_->client_log(client);
   ReplicaPipe* raw = pipe.get();
   replica_pipes_[client] = std::move(pipe);
-  if (config_->replica_publish) {
-    engine_->Spawn(PublishWorker(raw), "nicfs.publish");
-    raw->publish_workers = 1;
-  }
+  engine_->Spawn(PublishWorker(raw), "nicfs.publish");
+  raw->publish_workers = 1;
   return raw;
 }
 
@@ -1072,6 +1048,7 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
   hw::SmartNic& nic = node_->hw().nic();
   if (!msg.direct_to_host) {
     nic.ReserveMem(raw_bytes);
+    metrics_.nic_mem_utilization->Set(nic.mem_utilization());
   }
 
   // Verify the CRC32C seal over the wire bytes exactly as received, before
@@ -1134,11 +1111,8 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
   // (c) Feed the replica's own publication pipeline. Retransmitted chunks the
   // pipe already published (or that recovery skipped past) must not be pushed
   // again: a reorder-buffer slot below next_seq would never be popped.
-  ReplicaPipe* rp_guard = config_->replica_publish
-                              ? GetReplicaPipe(static_cast<int>(msg.client))
-                              : nullptr;
-  if (rp_guard != nullptr && msg.chunk_no >= rp_guard->publish_rb.next_seq()) {
-    ReplicaPipe* rp = rp_guard;
+  ReplicaPipe* rp = GetReplicaPipe(static_cast<int>(msg.client));
+  if (msg.chunk_no >= rp->publish_rb.next_seq()) {
     auto chunk = std::make_shared<Chunk>();
     chunk->client = static_cast<int>(msg.client);
     chunk->no = msg.chunk_no;
@@ -1160,10 +1134,12 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
     }
     uint64_t chunk_no = chunk->no;
     rp->publish_rb.Push(chunk_no, std::move(chunk));
+    RecordDepth(metrics_.qdepth_publish_rb, rp->publish_rb.size());
   }
 
   if (!msg.direct_to_host) {
     nic.ReleaseMem(raw_bytes);
+    metrics_.nic_mem_utilization->Set(nic.mem_utilization());
   }
 }
 
@@ -1521,7 +1497,9 @@ void NicFs::TryReclaim(ClientPipe* pipe) {
 
 void NicFs::ReleaseChunk(Chunk* chunk) {
   if (--chunk->release_refs == 0 && chunk->mem_reserved > 0) {
-    node_->hw().nic().ReleaseMem(chunk->mem_reserved);
+    hw::SmartNic& nic = node_->hw().nic();
+    nic.ReleaseMem(chunk->mem_reserved);
+    metrics_.nic_mem_utilization->Set(nic.mem_utilization());
     chunk->mem_reserved = 0;
   }
 }
@@ -1635,13 +1613,9 @@ sim::Task<> NicFs::KworkerMonitor() {
         PingReq{node_->id()}, config_->kworker_rpc_timeout);
     if (!pong.ok() && !isolated_) {
       isolated_ = true;
-      LFS_TRACE(engine_->Now(), "nicfs", "node %d: kernel worker down -> isolated mode",
-                node_->id());
     } else if (pong.ok() && isolated_) {
       // The kernel worker is stateless: resume host-based publication (§3.5).
       isolated_ = false;
-      LFS_TRACE(engine_->Now(), "nicfs", "node %d: kernel worker back -> normal mode",
-                node_->id());
     }
   }
 }

@@ -91,9 +91,12 @@ class NicFs {
   uint64_t published_upto(int client) const;
 
   // Adaptive read-path input (DfsConfig::read_path = "adaptive"): how busy
-  // this NIC's data path is as a 0..1 fraction of its windowed capacity,
-  // EWMA-smoothed over profiler ticks so route decisions don't flap.
-  double nic_load() const { return nic_load_; }
+  // this NIC's data path is as a 0..1 fraction of its windowed capacity.
+  // Computed when a read asks: the current occupancy is folded into an EWMA
+  // that keeps 0.75 per 500 us of virtual time since the previous query, so
+  // route decisions don't flap and the value decays over idle time with no
+  // periodic task.
+  double nic_load();
 
   // Recovery protocol (§3.6): after a restart, read the persisted epoch,
   // fetch the history bitmap from `peer`, and resynchronise every inode
@@ -161,6 +164,8 @@ class NicFs {
     std::unique_ptr<pipeline::Stage> stage;
     sim::Queue<ChunkPtr> queue;
     size_t index = 0;   // Position in the pipe's chain.
+    obs::Histogram* qdepth = nullptr;      // Depth metrics, recorded at
+    obs::TimeSeries* tl_qdepth = nullptr;  // every push and pop.
     int workers = 0;
     int retire_pending = 0;  // Retire pills pushed but not yet consumed.
   };
@@ -321,13 +326,12 @@ class NicFs {
     explicit Metrics(const obs::MetricScope& scope_in);
     // Handle bundle for one pipeline::Stage, created on demand per configured
     // stage name: stage.<name> latency, bypassed.<name> (§3.3.2 generalized),
-    // workers.<name>, qdepth.<name>.
+    // qdepth.<name>.
     struct StageSet {
       obs::Histogram* latency = nullptr;
       obs::Counter* bypassed = nullptr;
-      obs::Gauge* workers = nullptr;
       obs::Histogram* qdepth = nullptr;
-      obs::TimeSeries* tl_qdepth = nullptr;  // Sampled depth over virtual time.
+      obs::TimeSeries* tl_qdepth = nullptr;  // Depth over virtual time.
     };
     StageSet& ForStage(const std::string& name);
     obs::MetricScope scope;
@@ -353,25 +357,22 @@ class NicFs {
     obs::Histogram* stage_publish;
     obs::Histogram* stage_transfer;
     obs::Histogram* stage_ack;
-    // Profiler-sampled pipeline state.
+    // Per-pipe depths, recorded where they change (see RecordDepth).
     obs::Histogram* qdepth_transfer_rb;
     obs::Histogram* qdepth_publish_rb;
     obs::Histogram* inflight_fetch;
     obs::Histogram* inflight_transfer;
-    obs::Gauge* nic_mem_utilization;
-    // Lease-arbiter balance gauges ("nicfs.<n>.lease.*"), sampled by the
-    // profiler tick so bench sweeps can read shard balance from the registry.
-    obs::Gauge* lease_active;
-    obs::Gauge* lease_grants;
-    obs::Gauge* lease_revocations;
-    // Timeline series ("when", not just "how much"): sampled replication
-    // window occupancy and the lease grant rate per profiler tick.
+    obs::Gauge* nic_mem_utilization;  // Set where NICFS reserves/releases.
+    // Timeline series ("when", not just "how much"): replication window
+    // occupancy and the lease grant rate.
     obs::TimeSeries* tl_transfer_inflight;
     obs::TimeSeries* tl_lease_grants;
   };
 
-  // Profiler callback: samples queue depths, worker counts, and NIC memory.
-  void SampleObs();
+  // Records one pipe's queue or in-flight depth where it changes (queue
+  // push/pop, in-flight ++/--) into its histogram and, when given, its
+  // timeline series.
+  void RecordDepth(obs::Histogram* hist, size_t depth, obs::TimeSeries* tl = nullptr);
 
   sim::Task<Status> PublishChunk(PipeBase* pipe, ChunkPtr chunk);
   sim::Task<> HandleReplChunk(ReplChunkMsg msg);
@@ -415,8 +416,8 @@ class NicFs {
   bool isolated_ = false;
   uint64_t epoch_ = 0;
   std::string component_;  // "nicfs.<node>": metric scope and trace category.
-  uint64_t last_grant_count_ = 0;  // For the lease grant-rate timeline delta.
-  double nic_load_ = 0.0;  // EWMA data-path occupancy, updated by SampleObs.
+  double nic_load_ = 0.0;     // EWMA data-path occupancy as of nic_load_at_.
+  sim::Time nic_load_at_ = 0;  // Virtual time of the last nic_load() query.
   Metrics metrics_;
   obs::TraceBuffer* trace_;
 };

@@ -5,7 +5,6 @@
 
 #include "src/core/cluster.h"
 #include "src/repl/registry.h"
-#include "src/sim/trace.h"
 
 namespace linefs::core {
 
@@ -50,6 +49,7 @@ SharedFs::SharedFs(Cluster* cluster, DfsNode* node, const DfsConfig* config)
   metrics_.chunks_replicated = scope.CounterAt("chunks_replicated");
   metrics_.bytes_replicated = scope.CounterAt("bytes_replicated");
   metrics_.preposts = scope.CounterAt("preposts");
+  metrics_.replica_digest_failures = scope.CounterAt("replica_digest_failures");
 }
 
 SharedFs::Stats SharedFs::stats() const {
@@ -539,10 +539,7 @@ sim::Task<> SharedFs::HandleReplRange(ReplChunkMsg msg) {
   }
 
   // Queue local digestion of the replicated range.
-  if (config_->replica_publish) {
-    ReplicaState* state = GetReplicaState(static_cast<int>(msg.client));
-    state->digest_q.Push({msg.from, msg.to});
-  }
+  GetReplicaState(static_cast<int>(msg.client))->digest_q.Push({msg.from, msg.to});
 }
 
 SharedFs::ReplicaState* SharedFs::GetReplicaState(int client) {
@@ -580,8 +577,7 @@ sim::Task<> SharedFs::ReplicaDigestWorker(ReplicaState* state) {
       Status st = co_await DigestRange(state->log, from, to, &state->published_upto,
                                        /*replica_side=*/true);
       if (!st.ok()) {
-        LFS_TRACE(engine_->Now(), "sharedfs", "replica digest failed: %s",
-                  st.ToString().c_str());
+        metrics_.replica_digest_failures->Increment();
         state->published_upto = std::max(state->published_upto, to);  // Skip, stay live.
       }
     }

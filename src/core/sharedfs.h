@@ -167,6 +167,7 @@ class SharedFs {
     obs::Counter* chunks_replicated = nullptr;
     obs::Counter* bytes_replicated = nullptr;
     obs::Counter* preposts = nullptr;
+    obs::Counter* replica_digest_failures = nullptr;  // Ranges skipped to stay live.
   };
   Metrics metrics_;
 };

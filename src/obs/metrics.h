@@ -8,7 +8,7 @@
 //   nicfs.0.stage.fetch        (histogram: per-chunk fetch latency, ns)
 //   nicfs.0.chunks_fetched     (counter)
 //   libfs.3.fsyncs             (counter)
-//   nicfs.1.qdepth.validate    (histogram: sampled queue depth)
+//   nicfs.1.qdepth.validate    (histogram: queue depth at each push/pop)
 //
 // MetricScope carries a registry plus a name prefix so a component can mint
 // its own metrics without knowing where it sits in the hierarchy.

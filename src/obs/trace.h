@@ -1,4 +1,4 @@
-// Structured pipeline tracing: the machine-readable sibling of LFS_TRACE.
+// Structured pipeline tracing.
 //
 // Components record TraceEvents (component, stage, client, chunk, sim-time
 // begin/end) into a bounded ring buffer; when full, the oldest events are

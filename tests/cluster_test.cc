@@ -8,6 +8,7 @@
 
 #include "tests/co_test_util.h"
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -369,6 +370,64 @@ TEST(LineFsTest, AdaptiveReadPathRoutesBySize) {
   NicFs* primary = harness.cluster().nicfs(0);
   EXPECT_EQ(primary->stats().nic_reads, 1u);
   EXPECT_EQ(primary->stats().nic_read_bytes, 256u << 10);
+}
+
+TEST(LineFsTest, AdaptiveReadPathRoutesByNicLoad) {
+  DfsConfig config = SmallConfig(DfsMode::kLineFS);
+  config.read_path = "adaptive";
+  config.read_nic_threshold = 64 << 10;
+  config.read_nic_load_max = 0.25;
+  ClusterHarness harness(config);
+  LibFs* fs = harness.cluster().CreateClient(0);
+  NicFs* primary = harness.cluster().nicfs(0);
+  std::vector<uint8_t> data = Pattern(256 << 10, 3);
+  std::vector<uint8_t> bulk = Pattern(6 << 20, 5);
+  int fd = -1;
+  int bulk_fd = -1;
+  double loaded = 0;
+
+  harness.RunClient([&]() -> sim::Task<> {
+    Result<int> opened = co_await fs->Open("/load.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    CO_ASSERT_OK(opened);
+    fd = *opened;
+    CO_ASSERT_OK((co_await fs->Write(fd, data)));
+    CO_ASSERT_OK((co_await fs->Fsync(fd)));
+
+    // A large unsynced write fills the primary's fetch window and stage
+    // queues: a read above the size threshold stays on the host route.
+    opened = co_await fs->Open("/bulk.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    CO_ASSERT_OK(opened);
+    bulk_fd = *opened;
+    CO_ASSERT_OK((co_await fs->Write(bulk_fd, bulk)));
+    std::vector<uint8_t> big(data.size());
+    Result<uint64_t> r = co_await fs->Pread(fd, big, 0);
+    CO_ASSERT_OK(r);
+    CO_ASSERT_EQ(*r, big.size());
+    CO_ASSERT_EQ(fs->stats().reads_nic_routed, 0u);
+    CO_ASSERT_TRUE(std::equal(big.begin(), big.end(), data.begin()));
+    loaded = primary->nic_load();
+    CO_ASSERT_TRUE(loaded >= config.read_nic_load_max);
+    CO_ASSERT_OK((co_await fs->Fsync(bulk_fd)));
+  });
+
+  // With the pipe drained, the load decays over idle virtual time with no
+  // periodic task feeding it: 20 ms is 40 half-millisecond retention steps.
+  harness.Drain(20 * sim::kMillisecond);
+  double idle = primary->nic_load();
+  EXPECT_GT(idle, 0.0);
+  EXPECT_LE(idle, loaded * std::pow(0.75, 40));
+
+  // The same read now goes to the NIC.
+  harness.RunClient([&]() -> sim::Task<> {
+    std::vector<uint8_t> big(data.size());
+    Result<uint64_t> r = co_await fs->Pread(fd, big, 0);
+    CO_ASSERT_OK(r);
+    CO_ASSERT_EQ(fs->stats().reads_nic_routed, 1u);
+    CO_ASSERT_TRUE(std::equal(big.begin(), big.end(), data.begin()));
+    co_await fs->Close(fd);
+    co_await fs->Close(bulk_fd);
+  });
+  EXPECT_EQ(primary->stats().nic_reads, 1u);
 }
 
 TEST(LineFsTest, NicRpcReadPathFallsBackWhenNicDown) {

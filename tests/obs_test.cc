@@ -11,7 +11,6 @@
 
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profiler.h"
 #include "src/obs/report.h"
 #include "src/obs/trace.h"
 #include "src/sim/engine.h"
@@ -192,31 +191,6 @@ TEST(Json, ParseRejectsGarbage) {
   EXPECT_FALSE(JsonValue::Parse("{} trailing").has_value());
   EXPECT_FALSE(JsonValue::Parse("{\"a\":}").has_value());
   EXPECT_FALSE(JsonValue::Parse("").has_value());
-}
-
-// --- PipelineProfiler --------------------------------------------------------
-
-TEST(PipelineProfiler, SamplesAtInterval) {
-  sim::Engine engine;
-  PipelineProfiler profiler(&engine, 100 * sim::kMicrosecond);
-  int calls = 0;
-  profiler.AddSampler([&] { ++calls; });
-  profiler.Start();
-  EXPECT_TRUE(profiler.running());
-  engine.RunUntil(engine.Now() + sim::kMillisecond);
-  profiler.Stop();
-  engine.Run();
-  EXPECT_GE(calls, 9);
-  EXPECT_EQ(profiler.samples_taken(), static_cast<uint64_t>(calls));
-  EXPECT_FALSE(profiler.running());
-}
-
-TEST(PipelineProfiler, StartWithoutSamplersIsANoop) {
-  sim::Engine engine;
-  PipelineProfiler profiler(&engine);
-  profiler.Start();
-  EXPECT_FALSE(profiler.running());
-  engine.Run();  // Nothing spawned; returns immediately.
 }
 
 // --- Bench report ------------------------------------------------------------

@@ -16,7 +16,6 @@
 #include "src/core/config.h"
 #include "src/core/libfs.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profiler.h"
 #include "src/obs/report.h"
 #include "src/obs/selfprof.h"
 #include "src/obs/timeseries.h"
@@ -406,28 +405,6 @@ TEST(SelfProfiler, DetachUninstallsObserver) {
     EXPECT_EQ(engine.observer(), &profiler);
   }  // Destructor detaches.
   EXPECT_EQ(engine.observer(), nullptr);
-}
-
-// --- PipelineProfiler late registration --------------------------------------
-
-TEST(PipelineProfiler, AddSamplerAfterStartStillSamples) {
-  sim::Engine engine;
-  PipelineProfiler profiler(&engine, 100);
-  profiler.Start();  // No samplers yet: loop deferred, not dropped.
-  EXPECT_FALSE(profiler.running());
-  int ticks = 0;
-  profiler.AddSampler([&ticks] { ++ticks; });  // Late registrant spawns the loop.
-  EXPECT_TRUE(profiler.running());
-  engine.RunUntil(engine.Now() + 1000);
-  EXPECT_GE(ticks, 5);
-  // A sampler registered while running joins from the next tick.
-  int late_ticks = 0;
-  profiler.AddSampler([&late_ticks] { ++late_ticks; });
-  engine.RunUntil(engine.Now() + 500);
-  EXPECT_GE(late_ticks, 3);
-  profiler.Stop();
-  engine.Run();
-  EXPECT_FALSE(profiler.running());
 }
 
 // --- Engine schedule/clamp counters ------------------------------------------
