@@ -200,7 +200,6 @@ class Experiment {
     v.Set("read_path", c.read_path);
     v.Set("read_nic_threshold", c.read_nic_threshold);
     v.Set("read_nic_load_max", c.read_nic_load_max);
-    v.Set("doorbell_batch", c.doorbell_batch);
     v.Set("num_shards", c.num_shards);
     v.Set("shard_placement", c.shard_placement);
     v.Set("placer_pooling", c.placer_pooling);

@@ -1,6 +1,8 @@
 #include "src/core/cluster.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/core/clustermgr.h"
 #include "src/core/kworker.h"
@@ -82,7 +84,6 @@ Cluster::Cluster(sim::Engine* engine, const DfsConfig& config)
   placer_opts.nic_saturation = config_.placer_nic_saturation;
   placer_opts.queue_threshold = config_.stage_queue_threshold;
   placer_opts.max_workers = config_.max_stage_workers;
-  placer_opts.scale_down_intervals = config_.stage_scale_down_intervals;
   placer_ = std::make_unique<pipeline::StagePlacer>(
       engine_, placer_opts, obs::MetricScope(metrics_.get(), "placer"));
   // Every site is registered before any placement decision: the NIC pool of
@@ -225,7 +226,12 @@ bool Cluster::ArbiterCheckWrite(uint32_t client, uint64_t inum, int local_node) 
 
 LibFs* Cluster::CreateClient(int node_id) {
   int id = static_cast<int>(clients_.size());
-  assert(id < config_.max_clients);
+  // Checked in every build: each node has log areas for max_clients ids only.
+  if (id >= config_.max_clients) {
+    std::fprintf(stderr, "Cluster::CreateClient: client %d exceeds max_clients (%d)\n", id,
+                 config_.max_clients);
+    std::abort();
+  }
   clients_.push_back(std::make_unique<LibFs>(this, node_id, id));
   clients_.back()->Attach();
   return clients_.back().get();

@@ -118,7 +118,8 @@ class Cluster {
   pipeline::StagePlacer& placer() { return *placer_; }
 
   // Creates a LibFS client process on `node_id` (clients get globally unique
-  // ids; at most config.max_clients per node).
+  // ids; at most config.max_clients in total, since every node keeps a log
+  // area per id). Aborts past that limit.
   LibFs* CreateClient(int node_id);
   LibFs* client(int id) { return clients_[id].get(); }
   int client_count() const { return static_cast<int>(clients_.size()); }

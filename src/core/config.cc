@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/fslib/layout.h"
 #include "src/pipeline/registry.h"
 #include "src/repl/registry.h"
 #include "src/shard/shard_map.h"
@@ -41,6 +42,10 @@ Status DfsConfig::Validate() const {
   if (inode_count == 0) {
     return Invalid("inode_count must be > 0");
   }
+  if (fslib::Layout::Compute(pm_size, {inode_count, max_clients, log_size}).data_block_count == 0) {
+    return Invalid("pm_size " + std::to_string(pm_size) + " leaves no data block after the inode "
+                   "table and max_clients x log_size of client logs");
+  }
   if (num_shards < 0) {
     return Invalid("num_shards must be >= 0 (0 = sharding off), got " +
                    std::to_string(num_shards));
@@ -74,10 +79,6 @@ Status DfsConfig::Validate() const {
   if (stage_queue_threshold < 1) {
     return Invalid("stage_queue_threshold must be >= 1, got " +
                    std::to_string(stage_queue_threshold));
-  }
-  if (stage_scale_down_intervals < 1) {
-    return Invalid("stage_scale_down_intervals must be >= 1, got " +
-                   std::to_string(stage_scale_down_intervals));
   }
   if (repl.fetch_depth < 1) {
     return Invalid("repl.fetch_depth must be >= 1, got " +
@@ -124,10 +125,6 @@ Status DfsConfig::Validate() const {
     return Invalid("read_nic_load_max must be in (0,1], got " +
                    std::to_string(read_nic_load_max));
   }
-  if (doorbell_batch < 1) {
-    return Invalid("doorbell_batch must be >= 1 (1 disables batching), got " +
-                   std::to_string(doorbell_batch));
-  }
   if (compression_threads < 1) {
     return Invalid("compression_threads must be >= 1, got " +
                    std::to_string(compression_threads));
@@ -172,19 +169,6 @@ Status DfsConfig::Validate() const {
     return Invalid("placer_nic_saturation must be in (0,1], got " +
                    std::to_string(placer_nic_saturation));
   }
-  if (bg_repl_threads < 1) {
-    return Invalid("bg_repl_threads must be >= 1, got " + std::to_string(bg_repl_threads));
-  }
-  if (hyperloop_prepost_batch < 1) {
-    return Invalid("hyperloop_prepost_batch must be >= 1, got " +
-                   std::to_string(hyperloop_prepost_batch));
-  }
-  if (kworker_check_interval <= 0) {
-    return Invalid("kworker_check_interval must be positive");
-  }
-  if (kworker_rpc_timeout <= 0) {
-    return Invalid("kworker_rpc_timeout must be positive");
-  }
   if (heartbeat_interval <= 0) {
     return Invalid("heartbeat_interval must be positive");
   }
@@ -199,12 +183,6 @@ Status DfsConfig::Validate() const {
   }
   if (timeline_window < 0) {
     return Invalid("timeline_window must be >= 0 (0 disables telemetry)");
-  }
-  if (repl.retry_interval <= 0) {
-    return Invalid("repl.retry_interval must be positive");
-  }
-  if (repl.retry_timeout < repl.retry_interval) {
-    return Invalid("repl.retry_timeout must be >= repl.retry_interval");
   }
   return Status::Ok();
 }

@@ -55,14 +55,8 @@ struct ReplConfig {
   // tolerates out-of-order acks). 1 is the lock-step point of the same path.
   int fetch_depth = 4;
   int transfer_window = 4;
-
-  // Retransmit sweeper: a peer that has not acked the head-of-line chunk for
-  // `retry_timeout` of wire silence is re-sent the chunk point-to-point
-  // (per-peer clocks, so a quorum fan-out retries only the stale peer); the
-  // sweeper also re-evaluates liveness so chunks waiting on a declared-dead
-  // replica unblock without a resend.
-  sim::Time retry_interval = 50 * sim::kMillisecond;
-  sim::Time retry_timeout = 150 * sim::kMillisecond;
+  // The retransmit sweeper's period and timeout, and the doorbell batch of
+  // the send path, are constants in nicfs.cc.
 };
 
 struct DfsConfig {
@@ -120,30 +114,17 @@ struct DfsConfig {
   // Adaptive route: NIC-load EWMA at or above this keeps reads on the host.
   double read_nic_load_max = 0.75;
 
-  // Doorbell/CQ batching on the windowed replication send path: consecutive
-  // posts on the same QP within the doorbell idle gap are coalesced so only
-  // every `doorbell_batch`-th post pays the post + completion verb cost.
-  // 1 disables batching (every post pays full cost, the original behaviour).
-  int doorbell_batch = 8;
-
   // Publication coalescing stage (§3.3.1).
   bool coalescing = true;
 
   PublishMethod publish_method = PublishMethod::kDmaInterruptBatch;
 
-  // Assise-BgRepl worker threads (paper: 3 maximises performance).
-  int bg_repl_threads = 3;
-
-  // Hyperloop: host must re-post RDMA verb batches every N replication ops.
-  int hyperloop_prepost_batch = 128;
-
   // NICFS dynamic stage scaling (§3.1): grow a stage when its wait queue
   // exceeds the threshold; retire an extra worker again once the queue has
-  // stayed below the threshold for `stage_scale_down_intervals` consecutive
-  // scaling checks.
+  // stayed below the threshold for three consecutive scaling checks
+  // (src/pipeline/placer.cc).
   int stage_queue_threshold = 5;
   int max_stage_workers = 4;
-  int stage_scale_down_intervals = 3;
 
   // Replication knobs live here; read them as `config.repl.*`.
   ReplConfig repl;
@@ -152,9 +133,8 @@ struct DfsConfig {
   double mem_high_watermark = 0.70;
   double mem_low_watermark = 0.30;
 
-  // Failure detection.
-  sim::Time kworker_check_interval = 100 * sim::kMillisecond;
-  sim::Time kworker_rpc_timeout = 30 * sim::kMillisecond;
+  // Failure detection. The §3.5 kernel-worker probe period and RPC timeout
+  // are constants in nicfs.cc.
   sim::Time heartbeat_interval = sim::kSecond;  // Cluster manager (§3.6).
   sim::Time heartbeat_timeout = 2 * sim::kSecond;
 

@@ -24,7 +24,8 @@ class DfsNode {
  public:
   DfsNode(hw::Node* hw, const DfsConfig& config)
       : hw_(hw), config_(&config),
-        layout_(fslib::Layout::Compute(config.pm_size, MakeLayoutConfig(config))),
+        layout_(fslib::Layout::Compute(
+            config.pm_size, {config.inode_count, config.max_clients, config.log_size})),
         fs_(&hw->pm(), layout_) {
     fs_.Mkfs();
     logs_.resize(config.max_clients);
@@ -81,14 +82,6 @@ class DfsNode {
   }
 
  private:
-  static fslib::LayoutConfig MakeLayoutConfig(const DfsConfig& config) {
-    fslib::LayoutConfig lc;
-    lc.inode_count = config.inode_count;
-    lc.max_clients = config.max_clients;
-    lc.log_size = config.log_size;
-    return lc;
-  }
-
   hw::Node* hw_;
   const DfsConfig* config_;
   fslib::Layout layout_;

@@ -12,6 +12,17 @@
 
 namespace linefs::core {
 
+// Doorbell/CQ batch: 8 posts = a 4-chunk window's bulk-write + control pairs on one QP.
+constexpr uint64_t kDoorbellBatch = 8;
+// Retransmit sweeper period: three sweeps per kReplRetryTimeout.
+constexpr sim::Time kReplRetryInterval = 50 * sim::kMillisecond;
+// Wire silence before an unacked peer is re-sent; far above any healthy round trip.
+constexpr sim::Time kReplRetryTimeout = 150 * sim::kMillisecond;
+// §3.5 kernel-worker probe period: a dead host is noticed within ~0.1 s at 10 pings/s.
+constexpr sim::Time kKworkerCheckInterval = 100 * sim::kMillisecond;
+// Kernel-worker RPC deadline, far above a healthy 4 MB copy: only a dead host trips isolation.
+constexpr sim::Time kKworkerRpcTimeout = 30 * sim::kMillisecond;
+
 NicFs::Metrics::Metrics(const obs::MetricScope& scope_in)
     : scope(scope_in),
       chunks_fetched(scope.CounterAt("chunks_fetched")),
@@ -261,7 +272,7 @@ void NicFs::Start() {
     Result<Ack> mapped = co_await cluster_->rpc().Call<OpenReq, Ack>(
         NicInitiator(false), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
         KernelWorker::EndpointName(node_->id()), rdma::Channel::kHighTput, kRpcKworkerMmap,
-        req, config_->kworker_rpc_timeout);
+        req, kKworkerRpcTimeout);
     if (!mapped.ok()) {
       co_return Ack{static_cast<int32_t>(mapped.code())};
     }
@@ -691,9 +702,6 @@ void NicFs::RegisterStageGroups(ClientPipe* pipe) {
 // --- Transfer stage (replication pipeline) --------------------------------------
 
 bool NicFs::BatchedPost(ClientPipe* pipe, int target) {
-  if (config_->doorbell_batch <= 1) {
-    return false;
-  }
   // Posts separated by more than this have no batch to ride: the QP drained
   // and its CQ was swept, so the next post rings the doorbell afresh. Sized to
   // span back-to-back window slots on a busy pipe, not genuine idleness.
@@ -704,7 +712,7 @@ bool NicFs::BatchedPost(ClientPipe* pipe, int target) {
     db.count = 0;
   }
   db.last_post = now;
-  bool leader = db.count % static_cast<uint64_t>(config_->doorbell_batch) == 0;
+  bool leader = db.count % kDoorbellBatch == 0;
   ++db.count;
   return !leader;
 }
@@ -794,7 +802,7 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
                         last_target ? std::move(payload) : payload);
     // Doorbell batching: the bulk write and its control send are consecutive
     // posts on this target's QP; under a busy window only every
-    // doorbell_batch-th post pays the verb + doorbell cost.
+    // kDoorbellBatch-th post pays the verb + doorbell cost.
     rdma::Initiator bulk_init = NicInitiator(urgent);
     bulk_init.batched = BatchedPost(pipe, target.node);
     co_await cluster_->net().Write(bulk_init,
@@ -904,7 +912,7 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
             KernelWorker::EndpointName(node_->id()), rdma::Channel::kHighTput,
             kRpcKworkerCopy,
             KworkerCopyReq{static_cast<uint32_t>(pipe->client), plan_id, span.context()},
-            config_->kworker_rpc_timeout, span.context());
+            kKworkerRpcTimeout, span.context());
         if (ack.ok() && ack->status == 0) {
           copies_done = true;
         } else {
@@ -1331,11 +1339,11 @@ void NicFs::OnReplSendFailure(ClientPipe* pipe, uint64_t chunk_no, int peer) {
   auto it = pipe->pending_acks.find(chunk_no);
   if (it != pipe->pending_acks.end()) {
     // Backdate the staleness clocks so the sweeper treats the chunk as
-    // overdue right now instead of after a full retry_timeout of silence. A
-    // forwarding protocol loses every downstream copy with its first-hop
+    // overdue right now instead of after a full kReplRetryTimeout of silence.
+    // A forwarding protocol loses every downstream copy with its first-hop
     // send, so all clocks expire; a fan-out protocol lost only `peer`'s copy
     // and the other in-flight sends are unaffected.
-    sim::Time expired = engine_->Now() - config_->repl.retry_timeout;
+    sim::Time expired = engine_->Now() - kReplRetryTimeout;
     if (protocol_->info().forwards) {
       for (auto& [node, clock] : it->second.last_send) {
         clock = expired;
@@ -1349,7 +1357,7 @@ void NicFs::OnReplSendFailure(ClientPipe* pipe, uint64_t chunk_no, int peer) {
 
 sim::Task<> NicFs::ReplRetryTicker(ClientPipe* pipe) {
   while (!shutdown_) {
-    co_await engine_->SleepFor(config_->repl.retry_interval);
+    co_await engine_->SleepFor(kReplRetryInterval);
     pipe->retry_kick.NotifyAll();
   }
 }
@@ -1377,7 +1385,7 @@ sim::Task<> NicFs::ReplRetryMonitor(ClientPipe* pipe) {
         continue;
       }
       auto [clock, missing] = it->second.last_send.try_emplace(n, 0);
-      if (missing || engine_->Now() - clock->second >= config_->repl.retry_timeout) {
+      if (missing || engine_->Now() - clock->second >= kReplRetryTimeout) {
         clock->second = engine_->Now();
         stale.push_back(n);
       }
@@ -1603,14 +1611,14 @@ sim::Task<Result<uint64_t>> NicFs::Recover(int peer) {
 
 sim::Task<> NicFs::KworkerMonitor() {
   while (!shutdown_) {
-    co_await engine_->SleepFor(config_->kworker_check_interval);
+    co_await engine_->SleepFor(kKworkerCheckInterval);
     if (shutdown_ || kworker_ == nullptr) {
       continue;
     }
     Result<Ack> pong = co_await cluster_->rpc().Call<PingReq, Ack>(
         NicInitiator(false), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
         KernelWorker::EndpointName(node_->id()), rdma::Channel::kHighTput, kRpcKworkerPing,
-        PingReq{node_->id()}, config_->kworker_rpc_timeout);
+        PingReq{node_->id()}, kKworkerRpcTimeout);
     if (!pong.ok() && !isolated_) {
       isolated_ = true;
     } else if (pong.ok() && isolated_) {

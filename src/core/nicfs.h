@@ -228,7 +228,7 @@ class NicFs {
     uint64_t reclaimed_upto = 0;
     sim::Condition progress;
     // Wakes ReplRetryMonitor out of turn: the periodic ticker notifies every
-    // repl.retry_interval, and a failed one-way send notifies immediately.
+    // kReplRetryInterval, and a failed one-way send notifies immediately.
     sim::Condition retry_kick;
     // Windowed data path credits: outstanding PCIe fetch DMAs and in-flight
     // replication transfers, bounded by ReplConfig::{fetch_depth,
@@ -244,7 +244,7 @@ class NicFs {
     int fetch_inflight = 0;
     int transfer_inflight = 0;
     int urgent_waiters = 0;
-    // Doorbell/CQ batching state, one per target QP (DfsConfig::doorbell_batch):
+    // Doorbell/CQ batching state, one per target QP (nicfs.cc kDoorbellBatch):
     // verb posts since the last doorbell ring, and the last post time — a gap
     // longer than the idle window means the QP drained and the next post must
     // ring again.
@@ -288,7 +288,7 @@ class NicFs {
   void RegisterStageGroups(ClientPipe* pipe);
   // Doorbell/CQ batching decision for the next verb post on `pipe`'s QP to
   // `target`: true when the post may ride an already-rung doorbell (skip verb
-  // costs); the batch leader (every doorbell_batch-th post, or the first after
+  // costs); the batch leader (every kDoorbellBatch-th post, or the first after
   // an idle gap) returns false and pays full cost.
   bool BatchedPost(ClientPipe* pipe, int target);
   // Adaptive chunk sizing on top of the transfer window: full chunk_size when

@@ -8,6 +8,11 @@
 
 namespace linefs::core {
 
+// Assise-BgRepl worker threads: 3 maximises background replication (§5.1).
+constexpr int kBgReplThreads = 3;
+// Hyperloop verb-chain refill period: under 1% of ops wait on a busy host (Table 3 p99.9).
+constexpr uint64_t kHyperloopPrepostBatch = 128;
+
 SharedFs::SharedFs(Cluster* cluster, DfsNode* node, const DfsConfig* config)
     : cluster_(cluster), node_(node), config_(config), engine_(node->hw().engine()) {
   LeaseManager::Context lease_ctx;
@@ -132,7 +137,7 @@ void SharedFs::Start() {
   });
 
   if (config_->mode == DfsMode::kAssiseBgRepl) {
-    for (int i = 0; i < config_->bg_repl_threads; ++i) {
+    for (int i = 0; i < kBgReplThreads; ++i) {
       bg_queues_.push_back(
           std::make_unique<sim::Queue<std::pair<int, std::pair<uint64_t, uint64_t>>>>(engine_));
       engine_->Spawn(BgReplWorker(i), "sharedfs.bgrepl");
@@ -415,7 +420,7 @@ sim::Task<Status> SharedFs::ReplicateHyperloop(ClientState* state, uint64_t from
   // NICs and their hosts must refill them). Posting a batch costs
   // milliseconds of host work; when a replica host is contended the refill is
   // delayed, which is what blows up the 99.9th percentile (Table 3).
-  if (++hyperloop_ops_since_prepost_ >= static_cast<uint64_t>(config_->hyperloop_prepost_batch)) {
+  if (++hyperloop_ops_since_prepost_ >= kHyperloopPrepostBatch) {
     hyperloop_ops_since_prepost_ = 0;
     metrics_.preposts->Increment();
     for (size_t hop = 1; hop < chain.size(); ++hop) {

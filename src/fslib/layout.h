@@ -60,7 +60,9 @@ struct Layout {
         AlignUp(l.log_area_offset + static_cast<uint64_t>(config.max_clients) * config.log_size,
                 kBlockSize);
     l.data_first_block = l.data_offset >> kBlockShift;
-    l.data_block_count = (region_size - l.data_offset) >> kBlockShift;
+    // A region too small for the logs leaves no data area (Validate() rejects it).
+    l.data_block_count =
+        region_size > l.data_offset ? (region_size - l.data_offset) >> kBlockShift : 0;
     return l;
   }
 

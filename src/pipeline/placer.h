@@ -3,9 +3,9 @@
 // Replaces the per-node ScalingMonitor's add/retire logic with one placement
 // loop over every registered stage group (one group per pipe x scalable
 // stage). The grow/shrink policy is unchanged — grow when the stage's wait
-// queue exceeds DfsConfig::stage_queue_threshold, retire after
-// stage_scale_down_intervals consecutive idle checks, one worker always
-// survives — but *where* a new worker lands is now a decision:
+// queue exceeds DfsConfig::stage_queue_threshold, retire after three
+// consecutive idle checks (one every 2 ms), one worker always survives — but
+// *where* a new worker lands is now a decision:
 //
 //   1. the local SmartNIC, while it has headroom;
 //   2. with `pooling` enabled, the least-busy unsaturated remote NIC
@@ -31,7 +31,6 @@
 #include "src/sim/cpu.h"
 #include "src/sim/engine.h"
 #include "src/sim/task.h"
-#include "src/sim/time.h"
 
 namespace linefs::pipeline {
 
@@ -42,8 +41,6 @@ class StagePlacer {
     double nic_saturation = 0.75;  // busy/cores ratio that marks a NIC full.
     int queue_threshold = 5;
     int max_workers = 4;
-    int scale_down_intervals = 3;
-    sim::Time check_interval = 2 * sim::kMillisecond;
   };
 
   // An execution complex workers can be placed on. Registered once per node

@@ -48,11 +48,14 @@ struct Initiator {
   // Fixed additional latency per verb. SmartNIC-initiated verbs pay the
   // SoC-internal PCIe crossing to the ConnectX transport (§5.2.5).
   sim::Time extra_latency = 0;
-  // Doorbell/CQ batching (DfsConfig::doorbell_batch): this verb rides a
-  // doorbell rung by an earlier post on the same QP, so it skips the posting
-  // cycles and the doorbell crossing (`extra_latency`), and its completion is
-  // consumed by the batch leader's CQ sweep (no per-verb completion cycles).
-  // Data-path timing (serialization, propagation) is unaffected.
+  // Doorbell/CQ batching (set by NicFs::BatchedPost; on a busy QP every 8th
+  // post leads a batch): this verb rides a doorbell rung by an earlier post
+  // on the same QP, so it skips the posting cycles and the doorbell crossing
+  // (`extra_latency`), and its completion is consumed by the batch leader's CQ
+  // sweep (no event wakeup, no per-verb completion cycles). Write and
+  // RpcSystem::Post honour it; Read and Call round trips never batch.
+  // Data-path timing (serialization, propagation) and the bytes each link
+  // carries are unaffected.
   bool batched = false;
 };
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "src/core/cluster.h"
 #include "src/core/config.h"
@@ -90,22 +92,10 @@ TEST(DfsConfigValidate, RejectsBadWorkerCounts) {
   config = SmallConfig();
   config.compression_threads = 0;
   EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
-  config = SmallConfig();
-  config.bg_repl_threads = 0;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
-  config = SmallConfig();
-  config.hyperloop_prepost_batch = 0;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
 }
 
 TEST(DfsConfigValidate, RejectsBadTimeouts) {
   DfsConfig config = SmallConfig();
-  config.kworker_check_interval = 0;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
-  config = SmallConfig();
-  config.kworker_rpc_timeout = -sim::kSecond;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
-  config = SmallConfig();
   config.heartbeat_interval = 0;
   EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
   config = SmallConfig();
@@ -129,13 +119,37 @@ TEST(DfsConfigValidate, ErrorsNameTheOffendingKnob) {
 }
 
 TEST(ClusterStart, RefusesInvalidConfig) {
+  DfsConfig inverted_watermarks = SmallConfig();
+  inverted_watermarks.mem_low_watermark = 0.9;
+  inverted_watermarks.mem_high_watermark = 0.1;
+  // 16 client logs of 64 MB do not fit in 1 GB of PM: no data block is left.
+  // The constructor must survive the layout for Start() to refuse it.
+  DfsConfig pm_too_small = SmallConfig();
+  pm_too_small.pm_size = 1ULL << 30;
+  pm_too_small.max_clients = 16;
+  pm_too_small.log_size = 64ULL << 20;
+  for (const auto& [config, knob] : {std::pair{inverted_watermarks, "mem_low_watermark"},
+                                     std::pair{pm_too_small, "pm_size"}}) {
+    sim::Engine engine;
+    Cluster cluster(&engine, config);
+    Status st = cluster.Start();
+    EXPECT_EQ(st.code(), ErrorCode::kInvalid) << knob;
+    EXPECT_NE(st.message().find(knob), std::string::npos) << st.ToString();
+  }
+}
+
+TEST(ClusterStartDeathTest, ClientPastMaxClientsAborts) {
   sim::Engine engine;
   DfsConfig config = SmallConfig();
-  config.mem_low_watermark = 0.9;
-  config.mem_high_watermark = 0.1;
+  config.max_clients = 2;
   Cluster cluster(&engine, config);
-  Status st = cluster.Start();
-  EXPECT_EQ(st.code(), ErrorCode::kInvalid);
+  ASSERT_TRUE(cluster.Start().ok());
+  cluster.CreateClient(0);
+  cluster.CreateClient(1);
+  // Every node keeps one log area per client id: a third id has none.
+  EXPECT_DEATH(cluster.CreateClient(0), "exceeds max_clients");
+  cluster.Shutdown();
+  engine.Run();
 }
 
 TEST(ClusterStart, BootsValidConfigAndGuardsBadIds) {

@@ -317,8 +317,7 @@ TEST(NicFsWindowSchedule, OpenWindowOverlapsTransfersAndIsNoSlower) {
 
 TEST_F(NicFsWindowTest, ScalingRetiresIdleExtraWorkers) {
   DfsConfig config = Config();
-  config.stage_queue_threshold = 1;      // Scale up aggressively...
-  config.stage_scale_down_intervals = 3; // ...and retire after a short idle.
+  config.stage_queue_threshold = 1;  // Scale up aggressively.
   Start(config);
   LibFs* fs = cluster_->CreateClient(0);
   Run([&]() -> sim::Task<> {

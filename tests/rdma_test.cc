@@ -189,6 +189,64 @@ TEST_F(RdmaTest, UnknownMethodRejected) {
   EXPECT_EQ(code, ErrorCode::kInvalid);
 }
 
+TEST_F(RdmaTest, BatchedWriteSkipsVerbCostsButMovesTheSameBytes) {
+  // Doorbell/CQ batching: a batched write rides a doorbell an earlier post
+  // rang and its completion is swept by that leader, so it pays no CPU, no
+  // doorbell crossing and no event wakeup. The data path must not change.
+  constexpr uint64_t kBytes = 1 << 20;
+  const MemAddr src{0, Space::kHostPm};
+  const MemAddr dst{1, Space::kHostPm};
+  const std::vector<sim::Link*> path = {&raw_[0]->pm_read(),       &raw_[0]->nic().pcie_h2n(),
+                                        &fabric_.tx(0),            &fabric_.rx(1),
+                                        &raw_[1]->nic().pcie_n2h(), &raw_[1]->pm_write()};
+  struct Cost {
+    sim::Time duration = 0;
+    double cpu_seconds = 0;
+    std::vector<uint64_t> link_bytes;
+  };
+  // Runs one verb on an otherwise idle network and reports what it cost.
+  auto measure = [&](auto verb) {
+    Cost cost;
+    double cpu_before = raw_[0]->host_cpu().BusySeconds(raw_[0]->acct_fs());
+    std::vector<uint64_t> bytes_before;
+    for (sim::Link* link : path) {
+      bytes_before.push_back(link->total_bytes());
+    }
+    engine_.RunToCompletion([&]() -> sim::Task<> {
+      sim::Time t0 = engine_.Now();
+      co_await verb();
+      cost.duration = engine_.Now() - t0;
+    }());
+    cost.cpu_seconds = raw_[0]->host_cpu().BusySeconds(raw_[0]->acct_fs()) - cpu_before;
+    for (size_t i = 0; i < path.size(); ++i) {
+      cost.link_bytes.push_back(path[i]->total_bytes() - bytes_before[i]);
+    }
+    return cost;
+  };
+
+  Initiator init = HostInit(0);  // Blocking (not polling): pays the wakeup.
+  init.extra_latency = 8 * sim::kMicrosecond;
+  Initiator batched_init = init;
+  batched_init.batched = true;
+  Cost full = measure([&] { return net_->Write(init, src, dst, kBytes); });
+  Cost batched = measure([&] { return net_->Write(batched_init, src, dst, kBytes); });
+  Cost raw = measure([&] { return net_->RawTransfer(src, dst, kBytes); });
+
+  EXPECT_GT(full.cpu_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(batched.cpu_seconds, 0.0);
+  // What the batched write skips is exactly post + doorbell crossing + wakeup
+  // + completion; what is left is the bare data path.
+  const hw::RdmaCosts& costs = net_->costs();
+  sim::CpuPool& cpu = raw_[0]->host_cpu();
+  EXPECT_EQ(full.duration - batched.duration,
+            cpu.CyclesToTime(costs.post_cycles) + init.extra_latency + costs.event_wakeup +
+                cpu.CyclesToTime(costs.completion_cycles));
+  EXPECT_EQ(batched.duration, raw.duration);
+  // Same bytes over the same links.
+  EXPECT_EQ(batched.link_bytes, full.link_bytes);
+  EXPECT_EQ(full.link_bytes, std::vector<uint64_t>(path.size(), kBytes));
+}
+
 TEST_F(RdmaTest, FabricEgressSerialisesConcurrentSenders) {
   std::vector<sim::Time> done;
   for (int i = 0; i < 2; ++i) {
