@@ -5,6 +5,8 @@
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -114,7 +116,8 @@ inline core::DfsConfig BenchConfig(core::DfsMode mode, bool materialize = false)
 
 class Experiment {
  public:
-  explicit Experiment(const core::DfsConfig& config) {
+  explicit Experiment(const core::DfsConfig& config)
+      : minor_faults_start_(static_cast<uint64_t>(Usage().ru_minflt)) {
     // Wall-clock self-profiling of the DES loop, merged process-wide at exit.
     if (std::getenv("LINEFS_SELFPROF") != nullptr) {
       selfprof_ = std::make_unique<obs::SelfProfiler>(&engine_);
@@ -141,6 +144,12 @@ class Experiment {
       pm_backed += cluster_->hw_node(i).pm().bytes_backed();
     }
     registry.GetCounter("pmem.bytes_backed")->Add(pm_backed);
+    // Host memory the run cost (informational): page faults taken while
+    // this Experiment lived, and the process's peak RSS so far.
+    rusage usage = Usage();
+    registry.GetCounter("mem.minor_faults")
+        ->Add(static_cast<uint64_t>(usage.ru_minflt) - minor_faults_start_);
+    registry.GetCounter("mem.peak_rss_bytes")->Add(static_cast<uint64_t>(usage.ru_maxrss) << 10);
     // Engine-speed trajectory (informational, tracked across PRs): how many
     // DES events the engine retires per wall-clock second, and how much wall
     // time one simulated second costs for this run's workload.
@@ -248,6 +257,13 @@ class Experiment {
   }
 
  private:
+  static rusage Usage() {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage;
+  }
+
+  uint64_t minor_faults_start_;
   sim::Engine engine_;
   std::chrono::steady_clock::time_point wall_start_ = std::chrono::steady_clock::now();
   std::unique_ptr<obs::SelfProfiler> selfprof_;  // Must outlive engine_ events; see dtor.

@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace linefs::fslib {
 
 namespace {
@@ -36,7 +40,7 @@ const Crc32cTable& Table() {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+uint32_t Crc32cSlicing8(const void* data, size_t len, uint32_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
   const Crc32cTable& table = Table();
@@ -57,6 +61,46 @@ uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
     crc = (crc >> 8) ^ table.entries[0][(crc ^ p[i]) & 0xFF];
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+
+// The SSE4.2 crc32 instruction computes CRC32C, 8 bytes per instruction.
+// Compiled for SSE4.2 by this function's attribute alone; callers check
+// Crc32cHasHardware() first.
+__attribute__((target("sse4.2"))) uint32_t Crc32cHardware(const void* data, size_t len,
+                                                          uint32_t seed) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t crc = ~seed;
+  while (len >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
+    p += 8;
+    len -= 8;
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (size_t i = 0; i < len; ++i) {
+    crc32 = _mm_crc32_u8(crc32, p[i]);
+  }
+  return ~crc32;
+}
+
+bool Crc32cHasHardware() { return __builtin_cpu_supports("sse4.2"); }
+
+#else
+
+uint32_t Crc32cHardware(const void* data, size_t len, uint32_t seed) {
+  return Crc32cSlicing8(data, len, seed);
+}
+
+bool Crc32cHasHardware() { return false; }
+
+#endif
+
+uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+  static const bool hardware = Crc32cHasHardware();
+  return hardware ? Crc32cHardware(data, len, seed) : Crc32cSlicing8(data, len, seed);
 }
 
 }  // namespace linefs::fslib

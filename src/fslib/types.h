@@ -51,8 +51,15 @@ struct FileAttr {
 
 inline uint64_t BlocksFor(uint64_t bytes) { return (bytes + kBlockSize - 1) >> kBlockShift; }
 
-// CRC32C (software, Castagnoli polynomial) used for log entry integrity.
+// CRC32C (Castagnoli polynomial) used for log entry integrity: the CPU's
+// crc32 instruction where it has SSE4.2, else the table path.
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed = 0);
+
+// The two paths behind Crc32c, for tests that compare them. Crc32cHardware
+// may only be called when Crc32cHasHardware() is true.
+uint32_t Crc32cSlicing8(const void* data, size_t len, uint32_t seed);
+uint32_t Crc32cHardware(const void* data, size_t len, uint32_t seed);
+bool Crc32cHasHardware();
 
 }  // namespace linefs::fslib
 

@@ -3,7 +3,10 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cinttypes>
+#include <cstdio>
 #include <new>
 
 namespace linefs::pmem {
@@ -16,6 +19,10 @@ constexpr size_t kMaxPooledBlocks = 4096;  // 8 GB worth of 2 MB blocks.
 uint64_t LineBits(uint64_t first, uint64_t last) {
   return ((2ULL << last) - 1) & ~((1ULL << first) - 1);
 }
+
+// Size class of a slot block holding `count` (1..8) lines: log2 of its
+// lines, rounded up.
+int SlotClass(uint64_t count) { return std::bit_width(count - 1); }
 
 }  // namespace
 
@@ -40,61 +47,125 @@ Region::~Region() {
   }
 }
 
-uint8_t* Region::WritablePage(uint64_t offset, uint64_t n) {
-  uint64_t dir_idx = offset >> kDirShift;
-  assert(dir_idx < dirs_.size());
-  std::unique_ptr<Directory>& dir = dirs_[dir_idx];
+void Region::CheckRange(const char* op, uint64_t offset, uint64_t n) const {
+  if (n > size_ || offset > size_ - n) {
+    std::fprintf(stderr, "pmem::Region::%s out of range: offset %" PRIu64 " len %" PRIu64
+                 " region size %" PRIu64 "\n", op, offset, n, size_);
+    std::abort();
+  }
+}
+
+uint8_t* Region::Carve(Cursor& cursor, uint64_t bytes) {
+  if (cursor.used + bytes > kBlockSize) {
+    std::vector<Block>& pool = BlockPool();
+    if (!pool.empty()) {
+      blocks_.push_back(std::move(pool.back()));
+      pool.pop_back();
+    } else {
+      // Left uninitialised.
+      Block block(static_cast<uint8_t*>(std::aligned_alloc(kBlockSize, kBlockSize)));
+      if (!block) {
+        throw std::bad_alloc();
+      }
+#ifdef MADV_HUGEPAGE
+      madvise(block.get(), kBlockSize, MADV_HUGEPAGE);  // Best effort.
+#endif
+      blocks_.push_back(std::move(block));
+    }
+    cursor.block = blocks_.back().get();
+    cursor.used = 0;
+  }
+  uint8_t* piece = cursor.block + cursor.used;
+  cursor.used += bytes;
+  bytes_backed_ += bytes;
+  return piece;
+}
+
+uint8_t* Region::AllocSlots(int slot_class) {
+  uint8_t*& head = free_slots_[slot_class];
+  if (head == nullptr) {
+    return Carve(slot_cursor_, kLineSize << slot_class);
+  }
+  uint8_t* slots = head;
+  std::memcpy(&head, slots, sizeof(head));
+  bytes_backed_ += kLineSize << slot_class;
+  return slots;
+}
+
+void Region::FreeSlots(uint8_t* slots, int slot_class) {
+  uint8_t*& head = free_slots_[slot_class];
+  std::memcpy(slots, &head, sizeof(head));
+  head = slots;
+  bytes_backed_ -= kLineSize << slot_class;
+}
+
+uint64_t Region::LineOffset(uint64_t lines, uint64_t line) {
+  if (std::popcount(lines) > static_cast<int>(kMaxSlotLines)) {
+    return line << kLineShift;
+  }
+  return static_cast<uint64_t>(std::popcount(lines & ((1ULL << line) - 1))) << kLineShift;
+}
+
+uint8_t* Region::WritableRange(uint64_t offset, uint64_t n) {
+  std::unique_ptr<Directory>& dir = dirs_[offset >> kDirShift];
   if (!dir) {
     dir = std::make_unique<Directory>();  // Value-init: all pages unbacked.
   }
   uint64_t idx = (offset >> kPageShift) & (kPagesPerDir - 1);
   uint8_t*& page = dir->pages[idx];
-  if (page == nullptr) {
-    if (block_pages_used_ == kPagesPerBlock) {
-      std::vector<Block>& pool = BlockPool();
-      if (!pool.empty()) {
-        blocks_.push_back(std::move(pool.back()));
-        pool.pop_back();
-      } else {
-        // Left uninitialised.
-        Block block(static_cast<uint8_t*>(std::aligned_alloc(kBlockSize, kBlockSize)));
-        if (!block) {
-          throw std::bad_alloc();
-        }
-#ifdef MADV_HUGEPAGE
-        madvise(block.get(), kBlockSize, MADV_HUGEPAGE);  // Best effort.
-#endif
-        blocks_.push_back(std::move(block));
-      }
-      block_pages_used_ = 0;
-    }
-    // Not zeroed: its lines mask is 0, so every byte reads as zero.
-    page = blocks_.back().get() + (block_pages_used_++ << kPageShift);
-    ++pages_backed_;
-  }
+  uint64_t& lines = dir->lines[idx];
   uint64_t begin = offset & (kPageSize - 1);
   uint64_t end = begin + n;
   assert(n > 0 && end <= kPageSize);
   uint64_t first = begin >> kLineShift;
   uint64_t last = (end - 1) >> kLineShift;
-  uint64_t& lines = dir->lines[idx];
-  uint64_t fresh = LineBits(first, last) & ~lines;
+  uint64_t old = lines;
+  uint64_t fresh = LineBits(first, last) & ~old;
   if (fresh != 0) {
+    uint64_t now = old | fresh;
+    auto old_count = static_cast<uint64_t>(std::popcount(old));
+    auto count = static_cast<uint64_t>(std::popcount(now));
+    if (old_count <= kMaxSlotLines) {
+      // Unbacked or slot-packed: the new layout may need another backing.
+      uint8_t* to = page;
+      if (count > kMaxSlotLines) {
+        to = Carve(page_cursor_, kPageSize);
+      } else if (old == 0 || SlotClass(count) != SlotClass(old_count)) {
+        to = AllocSlots(SlotClass(count));
+      }
+      // Move the written lines to their new places, highest first: shifting
+      // in place, a line's new slot is then never one still to be moved.
+      for (uint64_t rest = old; rest != 0;) {
+        uint64_t line = 63 - std::countl_zero(rest);
+        rest &= ~(1ULL << line);
+        uint8_t* dst = to + LineOffset(now, line);
+        const uint8_t* src = page + LineOffset(old, line);
+        if (dst != src) {
+          std::memcpy(dst, src, kLineSize);
+        }
+      }
+      if (to != page && old != 0) {
+        FreeSlots(page, SlotClass(old_count));
+      }
+      page = to;
+    }
     // Only the two end lines can hold bytes the write does not cover, and
-    // those bytes are stale (the block may come dirty from the pool).
+    // those bytes are stale (blocks come dirty from the pool or free list).
     if ((fresh >> first) & 1) {
-      std::memset(page + (first << kLineShift), 0, begin & (kLineSize - 1));
+      std::memset(page + LineOffset(now, first), 0, begin & (kLineSize - 1));
     }
     if ((fresh >> last) & 1) {
-      std::memset(page + end, 0, (kLineSize - (end & (kLineSize - 1))) & (kLineSize - 1));
+      std::memset(page + LineOffset(now, last) + (end & (kLineSize - 1)), 0,
+                  (kLineSize - (end & (kLineSize - 1))) & (kLineSize - 1));
     }
-    lines |= fresh;
+    lines = now;
   }
-  return page;
+  return page + LineOffset(lines, first) + (begin & (kLineSize - 1));
 }
 
 // Both copies walk the range page by page but issue one memcpy per run of
-// pages that are adjacent in host memory (pages carved in write order are).
+// bytes that are adjacent in host memory (full pages carved in write order
+// are; a page's written lines in one range are consecutive slots).
 
 void Region::CopyIn(uint64_t offset, const void* src, uint64_t n) {
   const uint8_t* p = static_cast<const uint8_t*>(src);
@@ -108,7 +179,7 @@ void Region::CopyIn(uint64_t offset, const void* src, uint64_t n) {
   };
   while (n > 0) {
     uint64_t in_page = std::min(n, kPageSize - (offset & (kPageSize - 1)));
-    uint8_t* dst = WritablePage(offset, in_page) + (offset & (kPageSize - 1));
+    uint8_t* dst = WritableRange(offset, in_page);
     if (run_len > 0 && dst != run + run_len) {
       flush();
     }
@@ -141,22 +212,24 @@ void Region::CopyOut(uint64_t offset, void* dst, uint64_t n) const {
   while (n > 0) {
     uint64_t begin = offset & (kPageSize - 1);
     uint64_t in_page = std::min(n, kPageSize - begin);
-    uint64_t dir_idx = offset >> kDirShift;
-    assert(dir_idx < dirs_.size());
-    const Directory* dir = dirs_[dir_idx].get();
+    const Directory* dir = dirs_[offset >> kDirShift].get();
     uint64_t idx = (offset >> kPageShift) & (kPagesPerDir - 1);
     uint64_t want = LineBits(begin >> kLineShift, (begin + in_page - 1) >> kLineShift);
     // An unbacked page has no written lines.
-    uint64_t have = dir != nullptr ? dir->lines[idx] & want : 0;
+    uint64_t lines = dir != nullptr ? dir->lines[idx] : 0;
+    uint64_t have = lines & want;
     if (have != 0 && have != want) {
       // Written and unwritten lines mixed: copy this page on its own.
       if (run_len > 0) {
         flush();
       }
-      CopyOutLines(dir->pages[idx], have, begin, p, in_page);
+      CopyOutLines(dir->pages[idx], lines, begin, p, in_page);
       p += in_page;
     } else {
-      const uint8_t* src = have != 0 ? dir->pages[idx] + begin : nullptr;
+      // All lines written (contiguous in a slot block too) or none.
+      const uint8_t* src = have != 0 ? dir->pages[idx] + LineOffset(lines, begin >> kLineShift) +
+                                           (begin & (kLineSize - 1))
+                                     : nullptr;
       bool extends = src == nullptr ? run == nullptr : run != nullptr && src == run + run_len;
       if (run_len > 0 && !extends) {
         flush();
@@ -185,7 +258,9 @@ void Region::CopyOutLines(const uint8_t* page, uint64_t lines, uint64_t offset, 
       stop = std::min(end, stop + kLineSize);
     }
     if (written) {
-      std::memcpy(dst, page + offset, stop - offset);
+      // Consecutive written lines are consecutive in a slot block too.
+      std::memcpy(dst, page + LineOffset(lines, offset >> kLineShift) + (offset & (kLineSize - 1)),
+                  stop - offset);
     } else {
       std::memset(dst, 0, stop - offset);
     }
@@ -195,7 +270,13 @@ void Region::CopyOutLines(const uint8_t* page, uint64_t lines, uint64_t offset, 
 }
 
 void Region::Write(uint64_t offset, const void* src, uint64_t n) {
-  assert(offset + n <= size_);
+  CheckRange("Write", offset, n);
+  // UndoEntry::len is 32 bits: a larger write could not be rolled back.
+  if (n > UINT32_MAX) {
+    std::fprintf(stderr, "pmem::Region::Write too large to undo: offset %" PRIu64 " len %" PRIu64
+                 " region size %" PRIu64 "\n", offset, n, size_);
+    std::abort();
+  }
   // Capture undo data so an un-persisted write can be rolled back on Crash().
   // Old bytes append to the shared arena: no per-write allocation.
   UndoEntry undo;
@@ -220,6 +301,7 @@ void Region::Fill(uint64_t offset, uint8_t value, uint64_t n) {
 }
 
 void Region::Copy(uint64_t dst, uint64_t src, uint64_t n) {
+  CheckRange("Copy", src, n);
   static std::vector<uint8_t> scratch;
   if (scratch.size() < n) {
     scratch.resize(n);
@@ -229,7 +311,7 @@ void Region::Copy(uint64_t dst, uint64_t src, uint64_t n) {
 }
 
 void Region::Read(uint64_t offset, void* dst, uint64_t n) const {
-  assert(offset + n <= size_);
+  CheckRange("Read", offset, n);
   CopyOut(offset, dst, n);
 }
 

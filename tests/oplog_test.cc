@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,34 @@ TEST(OplogGhost, GhostModeSkipsPayloadBytes) {
   EXPECT_TRUE((*entries)[0].payload.empty());
   // Logical space is still consumed as if the payload were there.
   EXPECT_EQ(log.used_bytes(), ParsedEntry::AlignedSize(16384));
+}
+
+TEST(Crc32c, KnownVector) {
+  // The CRC32C check value (RFC 3720 B.4).
+  const char digits[] = "123456789";
+  EXPECT_EQ(Crc32c(digits, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32cSlicing8(digits, 9, 0), 0xE3069283u);
+}
+
+TEST(Crc32c, HardwareMatchesTablePath) {
+  if (!Crc32cHasHardware()) {
+    GTEST_SKIP() << "CPU has no crc32 instruction";
+  }
+  std::mt19937_64 rng(20261017);
+  std::vector<uint8_t> buf(4097 + 16);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng());
+  }
+  for (size_t len = 0; len <= 4097; ++len) {
+    for (size_t start : {0, 1, 3, 7, 13}) {
+      auto seed = static_cast<uint32_t>(rng());
+      for (uint32_t s : {0u, seed}) {
+        ASSERT_EQ(Crc32cHardware(buf.data() + start, len, s),
+                  Crc32cSlicing8(buf.data() + start, len, s))
+            << "len " << len << " start " << start << " seed " << s;
+      }
+    }
+  }
 }
 
 }  // namespace

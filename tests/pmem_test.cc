@@ -1,9 +1,11 @@
-// Unit tests for the persistent-memory emulation: persist/crash semantics and
-// the block allocator.
+// Unit tests for the persistent-memory emulation: persist/crash semantics,
+// slot-packed and full page backing, and the block allocator.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <random>
 #include <vector>
 
 #include "src/pmem/alloc.h"
@@ -94,12 +96,14 @@ TEST(Region, FirstWriteIntoALineZeroesOnlyWhatItLeavesUncovered) {
   region.Read(127, pair, sizeof(pair));  // Written line 1 into unwritten line 2.
   EXPECT_EQ(pair[0], 0);
   EXPECT_EQ(pair[1], 0);
-  EXPECT_EQ(region.bytes_backed(), 2u * 4096);
+  // Page 0 has 4 written lines (a 4-line slot block), page 1 has 1.
+  EXPECT_EQ(region.bytes_backed(), 4u * 64 + 64);
 }
 
 TEST(Region, WriteAcrossPagesTouchedOutOfOrder) {
-  // Pages 3 then 1 are backed first, so in host memory 1 and 2 end up
-  // adjacent but 3 does not follow 2: the copy must split its run there.
+  // Pages 3 then 1 get one line each first. The big write then promotes
+  // page 1 and backs page 2 as full pages, adjacent in host memory, while
+  // page 3 moves to a slot block: the copy must split its run there.
   Region region(1 << 20);
   uint8_t marker3 = 0x33;
   uint8_t marker1 = 0x11;
@@ -119,7 +123,8 @@ TEST(Region, WriteAcrossPagesTouchedOutOfOrder) {
   std::vector<uint8_t> out(expect.size());
   region.Read(0, out.data(), out.size());  // Pages 0 and 4 are unbacked.
   EXPECT_EQ(out, expect);
-  EXPECT_EQ(region.bytes_backed(), 3u * 4096);
+  // Pages 1 and 2 are full; page 3 has 6 written lines (an 8-line block).
+  EXPECT_EQ(region.bytes_backed(), 2u * 4096 + 8 * 64);
 }
 
 TEST(Region, CrashRollsBackWriteIntoFreshPages) {
@@ -129,7 +134,8 @@ TEST(Region, CrashRollsBackWriteIntoFreshPages) {
   region.Persist(0, 1);
   std::vector<uint8_t> data(3 * 4096, 0xC4);
   region.Write(5 * 4096 + 10, data.data(), data.size());  // Backs pages 5..8.
-  EXPECT_EQ(region.bytes_backed(), 5u * 4096);
+  // Pages 5..7 are full; pages 0 and 8 hold one line each.
+  EXPECT_EQ(region.bytes_backed(), 3u * 4096 + 2 * 64);
   region.Crash();
   std::vector<uint8_t> out(data.size(), 0xFF);
   region.Read(5 * 4096 + 10, out.data(), out.size());
@@ -144,15 +150,237 @@ TEST(Region, ReadsOfUntouchedRangesBackNothing) {
   EXPECT_EQ(region.bytes_backed(), 0u);
   uint8_t one = 1;
   region.Write(4096 + 7, &one, 1);
-  EXPECT_EQ(region.bytes_backed(), 4096u);
+  EXPECT_EQ(region.bytes_backed(), 64u);  // One line in a 1-line slot block.
   std::vector<uint8_t> out(8 << 20);
   region.Read(0, out.data(), out.size());  // Whole region, mostly unbacked.
   uint8_t pair[2] = {9, 9};
   region.Read((4 << 20) - 1, pair, sizeof(pair));  // Across a directory edge.
-  EXPECT_EQ(region.bytes_backed(), 4096u);
+  EXPECT_EQ(region.bytes_backed(), 64u);
   EXPECT_EQ(out[4096 + 7], 1);
   EXPECT_EQ(pair[0], 0);
   EXPECT_EQ(pair[1], 0);
+}
+
+// Leaves dirty blocks in the process-wide pool, so the next Region's pages
+// and slot blocks start out holding stale bytes.
+void DirtyThePool() {
+  Region dirty(8 << 20);
+  std::vector<uint8_t> junk(4 << 20, 0xEE);
+  dirty.Write(0, junk.data(), junk.size());
+  // Slot blocks too: one line in each of many pages.
+  for (uint64_t page = 1024; page < 2048; ++page) {
+    dirty.Write(page * 4096 + 64 * (page % 64), junk.data(), 64);
+  }
+}
+
+// A Region plus a flat copy of what it should read as.
+struct Shadowed {
+  explicit Shadowed(uint64_t size) : region(size), shadow(size, 0) {}
+
+  void Write(uint64_t offset, uint64_t n, uint8_t seed) {
+    std::vector<uint8_t> data(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      data[i] = static_cast<uint8_t>(seed + i * 13);
+    }
+    region.Write(offset, data.data(), n);
+    std::memcpy(shadow.data() + offset, data.data(), n);
+  }
+
+  // Fills one whole 64-byte line.
+  void WriteLine(uint64_t page, uint64_t line, uint8_t seed) {
+    Write(page * 4096 + line * 64, 64, seed);
+  }
+
+  ::testing::AssertionResult Matches() const {
+    std::vector<uint8_t> out(shadow.size(), 0xFF);
+    region.Read(0, out.data(), out.size());
+    for (uint64_t i = 0; i < out.size(); ++i) {
+      if (out[i] != shadow[i]) {
+        return ::testing::AssertionFailure() << "byte " << i << " reads " << int{out[i]}
+                                             << ", want " << int{shadow[i]};
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  Region region;
+  std::vector<uint8_t> shadow;
+};
+
+TEST(RegionSlots, PageGrowsThroughSizeClassesThenPromotes) {
+  DirtyThePool();
+  Shadowed s(64 << 10);
+  // Line counts 1, 2, 3, 5 and 9: blocks of 1, 2, 4 and 8 lines, then a
+  // full page. Lines land out of order, and partial writes leave bytes the
+  // first write into a line must zero.
+  s.Write(4096 + 40 * 64 + 5, 7, 1);  // Line 40.
+  EXPECT_TRUE(s.Matches());
+  EXPECT_EQ(s.region.bytes_backed(), 64u);
+  s.WriteLine(1, 2, 2);
+  EXPECT_TRUE(s.Matches());
+  EXPECT_EQ(s.region.bytes_backed(), 128u);
+  s.Write(4096 + 63 * 64 + 60, 4, 3);  // Line 63, its last bytes.
+  EXPECT_TRUE(s.Matches());
+  EXPECT_EQ(s.region.bytes_backed(), 256u);
+  s.Write(4096 + 10 * 64 + 30, 64, 4);  // Lines 10 and 11.
+  EXPECT_TRUE(s.Matches());
+  EXPECT_EQ(s.region.bytes_backed(), 512u);
+  s.Write(4096 + 20 * 64 + 1, 3 * 64, 5);  // Lines 20..23.
+  EXPECT_TRUE(s.Matches());
+  EXPECT_EQ(s.region.bytes_backed(), 4096u);
+  s.WriteLine(1, 0, 6);  // Into the full page.
+  EXPECT_TRUE(s.Matches());
+  EXPECT_EQ(s.region.bytes_backed(), 4096u);
+}
+
+TEST(RegionSlots, DescendingLinesShiftTheBlock) {
+  DirtyThePool();
+  Shadowed s(16 << 10);
+  // Every new line sorts first, so every line already in the block moves
+  // up one slot: in place while the block has room, else into a new one.
+  for (uint64_t line = 64; line-- > 50;) {
+    s.WriteLine(2, line, static_cast<uint8_t>(line));
+    ASSERT_TRUE(s.Matches()) << "after line " << line;
+  }
+  EXPECT_EQ(s.region.bytes_backed(), 4096u);
+}
+
+TEST(RegionSlots, SlotBlocksFreedByGrowthAreReusedClean) {
+  Shadowed s(1 << 20);
+  for (uint64_t line = 0; line < 9; ++line) {
+    s.WriteLine(0, line, 1);  // Frees a block of each class, then promotes.
+  }
+  EXPECT_EQ(s.region.bytes_backed(), 4096u);
+  // The freed blocks still hold page 0's lines; partial writes into them
+  // must read back zero around the written bytes.
+  for (uint64_t page = 1; page <= 4; ++page) {
+    for (uint64_t line = 0; line < 8; ++line) {
+      s.Write(page * 4096 + (63 - line * 3) * 64 + 7, 20, static_cast<uint8_t>(page * 8 + line));
+    }
+  }
+  EXPECT_TRUE(s.Matches());
+  EXPECT_EQ(s.region.bytes_backed(), 4096u + 4 * 512);
+}
+
+TEST(RegionSlots, CrashAfterGrowthAndPromotionRestoresDurableImage) {
+  DirtyThePool();
+  Shadowed s(64 << 10);
+  s.WriteLine(1, 5, 1);
+  s.Write(4096 + 30 * 64 + 9, 20, 2);
+  s.region.PersistAll();
+  std::vector<uint8_t> durable = s.shadow;
+
+  s.WriteLine(1, 0, 3);  // 3 lines: the page moves to a 4-line block.
+  s.Write(4096 + 30 * 64, 64, 4);  // Over the durable partial line.
+  EXPECT_TRUE(s.Matches());
+  s.region.Crash();
+  s.shadow = durable;
+  EXPECT_TRUE(s.Matches());
+
+  s.Write(4096 + 60, 40 * 64, 5);  // Promotes the page to a full one.
+  EXPECT_EQ(s.region.bytes_backed(), 4096u);
+  EXPECT_TRUE(s.Matches());
+  s.region.Crash();
+  s.shadow = durable;
+  EXPECT_TRUE(s.Matches());
+}
+
+TEST(RegionSlots, OneReadSpansSlotFullAndUnbackedPages) {
+  DirtyThePool();
+  Shadowed s(64 << 10);
+  s.WriteLine(3, 62, 1);  // Slot page.
+  s.WriteLine(3, 63, 2);
+  s.Write(4 * 4096, 4096, 3);  // Full page; page 5 stays unbacked.
+  s.WriteLine(6, 0, 4);   // Slot page.
+  std::vector<uint8_t> out(4 * 4096 + 200, 0xFF);
+  uint64_t from = 3 * 4096 + 62 * 64 + 10;
+  s.region.Read(from, out.data(), out.size());
+  EXPECT_EQ(0, std::memcmp(out.data(), s.shadow.data() + from, out.size()));
+}
+
+TEST(RegionSlots, RandomOpsMatchAFlatShadow) {
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    DirtyThePool();
+    constexpr uint64_t kSize = 256 << 10;  // 64 pages: ops overlap a lot.
+    Shadowed s(kSize);
+    // The durable image: each write's old bytes until persisted.
+    struct Undo {
+      uint64_t offset;
+      std::vector<uint8_t> old;
+      bool live;
+    };
+    std::vector<Undo> undo;
+    std::mt19937_64 rng(seed);
+    auto pick = [&](uint64_t bound) { return rng() % bound; };
+    for (int op = 0; op < 4000; ++op) {
+      uint64_t kind = pick(100);
+      // Mostly line-sized writes so pages dwell in slot blocks.
+      uint64_t n = kind < 70 ? 1 + pick(130) : 1 + pick(kind < 95 ? 1000 : 9000);
+      uint64_t offset = pick(kSize - n + 1);
+      if (kind < 80) {
+        undo.push_back({offset, std::vector<uint8_t>(s.shadow.begin() + offset,
+                                                     s.shadow.begin() + offset + n),
+                        true});
+        s.Write(offset, n, static_cast<uint8_t>(op));
+      } else if (kind < 90) {
+        s.region.Persist(offset, n);
+        for (Undo& u : undo) {
+          u.live = u.live && !(u.offset >= offset && u.offset + u.old.size() <= offset + n);
+        }
+      } else if (kind < 92) {
+        s.region.Crash();
+        for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+          if (it->live) {
+            std::memcpy(s.shadow.data() + it->offset, it->old.data(), it->old.size());
+          }
+        }
+        undo.clear();
+        ASSERT_TRUE(s.Matches()) << "seed " << seed << " op " << op;
+      } else {
+        std::vector<uint8_t> out(n, 0xFF);
+        s.region.Read(offset, out.data(), n);
+        ASSERT_EQ(0, std::memcmp(out.data(), s.shadow.data() + offset, n))
+            << "seed " << seed << " op " << op;
+      }
+    }
+    ASSERT_TRUE(s.Matches()) << "seed " << seed;
+  }
+}
+
+TEST(RegionSlots, OneHeaderPerSixteenKilobytesBacksAtMostTwoLines) {
+  constexpr uint64_t kSpan = 64 << 20;
+  constexpr uint64_t kStride = 16 << 10;
+  Region region(kSpan);
+  uint8_t header[64];
+  std::memset(header, 0x5C, sizeof(header));
+  for (uint64_t off = 0; off < kSpan; off += kStride) {
+    // Aligned and unaligned headers: one line or two.
+    region.Write(off + (off / kStride % 2) * 32, header, sizeof(header));
+  }
+  EXPECT_LE(region.bytes_backed(), 128 * (kSpan / kStride));
+  uint8_t out[96];
+  region.Read(kStride, out, sizeof(out));  // An unaligned header.
+  for (uint64_t i = 0; i < sizeof(out); ++i) {
+    EXPECT_EQ(out[i], i >= 32 ? 0x5C : 0) << "byte " << i;
+  }
+}
+
+TEST(RegionDeathTest, OutOfRangeAccessAborts) {
+  Region region(1 << 20);
+  uint8_t buf[16] = {};
+  EXPECT_DEATH(region.Write((1 << 20) - 8, buf, 16),
+               "Write out of range: offset 1048568 len 16 region size 1048576");
+  EXPECT_DEATH(region.Read(1 << 20, buf, 1), "Read out of range: offset 1048576 len 1");
+  EXPECT_DEATH(region.Copy(0, (1 << 20) - 1, 2), "Copy out of range: offset 1048575 len 2");
+  EXPECT_DEATH(region.Write(8, buf, UINT64_MAX - 4), "Write out of range");
+}
+
+TEST(RegionDeathTest, WriteTooLargeToUndoAborts) {
+  Region region(6ULL << 30);
+  uint8_t byte = 0;
+  // Aborts on the length alone, before reading the source.
+  EXPECT_DEATH(region.Write(0, &byte, 4ULL << 30),
+               "too large to undo: offset 0 len 4294967296 region size 6442450944");
 }
 
 TEST(Region, CrashRollsBackUnpersistedWrites) {
