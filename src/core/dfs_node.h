@@ -5,8 +5,10 @@
 #ifndef SRC_CORE_DFS_NODE_H_
 #define SRC_CORE_DFS_NODE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <optional>
+#include <map>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -19,6 +21,54 @@
 #include "src/hw/node.h"
 
 namespace linefs::core {
+
+// The history bitmap (§3.6): which inodes a node updated in each epoch, so a
+// recovering replica resynchronises only those. One bit per inode per epoch;
+// an epoch's bitmap grows to the highest inum recorded in it.
+class InodeHistory {
+ public:
+  InodeHistory() = default;
+  InodeHistory(const InodeHistory&) = delete;  // current_ points into bitmaps_.
+  InodeHistory& operator=(const InodeHistory&) = delete;
+
+  void Record(uint64_t epoch, fslib::InodeNum inum) {
+    if (current_ == nullptr || epoch != current_epoch_) {
+      current_epoch_ = epoch;
+      current_ = &bitmaps_[epoch];
+    }
+    size_t word = inum / 64;
+    if (word >= current_->size()) {
+      current_->resize(word + 1);
+    }
+    (*current_)[word] |= uint64_t{1} << (inum % 64);
+  }
+
+  // Every inode recorded in `from_epoch` or later.
+  std::set<fslib::InodeNum> UpdatedSince(uint64_t from_epoch) const {
+    std::vector<uint64_t> merged;
+    for (auto it = bitmaps_.lower_bound(from_epoch); it != bitmaps_.end(); ++it) {
+      const std::vector<uint64_t>& bitmap = it->second;
+      merged.resize(std::max(merged.size(), bitmap.size()));
+      for (size_t w = 0; w < bitmap.size(); ++w) {
+        merged[w] |= bitmap[w];
+      }
+    }
+    std::set<fslib::InodeNum> result;
+    for (size_t w = 0; w < merged.size(); ++w) {
+      for (uint64_t bits = merged[w]; bits != 0; bits &= bits - 1) {
+        result.insert(w * 64 + static_cast<uint64_t>(std::countr_zero(bits)));
+      }
+    }
+    return result;
+  }
+
+ private:
+  std::map<uint64_t, std::vector<uint64_t>> bitmaps_;  // epoch -> inode bits
+  // The last recorded epoch and its bitmap: publication records runs of
+  // updates in one epoch.
+  uint64_t current_epoch_ = 0;
+  std::vector<uint64_t>* current_ = nullptr;
+};
 
 class DfsNode {
  public:
@@ -49,36 +99,29 @@ class DfsNode {
 
   // --- Shared plan table (NICFS -> kernel worker hand-off) ------------------
 
-  // The table owns the plan: the kernel worker may consume it after the
+  // The table shares the plan: the kernel worker may consume it after the
   // NICFS-side caller has timed out and moved on (host crash mid-RPC).
-  uint64_t StashPlan(fslib::PublishPlan plan) {
+  uint64_t StashPlan(std::shared_ptr<const fslib::PublishPlan> plan) {
     uint64_t id = next_plan_id_++;
     plans_.emplace(id, std::move(plan));
     return id;
   }
-  std::optional<fslib::PublishPlan> TakePlan(uint64_t id) {
+  // The stashed plan, removed from the table; null if already taken.
+  std::shared_ptr<const fslib::PublishPlan> TakePlan(uint64_t id) {
     auto it = plans_.find(id);
     if (it == plans_.end()) {
-      return std::nullopt;
+      return nullptr;
     }
-    fslib::PublishPlan plan = std::move(it->second);
+    std::shared_ptr<const fslib::PublishPlan> plan = std::move(it->second);
     plans_.erase(it);
     return plan;
   }
 
   // --- History bitmap (§3.6) -------------------------------------------------
 
-  void RecordInodeUpdate(uint64_t epoch, fslib::InodeNum inum) {
-    history_[epoch].insert(inum);
-  }
+  void RecordInodeUpdate(uint64_t epoch, fslib::InodeNum inum) { history_.Record(epoch, inum); }
   std::set<fslib::InodeNum> InodesUpdatedSince(uint64_t from_epoch) const {
-    std::set<fslib::InodeNum> result;
-    for (const auto& [epoch, inodes] : history_) {
-      if (epoch >= from_epoch) {
-        result.insert(inodes.begin(), inodes.end());
-      }
-    }
-    return result;
+    return history_.UpdatedSince(from_epoch);
   }
 
  private:
@@ -87,9 +130,9 @@ class DfsNode {
   fslib::Layout layout_;
   fslib::PublicFs fs_;
   std::vector<std::unique_ptr<fslib::LogArea>> logs_;
-  std::unordered_map<uint64_t, fslib::PublishPlan> plans_;
+  std::unordered_map<uint64_t, std::shared_ptr<const fslib::PublishPlan>> plans_;
   uint64_t next_plan_id_ = 1;
-  std::unordered_map<uint64_t, std::set<fslib::InodeNum>> history_;
+  InodeHistory history_;
 };
 
 }  // namespace linefs::core

@@ -1,5 +1,6 @@
 #include "src/core/kworker.h"
 
+#include <memory>
 #include <vector>
 
 #include "src/sim/sync.h"
@@ -28,8 +29,8 @@ void KernelWorker::Start() {
 
   endpoint->Handle<KworkerCopyReq, Ack>(
       kRpcKworkerCopy, [this](KworkerCopyReq req) -> sim::Task<Ack> {
-        std::optional<fslib::PublishPlan> plan = node_->TakePlan(req.plan_id);
-        if (!plan.has_value()) {
+        std::shared_ptr<const fslib::PublishPlan> plan = node_->TakePlan(req.plan_id);
+        if (plan == nullptr) {
           co_return Ack{static_cast<int32_t>(ErrorCode::kInvalid)};
         }
         // The host-side data movement, nested under NICFS's publish span.

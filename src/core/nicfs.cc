@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "src/compress/lzw.h"
 #include "src/core/cluster.h"
@@ -900,13 +901,14 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
     co_await node_->hw().nic().cpu().RunCycles(config_->fs_costs.publish_entry_cycles * n,
                                                sim::Priority::kNormal,
                                                node_->hw().nic().nicfs_account());
-    Result<fslib::PublishPlan> plan = node_->fs().PlanPublish(to_publish, *pipe->log);
-    if (!plan.ok()) {
-      result = plan.status();
+    Result<fslib::PublishPlan> planned = node_->fs().PlanPublish(to_publish, *pipe->log);
+    if (!planned.ok()) {
+      result = planned.status();
     } else {
+      auto plan = std::make_shared<const fslib::PublishPlan>(std::move(*planned));
       bool copies_done = false;
       if (!isolated_ && kworker_ != nullptr) {
-        uint64_t plan_id = node_->StashPlan(*plan);
+        uint64_t plan_id = node_->StashPlan(plan);
         Result<Ack> ack = co_await cluster_->rpc().Call<KworkerCopyReq, Ack>(
             NicInitiator(false), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
             KernelWorker::EndpointName(node_->id()), rdma::Channel::kHighTput,
@@ -917,7 +919,7 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
           copies_done = true;
         } else {
           // Timed out or refused: drop the hand-off if unconsumed (a handler
-          // that already took it owns its copy) and go isolated (§3.5).
+          // that already took it keeps it alive) and go isolated (§3.5).
           node_->TakePlan(plan_id);
           isolated_ = true;
         }

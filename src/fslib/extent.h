@@ -8,6 +8,16 @@
 // are copy-on-write: InsertRange() carves out any overlapped old runs and
 // reports them so the caller can free the blocks.
 //
+// Metadata lives in DRAM, PM holds the durable copy (cf. SplitFS). Each
+// inode's decoded extents and chain blocks are mirrored in DRAM, loaded from
+// PM on first use. Reads (Load, Lookup, ChainBlocks) are served from the
+// mirror. An edit is applied to the mirror in place (a binary search and a
+// splice; an append past the last run merges into it or is pushed back), and
+// then only the changed suffix is written to PM. A mirror is reloaded when
+// the inode's `extent_root` is not the one it was loaded from, and all are
+// dropped on DropMirrors() (Mkfs, Mount) and when the Region has crashed since
+// they were loaded; Destroy() drops the inode's own.
+//
 // Updates keep the chain and write only what changed, so an append costs O(1)
 // PM metadata however many extents the file has:
 //  - a new run appended into the last block's free slots: the entries are
@@ -29,6 +39,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "src/fslib/inode.h"
@@ -52,11 +63,13 @@ class ExtentList {
   ExtentList(pmem::Region* region, pmem::BlockAllocator* allocator)
       : region_(region), allocator_(allocator) {}
 
-  // Loads the full (sorted) extent list of `inode`.
-  std::vector<Extent> Load(const Inode& inode) const;
+  // The full (sorted) extent list of `inode`. The reference points into the
+  // mirror: it is valid until this ExtentList edits or drops that mirror, or
+  // serves any inode after a Region crash.
+  const std::vector<Extent>& Load(const Inode& inode) const;
 
-  // The chain blocks of `inode`, head first.
-  std::vector<uint64_t> ChainBlocks(const Inode& inode) const;
+  // The chain blocks of `inode`, head first (same validity as Load).
+  const std::vector<uint64_t>& ChainBlocks(const Inode& inode) const;
 
   // Maps `lblock`; the returned extent is clipped to start at lblock.
   std::optional<Extent> Lookup(const Inode& inode, uint64_t lblock) const;
@@ -73,10 +86,13 @@ class ExtentList {
   // Frees the whole chain and all data blocks (unlink of a 0-link file).
   Status Destroy(Inode* inode);
 
-  // In-memory helpers (also used on already-loaded lists).
+  // Forgets every mirror: the PM image was formatted or is being remounted.
+  void DropMirrors() { mirrors_.clear(); }
+
+  // Chains decoded from PM so far, i.e. mirror misses.
+  uint64_t chain_loads() const { return chain_loads_; }
+
   static std::optional<Extent> LookupIn(const std::vector<Extent>& extents, uint64_t lblock);
-  static void InsertInto(std::vector<Extent>* extents, uint64_t lblock, uint64_t count,
-                         uint64_t pblock, std::vector<Extent>* freed);
 
  private:
   static constexpr uint32_t kNodeMagic = 0x45585431;  // "EXT1"
@@ -88,20 +104,31 @@ class ExtentList {
   };
   static constexpr uint64_t kEntriesPerBlock = (kBlockSize - sizeof(NodeHeader)) / sizeof(Extent);
 
-  // Appends the entries of the chain at `root` to `extents` and, unless
-  // null, its blocks to `blocks`.
-  void LoadChain(uint64_t root, std::vector<Extent>* extents,
-                 std::vector<uint64_t>* blocks) const;
-  // Rewrites the chain of `inode` (holding `old` in `blocks`) to hold
-  // `updated`.
-  Status Update(Inode* inode, const std::vector<Extent>& old,
-                const std::vector<uint64_t>& blocks, const std::vector<Extent>& updated);
-  // Writes `n` extents into fresh, persisted chain blocks; returns the head
-  // block (0 when n == 0).
-  Result<uint64_t> WriteBlocks(const Extent* extents, size_t n);
+  // DRAM copy of one inode's chain.
+  struct Mirror {
+    uint64_t root = 0;  // The extent_root it was loaded from.
+    std::vector<Extent> extents;
+    std::vector<uint64_t> blocks;
+  };
+
+  // The mirror of `inode`, loaded from PM on a miss.
+  Mirror& MirrorOf(const Inode& inode) const;
+  // Decodes the chain at mirror->root from PM into `mirror`.
+  void LoadChain(Mirror* mirror) const;
+  // Persists an edit already applied to `mirror`: entries before `first` are
+  // unchanged, and `old_suffix` holds the old entries from `first` on.
+  Status Update(Inode* inode, Mirror* mirror, size_t first,
+                const std::vector<Extent>& old_suffix);
+  // Writes `n` extents into fresh, persisted chain blocks, appended to
+  // `chain`; returns the head block (0 when n == 0).
+  Result<uint64_t> WriteBlocks(const Extent* extents, size_t n, std::vector<uint64_t>* chain);
 
   pmem::Region* region_;
   pmem::BlockAllocator* allocator_;
+  mutable std::unordered_map<InodeNum, Mirror> mirrors_;
+  mutable uint64_t mirrored_crash_count_ = 0;  // region_->crash_count() when mirrors_ was valid.
+  mutable uint64_t chain_loads_ = 0;
+  std::vector<Extent> old_suffix_;  // Update's old suffix; kept to reuse its capacity.
 };
 
 }  // namespace linefs::fslib

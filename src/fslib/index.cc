@@ -4,68 +4,71 @@
 
 namespace linefs::fslib {
 
+PrivateIndex::InodeState& PrivateIndex::Touch(InodeNum inum, uint64_t logical_pos,
+                                               uint64_t first_block, uint64_t nblocks) {
+  InodeState& state = inodes_[inum];
+  state.last_pos = logical_pos;
+  inode_log_.push_back(InodeRef{logical_pos, inum, first_block, nblocks});
+  return state;
+}
+
+void PrivateIndex::SetName(const NameKey& key, NameEntry entry) {
+  name_log_.push_back(NameRef{entry.logical_pos, key});
+  names_[key] = entry;
+}
+
 void PrivateIndex::OnData(InodeNum inum, uint64_t file_offset, uint32_t len, uint64_t seq,
                           uint64_t logical_pos) {
-  InodeState& state = inodes_[inum];
   uint64_t first = file_offset >> kBlockShift;
   uint64_t last = (file_offset + len - 1) >> kBlockShift;
+  InodeState& state = Touch(inum, logical_pos, first, last - first + 1);
   Overlay overlay{seq, logical_pos, file_offset, len};
   for (uint64_t b = first; b <= last; ++b) {
-    state.blocks[b].push_back(overlay);
-    ++overlay_count_;
-    overlay_log_.push_back(OverlayRef{logical_pos, inum, b});
+    auto [it, inserted] = state.blocks.try_emplace(b, BlockOverlays{overlay, {}});
+    if (!inserted) {
+      it->second.newer.push_back(overlay);
+    }
   }
   uint64_t end = file_offset + len;
   if (!state.pending_size.has_value() || *state.pending_size < end) {
     state.pending_size = end;
   }
-  state.last_pos = logical_pos;
 }
 
 void PrivateIndex::OnCreate(InodeNum parent, const std::string& name, InodeNum inum,
                             FileType type, uint64_t logical_pos) {
-  names_[NameKey{parent, name}] = NameEntry{NameState::kExists, inum, logical_pos};
-  InodeState& state = inodes_[inum];
+  SetName(NameKey{parent, name}, NameEntry{NameState::kExists, inum, logical_pos});
+  InodeState& state = Touch(inum, logical_pos);
   state.pending_type = type;
   state.pending_size = 0;
   state.size_exact = true;
   state.deleted = false;
-  state.last_pos = logical_pos;
 }
 
 void PrivateIndex::OnUnlink(InodeNum parent, const std::string& name, InodeNum inum,
                             uint64_t logical_pos) {
-  names_[NameKey{parent, name}] = NameEntry{NameState::kDeleted, kInvalidInode, logical_pos};
-  InodeState& state = inodes_[inum];
+  SetName(NameKey{parent, name}, NameEntry{NameState::kDeleted, kInvalidInode, logical_pos});
+  InodeState& state = Touch(inum, logical_pos);
   state.deleted = true;
   state.blocks.clear();
-  state.last_pos = logical_pos;
 }
 
 void PrivateIndex::OnRename(InodeNum src_parent, const std::string& old_name,
                             InodeNum dst_parent, const std::string& new_name, InodeNum inum,
                             uint64_t logical_pos) {
-  names_[NameKey{src_parent, old_name}] =
-      NameEntry{NameState::kDeleted, kInvalidInode, logical_pos};
-  names_[NameKey{dst_parent, new_name}] = NameEntry{NameState::kExists, inum, logical_pos};
-  inodes_[inum].last_pos = logical_pos;
+  SetName(NameKey{src_parent, old_name},
+          NameEntry{NameState::kDeleted, kInvalidInode, logical_pos});
+  SetName(NameKey{dst_parent, new_name}, NameEntry{NameState::kExists, inum, logical_pos});
+  Touch(inum, logical_pos);
 }
 
 void PrivateIndex::OnTruncate(InodeNum inum, uint64_t new_size, uint64_t logical_pos) {
-  InodeState& state = inodes_[inum];
+  InodeState& state = Touch(inum, logical_pos);
   state.pending_size = new_size;
   state.size_exact = true;
   // Drop overlays entirely beyond the new end.
   uint64_t keep_blocks = BlocksFor(new_size);
-  for (auto it = state.blocks.begin(); it != state.blocks.end();) {
-    if (it->first >= keep_blocks) {
-      overlay_count_ -= it->second.size();
-      it = state.blocks.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  state.last_pos = logical_pos;
+  std::erase_if(state.blocks, [&](const auto& block) { return block.first >= keep_blocks; });
 }
 
 std::vector<PrivateIndex::Overlay> PrivateIndex::LookupRange(InodeNum inum, uint64_t offset,
@@ -83,7 +86,9 @@ std::vector<PrivateIndex::Overlay> PrivateIndex::LookupRange(InodeNum inum, uint
     if (bit == state.blocks.end()) {
       continue;
     }
-    for (const Overlay& o : bit->second) {
+    const BlockOverlays& overlays = bit->second;
+    for (size_t i = 0; i < overlays.size(); ++i) {
+      const Overlay& o = overlays[i];
       if (o.file_offset < offset + len && o.file_offset + o.len > offset) {
         result.push_back(o);
       }
@@ -148,58 +153,54 @@ bool PrivateIndex::PendingDeleted(InodeNum inum) const {
 }
 
 void PrivateIndex::DropPublished(uint64_t published_upto) {
-  // Overlay reclaim is driven by the append-ordered ref log: logical positions
-  // are monotone, so exactly the refs below `published_upto` sit at the front
-  // and the rest of the index is never scanned. A ref whose block was already
-  // cleared (unlink, truncate) just falls through — overlay_count_ only
-  // tracks live overlays actually erased here.
-  while (!overlay_log_.empty() && overlay_log_.front().logical_pos < published_upto) {
-    OverlayRef ref = overlay_log_.front();
-    overlay_log_.pop_front();
+  // Reclaim is driven by the append-ordered ref logs: logical positions are
+  // monotone, so exactly the refs below `published_upto` sit at their fronts
+  // and the rest of the index is never visited.
+  while (!inode_log_.empty() && inode_log_.front().logical_pos < published_upto) {
+    InodeRef ref = inode_log_.front();
+    inode_log_.pop_front();
     auto it = inodes_.find(ref.inum);
     if (it == inodes_.end()) {
       continue;
     }
-    auto bit = it->second.blocks.find(ref.block);
-    if (bit == it->second.blocks.end()) {
-      continue;
-    }
-    std::vector<Overlay>& overlays = bit->second;
-    // Per-block vectors are in append (= logical_pos) order: published
-    // overlays form a prefix.
-    size_t drop = 0;
-    while (drop < overlays.size() && overlays[drop].logical_pos < published_upto) {
-      ++drop;
-    }
-    if (drop > 0) {
-      overlays.erase(overlays.begin(), overlays.begin() + drop);
-      overlay_count_ -= drop;
-      if (overlays.empty()) {
-        it->second.blocks.erase(bit);
+    InodeState& state = it->second;
+    for (uint64_t b = ref.first_block; b < ref.first_block + ref.nblocks; ++b) {
+      auto bit = state.blocks.find(b);
+      if (bit == state.blocks.end()) {
+        continue;
+      }
+      // Published overlays form a prefix of the block's (log-ordered) list.
+      BlockOverlays& overlays = bit->second;
+      size_t drop = 0;
+      while (drop < overlays.size() && overlays[drop].logical_pos < published_upto) {
+        ++drop;
+      }
+      if (drop == overlays.size()) {
+        state.blocks.erase(bit);
+      } else if (drop > 0) {
+        overlays.oldest = overlays.newer[drop - 1];
+        overlays.newer.erase(overlays.newer.begin(),
+                             overlays.newer.begin() + static_cast<ptrdiff_t>(drop));
       }
     }
-  }
-  for (auto it = inodes_.begin(); it != inodes_.end();) {
-    InodeState& state = it->second;
-    bool attrs_published = state.last_pos < published_upto;
-    if (state.blocks.empty() && attrs_published) {
-      it = inodes_.erase(it);
-    } else {
-      if (attrs_published) {
+    if (state.last_pos < published_upto) {
+      // Everything this inode's entries set is now in the public area.
+      if (state.blocks.empty()) {
+        inodes_.erase(it);
+      } else {
         state.pending_size.reset();
         state.size_exact = false;
         state.pending_type.reset();
         state.deleted = false;
       }
-      ++it;
     }
   }
-  for (auto it = names_.begin(); it != names_.end();) {
-    if (it->second.logical_pos < published_upto) {
-      it = names_.erase(it);
-    } else {
-      ++it;
+  while (!name_log_.empty() && name_log_.front().logical_pos < published_upto) {
+    auto it = names_.find(name_log_.front().key);
+    if (it != names_.end() && it->second.logical_pos < published_upto) {
+      names_.erase(it);
     }
+    name_log_.pop_front();
   }
 }
 

@@ -72,12 +72,18 @@ class PrivateIndex {
   // now served by the public area).
   void DropPublished(uint64_t published_upto);
 
-  size_t overlay_count() const { return overlay_count_; }
-
  private:
+  // The overlays touching one block, in insertion (== seq == log) order. Most
+  // blocks only ever hold one, so the oldest is kept inline.
+  struct BlockOverlays {
+    Overlay oldest;
+    std::vector<Overlay> newer;
+
+    size_t size() const { return 1 + newer.size(); }
+    const Overlay& operator[](size_t i) const { return i == 0 ? oldest : newer[i - 1]; }
+  };
   struct InodeState {
-    // block# -> overlays touching that block (insertion == seq order).
-    std::unordered_map<uint64_t, std::vector<Overlay>> blocks;
+    std::unordered_map<uint64_t, BlockOverlays> blocks;  // block# -> overlays
     std::optional<uint64_t> pending_size;
     bool size_exact = false;  // Set by create/truncate: overrides public size.
     std::optional<FileType> pending_type;
@@ -100,19 +106,33 @@ class PrivateIndex {
     }
   };
 
-  // Append-ordered log of every overlay insertion, so DropPublished reclaims
-  // by popping the published prefix instead of scanning the whole index.
-  // Refs can go stale (unlink/truncate cleared the block); they are skipped.
-  struct OverlayRef {
+  // Append-ordered logs of every update, so DropPublished reclaims by popping
+  // the published prefix instead of scanning the whole index. An inode ref
+  // covers the blocks [first_block, first_block + nblocks) its entry overlaid
+  // (none for metadata entries). Refs can go stale (a later entry touched the
+  // same state, or unlink/truncate cleared a block); they are skipped.
+  struct InodeRef {
     uint64_t logical_pos;
     InodeNum inum;
-    uint64_t block;
+    uint64_t first_block = 0;
+    uint64_t nblocks = 0;
   };
+  struct NameRef {
+    uint64_t logical_pos;
+    NameKey key;
+  };
+
+  // The state of `inum`, marked as last changed by the entry at logical_pos;
+  // logs a ref to the entry and the blocks it overlays.
+  InodeState& Touch(InodeNum inum, uint64_t logical_pos, uint64_t first_block = 0,
+                    uint64_t nblocks = 0);
+  // Sets the pending state of a name and logs a ref to it.
+  void SetName(const NameKey& key, NameEntry entry);
 
   std::unordered_map<InodeNum, InodeState> inodes_;
   std::unordered_map<NameKey, NameEntry, NameKeyHash> names_;
-  std::deque<OverlayRef> overlay_log_;
-  size_t overlay_count_ = 0;
+  std::deque<InodeRef> inode_log_;
+  std::deque<NameRef> name_log_;
 };
 
 }  // namespace linefs::fslib

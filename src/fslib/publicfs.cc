@@ -2,28 +2,53 @@
 
 #include <algorithm>
 #include <cassert>
+#include <compare>
 #include <unordered_set>
 
 namespace linefs::fslib {
 
 struct PublicFs::PlanContext {
-  std::unordered_map<InodeNum, std::vector<Extent>> extents;
-  std::unordered_map<InodeNum, uint64_t> sizes;
+  // The planning view of one inode: its published mapping (read through the
+  // extent mirror) overlaid with the runs earlier entries of this batch
+  // planned, and clipped by the truncates and creates among them.
+  struct View {
+    Inode inode;                  // As published (inum 0: not published).
+    uint64_t cut = UINT64_MAX;    // Published blocks from here on are gone.
+    std::vector<Extent> planned;  // Oldest first.
+    uint64_t size = 0;
+  };
+  std::unordered_map<InodeNum, View> views;
 
-  // Loads the planning view of an inode (PM state overlaid with earlier
-  // entries of this batch).
-  void Ensure(PublicFs* fs, InodeNum inum) {
-    if (extents.contains(inum)) {
-      return;
+  View& Ensure(PublicFs* fs, InodeNum inum) {
+    auto [it, inserted] = views.try_emplace(inum);
+    View& view = it->second;
+    if (inserted) {
+      Result<Inode> inode = fs->inodes_.Get(inum);
+      if (inode.ok()) {
+        view.inode = *inode;
+        view.size = inode->size;
+      } else {
+        view.cut = 0;
+      }
     }
-    Result<Inode> inode = fs->inodes_.Get(inum);
-    if (inode.ok()) {
-      extents[inum] = fs->extents_.Load(*inode);
-      sizes[inum] = inode->size;
-    } else {
-      extents[inum] = {};
-      sizes[inum] = 0;
+    return view;
+  }
+
+  // The physical block behind `lblock` in the view, if mapped.
+  static std::optional<uint64_t> Lookup(PublicFs* fs, const View& view, uint64_t lblock) {
+    for (auto it = view.planned.rbegin(); it != view.planned.rend(); ++it) {
+      if (lblock >= it->lblock && lblock < it->lblock + it->count) {
+        return it->pblock + (lblock - it->lblock);
+      }
     }
+    if (lblock >= view.cut) {
+      return std::nullopt;
+    }
+    std::optional<Extent> published = fs->extents_.Lookup(view.inode, lblock);
+    if (!published.has_value()) {
+      return std::nullopt;
+    }
+    return published->pblock;
   }
 };
 
@@ -43,6 +68,7 @@ void PublicFs::Mkfs() {
   region_->Persist(0, sizeof(sb));
 
   allocator_.Reset();
+  extents_.DropMirrors();
   dirs_.InvalidateAll();
 
   Inode root;
@@ -60,6 +86,7 @@ Status PublicFs::Mount() {
     return Status::Error(ErrorCode::kCorrupt, "bad superblock magic");
   }
   allocator_.Reset();
+  extents_.DropMirrors();
   dirs_.InvalidateAll();
   // Rebuild allocation state from live inodes: chain blocks + data extents.
   for (InodeNum inum = 1; inum < layout_.inode_count; ++inum) {
@@ -93,6 +120,7 @@ Result<PublishPlan> PublicFs::PlanPublish(const std::vector<ParsedEntry>& parsed
                                           const LogArea& log) {
   PublishPlan plan;
   plan.entries.resize(parsed.size());
+  plan.copies.reserve(parsed.size());
   PlanContext ctx;
 
   for (size_t i = 0; i < parsed.size(); ++i) {
@@ -101,32 +129,29 @@ Result<PublishPlan> PublicFs::PlanPublish(const std::vector<ParsedEntry>& parsed
     const LogEntryHeader& h = entry.header;
     switch (h.type) {
       case LogOpType::kCreate:
-      case LogOpType::kMkdir:
-        ctx.extents[h.inum] = {};
-        ctx.sizes[h.inum] = 0;
+      case LogOpType::kMkdir: {
+        PlanContext::View& view = ctx.views[h.inum];
+        view.cut = 0;
+        view.planned.clear();
+        view.size = 0;
         break;
+      }
       case LogOpType::kTruncate: {
-        ctx.Ensure(this, h.inum);
+        PlanContext::View& view = ctx.Ensure(this, h.inum);
         uint64_t new_size = h.offset;
         // Drop view mappings at or beyond the new end (mirrors TruncateTo).
         uint64_t first_removed = BlocksFor(new_size);
-        std::vector<Extent>& view = ctx.extents[h.inum];
-        std::vector<Extent> kept;
-        for (const Extent& e : view) {
-          if (e.lblock + e.count <= first_removed) {
-            kept.push_back(e);
-          } else if (e.lblock < first_removed) {
-            kept.push_back(Extent{e.lblock, first_removed - e.lblock, e.pblock});
-          }
+        std::erase_if(view.planned, [&](const Extent& e) { return e.lblock >= first_removed; });
+        for (Extent& e : view.planned) {
+          e.count = std::min(e.count, first_removed - e.lblock);
         }
-        view = std::move(kept);
-        ctx.sizes[h.inum] = new_size;
+        view.cut = std::min(view.cut, first_removed);
+        view.size = new_size;
         per.new_size = new_size;
         break;
       }
       case LogOpType::kData: {
-        ctx.Ensure(this, h.inum);
-        std::vector<Extent>& view = ctx.extents[h.inum];
+        PlanContext::View& view = ctx.Ensure(this, h.inum);
         uint64_t off = h.offset;
         uint64_t len = h.payload_len;
         uint64_t first_lb = off >> kBlockShift;
@@ -143,10 +168,10 @@ Result<PublishPlan> PublicFs::PlanPublish(const std::vector<ParsedEntry>& parsed
         // Head partial block: preserve bytes before `off` within the block.
         uint64_t head_gap = off & (kBlockSize - 1);
         if (head_gap != 0) {
-          std::optional<Extent> old = ExtentList::LookupIn(view, first_lb);
+          std::optional<uint64_t> old = PlanContext::Lookup(this, view, first_lb);
           CopyOp op;
           op.kind = old.has_value() ? CopyOp::Kind::kOldBlock : CopyOp::Kind::kZero;
-          op.src_off = old.has_value() ? old->pblock << kBlockShift : 0;
+          op.src_off = old.has_value() ? *old << kBlockShift : 0;
           op.dst_off = new_base;
           op.len = head_gap;
           plan.copies.push_back(op);
@@ -155,11 +180,10 @@ Result<PublishPlan> PublicFs::PlanPublish(const std::vector<ParsedEntry>& parsed
         // Tail partial block: preserve bytes after off+len within the block.
         uint64_t tail_gap = (off + len) & (kBlockSize - 1);
         if (tail_gap != 0) {
-          std::optional<Extent> old = ExtentList::LookupIn(view, last_lb);
+          std::optional<uint64_t> old = PlanContext::Lookup(this, view, last_lb);
           CopyOp op;
           op.kind = old.has_value() ? CopyOp::Kind::kOldBlock : CopyOp::Kind::kZero;
-          op.src_off =
-              old.has_value() ? (old->pblock << kBlockShift) + tail_gap : 0;
+          op.src_off = old.has_value() ? (*old << kBlockShift) + tail_gap : 0;
           op.dst_off = new_base + (nblocks - 1) * kBlockSize + tail_gap;
           op.len = kBlockSize - tail_gap;
           plan.copies.push_back(op);
@@ -174,11 +198,10 @@ Result<PublishPlan> PublicFs::PlanPublish(const std::vector<ParsedEntry>& parsed
         plan.copies.push_back(payload);
         plan.copy_bytes += len;
 
-        per.segments.push_back(PublishPlan::Segment{first_lb, nblocks, *pblock});
-        ExtentList::InsertInto(&view, first_lb, nblocks, *pblock, nullptr);
-        uint64_t& size = ctx.sizes[h.inum];
-        size = std::max(size, off + len);
-        per.new_size = size;
+        per.segment = PublishPlan::Segment{first_lb, nblocks, *pblock};
+        view.planned.push_back(Extent{first_lb, nblocks, *pblock});
+        view.size = std::max(view.size, off + len);
+        per.new_size = view.size;
         break;
       }
       default:
@@ -287,6 +310,7 @@ Status PublicFs::ApplyNamespaceOp(const ParsedEntry& entry) {
 
 Status PublicFs::CommitPublish(const PublishPlan& plan, const std::vector<ParsedEntry>& parsed) {
   assert(plan.entries.size() == parsed.size());
+  std::vector<Extent> freed;
   for (size_t i = 0; i < parsed.size(); ++i) {
     const ParsedEntry& entry = parsed[i];
     const PublishPlan::PerEntry& per = plan.entries[i];
@@ -308,13 +332,12 @@ Status PublicFs::CommitPublish(const PublishPlan& plan, const std::vector<Parsed
         if (!inode.ok()) {
           return inode.status();
         }
-        std::vector<Extent> freed;
-        for (const PublishPlan::Segment& seg : per.segments) {
-          Status st = extents_.InsertRange(&inode.value(), seg.lblock, seg.nblocks, seg.pblock,
-                                           &freed);
-          if (!st.ok()) {
-            return st;
-          }
+        freed.clear();
+        const PublishPlan::Segment& seg = per.segment;
+        Status st =
+            extents_.InsertRange(&inode.value(), seg.lblock, seg.nblocks, seg.pblock, &freed);
+        if (!st.ok()) {
+          return st;
         }
         for (const Extent& e : freed) {
           allocator_.Free(e.pblock, e.count);
@@ -331,7 +354,7 @@ Status PublicFs::CommitPublish(const PublishPlan& plan, const std::vector<Parsed
         if (!inode.ok()) {
           return inode.status();
         }
-        std::vector<Extent> freed;
+        freed.clear();
         Status st = extents_.TruncateTo(&inode.value(), BlocksFor(per.new_size), &freed);
         if (!st.ok()) {
           return st;
@@ -400,7 +423,7 @@ Result<uint64_t> PublicFs::ReadData(InodeNum inum, uint64_t offset, std::span<ui
   if (!materialize) {
     return len;
   }
-  std::vector<Extent> extents = extents_.Load(*inode);
+  const std::vector<Extent>& extents = extents_.Load(*inode);
   uint64_t done = 0;
   while (done < len) {
     uint64_t pos = offset + done;
@@ -455,19 +478,30 @@ uint64_t CoalesceEntries(std::vector<ParsedEntry>* entries) {
   }
 
   // Pass 2: a data write fully superseded by a later write of the same exact
-  // range is skipped (temporarily durable data).
-  std::unordered_map<uint64_t, size_t> last_writer;  // (inum,offset,len) -> idx
-  for (size_t i = entries->size(); i > 0; --i) {
-    size_t idx = i - 1;
-    const LogEntryHeader& h = (*entries)[idx].header;
-    if (h.type != LogOpType::kData || drop[idx]) {
-      continue;
+  // (inum, offset, len) range is skipped (temporarily durable data). Sorting
+  // the writes by range, then position, puts each superseded one right before
+  // a later write of its range.
+  struct Write {
+    InodeNum inum;
+    uint64_t offset;
+    uint64_t len;
+    size_t idx;
+    auto operator<=>(const Write&) const = default;
+  };
+  std::vector<Write> writes;
+  for (size_t i = 0; i < entries->size(); ++i) {
+    const LogEntryHeader& h = (*entries)[i].header;
+    if (h.type == LogOpType::kData && !drop[i]) {
+      writes.push_back(Write{h.inum, h.offset, h.payload_len, i});
     }
-    uint64_t key = h.inum * 1000003 ^ h.offset * 31 ^ h.payload_len;
-    auto [it, inserted] = last_writer.emplace(key, idx);
-    if (!inserted) {
-      drop[idx] = true;  // A later entry overwrites the same range.
-      eliminated += h.payload_len;
+  }
+  std::sort(writes.begin(), writes.end());
+  for (size_t k = 0; k + 1 < writes.size(); ++k) {
+    const Write& w = writes[k];
+    const Write& next = writes[k + 1];
+    if (w.inum == next.inum && w.offset == next.offset && w.len == next.len) {
+      drop[w.idx] = true;  // A later entry overwrites the same range.
+      eliminated += w.len;
     }
   }
 

@@ -54,8 +54,8 @@ struct PublishPlan {
     uint64_t pblock = 0;
   };
   struct PerEntry {
-    std::vector<Segment> segments;  // Extent inserts for data entries.
-    uint64_t new_size = 0;          // Resulting file size (data/truncate).
+    Segment segment;        // Extent insert of a data entry.
+    uint64_t new_size = 0;  // Resulting file size (data/truncate).
   };
 
   std::vector<PerEntry> entries;  // Parallel to the input entry vector.

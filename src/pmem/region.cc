@@ -315,7 +315,22 @@ void Region::Read(uint64_t offset, void* dst, uint64_t n) const {
   CopyOut(offset, dst, n);
 }
 
+// Whether a persist still takes effect under FailAfterPersists().
+bool Region::ConsumePersist() {
+  if (persists_left_ == kNoFailure) {
+    return true;
+  }
+  if (persists_left_ == 0) {
+    return false;
+  }
+  --persists_left_;
+  return true;
+}
+
 void Region::Persist(uint64_t offset, uint64_t n) {
+  if (!ConsumePersist()) {
+    return;
+  }
   // Kill undo entries fully contained in the persisted range. The live set is
   // small (the file system persists the ranges it writes almost immediately),
   // so an unordered scan beats maintaining an index on the write path.
@@ -343,6 +358,9 @@ void Region::Persist(uint64_t offset, uint64_t n) {
 }
 
 void Region::PersistAll() {
+  if (!ConsumePersist()) {
+    return;
+  }
   undo_log_.clear();
   undo_arena_.clear();
   live_.clear();
@@ -355,7 +373,9 @@ void Region::Crash() {
       CopyIn(it->offset, undo_arena_.data() + it->arena_off, it->len);
     }
   }
+  persists_left_ = kNoFailure;
   PersistAll();
+  ++crash_count_;
 }
 
 uint64_t Region::unpersisted_bytes() const {

@@ -111,6 +111,16 @@ class Region {
   // region reflects exactly the last durable state.
   void Crash();
 
+  // Models a power failure inside a multi-step update: after `n` more
+  // Persist()/PersistAll() calls, persists stop taking effect, so the next
+  // Crash() rolls back to the durable state at that point (and ends the
+  // failure).
+  void FailAfterPersists(uint64_t n) { persists_left_ = n; }
+
+  // Number of Crash() calls so far: DRAM caches of region contents compare it
+  // with the value they were loaded at to detect a rollback under them.
+  uint64_t crash_count() const { return crash_count_; }
+
   // Number of bytes currently written but not yet persisted.
   uint64_t unpersisted_bytes() const;
   size_t pending_undo_count() const;
@@ -164,6 +174,7 @@ class Region {
     bool dead = false;
   };
 
+  bool ConsumePersist();
   // Aborts unless [offset, offset + n) lies inside the region.
   void CheckRange(const char* op, uint64_t offset, uint64_t n) const;
   // Host address of `offset`, for a write of n bytes that must not cross a
@@ -204,6 +215,9 @@ class Region {
   // scans this (small) set and swap-removes what it kills.
   std::vector<uint32_t> live_;
   uint64_t total_bytes_written_ = 0;
+  uint64_t crash_count_ = 0;
+  static constexpr uint64_t kNoFailure = UINT64_MAX;
+  uint64_t persists_left_ = kNoFailure;  // See FailAfterPersists().
 };
 
 }  // namespace linefs::pmem

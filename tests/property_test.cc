@@ -1,5 +1,6 @@
 // Parameterized property sweeps over core invariants:
-//  - extent lists vs a reference block map under random insert/truncate mixes
+//  - extent lists vs a reference block map under random insert/truncate mixes,
+//    and their DRAM mirrors vs the chains in PM (also across crashes)
 //  - coalescing equivalence: publishing with and without coalescing yields an
 //    identical final file system
 //  - LZW round trip across data distributions
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,7 +19,9 @@
 
 #include "src/compress/lzw.h"
 #include "src/core/cluster.h"
+#include "src/core/dfs_node.h"
 #include "src/core/libfs.h"
+#include "src/fslib/index.h"
 #include "src/fslib/extent.h"
 #include "src/fslib/layout.h"
 #include "src/fslib/publicfs.h"
@@ -50,6 +54,7 @@ class ExtentPropertyTest : public ::testing::TestWithParam<uint64_t> {
     for (uint64_t i = 0; i < count; ++i) {
       reference_[lblock + i] = pblock + i;
     }
+    CheckMirror();
   }
 
   void Truncate(uint64_t cut) {
@@ -59,6 +64,22 @@ class ExtentPropertyTest : public ::testing::TestWithParam<uint64_t> {
       alloc_.Free(f.pblock, f.count);
     }
     reference_.erase(reference_.lower_bound(cut), reference_.end());
+    CheckMirror();
+  }
+
+  void Destroy() {
+    ASSERT_TRUE(extents_.Destroy(&inode_).ok());
+    reference_.clear();
+    CheckMirror();
+    EXPECT_TRUE(extents_.Load(inode_).empty());
+    EXPECT_EQ(alloc_.free_blocks(), alloc_.total_blocks());
+  }
+
+  // The DRAM mirror serves what a fresh decode of the chain in PM yields.
+  void CheckMirror() {
+    fslib::ExtentList fresh(&region_, &alloc_);
+    ASSERT_EQ(extents_.Load(inode_), fresh.Load(inode_));
+    ASSERT_EQ(extents_.ChainBlocks(inode_), fresh.ChainBlocks(inode_));
   }
 
   // The allocator holds exactly the reachable chain blocks plus the mapped
@@ -144,6 +165,7 @@ TEST_P(ExtentPropertyTest, MatchesReferenceBlockMap) {
     }
   }
   ASSERT_NO_FATAL_FAILURE(CheckFullMap());
+  ASSERT_NO_FATAL_FAILURE(Destroy());
 }
 
 // Mostly appends at the end of the file, as fsync-per-write publication does:
@@ -192,6 +214,82 @@ TEST_P(ExtentPropertyTest, AppendHeavyMixMatchesReferenceBlockMap) {
   EXPECT_GT(extents_.ChainBlocks(inode_).size(), 1u);
   EXPECT_GT(in_place, 0);
   EXPECT_GT(rewritten, 0);
+  ASSERT_NO_FATAL_FAILURE(Destroy());
+}
+
+// Power fails at a random persist point inside an extent update (before the
+// caller's inode write, or after it). The mirror must then serve exactly the
+// chain in PM, which holds the old list or the new one, and so must every
+// mirror PublicFs::Mount() reloads.
+TEST_P(ExtentPropertyTest, MirrorMatchesPmAfterCrashAtRandomPersistPoints) {
+  sim::Rng rng(GetParam());
+  fslib::LayoutConfig lc;
+  lc.inode_count = 64;
+  lc.max_clients = 1;
+  lc.log_size = 1 << 20;
+  fslib::Layout layout = fslib::Layout::Compute(region_.size(), lc);
+  fslib::PublicFs fs(&region_, layout);
+  fs.Mkfs();
+  constexpr fslib::InodeNum kFirst = 10;
+  constexpr int kFiles = 3;
+  for (int f = 0; f < kFiles; ++f) {
+    fslib::Inode inode;
+    inode.inum = kFirst + f;
+    inode.type = fslib::FileType::kRegular;
+    fs.inodes().Put(inode);
+  }
+  // A decode of the chain in PM by an ExtentList with no mirrors yet.
+  auto decode = [&](const fslib::Inode& inode) {
+    fslib::ExtentList fresh(&region_, &fs.allocator());
+    return std::make_pair(fresh.Load(inode), fresh.ChainBlocks(inode));
+  };
+  uint64_t crashes = 0;
+  for (int op = 0; op < 1200; ++op) {
+    fslib::InodeNum inum = kFirst + rng.Uniform(kFiles);
+    Result<fslib::Inode> inode = fs.inodes().Get(inum);
+    ASSERT_TRUE(inode.ok());
+    std::vector<fslib::Extent> before = fs.extents().Load(*inode);
+    bool crash = rng.Uniform(4) == 0;
+    if (crash) {
+      region_.FailAfterPersists(rng.Uniform(5));
+    }
+    std::vector<fslib::Extent> freed;
+    if (rng.Uniform(10) < 8) {
+      uint64_t end = before.empty() ? 0 : before.back().lblock + before.back().count;
+      uint64_t lblock = rng.Uniform(4) == 0 ? rng.Uniform(end + 1) : end + rng.Uniform(2);
+      uint64_t count = 1 + rng.Uniform(3);
+      Result<uint64_t> pblock = fs.allocator().Alloc(count);
+      ASSERT_TRUE(pblock.ok());
+      ASSERT_TRUE(fs.extents().InsertRange(&inode.value(), lblock, count, *pblock, &freed).ok());
+    } else {
+      uint64_t end = before.empty() ? 0 : before.back().lblock + before.back().count;
+      ASSERT_TRUE(fs.extents().TruncateTo(&inode.value(), rng.Uniform(end + 1), &freed).ok());
+    }
+    for (const fslib::Extent& e : freed) {
+      fs.allocator().Free(e.pblock, e.count);
+    }
+    std::vector<fslib::Extent> after = fs.extents().Load(*inode);
+    fs.inodes().Put(*inode);
+    if (!crash) {
+      continue;
+    }
+    ++crashes;
+    region_.Crash();
+    Result<fslib::Inode> durable = fs.inodes().Get(inum);
+    ASSERT_TRUE(durable.ok());
+    std::vector<fslib::Extent> mirrored = fs.extents().Load(*durable);
+    ASSERT_EQ(mirrored, decode(*durable).first) << "op " << op;
+    ASSERT_TRUE(mirrored == before || mirrored == after) << "op " << op;
+    ASSERT_TRUE(fs.Mount().ok());
+    for (int f = 0; f < kFiles; ++f) {
+      Result<fslib::Inode> file = fs.inodes().Get(kFirst + f);
+      ASSERT_TRUE(file.ok());
+      auto [extents, blocks] = decode(*file);
+      ASSERT_EQ(fs.extents().Load(*file), extents) << "op " << op;
+      ASSERT_EQ(fs.extents().ChainBlocks(*file), blocks) << "op " << op;
+    }
+  }
+  EXPECT_GT(crashes, 200u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtentPropertyTest, ::testing::Range<uint64_t>(1, 9));
@@ -285,6 +383,119 @@ TEST_P(CoalescePropertyTest, PublishingWithAndWithoutCoalescingIsEquivalent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoalescePropertyTest, ::testing::Range<uint64_t>(10, 18));
+
+// --- Private index vs a reference block map ------------------------------------------
+
+class PrivateIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Random writes, truncates, unlinks and publication against a reference that
+// keeps each block's overlay list in a std::map.
+TEST_P(PrivateIndexPropertyTest, LookupsMatchReferenceBlockMap) {
+  using Overlay = fslib::PrivateIndex::Overlay;
+  sim::Rng rng(GetParam());
+  fslib::PrivateIndex index;
+  std::map<std::pair<fslib::InodeNum, uint64_t>, std::vector<Overlay>> reference;
+  uint64_t pos = 0;
+  uint64_t published = 0;
+  auto lookup_reference = [&](fslib::InodeNum inum, uint64_t offset, uint64_t len) {
+    std::map<uint64_t, Overlay> by_seq;
+    for (uint64_t b = offset >> fslib::kBlockShift; b <= (offset + len - 1) >> fslib::kBlockShift;
+         ++b) {
+      auto it = reference.find({inum, b});
+      if (it == reference.end()) {
+        continue;
+      }
+      for (const Overlay& o : it->second) {
+        if (o.file_offset < offset + len && o.file_offset + o.len > offset) {
+          by_seq[o.seq] = o;
+        }
+      }
+    }
+    std::vector<uint64_t> seqs;
+    for (const auto& [seq, o] : by_seq) {
+      seqs.push_back(seq);
+    }
+    return seqs;
+  };
+  for (uint64_t seq = 1; seq <= 6000; ++seq) {
+    fslib::InodeNum inum = 1 + rng.Uniform(3);
+    uint32_t kind = rng.Uniform(100);
+    pos += 100 + rng.Uniform(100);
+    if (kind < 80) {
+      uint64_t offset = rng.Uniform(4000) * 1024;
+      uint32_t len = static_cast<uint32_t>(1 + rng.Uniform(5 * fslib::kBlockSize));
+      index.OnData(inum, offset, len, seq, pos);
+      Overlay o{seq, pos, offset, len};
+      for (uint64_t b = offset >> fslib::kBlockShift;
+           b <= (offset + len - 1) >> fslib::kBlockShift; ++b) {
+        reference[{inum, b}].push_back(o);
+      }
+    } else if (kind < 85) {
+      uint64_t size = rng.Uniform(4000) * 1024;
+      index.OnTruncate(inum, size, pos);
+      reference.erase(reference.lower_bound({inum, fslib::BlocksFor(size)}),
+                      reference.lower_bound({inum + 1, 0}));
+    } else if (kind < 87) {
+      index.OnUnlink(fslib::kRootInode, "f" + std::to_string(inum), inum, pos);
+      reference.erase(reference.lower_bound({inum, 0}), reference.lower_bound({inum + 1, 0}));
+    } else {
+      published += rng.Uniform(pos - published + 1);
+      index.DropPublished(published);
+      for (auto it = reference.begin(); it != reference.end();) {
+        std::erase_if(it->second, [&](const Overlay& o) { return o.logical_pos < published; });
+        it = it->second.empty() ? reference.erase(it) : std::next(it);
+      }
+    }
+    if (seq % 20 == 0) {
+      for (int probe = 0; probe < 10; ++probe) {
+        fslib::InodeNum target = 1 + rng.Uniform(3);
+        uint64_t offset = rng.Uniform(4200) * 1024;
+        uint64_t len = 1 + rng.Uniform(8 * fslib::kBlockSize);
+        std::vector<uint64_t> got;
+        for (const Overlay& o : index.LookupRange(target, offset, len)) {
+          got.push_back(o.seq);
+        }
+        ASSERT_EQ(got, lookup_reference(target, offset, len)) << "seq " << seq;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrivateIndexPropertyTest, ::testing::Range<uint64_t>(1, 5));
+
+// --- History bitmap vs a reference set ---------------------------------------------
+
+class HistoryPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(HistoryPropertyTest, UpdatedSinceMatchesReferenceSets) {
+  sim::Rng rng(GetParam());
+  core::InodeHistory history;
+  std::map<uint64_t, std::set<fslib::InodeNum>> reference;
+  uint64_t epoch = 1;
+  for (int op = 0; op < 3000; ++op) {
+    // Mostly the current epoch (with repeats), sometimes an older or a new one.
+    uint32_t kind = rng.Uniform(100);
+    uint64_t at = kind < 5 ? 1 + rng.Uniform(epoch) : epoch;
+    if (kind >= 98) {
+      at = ++epoch;
+    }
+    fslib::InodeNum inum =
+        rng.Uniform(3) == 0 ? rng.Uniform(64) : rng.Uniform(kind < 50 ? 200 : 5000);
+    history.Record(at, inum);
+    reference[at].insert(inum);
+    if (op % 100 == 99) {
+      uint64_t from = rng.Uniform(epoch + 2);
+      std::set<fslib::InodeNum> expected;
+      for (auto it = reference.lower_bound(from); it != reference.end(); ++it) {
+        expected.insert(it->second.begin(), it->second.end());
+      }
+      ASSERT_EQ(history.UpdatedSince(from), expected) << "op " << op << " from " << from;
+    }
+  }
+  EXPECT_TRUE(history.UpdatedSince(epoch + 1).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HistoryPropertyTest, ::testing::Range<uint64_t>(1, 5));
 
 // --- LZW round trip across distributions ------------------------------------------------
 

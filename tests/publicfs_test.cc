@@ -330,6 +330,94 @@ TEST_F(PublicFsTest, CoalesceDropsSupersededWrites) {
   EXPECT_EQ(out, new_data);
 }
 
+TEST_F(PublicFsTest, CoalesceKeepsDistinctRangesWhoseOldHashKeysCollided) {
+  // (off 0, len 120KB) and (off 4KB, len 4KB) once shared a hashed key
+  // (0 ^ 122880 == 4096 * 31 ^ 4096), which dropped the 120KB write.
+  std::vector<ParsedEntry> batch;
+  batch.push_back(AppendCreate(kRootInode, "c", 165));
+  std::vector<uint8_t> big = Pattern(122880, 3);
+  std::vector<uint8_t> small = Pattern(4096, 9);
+  batch.push_back(AppendData(165, 0, big));
+  batch.push_back(AppendData(165, 4096, small));
+  EXPECT_EQ(CoalesceEntries(&batch), 0u);
+  ASSERT_EQ(batch.size(), 3u);
+  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  std::vector<uint8_t> expected = big;
+  std::copy(small.begin(), small.end(), expected.begin() + 4096);
+  std::vector<uint8_t> out(big.size());
+  ASSERT_TRUE(fs_.ReadData(165, 0, out).ok());
+  EXPECT_EQ(out, expected);
+}
+
+TEST_F(PublicFsTest, ExtentMirrorLoadsEachChainOncePerMount) {
+  // Unaligned appends: every other one copies-on-write the previous last
+  // block, which splits the run, so the chain grows past one block.
+  std::vector<ParsedEntry> create;
+  create.push_back(AppendCreate(kRootInode, "many", 220));
+  ASSERT_TRUE(fs_.Publish(create, log_, true).ok());
+  uint64_t loads = fs_.extents().chain_loads();
+  constexpr uint64_t kLen = 3 * kBlockSize / 2;
+  constexpr int kAppends = 600;
+  for (int i = 0; i < kAppends; ++i) {
+    std::vector<ParsedEntry> batch;
+    batch.push_back(AppendData(220, i * kLen, Pattern(kLen, 5)));
+    ASSERT_TRUE(fs_.Publish(batch, log_, /*materialize=*/false).ok());
+    log_.Reclaim(log_.tail());
+  }
+  // One miss: the file's first publish found no mirror (of its empty chain).
+  EXPECT_EQ(fs_.extents().chain_loads(), loads + 1);
+  Result<Inode> inode = fs_.inodes().Get(220);
+  ASSERT_TRUE(inode.ok());
+  std::vector<Extent> extents = fs_.extents().Load(*inode);
+  EXPECT_GT(extents.size(), static_cast<size_t>(kAppends / 3));
+  EXPECT_GT(fs_.extents().ChainBlocks(*inode).size(), 1u);
+
+  // A crash invalidates the mirror even though nothing was rolled back.
+  region_.Crash();
+  EXPECT_EQ(fs_.extents().Load(*inode), extents);
+  EXPECT_EQ(fs_.extents().chain_loads(), loads + 2);
+
+  // Mount reloads each live chain once, then serves reads from the mirror.
+  ASSERT_TRUE(fs_.Mount().ok());
+  uint64_t mounted = fs_.extents().chain_loads();
+  std::vector<uint8_t> out(kLen);
+  ASSERT_TRUE(fs_.ReadData(220, 7 * kLen, out).ok());
+  EXPECT_EQ(fs_.extents().Load(*inode), extents);
+  EXPECT_EQ(fs_.extents().chain_loads(), mounted);
+}
+
+TEST_F(PublicFsTest, PlanSeesTruncatesAndWritesEarlierInTheBatch) {
+  std::vector<ParsedEntry> setup;
+  setup.push_back(AppendCreate(kRootInode, "t", 175));
+  setup.push_back(AppendData(175, 0, Pattern(3 * kBlockSize, 1)));
+  ASSERT_TRUE(fs_.Publish(setup, log_, true).ok());
+
+  // A truncate to 0 hides the published blocks from later partial writes in
+  // the same batch (their gaps read as zeros), while a partial write over a
+  // block planned earlier in the batch keeps that block's bytes.
+  std::vector<ParsedEntry> batch;
+  LogEntryHeader truncate;
+  truncate.type = LogOpType::kTruncate;
+  truncate.inum = 175;
+  truncate.offset = 0;
+  batch.push_back(Append(truncate, {}));
+  std::vector<uint8_t> head = Pattern(100, 7);
+  std::vector<uint8_t> next = Pattern(kBlockSize, 8);
+  std::vector<uint8_t> patch = Pattern(50, 9);
+  batch.push_back(AppendData(175, 100, head));
+  batch.push_back(AppendData(175, kBlockSize, next));
+  batch.push_back(AppendData(175, kBlockSize + 10, patch));
+  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+
+  std::vector<uint8_t> expected(2 * kBlockSize, 0);
+  std::copy(head.begin(), head.end(), expected.begin() + 100);
+  std::copy(next.begin(), next.end(), expected.begin() + kBlockSize);
+  std::copy(patch.begin(), patch.end(), expected.begin() + kBlockSize + 10);
+  std::vector<uint8_t> out(expected.size());
+  ASSERT_TRUE(fs_.ReadData(175, 0, out).ok());
+  EXPECT_EQ(out, expected);
+}
+
 TEST_F(PublicFsTest, CoalescePreservesFinalStateOnRandomOps) {
   // Property check: publishing with and without coalescing produces identical
   // final file contents.
@@ -435,6 +523,40 @@ TEST(PrivateIndexTest, DropPublishedForgetsOldEntries) {
   EXPECT_TRUE(index.LookupRange(1, 0, 4096).empty());
   ASSERT_EQ(index.LookupRange(1, 4096, 4096).size(), 1u);
   EXPECT_EQ(index.LookupName(2, "g").first, PrivateIndex::NameState::kUnknown);
+}
+
+TEST(PrivateIndexTest, DropPublishedKeepsNewerOverlaysOfASharedBlock) {
+  PrivateIndex index;
+  index.OnData(1, 0, 6000, 1, /*pos=*/0);        // Blocks 0 and 1.
+  index.OnData(1, 4500, 100, 2, /*pos=*/6300);   // Block 1 again.
+  index.OnData(1, 8192, 4096, 3, /*pos=*/6500);  // Block 2.
+  index.DropPublished(6200);
+  EXPECT_TRUE(index.LookupRange(1, 0, 4096).empty());
+  std::vector<PrivateIndex::Overlay> block1 = index.LookupRange(1, 4096, 4096);
+  ASSERT_EQ(block1.size(), 1u);
+  EXPECT_EQ(block1[0].seq, 2u);
+  EXPECT_EQ(index.PendingSize(1).value(), 12288u);  // Its last entry is unpublished.
+  index.DropPublished(6600);
+  EXPECT_TRUE(index.LookupRange(1, 0, 12288).empty());
+  EXPECT_FALSE(index.PendingSize(1).has_value());
+}
+
+TEST(PrivateIndexTest, DropPublishedForgetsRenamesAndRecreatedNames) {
+  PrivateIndex index;
+  index.OnCreate(1, "a", 70, FileType::kRegular, /*pos=*/0);
+  index.OnRename(1, "a", 1, "b", 70, /*pos=*/100);
+  index.OnCreate(1, "a", 71, FileType::kRegular, /*pos=*/200);
+  index.DropPublished(150);
+  // "a" was re-created after the published prefix; "b" is published.
+  auto [state, inum] = index.LookupName(1, "a");
+  EXPECT_EQ(state, PrivateIndex::NameState::kExists);
+  EXPECT_EQ(inum, 71u);
+  EXPECT_EQ(index.LookupName(1, "b").first, PrivateIndex::NameState::kUnknown);
+  EXPECT_FALSE(index.PendingType(70).has_value());
+  EXPECT_TRUE(index.PendingType(71).has_value());
+  index.DropPublished(300);
+  EXPECT_EQ(index.LookupName(1, "a").first, PrivateIndex::NameState::kUnknown);
+  EXPECT_FALSE(index.PendingType(71).has_value());
 }
 
 TEST(PrivateIndexTest, TruncateDropsOverlaysBeyondEnd) {

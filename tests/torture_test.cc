@@ -268,6 +268,16 @@ void CheckAllocatorRebuild(core::Cluster& cluster) {
                                  "considers free";
     EXPECT_GE(remounted.allocator().free_blocks(), live.allocator().free_blocks())
         << "node " << node;
+    // The live node's DRAM extent mirrors agree with the chains the remount
+    // decoded from PM.
+    uint64_t diverged = 0;
+    for (fslib::InodeNum inum = 1; inum < layout.inode_count; ++inum) {
+      Result<fslib::Inode> inode = live.inodes().Get(inum);
+      if (inode.ok() && live.extents().Load(*inode) != remounted.extents().Load(*inode)) {
+        ++diverged;
+      }
+    }
+    EXPECT_EQ(diverged, 0u) << "node " << node << ": extent mirrors diverge from PM";
   }
 }
 
