@@ -8,9 +8,14 @@
 //                 4-ary min-heap, with deep out-of-order inserts.
 //   mixed_churn - the realistic blend (a few same-instant hops per timer),
 //                 approximating the simulator's hot loop.
+//   timer_cancel - the RPC pattern: each step arms a 10ms sim::Timer, sleeps
+//                 a short pseudo-random time and cancels the timer, so the
+//                 timer store churns but no timer ever fires.
 //
-// Each run reports sim.events_per_wall_sec; bench_compare treats the scalar
-// as informational (engine speed is tracked, not gated).
+// Each run reports sim.events_per_wall_sec plus the engine's final and peak
+// queue depth; bench_compare treats these scalars as informational (engine
+// speed is tracked, not gated). timer_cancel must end at depth 0 and peak at
+// two entries per task (its sleep and its armed timer).
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +25,7 @@
 #include "bench/harness.h"
 #include "src/sim/engine.h"
 #include "src/sim/task.h"
+#include "src/sim/timer.h"
 
 namespace linefs::bench {
 namespace {
@@ -53,6 +59,17 @@ sim::Task<> MixedChurn(sim::Engine* engine, uint64_t events, uint64_t seed) {
   }
 }
 
+sim::Task<> TimerCancelChurn(sim::Engine* engine, uint64_t events, uint64_t seed) {
+  sim::Timer timeout(engine, [] {});
+  uint64_t x = seed * 2654435761ULL + 1;
+  for (uint64_t i = 0; i < events; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    timeout.Arm(engine->Now() + 10 * sim::kMillisecond);
+    co_await engine->SleepFor(static_cast<sim::Time>(1 + ((x >> 33) % 2000)));
+    timeout.Cancel();
+  }
+}
+
 template <typename SpawnFn>
 void RunChurn(benchmark::State& state, const char* label, SpawnFn spawn) {
   double events_per_sec = 0;
@@ -69,6 +86,8 @@ void RunChurn(benchmark::State& state, const char* label, SpawnFn spawn) {
     run.label = label;
     run.scalars.emplace_back("sim.events_per_wall_sec", events_per_sec);
     run.scalars.emplace_back("events_processed", static_cast<double>(engine.events_processed()));
+    run.scalars.emplace_back("queue_depth_final", static_cast<double>(engine.queue_depth()));
+    run.scalars.emplace_back("queue_depth_max", static_cast<double>(engine.max_queue_depth()));
     run.virtual_time_us = sim::ToMicros(engine.Now());
     BenchReport::Get().AddRun(std::move(run));
   }
@@ -95,12 +114,20 @@ void BM_MixedChurn(benchmark::State& state) {
   });
 }
 
+void BM_TimerCancel(benchmark::State& state) {
+  RunChurn(state, "timer_cancel", [](sim::Engine* engine, int c) {
+    engine->Spawn(TimerCancelChurn(engine, kEventsPerTask, static_cast<uint64_t>(c) + 1),
+                  "churn");
+  });
+}
+
 }  // namespace
 }  // namespace linefs::bench
 
 BENCHMARK(linefs::bench::BM_RingChurn)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(linefs::bench::BM_TimerChurn)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(linefs::bench::BM_MixedChurn)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(linefs::bench::BM_TimerCancel)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   ::benchmark::Initialize(&argc, argv);

@@ -133,9 +133,12 @@ class Experiment {
     cluster_->Shutdown();
     engine_.Run();
     // Engine health counters: a nonzero clamp count means some cost model
-    // scheduled into the past (see Engine::ScheduleAt).
+    // scheduled into the past (see Engine::ScheduleAt). Events processed and
+    // the pending-event high-water mark are deterministic, and
+    // scripts/bench_compare.py gates both.
     obs::MetricsRegistry& registry = cluster_->metrics();
     registry.GetCounter("sim.events_processed")->Add(engine_.events_processed());
+    registry.GetCounter("sim.queue_depth_max")->Add(engine_.max_queue_depth());
     registry.GetCounter("sim.schedule.calls")->Add(engine_.schedule_calls());
     registry.GetCounter("sim.schedule.clamped")->Add(engine_.schedule_clamps());
     // Host memory backing simulated PM (informational, not gated).

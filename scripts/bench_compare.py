@@ -34,12 +34,21 @@ not a failure (new protocols, stage plugins and sweep points can be
 benchmarked before their baselines are committed). The "meta" block (git sha, wall runtime) is
 provenance and is always ignored.
 
+Two deterministic engine counters from each run's "counters" section are
+gated too, lower-is-better, at the much tighter --counter-threshold (default
+0.5 percent): "sim.events_processed" (DES events the run took) and
+"sim.queue_depth_max" (the engine's pending-event high-water mark). The
+simulation is deterministic, so these move only when the work the simulator
+does changes; they stand in for wall time, which is too noisy to gate. A
+counter absent from the baseline is not gated (older baselines predate it);
+one present in the baseline but missing from the candidate fails.
+
 Schema v3 adds a per-run "timeline" section (windowed virtual-time series:
 delivered/shed rate, queue depth, latency percentiles per window) plus
 "p999"/"p999_us" fields on histogram summaries. The timeline is purely
-informational for this gate -- only "scalars" are compared, exactly as under
-v2, and a v3 candidate gates cleanly against a v2 baseline (the extra fields
-are simply never looked at). Exit status: 0 clean, 1 regression or
+informational for this gate -- only "scalars" and the two counters above are
+compared, and a v3 candidate gates cleanly against a v2 baseline (the extra
+fields are simply never looked at). Exit status: 0 clean, 1 regression or
 structural mismatch, 2 usage/IO error.
 
 Only the Python standard library is used.
@@ -52,6 +61,7 @@ import shutil
 import sys
 
 HIGHER_BETTER = ("throughput", "kops", "ops_per_sec")
+GATED_COUNTERS = ("sim.events_processed", "sim.queue_depth_max")
 LOWER_BETTER = ("latency",)
 LOWER_BETTER_SUFFIX = "_us"
 
@@ -92,7 +102,21 @@ def informational_label(label):
     return any(tag in label for tag in INFORMATIONAL_LABELS)
 
 
-def compare_report(name, base, cand, threshold_pct, failures, rows):
+def gate(direction, base_val, cand_val, threshold_pct):
+    """Returns (delta_pct, worse) for one value; delta_pct is None at base 0."""
+    delta_pct = None
+    if base_val != 0:
+        delta_pct = 100.0 * (cand_val - base_val) / abs(base_val)
+    if direction == 0:
+        return delta_pct, False
+    if base_val == 0:
+        # Can't compute a ratio; gate only on a worse sign.
+        return delta_pct, (cand_val < 0 if direction > 0 else cand_val > 0)
+    worse_pct = -delta_pct if direction > 0 else delta_pct
+    return delta_pct, worse_pct > threshold_pct
+
+
+def compare_report(name, base, cand, threshold_pct, counter_threshold_pct, failures, rows):
     base_runs = runs_by_label(base, name)
     cand_runs = runs_by_label(cand, name)
     for label, base_run in base_runs.items():
@@ -105,36 +129,36 @@ def compare_report(name, base, cand, threshold_pct, failures, rows):
             else:
                 failures.append(f"{name}: run {label!r} missing from candidate")
             continue
+        # (key, baseline, candidate, direction, threshold) for every gated value.
+        checks = []
         base_scalars = base_run.get("scalars", {})
         cand_scalars = cand_run.get("scalars", {})
         for key, base_val in base_scalars.items():
-            direction = 0 if informational_run else classify(key)
-            cand_val = cand_scalars.get(key)
+            checks.append((key, base_val, cand_scalars.get(key), classify(key), threshold_pct))
+        base_counters = base_run.get("counters", {})
+        cand_counters = cand_run.get("counters", {})
+        for key in GATED_COUNTERS:
+            if key in base_counters:
+                checks.append((key, base_counters[key], cand_counters.get(key), -1,
+                               counter_threshold_pct))
+        for key, base_val, cand_val, direction, limit in checks:
+            if informational_run:
+                direction = 0
             if cand_val is None:
                 if informational_run:
                     continue
-                failures.append(f"{name}/{label}: scalar {key!r} missing from candidate")
+                failures.append(f"{name}/{label}: {key!r} missing from candidate")
                 continue
-            delta_pct = None
-            if base_val != 0:
-                delta_pct = 100.0 * (cand_val - base_val) / abs(base_val)
-            verdict = "info"
-            if direction != 0:
-                verdict = "ok"
-                if base_val == 0:
-                    # Can't compute a ratio; gate only on a worse sign.
-                    worse = cand_val < 0 if direction > 0 else cand_val > 0
-                else:
-                    worse_pct = -delta_pct if direction > 0 else delta_pct
-                    worse = worse_pct > threshold_pct
-                if worse:
-                    verdict = "FAIL"
-                    failures.append(
-                        f"{name}/{label}: {key} regressed "
-                        f"{base_val:g} -> {cand_val:g} "
-                        f"({delta_pct:+.1f}%, limit {threshold_pct:.0f}%)"
-                    )
-            rows.append((name, label, key, base_val, cand_val, delta_pct, verdict))
+            delta_pct, worse = gate(direction, base_val, cand_val, limit)
+            verdict = "info" if direction == 0 else "ok"
+            if worse:
+                verdict = "FAIL"
+                failures.append(
+                    f"{name}/{label}: {key} regressed "
+                    f"{base_val:g} -> {cand_val:g} "
+                    f"({delta_pct:+.1f}%, limit {limit:g}%)"
+                )
+            rows.append((name, label, key, base_val, cand_val, delta_pct, verdict, direction))
     for label in cand_runs:
         if label not in base_runs and informational_label(label):
             print(f"note: {name}: informational run {label!r} has no committed baseline "
@@ -147,6 +171,9 @@ def main():
     parser.add_argument("--candidate", required=True, help="directory of fresh BENCH_*.json")
     parser.add_argument("--threshold", type=float, default=15.0,
                         help="max tolerated regression, percent (default 15)")
+    parser.add_argument("--counter-threshold", type=float, default=0.5,
+                        help="max tolerated rise of a gated engine counter, percent "
+                             "(default 0.5)")
     parser.add_argument("--bench", action="append", default=None,
                         help="gate only BENCH_<name>.json (repeatable; default: all baselines)")
     parser.add_argument("--update", action="store_true",
@@ -190,12 +217,13 @@ def main():
         except (OSError, ValueError) as e:
             failures.append(f"{name}: cannot read candidate: {e}")
             continue
-        compare_report(name, base, cand, args.threshold, failures, rows)
+        compare_report(name, base, cand, args.threshold, args.counter_threshold, failures,
+                       rows)
 
     width = max((len(f"{n}/{l}") for n, l, *_ in rows), default=20)
     print(f"{'bench/run':<{width}}  {'scalar':<28} {'baseline':>14} {'candidate':>14} "
           f"{'delta':>8}  verdict")
-    for name, label, key, base_val, cand_val, delta_pct, verdict in rows:
+    for name, label, key, base_val, cand_val, delta_pct, verdict, _ in rows:
         delta = f"{delta_pct:+.1f}%" if delta_pct is not None else "n/a"
         print(f"{name + '/' + label:<{width}}  {key:<28} {base_val:>14.3f} "
               f"{cand_val:>14.3f} {delta:>8}  {verdict}")
@@ -208,7 +236,8 @@ def main():
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         return 1
-    print(f"\nOK: {len(rows)} scalars within {args.threshold:.0f}% of baseline")
+    print(f"\nOK: {len(rows)} values within their limits (scalars {args.threshold:g}%, "
+          f"counters {args.counter_threshold:g}%)")
     return 0
 
 
@@ -227,9 +256,8 @@ def update_baselines(args, rows):
         return 2
 
     improved = regressed = 0
-    print("\nbaseline update: per-scalar movement (gated scalars only)")
-    for name, label, key, base_val, cand_val, delta_pct, _ in rows:
-        direction = classify(key)
+    print("\nbaseline update: per-value movement (gated scalars and counters only)")
+    for name, label, key, base_val, cand_val, delta_pct, _, direction in rows:
         if direction == 0 or delta_pct is None:
             continue
         better_pct = delta_pct if direction > 0 else -delta_pct
@@ -255,7 +283,7 @@ def update_baselines(args, rows):
             return 2
         print(f"  updated {os.path.join(args.baseline, f)}")
     print(f"\nbaselines rewritten from {args.candidate}: {len(cand_files)} report(s), "
-          f"{improved} scalar(s) improved, {regressed} regressed")
+          f"{improved} value(s) improved, {regressed} regressed")
     return 0
 
 

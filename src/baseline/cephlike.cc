@@ -90,7 +90,7 @@ CephLike::RunResult CephLike::Run(const Options& options) {
           req.len = static_cast<uint32_t>(options->io_size);
           req.client = static_cast<uint32_t>(proc);
           Result<core::Ack> ack = co_await rpc->Call<WriteReq, core::Ack>(
-              init, rdma::MemAddr{0, rdma::Space::kHostPm}, "osd/1",
+              init, rdma::MemAddr{0, rdma::Space::kHostPm}, rpc->Resolve("osd/1"),
               rdma::Channel::kHighTput, core::kRpcShardWrite, req);
           (void)ack;
           window->Release();

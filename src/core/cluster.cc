@@ -75,6 +75,10 @@ Cluster::Cluster(sim::Engine* engine, const DfsConfig& config)
   rpc_ = std::make_unique<rdma::RpcSystem>(net_.get());
   rpc_->SetTrace(trace_.get());
   service_alive_.resize(config_.num_nodes, true);
+  for (int i = 0; i < config_.num_nodes; ++i) {
+    service_eps_.push_back(rpc_->Resolve(config_.IsLineFs() ? NicFs::EndpointName(i)
+                                                            : SharedFs::EndpointName(i)));
+  }
 
   for (int i = 0; i < config_.num_nodes; ++i) {
     dfs_nodes_.push_back(std::make_unique<DfsNode>(hw_nodes_[i].get(), config_));

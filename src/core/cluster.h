@@ -127,6 +127,9 @@ class Cluster {
   // --- Service membership (maintained by the cluster manager) ------------------
 
   bool service_alive(int node) const { return service_alive_[node]; }
+  // The file-system service on `node` that heartbeats and lease requests go
+  // to: NICFS under LineFS, SharedFS under the host-based baselines.
+  rdma::EndpointId service_endpoint(int node) const { return service_eps_[node]; }
   // Flips membership and, on a transition, notifies every NicFs so replication
   // protocols observe the failure/readmission and pending acks re-evaluate
   // immediately (not at the next sweeper tick).
@@ -175,6 +178,7 @@ class Cluster {
   std::vector<std::unique_ptr<LibFs>> clients_;
   std::unordered_map<std::string, WirePayload> wire_;
   std::vector<bool> service_alive_;
+  std::vector<rdma::EndpointId> service_eps_;
   bool started_ = false;
 };
 

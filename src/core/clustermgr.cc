@@ -2,7 +2,6 @@
 
 #include "src/core/cluster.h"
 #include "src/core/nicfs.h"
-#include "src/core/sharedfs.h"
 
 namespace linefs::core {
 
@@ -31,13 +30,11 @@ sim::Task<> ClusterManager::HeartbeatLoop() {
       break;
     }
     for (int node = 0; node < cluster_->num_nodes(); ++node) {
-      std::string target = config_->IsLineFs() ? NicFs::EndpointName(node)
-                                               : SharedFs::EndpointName(node);
       ++heartbeats_sent_;
       Result<Ack> pong = co_await cluster_->rpc().Call<HeartbeatMsg, Ack>(
-          rdma::Initiator{}, rdma::MemAddr{0, rdma::Space::kNicMem}, target,
-          rdma::Channel::kHighTput, kRpcHeartbeat, HeartbeatMsg{epoch_},
-          config_->heartbeat_timeout);
+          rdma::Initiator{}, rdma::MemAddr{0, rdma::Space::kNicMem},
+          cluster_->service_endpoint(node), rdma::Channel::kHighTput, kRpcHeartbeat,
+          HeartbeatMsg{epoch_}, config_->heartbeat_timeout);
       bool alive = pong.ok();
       if (!alive && seen_alive_[node]) {
         co_await OnNicFsFailure(node);
@@ -86,12 +83,10 @@ sim::Task<> ClusterManager::BroadcastEpoch() {
     if (!seen_alive_[node]) {
       continue;
     }
-    std::string target =
-        config_->IsLineFs() ? NicFs::EndpointName(node) : SharedFs::EndpointName(node);
     Result<Ack> ignored = co_await cluster_->rpc().Call<EpochUpdateMsg, Ack>(
-        rdma::Initiator{}, rdma::MemAddr{0, rdma::Space::kNicMem}, target,
-        rdma::Channel::kHighTput, kRpcEpochUpdate, EpochUpdateMsg{epoch_},
-        config_->heartbeat_timeout);
+        rdma::Initiator{}, rdma::MemAddr{0, rdma::Space::kNicMem},
+        cluster_->service_endpoint(node), rdma::Channel::kHighTput, kRpcEpochUpdate,
+        EpochUpdateMsg{epoch_}, config_->heartbeat_timeout);
     (void)ignored;
   }
 }

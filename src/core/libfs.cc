@@ -85,6 +85,7 @@ void LibFs::Attach() {
   log_ = &node_->client_log(client_id_);
   space_cv_ = std::make_unique<sim::Condition>(engine_);
   op_mu_ = std::make_unique<sim::Mutex>(engine_);
+  nicfs_ep_ = cluster_->rpc().Resolve(NicFs::EndpointName(node_id_));
 
   // Disjoint per-client inode ranges: no allocation round trip on create.
   uint64_t range = (config_->inode_count - 2) /
@@ -182,7 +183,7 @@ sim::Task<> LibFs::FlushForHandoff(uint64_t upto) {
     init.priority = sim::Priority::kNormal;
     init.account = node_->hw().acct_fs();
     Result<Ack> ack = co_await cluster_->rpc().Call<FsyncReq, Ack>(
-        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, NicFs::EndpointName(node_id_),
+        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, nicfs_ep_,
         rdma::Channel::kLowLat, kRpcFsync,
         FsyncReq{static_cast<uint32_t>(client_id_), upto, ctx},
         /*timeout=*/10 * sim::kSecond, ctx);
@@ -314,15 +315,13 @@ sim::Task<Status> LibFs::EnsureLease(fslib::InodeNum inum, bool write) {
   for (int attempt = 0; attempt < 8000; ++attempt) {
     uint64_t revokes_before = revoke_counts_[inum];
     if (config_->IsLineFs() || arbiter_node != node_id_) {
-      const std::string target = config_->IsLineFs() ? NicFs::EndpointName(arbiter_node)
-                                                     : SharedFs::EndpointName(arbiter_node);
       rdma::Initiator init;
       init.cpu = &node_->hw().host_cpu();
       init.priority = sim::Priority::kNormal;
       init.account = node_->hw().acct_fs();
       Result<LeaseResp> resp = co_await cluster_->rpc().Call<LeaseReq, LeaseResp>(
           init, rdma::MemAddr{node_id_, rdma::Space::kHostPm},
-          target, rdma::Channel::kLowLat, kRpcLease,
+          cluster_->service_endpoint(arbiter_node), rdma::Channel::kLowLat, kRpcLease,
           LeaseReq{static_cast<uint32_t>(client_id_), inum, write ? uint8_t{1} : uint8_t{0}});
       if (resp.ok() && resp->status == 0) {
         if (revoke_counts_[inum] != revokes_before) {
@@ -434,7 +433,7 @@ void LibFs::KickService() {
           init.account = self->node_->hw().acct_fs();
           Result<Ack> ignored = co_await self->cluster_->rpc().Call<StartPipelineReq, Ack>(
               init, rdma::MemAddr{self->node_id_, rdma::Space::kHostPm},
-              NicFs::EndpointName(self->node_id_), rdma::Channel::kHighTput, kRpcStartPipeline,
+              self->nicfs_ep_, rdma::Channel::kHighTput, kRpcStartPipeline,
               StartPipelineReq{static_cast<uint32_t>(self->client_id_), ctx},
               /*timeout=*/10 * sim::kMillisecond, ctx);
           (void)ignored;
@@ -475,7 +474,7 @@ sim::Task<Result<int>> LibFs::Open(const std::string& path, uint32_t flags, uint
         init.account = node_->hw().acct_fs();
         Result<Ack> ack = co_await cluster_->rpc().Call<OpenReq, Ack>(
             init, rdma::MemAddr{node_id_, rdma::Space::kHostPm},
-            NicFs::EndpointName(node_id_), rdma::Channel::kLowLat, kRpcOpen,
+            nicfs_ep_, rdma::Channel::kLowLat, kRpcOpen,
             OpenReq{static_cast<uint32_t>(client_id_), inum, flags});
         if (!ack.ok()) {
           co_return ack.status();
@@ -687,7 +686,7 @@ sim::Task<Result<uint64_t>> LibFs::ReadInternal(fslib::InodeNum inum, std::span<
     init.priority = sim::Priority::kNormal;
     init.account = node_->hw().acct_fs();
     Result<Ack> ack = co_await cluster_->rpc().Call<ReadReq, Ack>(
-        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, NicFs::EndpointName(node_id_),
+        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, nicfs_ep_,
         rdma::Channel::kLowLat, kRpcRead,
         ReadReq{static_cast<uint32_t>(client_id_), inum, offset, len},
         /*timeout=*/10 * sim::kSecond);
@@ -774,7 +773,7 @@ sim::Task<Status> LibFs::Fsync(int fd) {
     init.priority = sim::Priority::kNormal;
     init.account = node_->hw().acct_fs();
     Result<Ack> ack = co_await cluster_->rpc().Call<FsyncReq, Ack>(
-        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, NicFs::EndpointName(node_id_),
+        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, nicfs_ep_,
         rdma::Channel::kLowLat, kRpcFsync,
         FsyncReq{static_cast<uint32_t>(client_id_), upto, ctx},
         /*timeout=*/10 * sim::kSecond, ctx);

@@ -158,6 +158,10 @@ NicFs::NicFs(Cluster* cluster, DfsNode* node, KernelWorker* kworker, const DfsCo
   }
   lease_ctx.lease_duration = config->lease_duration;
   leases_ = std::make_unique<LeaseManager>(lease_ctx);
+  kworker_ep_ = cluster->rpc().Resolve(KernelWorker::EndpointName(node_->id()));
+  for (int n = 0; n < cluster->num_nodes(); ++n) {
+    nicfs_eps_.push_back(cluster->rpc().Resolve(EndpointName(n)));
+  }
   repl::ProtocolParams repl_params;
   repl_params.quorum_size = config->repl.quorum_size;
   protocol_ = repl::Protocols().Create(config->repl.protocol, repl_params);
@@ -272,7 +276,7 @@ void NicFs::Start() {
     // ...then ask the kernel worker to map the pages read-only.
     Result<Ack> mapped = co_await cluster_->rpc().Call<OpenReq, Ack>(
         NicInitiator(false), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        KernelWorker::EndpointName(node_->id()), rdma::Channel::kHighTput, kRpcKworkerMmap,
+        kworker_ep_, rdma::Channel::kHighTput, kRpcKworkerMmap,
         req, kKworkerRpcTimeout);
     if (!mapped.ok()) {
       co_return Ack{static_cast<int32_t>(mapped.code())};
@@ -835,7 +839,7 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
     ctl_init.batched = BatchedPost(pipe, target.node);
     Status sent = co_await cluster_->rpc().Post(
         ctl_init, rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        EndpointName(target.node),
+        nicfs_eps_[target.node],
         urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
         kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context(),
         last_target ? std::function<void()>([pipe] { pipe->wire_mutex.Unlock(); })
@@ -911,7 +915,7 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
         uint64_t plan_id = node_->StashPlan(plan);
         Result<Ack> ack = co_await cluster_->rpc().Call<KworkerCopyReq, Ack>(
             NicInitiator(false), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-            KernelWorker::EndpointName(node_->id()), rdma::Channel::kHighTput,
+            kworker_ep_, rdma::Channel::kHighTput,
             kRpcKworkerCopy,
             KworkerCopyReq{static_cast<uint32_t>(pipe->client), plan_id, span.context()},
             kKworkerRpcTimeout, span.context());
@@ -1211,7 +1215,7 @@ sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, WirePayload payload,
   // origin's retransmit sweeper covers a lost forward either way.
   Status sent = co_await cluster_->rpc().Post(
       NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-      EndpointName(next), urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
+      nicfs_eps_[next], urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
       kRpcReplChunk, fwd, 10 * sim::kMillisecond, span.context(),
       [wire_mu] { wire_mu->Unlock(); });
   if (!sent.ok()) {
@@ -1249,7 +1253,7 @@ sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, WirePayload payload,
   // origin until its sweeper retransmits, and the re-delivery re-acks.
   Status sent = co_await cluster_->rpc().Post(
       NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-      EndpointName(msg.origin_node),
+      nicfs_eps_[msg.origin_node],
       urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput, kRpcReplAck, ack,
       10 * sim::kMillisecond, span.context());
   if (!sent.ok()) {
@@ -1449,7 +1453,7 @@ sim::Task<> NicFs::RetransmitChunk(ClientPipe* pipe, uint64_t chunk_no, uint64_t
     msg.ctx = span.context();
     Status sent = co_await cluster_->rpc().Post(
         NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        EndpointName(replica), urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
+        nicfs_eps_[replica], urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
         kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context());
     if (!sent.ok()) {
       // The chunk stays pending; the sweeper comes back on the next tick.
@@ -1525,7 +1529,7 @@ sim::Task<Result<uint64_t>> NicFs::Recover(int peer) {
   Result<HistoryBitmapResp> bitmap = co_await cluster_->rpc().Call<HistoryBitmapReq,
                                                                    HistoryBitmapResp>(
       NicInitiator(false), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-      EndpointName(peer), rdma::Channel::kHighTput, kRpcHistoryBitmap,
+      nicfs_eps_[peer], rdma::Channel::kHighTput, kRpcHistoryBitmap,
       HistoryBitmapReq{persisted_epoch});
   if (!bitmap.ok()) {
     co_return bitmap.status();
@@ -1619,7 +1623,7 @@ sim::Task<> NicFs::KworkerMonitor() {
     }
     Result<Ack> pong = co_await cluster_->rpc().Call<PingReq, Ack>(
         NicInitiator(false), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        KernelWorker::EndpointName(node_->id()), rdma::Channel::kHighTput, kRpcKworkerPing,
+        kworker_ep_, rdma::Channel::kHighTput, kRpcKworkerPing,
         PingReq{node_->id()}, kKworkerRpcTimeout);
     if (!pong.ok() && !isolated_) {
       isolated_ = true;

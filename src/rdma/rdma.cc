@@ -8,7 +8,23 @@ Network::Network(sim::Engine* engine, hw::Fabric* fabric, std::vector<hw::Node*>
                  const hw::RdmaCosts& costs)
     : engine_(engine), fabric_(fabric), nodes_(std::move(nodes)), costs_(costs) {}
 
-std::vector<Network::Hop> Network::PathFor(MemAddr src, MemAddr dst) {
+const Network::Route& Network::RouteFor(MemAddr src, MemAddr dst) {
+  // One slot per (node, space) endpoint, one route per (src, dst) slot pair.
+  const size_t slots = 2 * nodes_.size();
+  auto slot = [](MemAddr a) {
+    return static_cast<size_t>(a.node) * 2 + (a.space == Space::kNicMem ? 1 : 0);
+  };
+  if (routes_.empty()) {
+    routes_.resize(slots * slots);
+  }
+  Route& route = routes_[slot(src) * slots + slot(dst)];
+  if (route.ready) {
+    return route;
+  }
+  struct Hop {
+    sim::Link* link;
+    sim::Link* fabric_rx = nullptr;  // Set on the fabric crossing.
+  };
   std::vector<Hop> hops;
   // Source-side egress toward the local SmartNIC.
   if (src.space == Space::kHostPm) {
@@ -19,7 +35,7 @@ std::vector<Network::Hop> Network::PathFor(MemAddr src, MemAddr dst) {
   }
   // Fabric crossing.
   if (src.node != dst.node) {
-    hops.push_back(Hop{&fabric_->tx(src.node), /*is_fabric_tx=*/true, src.node, dst.node});
+    hops.push_back(Hop{&fabric_->tx(src.node), &fabric_->rx(dst.node)});
   }
   // Destination-side ingress.
   if (dst.space == Space::kHostPm) {
@@ -28,39 +44,41 @@ std::vector<Network::Hop> Network::PathFor(MemAddr src, MemAddr dst) {
   } else {
     hops.push_back(Hop{&nodes_[dst.node]->nic().mem()});
   }
-  return hops;
+  // Cut-through: occupy the bottleneck link; other hops contribute latency
+  // and byte accounting only.
+  for (const Hop& hop : hops) {
+    if (route.bottleneck == nullptr ||
+        hop.link->bytes_per_sec() < route.bottleneck->bytes_per_sec()) {
+      route.bottleneck = hop.link;
+    }
+  }
+  for (const Hop& hop : hops) {
+    if (hop.link == route.bottleneck) {
+      continue;
+    }
+    route.extra_latency += hop.link->latency();
+    route.accounted.push_back(hop.link);
+    if (hop.fabric_rx != nullptr) {
+      route.accounted.push_back(hop.fabric_rx);
+    }
+  }
+  route.bottleneck_is_fabric_tx = route.bottleneck == &fabric_->tx(src.node);
+  route.ready = true;
+  return route;
 }
 
 sim::Task<> Network::MoveAlongPath(MemAddr src, MemAddr dst, uint64_t bytes) {
-  std::vector<Hop> hops = PathFor(src, dst);
-  // Cut-through: occupy the bottleneck link; other hops contribute latency
-  // and byte accounting only.
-  sim::Link* bottleneck = nullptr;
-  for (const Hop& hop : hops) {
-    if (bottleneck == nullptr || hop.link->bytes_per_sec() < bottleneck->bytes_per_sec()) {
-      bottleneck = hop.link;
-    }
+  const Route& route = RouteFor(src, dst);
+  for (sim::Link* link : route.accounted) {
+    link->Account(bytes);
   }
-  sim::Time extra_latency = 0;
-  for (const Hop& hop : hops) {
-    if (hop.link == bottleneck) {
-      continue;
-    }
-    extra_latency += hop.link->latency();
-    hop.link->Account(bytes);
-    if (hop.is_fabric_tx) {
-      fabric_->rx(hop.fabric_dst).Account(bytes);
-    }
+  if (route.extra_latency > 0) {
+    co_await engine_->SleepFor(route.extra_latency);
   }
-  if (extra_latency > 0) {
-    co_await engine_->SleepFor(extra_latency);
-  }
-  if (bottleneck != nullptr) {
-    if (bottleneck == &fabric_->tx(src.node)) {
-      co_await fabric_->Send(src.node, dst.node, bytes);
-    } else {
-      co_await bottleneck->Transfer(bytes);
-    }
+  if (route.bottleneck_is_fabric_tx) {
+    co_await fabric_->Send(src.node, dst.node, bytes);
+  } else {
+    co_await route.bottleneck->Transfer(bytes);
   }
 }
 

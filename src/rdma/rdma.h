@@ -80,20 +80,26 @@ class Network {
   const hw::RdmaCosts& costs() const { return costs_; }
 
  private:
-  struct Hop {
-    sim::Link* link;
-    bool is_fabric_tx = false;
-    int fabric_src = 0;
-    int fabric_dst = 0;
+  // The cut-through model of one (src node, src space) -> (dst node, dst
+  // space) path, computed on first use: the bottleneck link the transfer
+  // occupies, the summed latency of the other hops, and the links those hops
+  // account bytes on (a fabric crossing also accounts the receiver's port).
+  struct Route {
+    bool ready = false;
+    sim::Link* bottleneck = nullptr;
+    bool bottleneck_is_fabric_tx = false;
+    sim::Time extra_latency = 0;
+    std::vector<sim::Link*> accounted;
   };
 
-  std::vector<Hop> PathFor(MemAddr src, MemAddr dst);
+  const Route& RouteFor(MemAddr src, MemAddr dst);
   sim::Task<> MoveAlongPath(MemAddr src, MemAddr dst, uint64_t bytes);
 
   sim::Engine* engine_;
   hw::Fabric* fabric_;
   std::vector<hw::Node*> nodes_;
   hw::RdmaCosts costs_;
+  std::vector<Route> routes_;  // Filled on first use; see RouteFor.
 };
 
 }  // namespace linefs::rdma

@@ -1,41 +1,67 @@
 #include "src/rdma/rpc.h"
 
-#include <memory>
+#include <coroutine>
+#include <optional>
 
-#include "src/sim/sync.h"
+#include "src/sim/timer.h"
 
 namespace linefs::rdma {
 
 namespace {
 
-// Shared between the caller, the handler-invocation task, and the timeout
-// timer; kept alive by whichever finishes last.
+// One in-flight call, living in the caller's frame. The reply and the timeout
+// race to Complete(); whichever comes first wakes the caller and disarms the
+// other. The handler task reaches the call through its own `call` pointer,
+// which Complete() (and the destructor) clears, so a handler that finishes
+// after its caller gave up is detached and writes nothing.
 struct CallState {
-  explicit CallState(sim::Engine* engine) : completed(engine) {}
-  sim::Event completed;
-  bool done = false;
-  Result<std::vector<uint8_t>> response = Status::Error(ErrorCode::kTimeout, "rpc timeout");
+  explicit CallState(sim::Engine* engine)
+      : engine(engine), timeout(engine, [this] { Complete(); }) {}
+  CallState(const CallState&) = delete;
+  CallState& operator=(const CallState&) = delete;
+  ~CallState() { DetachHandler(); }
+
+  void Complete() {
+    DetachHandler();
+    timeout.Cancel();
+    engine->ScheduleNow(caller);
+  }
+
+  void DetachHandler() {
+    if (handler_ref != nullptr) {
+      *handler_ref = nullptr;
+      handler_ref = nullptr;
+    }
+  }
+
+  // Suspends the caller until Complete().
+  auto Wait() {
+    struct Awaiter {
+      CallState* call;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) { call->caller = h; }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{this};
+  }
+
+  sim::Engine* engine;
+  sim::Timer timeout;
+  std::coroutine_handle<> caller;
+  CallState** handler_ref = nullptr;              // The handler task's `call`.
+  std::optional<std::vector<uint8_t>> response;  // Unset: timed out.
 };
 
 sim::Task<> InvokeHandler(RpcEndpoint* endpoint, sim::Priority priority,
                           RpcEndpoint::GenericHandler* handler, std::vector<uint8_t> request,
-                          std::shared_ptr<CallState> state, const hw::RdmaCosts* costs) {
+                          CallState* call, const hw::RdmaCosts* costs) {
+  call->handler_ref = &call;
   // Receiver-side completion processing, then the handler body.
   co_await endpoint->cpu()->RunCycles(costs->completion_cycles, priority, endpoint->account());
   std::vector<uint8_t> response = co_await (*handler)(std::move(request));
-  if (!state->done) {
-    state->done = true;
-    state->response = std::move(response);
-    state->completed.Fire();
-  }
-}
-
-sim::Task<> CallTimer(sim::Engine* engine, sim::Time timeout,
-                      std::shared_ptr<CallState> state) {
-  co_await engine->SleepFor(timeout);
-  if (!state->done) {
-    state->done = true;  // response stays kTimeout.
-    state->completed.Fire();
+  if (call != nullptr) {
+    call->response = std::move(response);
+    call->Complete();
   }
 }
 
@@ -59,25 +85,29 @@ RpcEndpoint::RpcEndpoint(RpcSystem* system, std::string name, MemAddr addr, sim:
     : name_(std::move(name)), addr_(addr), cpu_(cpu), account_(account),
       has_low_lat_poller_(has_low_lat_poller) {}
 
-RpcEndpoint* RpcSystem::CreateEndpoint(std::string name, MemAddr addr, sim::CpuPool* cpu,
+RpcEndpoint* RpcSystem::CreateEndpoint(const std::string& name, MemAddr addr, sim::CpuPool* cpu,
                                        int account, bool has_low_lat_poller) {
-  auto endpoint =
+  Slot& slot = slots_[Resolve(name).slot];
+  slot.endpoint =
       std::make_unique<RpcEndpoint>(this, name, addr, cpu, account, has_low_lat_poller);
-  RpcEndpoint* raw = endpoint.get();
-  endpoints_[std::move(name)] = std::move(endpoint);
-  return raw;
+  return slot.endpoint.get();
 }
 
-RpcEndpoint* RpcSystem::Find(const std::string& name) {
-  auto it = endpoints_.find(name);
-  return it == endpoints_.end() ? nullptr : it->second.get();
+void RpcSystem::DestroyEndpoint(const std::string& name) {
+  slots_[Resolve(name).slot].endpoint.reset();
 }
 
-void RpcSystem::DestroyEndpoint(const std::string& name) { endpoints_.erase(name); }
+EndpointId RpcSystem::Resolve(const std::string& name) {
+  auto [it, inserted] = ids_.try_emplace(name, EndpointId{static_cast<int>(slots_.size())});
+  if (inserted) {
+    slots_.push_back(Slot{name, nullptr});
+  }
+  return it->second;
+}
 
 sim::Task<Result<std::vector<uint8_t>>> RpcSystem::CallRaw(const Initiator& caller,
                                                            MemAddr caller_addr,
-                                                           const std::string& target,
+                                                           EndpointId target,
                                                            Channel channel, uint32_t method,
                                                            std::vector<uint8_t> request,
                                                            sim::Time timeout,
@@ -105,14 +135,14 @@ sim::Task<Result<std::vector<uint8_t>>> RpcSystem::CallRaw(const Initiator& call
   RpcEndpoint* endpoint = Find(target);
   if (endpoint == nullptr || !endpoint->alive()) {
     co_await engine->SleepFor(timeout);
-    co_return Status::Error(ErrorCode::kUnavailable, "rpc target down: " + target);
+    co_return Status::Error(ErrorCode::kUnavailable, "rpc target down: " + Name(target));
   }
 
   // Fault injection: a partitioned/lossy fabric eats the request; the caller
   // waits out its timeout, exactly as if the receiver never answered.
   if (drop_filter_ && drop_filter_(caller_addr.node, endpoint->addr().node, channel)) {
     co_await engine->SleepUntil(deadline);
-    co_return Status::Error(ErrorCode::kUnavailable, "rpc request dropped: " + target);
+    co_return Status::Error(ErrorCode::kUnavailable, "rpc request dropped: " + Name(target));
   }
 
   // Request wire transfer (control-sized message).
@@ -136,17 +166,17 @@ sim::Task<Result<std::vector<uint8_t>>> RpcSystem::CallRaw(const Initiator& call
 
   // Execute the handler, racing it against the caller's timeout: a target
   // whose host dies mid-call (e.g. the kernel worker, §3.5) must not hang the
-  // caller. A handler that finishes after the timeout is harmless — shared
-  // state keeps everything alive and its result is dropped.
-  auto state = std::make_shared<CallState>(engine);
+  // caller. The reply cancels the timeout; a handler that finishes after the
+  // timeout is detached from the call and its result is dropped.
+  CallState call(engine);
   engine->Spawn(InvokeHandler(endpoint, handler_priority, &handler_it->second,
-                              std::move(request), state, &network_->costs()));
-  engine->Spawn(CallTimer(engine, timeout, state), "rpc.timer");
-  co_await state->completed.Wait();
-  if (!state->response.ok() && state->response.code() == ErrorCode::kTimeout) {
-    co_return Status::Error(ErrorCode::kUnavailable, "rpc timed out: " + target);
+                              std::move(request), &call, &network_->costs()));
+  call.timeout.Arm(engine->Now() + timeout);
+  co_await call.Wait();
+  if (!call.response.has_value()) {
+    co_return Status::Error(ErrorCode::kUnavailable, "rpc timed out: " + Name(target));
   }
-  std::vector<uint8_t> response = std::move(state->response.value());
+  std::vector<uint8_t> response = std::move(*call.response);
 
   // Fault injection, response direction: the handler ran but its answer is
   // lost. The caller still burns the full call timeout before giving up.
@@ -154,7 +184,7 @@ sim::Task<Result<std::vector<uint8_t>>> RpcSystem::CallRaw(const Initiator& call
     if (engine->Now() < deadline) {
       co_await engine->SleepUntil(deadline);
     }
-    co_return Status::Error(ErrorCode::kUnavailable, "rpc response dropped: " + target);
+    co_return Status::Error(ErrorCode::kUnavailable, "rpc response dropped: " + Name(target));
   }
 
   // Response wire transfer.
@@ -172,8 +202,8 @@ sim::Task<Result<std::vector<uint8_t>>> RpcSystem::CallRaw(const Initiator& call
 }
 
 sim::Task<Status> RpcSystem::PostRaw(const Initiator& caller, MemAddr caller_addr,
-                                     const std::string& target, Channel channel,
-                                     uint32_t method, std::vector<uint8_t> request,
+                                     EndpointId target, Channel channel, uint32_t method,
+                                     std::vector<uint8_t> request,
                                      sim::Time timeout, obs::TraceContext trace_ctx,
                                      std::function<void()> on_wire) {
   sim::Engine* engine = network_->engine();
@@ -214,7 +244,7 @@ sim::Task<Status> RpcSystem::PostRaw(const Initiator& caller, MemAddr caller_add
     // blocking on an ordered connection), so `on_wire` fires only afterwards.
     co_await engine->SleepFor(timeout);
     submitted();
-    co_return Status::Error(ErrorCode::kUnavailable, "post target down: " + target);
+    co_return Status::Error(ErrorCode::kUnavailable, "post target down: " + Name(target));
   }
 
   // Fault injection: a lossy/partitioned fabric defeats the transport's
@@ -222,7 +252,7 @@ sim::Task<Status> RpcSystem::PostRaw(const Initiator& caller, MemAddr caller_add
   if (drop_filter_ && drop_filter_(caller_addr.node, endpoint->addr().node, channel)) {
     co_await engine->SleepFor(timeout);
     submitted();
-    co_return Status::Error(ErrorCode::kUnavailable, "post dropped: " + target);
+    co_return Status::Error(ErrorCode::kUnavailable, "post dropped: " + Name(target));
   }
 
   // Message wire transfer (control-sized).

@@ -9,6 +9,9 @@
 //
 // Endpoints are registered by name ("nicfs/0", "kworker/2", ...) and live in a
 // (node, space) memory domain so the wire path is computed from real topology.
+// Callers resolve a name to an EndpointId once and address calls by it; the
+// id outlives the endpoint, so a destroyed or not-yet-created endpoint is
+// simply unavailable.
 // Messages are trivially-copyable structs serialized to bytes (a wire format,
 // as between real LibFS and NICFS processes).
 //
@@ -60,6 +63,12 @@ T FromBytes(const std::vector<uint8_t>& bytes) {
 }  // namespace internal
 
 class RpcSystem;
+
+// Handle to an endpoint name, from RpcSystem::Resolve. Stable for the
+// RpcSystem's lifetime, across destroying and re-creating the endpoint.
+struct EndpointId {
+  int slot = -1;
+};
 
 // One RPC-serving identity. Handlers execute on the endpoint's CPU pool.
 class RpcEndpoint {
@@ -129,10 +138,17 @@ class RpcSystem {
   // into the operation's trace, so wire time shows up on the critical path.
   void SetTrace(obs::TraceBuffer* trace) { trace_ = trace; }
 
-  RpcEndpoint* CreateEndpoint(std::string name, MemAddr addr, sim::CpuPool* cpu, int account,
-                              bool has_low_lat_poller);
-  RpcEndpoint* Find(const std::string& name);
+  // Creates (or re-creates) the endpoint `name`; ids resolved earlier reach
+  // the new endpoint.
+  RpcEndpoint* CreateEndpoint(const std::string& name, MemAddr addr, sim::CpuPool* cpu,
+                              int account, bool has_low_lat_poller);
   void DestroyEndpoint(const std::string& name);
+
+  // Interns `name`, whether or not an endpoint by that name exists yet.
+  EndpointId Resolve(const std::string& name);
+  // The live endpoint behind `id`, or nullptr.
+  RpcEndpoint* Find(EndpointId id) { return slots_[id.slot].endpoint.get(); }
+  const std::string& Name(EndpointId id) const { return slots_[id.slot].name; }
 
   // Typed call. `caller` identifies the client side (CPU costs + wire source);
   // the response is delivered after the handler completes. Returns
@@ -140,7 +156,7 @@ class RpcSystem {
   // unknown method.
   template <typename Req, typename Resp>
   sim::Task<Result<Resp>> Call(const Initiator& caller, MemAddr caller_addr,
-                               const std::string& target, Channel channel, uint32_t method,
+                               EndpointId target, Channel channel, uint32_t method,
                                Req request, sim::Time timeout = 10 * sim::kMillisecond,
                                obs::TraceContext trace_ctx = {}) {
     std::vector<uint8_t> req_bytes = internal::ToBytes(request);
@@ -154,7 +170,7 @@ class RpcSystem {
   }
 
   sim::Task<Result<std::vector<uint8_t>>> CallRaw(const Initiator& caller, MemAddr caller_addr,
-                                                  const std::string& target, Channel channel,
+                                                  EndpointId target, Channel channel,
                                                   uint32_t method, std::vector<uint8_t> request,
                                                   sim::Time timeout,
                                                   obs::TraceContext trace_ctx = {});
@@ -179,7 +195,7 @@ class RpcSystem {
   // can release its order lock there and overlap its own completion
   // processing with the next submission, as a real ordered QP does.
   template <typename Req>
-  sim::Task<Status> Post(const Initiator& caller, MemAddr caller_addr, const std::string& target,
+  sim::Task<Status> Post(const Initiator& caller, MemAddr caller_addr, EndpointId target,
                          Channel channel, uint32_t method, Req request,
                          sim::Time timeout = 10 * sim::kMillisecond,
                          obs::TraceContext trace_ctx = {},
@@ -189,8 +205,8 @@ class RpcSystem {
                                std::move(on_wire));
   }
 
-  sim::Task<Status> PostRaw(const Initiator& caller, MemAddr caller_addr,
-                            const std::string& target, Channel channel, uint32_t method,
+  sim::Task<Status> PostRaw(const Initiator& caller, MemAddr caller_addr, EndpointId target,
+                            Channel channel, uint32_t method,
                             std::vector<uint8_t> request, sim::Time timeout,
                             obs::TraceContext trace_ctx = {},
                             std::function<void()> on_wire = {});
@@ -198,8 +214,14 @@ class RpcSystem {
   Network* network() { return network_; }
 
  private:
+  struct Slot {
+    std::string name;
+    std::unique_ptr<RpcEndpoint> endpoint;  // nullptr while destroyed.
+  };
+
   Network* network_;
-  std::unordered_map<std::string, std::unique_ptr<RpcEndpoint>> endpoints_;
+  std::vector<Slot> slots_;  // Indexed by EndpointId::slot.
+  std::unordered_map<std::string, EndpointId> ids_;
   DropFilter drop_filter_;
   obs::TraceBuffer* trace_ = nullptr;
 };

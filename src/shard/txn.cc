@@ -83,8 +83,8 @@ sim::Task<Result<bool>> TxnService::Run(TxnOp op, uint32_t client, std::vector<i
     }
     contacted.push_back(node);
     Result<TxnVoteResp> vote = co_await context_.rpc->Call<TxnPrepareReq, TxnVoteResp>(
-        context_.initiator, context_.self, EndpointName(node), rdma::Channel::kLowLat,
-        kTxnPrepare, req, context_.rpc_timeout);
+        context_.initiator, context_.self, context_.rpc->Resolve(EndpointName(node)),
+        rdma::Channel::kLowLat, kTxnPrepare, req, context_.rpc_timeout);
     if (!vote.ok()) {
       transport = vote.status();
       all_yes = false;
@@ -118,8 +118,8 @@ sim::Task<Result<bool>> TxnService::Run(TxnOp op, uint32_t client, std::vector<i
     TxnDecisionReq req;
     req.txn_id = txn_id;
     Result<TxnVoteResp> ack = co_await context_.rpc->Call<TxnDecisionReq, TxnVoteResp>(
-        context_.initiator, context_.self, EndpointName(node), rdma::Channel::kLowLat, method,
-        req, context_.rpc_timeout);
+        context_.initiator, context_.self, context_.rpc->Resolve(EndpointName(node)),
+        rdma::Channel::kLowLat, method, req, context_.rpc_timeout);
     (void)ack;
   }
 
@@ -244,8 +244,9 @@ sim::Task<> TxnService::Sweeper() {
         req.txn_id = txn_id;
         Result<TxnStatusResp> status =
             co_await context_.rpc->Call<TxnDecisionReq, TxnStatusResp>(
-                context_.initiator, context_.self, EndpointName(coordinator),
-                rdma::Channel::kLowLat, kTxnStatus, req, context_.rpc_timeout);
+                context_.initiator, context_.self,
+                context_.rpc->Resolve(EndpointName(coordinator)), rdma::Channel::kLowLat,
+                kTxnStatus, req, context_.rpc_timeout);
         if (!status.ok()) {
           continue;  // Unreachable (partition?) but not declared dead: retry later.
         }

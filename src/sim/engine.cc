@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/sim/timer.h"
+
 namespace linefs::sim {
 
 namespace {
@@ -11,7 +13,7 @@ namespace {
 // Root wrapper coroutine: owns the detached task and self-destroys on
 // completion (final_suspend never suspends).
 struct RootTask {
-  struct promise_type {
+  struct promise_type : internal::PooledFrame {
     RootTask get_return_object() {
       return RootTask{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
@@ -43,36 +45,48 @@ void Engine::Spawn(Task<> task, const char* label) {
   current_label_ = saved;
 }
 
+template <typename Body>
+void Engine::Dispatch(const char* label, Body&& body) {
+  ++events_processed_;
+  // The executing event's label becomes ambient so everything it schedules
+  // (sleeps, unlabeled spawns, armed timers) inherits its attribution.
+  current_label_ = label;
+  if (observer_ == nullptr) {
+    body();
+    return;
+  }
+  // One clock read per event: the delta between consecutive reads is
+  // attributed to the event in between. The sliver of harness time between
+  // RunOne calls is misattributed to the next event, which is noise for a
+  // self-profiler but half the clock overhead of a start/end pair.
+  if (observer_last_ts_ == 0) {
+    observer_last_ts_ = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  }
+  body();
+  uint64_t end = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+  observer_->OnEvent(label, end - observer_last_ts_, queue_depth());
+  observer_last_ts_ = end;
+}
+
 bool Engine::RunOne() {
+  if (TimerIsNext()) {
+    Timer* timer = timers_.begin()->timer;
+    queue_.AdvanceTo(timers_.begin()->when, &now_);
+    CancelTimer(timer);
+    Dispatch(timer->label_, [timer] { timer->on_fire_(); });
+    return true;
+  }
   if (queue_.empty()) {
     return false;
   }
   auto item = queue_.Pop(&now_);
-  ++events_processed_;
-  // The executing event's label becomes ambient so everything it schedules
-  // (sleeps, unlabeled spawns) inherits its attribution.
-  current_label_ = item.label;
-  if (observer_ == nullptr) {
-    item.payload.resume();
-  } else {
-    // One clock read per event: the delta between consecutive reads is
-    // attributed to the event in between. The sliver of harness time between
-    // RunOne calls is misattributed to the next event, which is noise for a
-    // self-profiler but half the clock overhead of a start/end pair.
-    if (observer_last_ts_ == 0) {
-      observer_last_ts_ = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count());
-    }
-    item.payload.resume();
-    uint64_t end = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    observer_->OnEvent(item.label, end - observer_last_ts_, queue_.size());
-    observer_last_ts_ = end;
-  }
+  Dispatch(item.label, [&item] { item.payload.resume(); });
   return true;
 }
 
@@ -82,12 +96,56 @@ void Engine::Run() {
 }
 
 void Engine::RunUntil(Time t) {
-  while (!queue_.empty() && queue_.NextTime(now_) <= t) {
+  while (true) {
+    Time next;
+    if (TimerIsNext()) {
+      next = timers_.begin()->when;
+    } else if (!queue_.empty()) {
+      next = queue_.NextTime(now_);
+    } else {
+      break;
+    }
+    if (next > t) {
+      break;
+    }
     RunOne();
   }
   if (now_ < t) {
     now_ = t;
   }
+}
+
+// --- Timer store -------------------------------------------------------------
+
+bool Engine::TimerIsNext() const {
+  if (timers_.empty()) {
+    return false;
+  }
+  if (queue_.empty()) {
+    return true;
+  }
+  const TimerKey& first = *timers_.begin();
+  Time next = queue_.NextTime(now_);
+  return first.when != next ? first.when < next : first.seq < queue_.NextSeq();
+}
+
+void Engine::ArmTimer(Timer* timer, Time t) {
+  timer->Cancel();
+  ++schedule_calls_;
+  if (t < now_) {
+    t = now_;
+    ++schedule_clamped_;
+  }
+  timer->key_ = TimerKey{t, next_seq_++, timer};
+  timer->label_ = current_label_;
+  timer->armed_ = true;
+  timers_.insert(timer->key_);
+  NoteDepth();
+}
+
+void Engine::CancelTimer(Timer* timer) {
+  timers_.erase(timer->key_);
+  timer->armed_ = false;
 }
 
 void Engine::RunToCompletion(Task<> task) {

@@ -7,19 +7,24 @@
 //
 // Determinism: events scheduled for the same instant run in scheduling order
 // (FIFO, tie-broken by sequence number), so a given program produces identical
-// results on every run.
+// results on every run. Cancellable timers (src/sim/timer.h) are kept outside
+// the queue but draw their sequence numbers from the same counter, so a timer
+// fire runs in the exact (time, seq) slot a plain sleep would have had.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
 #include <coroutine>
 #include <cstdint>
+#include <set>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 
 namespace linefs::sim {
+
+class Timer;
 
 // Wall-clock observation hook for the self-profiler (src/obs/selfprof.h):
 // when installed via Engine::SetObserver, OnEvent fires after every processed
@@ -53,6 +58,7 @@ class Engine {
       ++schedule_clamped_;
     }
     queue_.Push(t, next_seq_++, current_label_, handle, now_);
+    NoteDepth();
   }
 
   void ScheduleNow(std::coroutine_handle<> handle) { ScheduleAt(now_, handle); }
@@ -77,13 +83,15 @@ class Engine {
   // active at the call site.
   void Spawn(Task<> task, const char* label = nullptr);
 
-  // Runs a single event. Returns false when the queue is empty.
+  // Runs a single event (a queued resumption or an armed timer's fire).
+  // Returns false when neither is pending.
   bool RunOne();
 
-  // Runs until no scheduled events remain.
+  // Runs until no scheduled events or armed timers remain.
   void Run();
 
-  // Runs events with timestamps <= t, then advances the clock to exactly t.
+  // Runs events and timer fires with timestamps <= t, then advances the clock
+  // to exactly t.
   void RunUntil(Time t);
 
   // Spawns `task` and runs the engine until the event queue drains. Aborts if
@@ -94,7 +102,11 @@ class Engine {
   uint64_t events_processed() const { return events_processed_; }
   uint64_t schedule_calls() const { return schedule_calls_; }
   uint64_t schedule_clamps() const { return schedule_clamped_; }
-  size_t queue_depth() const { return queue_.size(); }
+  // Pending events: queued resumptions plus armed timers. A cancelled timer
+  // leaves the count at once.
+  size_t queue_depth() const { return queue_.size() + timers_.size(); }
+  // High-water mark of queue_depth() over the engine's life.
+  size_t max_queue_depth() const { return max_queue_depth_; }
 
   // At most one observer; nullptr uninstalls. The caller owns the observer
   // and must outlive the engine or uninstall first.
@@ -105,7 +117,7 @@ class Engine {
   EngineObserver* observer() const { return observer_; }
 
  private:
-  friend struct RootCleanup;
+  friend class Timer;
 
   struct SleepAwaiter {
     Engine* engine;
@@ -115,12 +127,39 @@ class Engine {
     void await_resume() const noexcept {}
   };
 
+  void NoteDepth() {
+    size_t depth = queue_depth();
+    if (depth > max_queue_depth_) {
+      max_queue_depth_ = depth;
+    }
+  }
+
+  // Armed timers, ordered like queue items by (when, seq). Kept apart from
+  // the EventQueue so that a cancelled timer leaves no dead entry behind.
+  struct TimerKey {
+    Time when;
+    uint64_t seq;
+    Timer* timer;
+    bool operator<(const TimerKey& o) const {
+      return when != o.when ? when < o.when : seq < o.seq;
+    }
+  };
+  void ArmTimer(Timer* timer, Time t);
+  void CancelTimer(Timer* timer);
+  bool TimerIsNext() const;
+
+  // Runs one event's body with `label` ambient, timing it when an observer
+  // is installed.
+  template <typename Body>
+  void Dispatch(const char* label, Body&& body);
+
   Time now_ = 0;
   uint64_t next_seq_ = 0;
   int64_t live_tasks_ = 0;
   uint64_t events_processed_ = 0;
   uint64_t schedule_calls_ = 0;
   uint64_t schedule_clamped_ = 0;
+  size_t max_queue_depth_ = 0;
   // Label flowing with the executing task: RunOne restores it from the item,
   // so anything the event schedules (sleeps, nested spawns without a label)
   // inherits its attribution.
@@ -130,6 +169,7 @@ class Engine {
   // Two-tier (ready-ring + 4-ary heap) queue; see event_queue.h for the
   // ordering-contract proof sketch.
   EventQueue<std::coroutine_handle<>> queue_;
+  std::set<TimerKey> timers_;
 };
 
 }  // namespace linefs::sim

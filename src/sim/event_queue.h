@@ -25,6 +25,11 @@
 //     *before* the first of them runs; anything those events schedule for the
 //     new current instant appends behind them with a larger seq.
 //
+// The engine's cancellable timers (src/sim/timer.h) live outside this queue.
+// When a timer precedes the queue's next event, the engine advances the clock
+// with AdvanceTo, which promotes that instant's heap events into the ring the
+// same way Pop does, so the split above still holds while the timer fires.
+//
 // Both tiers recycle their storage (geometric growth, never shrunk), so the
 // steady-state hot loop performs no allocation.
 
@@ -59,8 +64,23 @@ class EventQueue {
   bool empty() const { return ring_count_ == 0 && heap_.empty(); }
   size_t size() const { return ring_count_ + heap_.size(); }
 
-  // Timestamp of the next event to pop. Requires !empty().
+  // Timestamp and sequence number of the next event to pop. Require !empty().
   Time NextTime(Time now) const { return ring_count_ > 0 ? now : heap_.front().t; }
+  uint64_t NextSeq() const { return ring_count_ > 0 ? ring_[ring_head_].seq : heap_.front().seq; }
+
+  // Moves the clock to `t` without popping, promoting every heap event of
+  // instant `t` into the ring. Requires `t` to be no later than the next
+  // event and, when `t` > `*now`, an empty ring (all of `*now` has run).
+  void AdvanceTo(Time t, Time* now) {
+    if (t == *now) {
+      return;
+    }
+    assert(ring_count_ == 0 && t > *now);
+    *now = t;
+    while (!heap_.empty() && heap_.front().t == t) {
+      RingPush(HeapPop());
+    }
+  }
 
   // Enqueues an event. `t` must be >= `now` (the engine clamps past-due
   // schedules before calling); same-instant events go to the ring, future

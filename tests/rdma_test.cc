@@ -119,8 +119,8 @@ TEST_F(RdmaTest, RpcRoundTripDeliversTypedMessages) {
   uint64_t got = 0;
   engine_.RunToCompletion([](RdmaTest* t, uint64_t* out) -> sim::Task<> {
     Result<TestResp> resp = co_await t->rpc_->Call<TestReq, TestResp>(
-        t->HostInit(0), MemAddr{0, Space::kHostPm}, "svc/1", Channel::kHighTput, 1,
-        TestReq{21});
+        t->HostInit(0), MemAddr{0, Space::kHostPm}, t->rpc_->Resolve("svc/1"),
+        Channel::kHighTput, 1, TestReq{21});
     CO_ASSERT_OK(resp);
     *out = resp->value;
   }(this, &got));
@@ -142,12 +142,14 @@ TEST_F(RdmaTest, LowLatencyChannelBeatsEventDispatch) {
     init.polls = true;
     sim::Time t0 = t->engine_.Now();
     Result<TestResp> a = co_await t->rpc_->Call<TestReq, TestResp>(
-        init, MemAddr{0, Space::kHostPm}, "fast/1", Channel::kLowLat, 1, TestReq{1});
+        init, MemAddr{0, Space::kHostPm}, t->rpc_->Resolve("fast/1"), Channel::kLowLat, 1,
+        TestReq{1});
     CO_ASSERT_OK(a);
     *fast = t->engine_.Now() - t0;
     t0 = t->engine_.Now();
     Result<TestResp> b = co_await t->rpc_->Call<TestReq, TestResp>(
-        init, MemAddr{0, Space::kHostPm}, "fast/1", Channel::kHighTput, 1, TestReq{1});
+        init, MemAddr{0, Space::kHostPm}, t->rpc_->Resolve("fast/1"), Channel::kHighTput, 1,
+        TestReq{1});
     CO_ASSERT_OK(b);
     *slow = t->engine_.Now() - t0;
   }(this, &fast, &slow));
@@ -167,8 +169,8 @@ TEST_F(RdmaTest, DeadEndpointTimesOutWithUnavailable) {
   engine_.RunToCompletion([](RdmaTest* t, sim::Time* elapsed, ErrorCode* code) -> sim::Task<> {
     sim::Time t0 = t->engine_.Now();
     Result<TestResp> resp = co_await t->rpc_->Call<TestReq, TestResp>(
-        t->HostInit(0), MemAddr{0, Space::kHostPm}, "dead/1", Channel::kHighTput, 1,
-        TestReq{1}, /*timeout=*/5 * sim::kMillisecond);
+        t->HostInit(0), MemAddr{0, Space::kHostPm}, t->rpc_->Resolve("dead/1"),
+        Channel::kHighTput, 1, TestReq{1}, /*timeout=*/5 * sim::kMillisecond);
     *elapsed = t->engine_.Now() - t0;
     *code = resp.code();
   }(this, &elapsed, &code));
@@ -182,11 +184,97 @@ TEST_F(RdmaTest, UnknownMethodRejected) {
   ErrorCode code = ErrorCode::kOk;
   engine_.RunToCompletion([](RdmaTest* t, ErrorCode* code) -> sim::Task<> {
     Result<TestResp> resp = co_await t->rpc_->Call<TestReq, TestResp>(
-        t->HostInit(0), MemAddr{0, Space::kHostPm}, "empty/2", Channel::kHighTput, 77,
-        TestReq{1});
+        t->HostInit(0), MemAddr{0, Space::kHostPm}, t->rpc_->Resolve("empty/2"),
+        Channel::kHighTput, 77, TestReq{1});
     *code = resp.code();
   }(this, &code));
   EXPECT_EQ(code, ErrorCode::kInvalid);
+}
+
+TEST_F(RdmaTest, CompletedCallLeavesNoPendingEvents) {
+  RpcEndpoint* ep = rpc_->CreateEndpoint("svc/1", MemAddr{1, Space::kHostPm},
+                                         &raw_[1]->host_cpu(), raw_[1]->acct_fs(), false);
+  ep->Handle<TestReq, TestResp>(1, [](TestReq req) -> sim::Task<TestResp> {
+    co_return TestResp{req.value + 1};
+  });
+  size_t before = 0;
+  size_t after = 0;
+  engine_.RunToCompletion([](RdmaTest* t, size_t* before, size_t* after) -> sim::Task<> {
+    EndpointId svc = t->rpc_->Resolve("svc/1");
+    for (int i = 0; i < 3; ++i) {
+      *before = t->engine_.queue_depth();
+      Result<TestResp> resp = co_await t->rpc_->Call<TestReq, TestResp>(
+          t->HostInit(0), MemAddr{0, Space::kHostPm}, svc, Channel::kHighTput, 1,
+          TestReq{1});
+      CO_ASSERT_OK(resp);
+      // The call's 10ms timeout was cancelled by the reply, not left asleep.
+      *after = t->engine_.queue_depth();
+      CO_ASSERT_EQ(*after, *before);
+    }
+  }(this, &before, &after));
+  EXPECT_EQ(after, before);
+  EXPECT_LT(engine_.Now(), 10 * sim::kMillisecond);  // No dead timer drained.
+}
+
+TEST_F(RdmaTest, ReplyAfterCallerTimedOutIsDropped) {
+  // The handler outlives its caller's 5ms timeout by 15ms. Its reply must
+  // land nowhere: the caller's frame, which held the call, is gone by then.
+  RpcEndpoint* ep = rpc_->CreateEndpoint("slow/1", MemAddr{1, Space::kHostPm},
+                                         &raw_[1]->host_cpu(), raw_[1]->acct_fs(), false);
+  int handled = 0;
+  ep->Handle<TestReq, TestResp>(1, [this, &handled](TestReq req) -> sim::Task<TestResp> {
+    co_await engine_.SleepFor(20 * sim::kMillisecond);
+    ++handled;
+    co_return TestResp{req.value};
+  });
+  ErrorCode code = ErrorCode::kOk;
+  sim::Time returned_at = 0;
+  engine_.RunToCompletion([](RdmaTest* t, ErrorCode* code, sim::Time* at) -> sim::Task<> {
+    for (int i = 0; i < 2; ++i) {
+      Result<TestResp> resp = co_await t->rpc_->Call<TestReq, TestResp>(
+          t->HostInit(0), MemAddr{0, Space::kHostPm}, t->rpc_->Resolve("slow/1"),
+          Channel::kHighTput, 1, TestReq{7}, /*timeout=*/5 * sim::kMillisecond);
+      *code = resp.code();
+      *at = t->engine_.Now();
+    }
+  }(this, &code, &returned_at));
+  EXPECT_EQ(code, ErrorCode::kUnavailable);
+  EXPECT_LT(returned_at, 20 * sim::kMillisecond);
+  EXPECT_EQ(handled, 2);  // Both handlers ran to the end after their callers left.
+  EXPECT_EQ(engine_.queue_depth(), 0u);
+}
+
+TEST_F(RdmaTest, DestroyedEndpointIsUnavailableUntilRecreated) {
+  auto create = [this] {
+    RpcEndpoint* ep = rpc_->CreateEndpoint("svc/2", MemAddr{2, Space::kHostPm},
+                                           &raw_[2]->host_cpu(), raw_[2]->acct_fs(), false);
+    ep->Handle<TestReq, TestResp>(1, [](TestReq req) -> sim::Task<TestResp> {
+      co_return TestResp{req.value};
+    });
+  };
+  // Resolved before the endpoint exists; the id stays valid throughout.
+  EndpointId id = rpc_->Resolve("svc/2");
+  std::vector<ErrorCode> codes;
+  auto call = [this, id, &codes] {
+    engine_.RunToCompletion([](RdmaTest* t, EndpointId id,
+                               std::vector<ErrorCode>* codes) -> sim::Task<> {
+      Result<TestResp> resp = co_await t->rpc_->Call<TestReq, TestResp>(
+          t->HostInit(0), MemAddr{0, Space::kHostPm}, id, Channel::kHighTput, 1, TestReq{3},
+          /*timeout=*/2 * sim::kMillisecond);
+      codes->push_back(resp.code());
+    }(this, id, &codes));
+  };
+  call();
+  create();
+  call();
+  rpc_->DestroyEndpoint("svc/2");
+  EXPECT_EQ(rpc_->Find(id), nullptr);
+  call();
+  create();
+  call();
+  EXPECT_EQ(codes, (std::vector<ErrorCode>{ErrorCode::kUnavailable, ErrorCode::kOk,
+                                           ErrorCode::kUnavailable, ErrorCode::kOk}));
+  EXPECT_EQ(rpc_->Resolve("svc/2").slot, id.slot);
 }
 
 TEST_F(RdmaTest, BatchedWriteSkipsVerbCostsButMovesTheSameBytes) {

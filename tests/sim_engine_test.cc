@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "src/obs/selfprof.h"
 #include "src/sim/cpu.h"
 #include "src/sim/engine.h"
 #include "src/sim/link.h"
@@ -14,6 +19,7 @@
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
+#include "src/sim/timer.h"
 
 namespace linefs::sim {
 namespace {
@@ -105,6 +111,177 @@ TEST(Engine, RunUntilAdvancesClockExactly) {
   engine.Run();
   EXPECT_EQ(engine.live_tasks(), 0);
   EXPECT_EQ(engine.Now(), kSecond);
+}
+
+Task<> SleepThenRecord(Engine* e, Time t, std::vector<int>* order, int id) {
+  co_await e->SleepUntil(t);
+  order->push_back(id);
+}
+
+TEST(Timer, FiresInItsSeqSlotAmongSameInstantEvents) {
+  Engine engine;
+  std::vector<int> order;
+  Timer early(&engine, [&] {
+    order.push_back(0);
+    // Scheduled at the fire's instant: runs after everything already pending
+    // there, including the plain sleep whose seq precedes this fire's work.
+    engine.Spawn(SleepThenRecord(&engine, engine.Now(), &order, 9));
+  });
+  Timer late(&engine, [&] { order.push_back(2); });
+  early.Arm(10);  // Takes its seq before the task's sleep...
+  engine.Spawn(SleepThenRecord(&engine, 10, &order, 1));
+  engine.RunUntil(0);  // ...which is scheduled here...
+  late.Arm(10);        // ...and before this one.
+  engine.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
+  EXPECT_EQ(engine.Now(), 10);
+}
+
+TEST(Timer, CancelledTimerNeverRunsAndIsNeverCounted) {
+  Engine engine;
+  int fired = 0;
+  Timer timer(&engine, [&] { ++fired; });
+  timer.Arm(5 * kMillisecond);
+  EXPECT_TRUE(timer.armed());
+  EXPECT_EQ(engine.queue_depth(), 1u);
+  timer.Cancel();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(engine.queue_depth(), 0u);
+  engine.Run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(engine.events_processed(), 0u);
+  EXPECT_EQ(engine.Now(), 0);
+
+  // The RPC pattern: arm a long timeout around short work, cancel on reply.
+  engine.RunToCompletion([](Engine* e, Timer* t) -> Task<> {
+    t->Arm(e->Now() + 10 * kMillisecond);
+    co_await e->SleepFor(kMicrosecond);
+    t->Cancel();
+  }(&engine, &timer));
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(engine.events_processed(), 2u);  // The task's start and its wakeup.
+  EXPECT_EQ(engine.queue_depth(), 0u);
+  EXPECT_EQ(engine.Now(), kMicrosecond);
+
+  // Destroying an armed timer cancels it.
+  {
+    Timer scoped(&engine, [&] { ++fired; });
+    scoped.Arm(kSecond);
+    EXPECT_EQ(engine.queue_depth(), 1u);
+  }
+  EXPECT_EQ(engine.queue_depth(), 0u);
+  engine.Run();
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(Timer, ArmingAgainMovesTheFire) {
+  Engine engine;
+  std::vector<Time> fires;
+  Timer timer(&engine, [&] { fires.push_back(engine.Now()); });
+  timer.Arm(5);
+  timer.Arm(20);
+  EXPECT_EQ(engine.queue_depth(), 1u);
+  engine.Run();
+  EXPECT_EQ(fires, (std::vector<Time>{20}));
+}
+
+TEST(Timer, ManyTimersFireInOrderAfterCancellingHalf) {
+  Engine engine;
+  std::vector<int> fired;
+  std::vector<std::unique_ptr<Timer>> timers;
+  uint64_t x = 12345;
+  std::vector<std::pair<Time, int>> expected;
+  for (int i = 0; i < 200; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    Time at = static_cast<Time>((x >> 33) % 50);  // Plenty of same-instant ties.
+    timers.push_back(std::make_unique<Timer>(&engine, [&fired, i] { fired.push_back(i); }));
+    timers.back()->Arm(at);
+    if (i % 2 == 0) {
+      expected.emplace_back(at, i);
+    }
+  }
+  for (int i = 1; i < 200; i += 2) {
+    timers[i]->Cancel();
+  }
+  EXPECT_EQ(engine.queue_depth(), 100u);
+  EXPECT_EQ(engine.max_queue_depth(), 200u);
+  engine.Run();
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_EQ(fired.size(), expected.size());
+  for (size_t k = 0; k < fired.size(); ++k) {
+    EXPECT_EQ(fired[k], expected[k].second) << "at position " << k;
+  }
+  EXPECT_EQ(engine.events_processed(), 100u);
+}
+
+TEST(Timer, RunUntilFiresOnlyTimersDueByThen) {
+  Engine engine;
+  std::vector<Time> fires;
+  auto record = [&] { fires.push_back(engine.Now()); };
+  Timer a(&engine, record);
+  Timer b(&engine, record);
+  Timer c(&engine, record);
+  a.Arm(5 * kMillisecond);
+  b.Arm(10 * kMillisecond);
+  c.Arm(15 * kMillisecond);
+  engine.RunUntil(10 * kMillisecond);
+  EXPECT_EQ(fires, (std::vector<Time>{5 * kMillisecond, 10 * kMillisecond}));
+  EXPECT_EQ(engine.Now(), 10 * kMillisecond);
+  EXPECT_TRUE(c.armed());
+  EXPECT_EQ(engine.queue_depth(), 1u);
+  engine.RunUntil(12 * kMillisecond);
+  EXPECT_EQ(fires.size(), 2u);
+  EXPECT_EQ(engine.Now(), 12 * kMillisecond);
+  engine.Run();
+  EXPECT_EQ(fires.back(), 15 * kMillisecond);
+}
+
+TEST(Timer, SelfProfilerCountsFiresUnderTheArmingLabel) {
+  Engine engine;
+  obs::SelfProfiler profiler(&engine);
+  int fired = 0;
+  Timer kept(&engine, [&] { ++fired; });
+  Timer dropped(&engine, [&] { ++fired; });
+  engine.Spawn(
+      [](Engine* e, Timer* kept, Timer* dropped) -> Task<> {
+        kept->Arm(e->Now() + 5);
+        dropped->Arm(e->Now() + 10);
+        co_await e->SleepFor(7);
+        dropped->Cancel();
+      }(&engine, &kept, &dropped),
+      "armer");
+  engine.Run();
+  profiler.Detach();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(engine.events_processed(), 3u);  // Start, the kept fire, the wakeup.
+  EXPECT_EQ(profiler.total_events(), engine.events_processed());
+  std::vector<obs::SelfProfiler::ComponentStat> comps = profiler.Components();
+  ASSERT_EQ(comps.size(), 1u);
+  EXPECT_EQ(comps[0].label, "armer");
+  EXPECT_EQ(comps[0].events, 3u);
+}
+
+TEST(FramePool, RecyclesFramesOfTheSameSizeClass) {
+  void* first = internal::FramePool::Allocate(100);
+  internal::FramePool::Deallocate(first, 100);
+#if defined(__SANITIZE_ADDRESS__)
+  // A parked frame is poisoned, so a touch through a stale handle is caught.
+  EXPECT_TRUE(__asan_address_is_poisoned(static_cast<char*>(first) + 64));
+#endif
+  void* second = internal::FramePool::Allocate(120);  // Same 128-byte class.
+  EXPECT_EQ(second, first);
+  internal::FramePool::Deallocate(second, 120);
+  // Frames from tasks run on an engine are recycled the same way.
+  Engine engine;
+  int runs = 0;
+  for (int i = 0; i < 3; ++i) {
+    engine.RunToCompletion([](int* runs) -> Task<> {
+      ++*runs;
+      co_return;
+    }(&runs));
+  }
+  EXPECT_EQ(runs, 3);
 }
 
 TEST(Event, WaitersResumeOnFire) {
