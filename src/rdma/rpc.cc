@@ -1,5 +1,6 @@
 #include "src/rdma/rpc.h"
 
+#include <algorithm>
 #include <coroutine>
 #include <optional>
 
@@ -164,14 +165,16 @@ sim::Task<Result<std::vector<uint8_t>>> RpcSystem::CallRaw(const Initiator& call
     co_return Status::Error(ErrorCode::kInvalid, "unknown rpc method");
   }
 
-  // Execute the handler, racing it against the caller's timeout: a target
+  // Execute the handler, racing it against the caller's deadline: a target
   // whose host dies mid-call (e.g. the kernel worker, §3.5) must not hang the
-  // caller. The reply cancels the timeout; a handler that finishes after the
-  // timeout is detached from the call and its result is dropped.
+  // caller. The timeout counts from the call's start, like the drop paths
+  // above and below, so a hung handler and a lost message give up at the same
+  // instant. The reply cancels the timeout; a handler that finishes after the
+  // deadline is detached from the call and its result is dropped.
   CallState call(engine);
   engine->Spawn(InvokeHandler(endpoint, handler_priority, &handler_it->second,
                               std::move(request), &call, &network_->costs()));
-  call.timeout.Arm(engine->Now() + timeout);
+  call.timeout.Arm(std::max(deadline, engine->Now()));
   co_await call.Wait();
   if (!call.response.has_value()) {
     co_return Status::Error(ErrorCode::kUnavailable, "rpc timed out: " + Name(target));

@@ -12,6 +12,7 @@
 #include "src/hw/node.h"
 #include "src/rdma/rdma.h"
 #include "src/rdma/rpc.h"
+#include "src/sim/sync.h"
 
 namespace linefs::rdma {
 namespace {
@@ -242,6 +243,34 @@ TEST_F(RdmaTest, ReplyAfterCallerTimedOutIsDropped) {
   EXPECT_LT(returned_at, 20 * sim::kMillisecond);
   EXPECT_EQ(handled, 2);  // Both handlers ran to the end after their callers left.
   EXPECT_EQ(engine_.queue_depth(), 0u);
+}
+
+TEST_F(RdmaTest, HungHandlerTimesOutAtExactlyStartPlusTimeout) {
+  // The handler never replies while its caller waits. The timeout counts from
+  // the call's start, not from after the post, the request transfer and the
+  // dispatch wakeup, so the call gives up at exactly start + timeout, the
+  // same instant a dropped request would.
+  RpcEndpoint* ep = rpc_->CreateEndpoint("hung/1", MemAddr{1, Space::kHostPm},
+                                         &raw_[1]->host_cpu(), raw_[1]->acct_fs(), false);
+  sim::Event release(&engine_);
+  ep->Handle<TestReq, TestResp>(1, [&release](TestReq req) -> sim::Task<TestResp> {
+    co_await release.Wait();
+    co_return TestResp{req.value};
+  });
+  ErrorCode code = ErrorCode::kOk;
+  sim::Time elapsed = 0;
+  engine_.RunToCompletion([](RdmaTest* t, sim::Event* release, ErrorCode* code,
+                             sim::Time* elapsed) -> sim::Task<> {
+    sim::Time t0 = t->engine_.Now();
+    Result<TestResp> resp = co_await t->rpc_->Call<TestReq, TestResp>(
+        t->HostInit(0), MemAddr{0, Space::kHostPm}, t->rpc_->Resolve("hung/1"),
+        Channel::kHighTput, 1, TestReq{1}, /*timeout=*/5 * sim::kMillisecond);
+    *code = resp.code();
+    *elapsed = t->engine_.Now() - t0;
+    release->Fire();  // Let the handler finish; its reply is dropped.
+  }(this, &release, &code, &elapsed));
+  EXPECT_EQ(code, ErrorCode::kUnavailable);
+  EXPECT_EQ(elapsed, 5 * sim::kMillisecond);
 }
 
 TEST_F(RdmaTest, DestroyedEndpointIsUnavailableUntilRecreated) {
