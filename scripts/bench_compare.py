@@ -35,8 +35,8 @@ benchmarked before their baselines are committed). The "meta" block (git sha, wa
 provenance and is always ignored.
 
 Two deterministic engine counters from each run's "counters" section are
-gated too, lower-is-better, at the much tighter --counter-threshold (default
-0.5 percent): "sim.events_processed" (DES events the run took) and
+gated too, lower-is-better, at the much tighter COUNTER_THRESHOLD_PCT (0.5
+percent): "sim.events_processed" (DES events the run took) and
 "sim.queue_depth_max" (the engine's pending-event high-water mark). The
 simulation is deterministic, so these move only when the work the simulator
 does changes; they stand in for wall time, which is too noisy to gate. A
@@ -62,6 +62,8 @@ import sys
 
 HIGHER_BETTER = ("throughput", "kops", "ops_per_sec")
 GATED_COUNTERS = ("sim.events_processed", "sim.queue_depth_max")
+# Limit for GATED_COUNTERS: they are deterministic, so they need no room for noise.
+COUNTER_THRESHOLD_PCT = 0.5
 LOWER_BETTER = ("latency",)
 LOWER_BETTER_SUFFIX = "_us"
 
@@ -116,7 +118,7 @@ def gate(direction, base_val, cand_val, threshold_pct):
     return delta_pct, worse_pct > threshold_pct
 
 
-def compare_report(name, base, cand, threshold_pct, counter_threshold_pct, failures, rows):
+def compare_report(name, base, cand, threshold_pct, failures, rows):
     base_runs = runs_by_label(base, name)
     cand_runs = runs_by_label(cand, name)
     for label, base_run in base_runs.items():
@@ -140,7 +142,7 @@ def compare_report(name, base, cand, threshold_pct, counter_threshold_pct, failu
         for key in GATED_COUNTERS:
             if key in base_counters:
                 checks.append((key, base_counters[key], cand_counters.get(key), -1,
-                               counter_threshold_pct))
+                               COUNTER_THRESHOLD_PCT))
         for key, base_val, cand_val, direction, limit in checks:
             if informational_run:
                 direction = 0
@@ -171,9 +173,6 @@ def main():
     parser.add_argument("--candidate", required=True, help="directory of fresh BENCH_*.json")
     parser.add_argument("--threshold", type=float, default=15.0,
                         help="max tolerated regression, percent (default 15)")
-    parser.add_argument("--counter-threshold", type=float, default=0.5,
-                        help="max tolerated rise of a gated engine counter, percent "
-                             "(default 0.5)")
     parser.add_argument("--bench", action="append", default=None,
                         help="gate only BENCH_<name>.json (repeatable; default: all baselines)")
     parser.add_argument("--update", action="store_true",
@@ -217,8 +216,7 @@ def main():
         except (OSError, ValueError) as e:
             failures.append(f"{name}: cannot read candidate: {e}")
             continue
-        compare_report(name, base, cand, args.threshold, args.counter_threshold, failures,
-                       rows)
+        compare_report(name, base, cand, args.threshold, failures, rows)
 
     width = max((len(f"{n}/{l}") for n, l, *_ in rows), default=20)
     print(f"{'bench/run':<{width}}  {'scalar':<28} {'baseline':>14} {'candidate':>14} "
@@ -237,7 +235,7 @@ def main():
             print(f"  - {f}", file=sys.stderr)
         return 1
     print(f"\nOK: {len(rows)} values within their limits (scalars {args.threshold:g}%, "
-          f"counters {args.counter_threshold:g}%)")
+          f"counters {COUNTER_THRESHOLD_PCT:g}%)")
     return 0
 
 

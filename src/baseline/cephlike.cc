@@ -39,6 +39,7 @@ CephLike::RunResult CephLike::Run(const Options& options) {
   rdma::RpcEndpoint* ep =
       rpc.CreateEndpoint("osd/1", rdma::MemAddr{1, rdma::Space::kHostPm}, &server->host_cpu(),
                          server_acct, /*has_low_lat_poller=*/false);
+  rdma::EndpointId osd = rpc.Resolve("osd/1");
   ep->Handle<WriteReq, core::Ack>(
       core::kRpcShardWrite,
       [&engine, server, server_acct, &journal, &net, &options](WriteReq req)
@@ -62,7 +63,7 @@ CephLike::RunResult CephLike::Run(const Options& options) {
   int finished = 0;
   for (int proc = 0; proc < options.client_procs; ++proc) {
     engine.Spawn([](sim::Engine* engine, hw::Node* client_node, rdma::RpcSystem* rpc,
-                    const Options* options, int app_acct, int proc,
+                    rdma::EndpointId osd, const Options* options, int app_acct, int proc,
                     int* finished) -> sim::Task<> {
       sim::Semaphore window(engine, options->window);
       sim::WaitGroup inflight(engine);
@@ -74,8 +75,9 @@ CephLike::RunResult CephLike::Run(const Options& options) {
         co_await window.Acquire();
         inflight.Add(1);
         engine->Spawn([](sim::Engine* engine, hw::Node* client_node, rdma::RpcSystem* rpc,
-                         const Options* options, int app_acct, uint64_t op, int proc,
-                         sim::Semaphore* window, sim::WaitGroup* inflight) -> sim::Task<> {
+                         rdma::EndpointId osd, const Options* options, int app_acct,
+                         uint64_t op, int proc, sim::Semaphore* window,
+                         sim::WaitGroup* inflight) -> sim::Task<> {
           rdma::Initiator init;
           init.cpu = &client_node->host_cpu();
           init.priority = sim::Priority::kNormal;
@@ -90,16 +92,16 @@ CephLike::RunResult CephLike::Run(const Options& options) {
           req.len = static_cast<uint32_t>(options->io_size);
           req.client = static_cast<uint32_t>(proc);
           Result<core::Ack> ack = co_await rpc->Call<WriteReq, core::Ack>(
-              init, rdma::MemAddr{0, rdma::Space::kHostPm}, rpc->Resolve("osd/1"),
+              init, rdma::MemAddr{0, rdma::Space::kHostPm}, osd,
               rdma::Channel::kHighTput, core::kRpcShardWrite, req);
           (void)ack;
           window->Release();
           inflight->Done();
-        }(engine, client_node, rpc, options, app_acct, op, proc, &window, &inflight));
+        }(engine, client_node, rpc, osd, options, app_acct, op, proc, &window, &inflight));
       }
       co_await inflight.Wait();
       ++*finished;
-    }(&engine, client_node, &rpc, &options, app_acct, proc, &finished));
+    }(&engine, client_node, &rpc, osd, &options, app_acct, proc, &finished));
   }
   engine.Run();
 

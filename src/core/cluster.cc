@@ -120,9 +120,14 @@ Cluster::Cluster(sim::Engine* engine, const DfsConfig& config)
     placement = *parsed;  // Unknown names are rejected by Start()'s Validate().
   }
   shards_ = shard::ShardMap(config_.num_shards, config_.num_nodes, placement);
+  std::vector<rdma::EndpointId> txn_peers;
+  for (int i = 0; i < config_.num_nodes; ++i) {
+    txn_peers.push_back(rpc_->Resolve(shard::TxnService::EndpointName(i)));
+  }
   for (int i = 0; i < config_.num_nodes; ++i) {
     hw::Node& hwn = *hw_nodes_[i];
     shard::TxnService::Context ctx;
+    ctx.peers = txn_peers;
     ctx.engine = engine_;
     ctx.rpc = rpc_.get();
     ctx.node = i;

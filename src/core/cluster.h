@@ -127,8 +127,9 @@ class Cluster {
   // --- Service membership (maintained by the cluster manager) ------------------
 
   bool service_alive(int node) const { return service_alive_[node]; }
-  // The file-system service on `node` that heartbeats and lease requests go
-  // to: NICFS under LineFS, SharedFS under the host-based baselines.
+  // The file-system service on `node` that every peer, client and manager RPC
+  // to that node's FS goes to: NICFS under LineFS, SharedFS under the
+  // host-based baselines.
   rdma::EndpointId service_endpoint(int node) const { return service_eps_[node]; }
   // Flips membership and, on a transition, notifies every NicFs so replication
   // protocols observe the failure/readmission and pending acks re-evaluate

@@ -85,7 +85,6 @@ void LibFs::Attach() {
   log_ = &node_->client_log(client_id_);
   space_cv_ = std::make_unique<sim::Condition>(engine_);
   op_mu_ = std::make_unique<sim::Mutex>(engine_);
-  nicfs_ep_ = cluster_->rpc().Resolve(NicFs::EndpointName(node_id_));
 
   // Disjoint per-client inode ranges: no allocation round trip on create.
   uint64_t range = (config_->inode_count - 2) /
@@ -183,7 +182,7 @@ sim::Task<> LibFs::FlushForHandoff(uint64_t upto) {
     init.priority = sim::Priority::kNormal;
     init.account = node_->hw().acct_fs();
     Result<Ack> ack = co_await cluster_->rpc().Call<FsyncReq, Ack>(
-        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, nicfs_ep_,
+        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, cluster_->service_endpoint(node_id_),
         rdma::Channel::kLowLat, kRpcFsync,
         FsyncReq{static_cast<uint32_t>(client_id_), upto, ctx},
         /*timeout=*/10 * sim::kSecond, ctx);
@@ -433,7 +432,8 @@ void LibFs::KickService() {
           init.account = self->node_->hw().acct_fs();
           Result<Ack> ignored = co_await self->cluster_->rpc().Call<StartPipelineReq, Ack>(
               init, rdma::MemAddr{self->node_id_, rdma::Space::kHostPm},
-              self->nicfs_ep_, rdma::Channel::kHighTput, kRpcStartPipeline,
+              self->cluster_->service_endpoint(self->node_id_), rdma::Channel::kHighTput,
+              kRpcStartPipeline,
               StartPipelineReq{static_cast<uint32_t>(self->client_id_), ctx},
               /*timeout=*/10 * sim::kMillisecond, ctx);
           (void)ignored;
@@ -474,7 +474,7 @@ sim::Task<Result<int>> LibFs::Open(const std::string& path, uint32_t flags, uint
         init.account = node_->hw().acct_fs();
         Result<Ack> ack = co_await cluster_->rpc().Call<OpenReq, Ack>(
             init, rdma::MemAddr{node_id_, rdma::Space::kHostPm},
-            nicfs_ep_, rdma::Channel::kLowLat, kRpcOpen,
+            cluster_->service_endpoint(node_id_), rdma::Channel::kLowLat, kRpcOpen,
             OpenReq{static_cast<uint32_t>(client_id_), inum, flags});
         if (!ack.ok()) {
           co_return ack.status();
@@ -686,7 +686,7 @@ sim::Task<Result<uint64_t>> LibFs::ReadInternal(fslib::InodeNum inum, std::span<
     init.priority = sim::Priority::kNormal;
     init.account = node_->hw().acct_fs();
     Result<Ack> ack = co_await cluster_->rpc().Call<ReadReq, Ack>(
-        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, nicfs_ep_,
+        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, cluster_->service_endpoint(node_id_),
         rdma::Channel::kLowLat, kRpcRead,
         ReadReq{static_cast<uint32_t>(client_id_), inum, offset, len},
         /*timeout=*/10 * sim::kSecond);
@@ -773,7 +773,7 @@ sim::Task<Status> LibFs::Fsync(int fd) {
     init.priority = sim::Priority::kNormal;
     init.account = node_->hw().acct_fs();
     Result<Ack> ack = co_await cluster_->rpc().Call<FsyncReq, Ack>(
-        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, nicfs_ep_,
+        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, cluster_->service_endpoint(node_id_),
         rdma::Channel::kLowLat, kRpcFsync,
         FsyncReq{static_cast<uint32_t>(client_id_), upto, ctx},
         /*timeout=*/10 * sim::kSecond, ctx);

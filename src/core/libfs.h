@@ -22,7 +22,6 @@
 #include "src/fslib/index.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/rdma/rpc.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 
@@ -142,7 +141,6 @@ class LibFs {
   int client_id_;
   DfsNode* node_ = nullptr;
   NicFs* nicfs_ = nullptr;
-  rdma::EndpointId nicfs_ep_;  // The local NICFS.
   SharedFs* sharedfs_ = nullptr;
   const DfsConfig* config_ = nullptr;
   sim::Engine* engine_ = nullptr;

@@ -159,9 +159,6 @@ NicFs::NicFs(Cluster* cluster, DfsNode* node, KernelWorker* kworker, const DfsCo
   lease_ctx.lease_duration = config->lease_duration;
   leases_ = std::make_unique<LeaseManager>(lease_ctx);
   kworker_ep_ = cluster->rpc().Resolve(KernelWorker::EndpointName(node_->id()));
-  for (int n = 0; n < cluster->num_nodes(); ++n) {
-    nicfs_eps_.push_back(cluster->rpc().Resolve(EndpointName(n)));
-  }
   repl::ProtocolParams repl_params;
   repl_params.quorum_size = config->repl.quorum_size;
   protocol_ = repl::Protocols().Create(config->repl.protocol, repl_params);
@@ -839,7 +836,7 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
     ctl_init.batched = BatchedPost(pipe, target.node);
     Status sent = co_await cluster_->rpc().Post(
         ctl_init, rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        nicfs_eps_[target.node],
+        cluster_->service_endpoint(target.node),
         urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
         kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context(),
         last_target ? std::function<void()>([pipe] { pipe->wire_mutex.Unlock(); })
@@ -1215,7 +1212,8 @@ sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, WirePayload payload,
   // origin's retransmit sweeper covers a lost forward either way.
   Status sent = co_await cluster_->rpc().Post(
       NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-      nicfs_eps_[next], urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
+      cluster_->service_endpoint(next),
+      urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
       kRpcReplChunk, fwd, 10 * sim::kMillisecond, span.context(),
       [wire_mu] { wire_mu->Unlock(); });
   if (!sent.ok()) {
@@ -1253,7 +1251,7 @@ sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, WirePayload payload,
   // origin until its sweeper retransmits, and the re-delivery re-acks.
   Status sent = co_await cluster_->rpc().Post(
       NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-      nicfs_eps_[msg.origin_node],
+      cluster_->service_endpoint(msg.origin_node),
       urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput, kRpcReplAck, ack,
       10 * sim::kMillisecond, span.context());
   if (!sent.ok()) {
@@ -1453,7 +1451,8 @@ sim::Task<> NicFs::RetransmitChunk(ClientPipe* pipe, uint64_t chunk_no, uint64_t
     msg.ctx = span.context();
     Status sent = co_await cluster_->rpc().Post(
         NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        nicfs_eps_[replica], urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
+        cluster_->service_endpoint(replica),
+        urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
         kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context());
     if (!sent.ok()) {
       // The chunk stays pending; the sweeper comes back on the next tick.
@@ -1529,7 +1528,7 @@ sim::Task<Result<uint64_t>> NicFs::Recover(int peer) {
   Result<HistoryBitmapResp> bitmap = co_await cluster_->rpc().Call<HistoryBitmapReq,
                                                                    HistoryBitmapResp>(
       NicInitiator(false), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-      nicfs_eps_[peer], rdma::Channel::kHighTput, kRpcHistoryBitmap,
+      cluster_->service_endpoint(peer), rdma::Channel::kHighTput, kRpcHistoryBitmap,
       HistoryBitmapReq{persisted_epoch});
   if (!bitmap.ok()) {
     co_return bitmap.status();

@@ -403,7 +403,6 @@ class NicFs {
   const DfsConfig* config_;
   sim::Engine* engine_;
   rdma::EndpointId kworker_ep_;              // This host's kernel worker.
-  std::vector<rdma::EndpointId> nicfs_eps_;  // Every node's NICFS, by node id.
   std::unique_ptr<LeaseManager> leases_;
   // Replication protocol driving dispatch topology and commit/retire
   // decisions (DfsConfig::repl.protocol); the window/retry machinery around

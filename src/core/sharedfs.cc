@@ -15,9 +15,6 @@ constexpr uint64_t kHyperloopPrepostBatch = 128;
 
 SharedFs::SharedFs(Cluster* cluster, DfsNode* node, const DfsConfig* config)
     : cluster_(cluster), node_(node), config_(config), engine_(node->hw().engine()) {
-  for (int n = 0; n < cluster->num_nodes(); ++n) {
-    peer_eps_.push_back(cluster->rpc().Resolve(EndpointName(n)));
-  }
   LeaseManager::Context lease_ctx;
   lease_ctx.engine = engine_;
   lease_ctx.net = &cluster->net();
@@ -386,7 +383,8 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
     msg.ctx = span.context();
     Result<Ack> ack = co_await cluster_->rpc().Call<ReplChunkMsg, Ack>(
         HostInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
-        peer_eps_[target.node], urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
+        cluster_->service_endpoint(target.node),
+        urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
         kRpcReplChunk, msg, /*timeout=*/200 * sim::kMillisecond, span.context());
     if (ack.ok()) {
       acked.insert(target.node);
@@ -491,7 +489,7 @@ sim::Task<Status> SharedFs::ReplicateHyperloop(ClientState* state, uint64_t from
     engine_->Spawn([](SharedFs* self, int target, ReplChunkMsg note) -> sim::Task<> {
       Result<Ack> ignored = co_await self->cluster_->rpc().Call<ReplChunkMsg, Ack>(
           self->HostInitiator(false), rdma::MemAddr{self->node_->id(), rdma::Space::kHostPm},
-          self->peer_eps_[target], rdma::Channel::kHighTput, kRpcReplChunk, note,
+          self->cluster_->service_endpoint(target), rdma::Channel::kHighTput, kRpcReplChunk, note,
           /*timeout=*/200 * sim::kMillisecond);
       (void)ignored;
     }(this, target, note), "sharedfs.repl");
@@ -538,7 +536,8 @@ sim::Task<> SharedFs::HandleReplRange(ReplChunkMsg msg) {
       fwd.hop = msg.hop + 1;
       Result<Ack> ack = co_await cluster_->rpc().Call<ReplChunkMsg, Ack>(
           HostInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
-          peer_eps_[next], urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
+          cluster_->service_endpoint(next),
+          urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
           kRpcReplChunk, fwd, /*timeout=*/200 * sim::kMillisecond, msg.ctx);
       (void)ack;
     }

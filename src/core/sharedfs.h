@@ -142,7 +142,6 @@ class SharedFs {
   DfsNode* node_;
   const DfsConfig* config_;
   sim::Engine* engine_;
-  std::vector<rdma::EndpointId> peer_eps_;  // Every node's SharedFS, by node id.
   // Same protocol instance kind as the NIC path (DfsConfig::repl.protocol):
   // decides dispatch targets and the range's commit point. The host baseline
   // always sends blocking Calls, so only topology and commit differ here.

@@ -83,7 +83,7 @@ sim::Task<Result<bool>> TxnService::Run(TxnOp op, uint32_t client, std::vector<i
     }
     contacted.push_back(node);
     Result<TxnVoteResp> vote = co_await context_.rpc->Call<TxnPrepareReq, TxnVoteResp>(
-        context_.initiator, context_.self, context_.rpc->Resolve(EndpointName(node)),
+        context_.initiator, context_.self, context_.peers[node],
         rdma::Channel::kLowLat, kTxnPrepare, req, context_.rpc_timeout);
     if (!vote.ok()) {
       transport = vote.status();
@@ -118,7 +118,7 @@ sim::Task<Result<bool>> TxnService::Run(TxnOp op, uint32_t client, std::vector<i
     TxnDecisionReq req;
     req.txn_id = txn_id;
     Result<TxnVoteResp> ack = co_await context_.rpc->Call<TxnDecisionReq, TxnVoteResp>(
-        context_.initiator, context_.self, context_.rpc->Resolve(EndpointName(node)),
+        context_.initiator, context_.self, context_.peers[node],
         rdma::Channel::kLowLat, method, req, context_.rpc_timeout);
     (void)ack;
   }
@@ -245,7 +245,7 @@ sim::Task<> TxnService::Sweeper() {
         Result<TxnStatusResp> status =
             co_await context_.rpc->Call<TxnDecisionReq, TxnStatusResp>(
                 context_.initiator, context_.self,
-                context_.rpc->Resolve(EndpointName(coordinator)), rdma::Channel::kLowLat,
+                context_.peers[coordinator], rdma::Channel::kLowLat,
                 kTxnStatus, req, context_.rpc_timeout);
         if (!status.ok()) {
           continue;  // Unreachable (partition?) but not declared dead: retry later.

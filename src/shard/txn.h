@@ -106,6 +106,7 @@ class TxnService {
     sim::CpuPool* cpu = nullptr;   // Endpoint handlers execute here.
     int account = -1;
     rdma::Initiator initiator;     // Outbound 2PC messages.
+    std::vector<rdma::EndpointId> peers;  // Every node's "txn/<node>" endpoint, by node id.
     // Cluster membership view (ClusterManager-maintained): a dead coordinator
     // resolves in-doubt participants to ABORT.
     std::function<bool(int node)> node_alive;

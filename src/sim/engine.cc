@@ -13,7 +13,7 @@ namespace {
 // Root wrapper coroutine: owns the detached task and self-destroys on
 // completion (final_suspend never suspends).
 struct RootTask {
-  struct promise_type : internal::PooledFrame {
+  struct promise_type {
     RootTask get_return_object() {
       return RootTask{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
@@ -53,6 +53,7 @@ void Engine::Dispatch(const char* label, Body&& body) {
   current_label_ = label;
   if (observer_ == nullptr) {
     body();
+    NoteDepth();
     return;
   }
   // One clock read per event: the delta between consecutive reads is
@@ -70,7 +71,7 @@ void Engine::Dispatch(const char* label, Body&& body) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-  observer_->OnEvent(label, end - observer_last_ts_, queue_depth());
+  observer_->OnEvent(label, end - observer_last_ts_, NoteDepth());
   observer_last_ts_ = end;
 }
 
@@ -140,7 +141,6 @@ void Engine::ArmTimer(Timer* timer, Time t) {
   timer->label_ = current_label_;
   timer->armed_ = true;
   timers_.insert(timer->key_);
-  NoteDepth();
 }
 
 void Engine::CancelTimer(Timer* timer) {

@@ -58,7 +58,6 @@ class Engine {
       ++schedule_clamped_;
     }
     queue_.Push(t, next_seq_++, current_label_, handle, now_);
-    NoteDepth();
   }
 
   void ScheduleNow(std::coroutine_handle<> handle) { ScheduleAt(now_, handle); }
@@ -105,7 +104,9 @@ class Engine {
   // Pending events: queued resumptions plus armed timers. A cancelled timer
   // leaves the count at once.
   size_t queue_depth() const { return queue_.size() + timers_.size(); }
-  // High-water mark of queue_depth() over the engine's life.
+  // High-water mark of queue_depth() as sampled after each processed event
+  // (the depth the observer sees). Depth only grows inside an event body, so
+  // this misses at most a peak that the same body cancelled again.
   size_t max_queue_depth() const { return max_queue_depth_; }
 
   // At most one observer; nullptr uninstalls. The caller owns the observer
@@ -127,13 +128,6 @@ class Engine {
     void await_resume() const noexcept {}
   };
 
-  void NoteDepth() {
-    size_t depth = queue_depth();
-    if (depth > max_queue_depth_) {
-      max_queue_depth_ = depth;
-    }
-  }
-
   // Armed timers, ordered like queue items by (when, seq). Kept apart from
   // the EventQueue so that a cancelled timer leaves no dead entry behind.
   struct TimerKey {
@@ -152,6 +146,15 @@ class Engine {
   // is installed.
   template <typename Body>
   void Dispatch(const char* label, Body&& body);
+
+  // Folds the current queue_depth() into the high-water mark and returns it.
+  size_t NoteDepth() {
+    size_t depth = queue_depth();
+    if (depth > max_queue_depth_) {
+      max_queue_depth_ = depth;
+    }
+    return depth;
+  }
 
   Time now_ = 0;
   uint64_t next_seq_ = 0;

@@ -7,23 +7,12 @@
 //
 // The simulation is strictly single-threaded; no synchronization is needed and
 // none is provided.
-//
-// Frames come from FramePool: per-size-class free lists that recycle the
-// storage of finished coroutines. A simulation creates and destroys a few
-// frames per simulated operation, and the pool turns each pair of malloc/free
-// calls into two pointer swaps. A frame parked on a free list is poisoned
-// with AddressSanitizer's manual-poisoning macros, so a sanitizer build still
-// reports any touch of a destroyed frame (as use-after-poison).
 
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_
 
-#include <sanitizer/asan_interface.h>
-
 #include <coroutine>
-#include <cstddef>
 #include <cstdlib>
-#include <new>
 #include <optional>
 #include <utility>
 
@@ -33,62 +22,6 @@ template <typename T>
 class Task;
 
 namespace internal {
-
-// Free lists of coroutine frames, one per 64-byte size class up to 4 KiB;
-// larger frames go straight to the global allocator. A pooled block is a
-// 16-byte link header followed by the frame. Only the frame is poisoned while
-// the block is parked, so the leak checker can still follow the list. Storage
-// is never handed back, so the pool's footprint is the peak number of live
-// frames per class.
-class FramePool {
- public:
-  static void* Allocate(std::size_t size) {
-    if (size > kMaxPooled) {
-      return ::operator new(size);
-    }
-    std::size_t cls = ClassOf(size);
-    Header* block = free_[cls];
-    if (block == nullptr) {
-      block = static_cast<Header*>(::operator new(sizeof(Header) + cls * kGranule));
-    } else {
-      free_[cls] = block->next;
-      ASAN_UNPOISON_MEMORY_REGION(block + 1, cls * kGranule);
-    }
-    return block + 1;
-  }
-
-  static void Deallocate(void* frame, std::size_t size) {
-    if (size > kMaxPooled) {
-      ::operator delete(frame);
-      return;
-    }
-    std::size_t cls = ClassOf(size);
-    Header* block = static_cast<Header*>(frame) - 1;
-    block->next = free_[cls];
-    free_[cls] = block;
-    ASAN_POISON_MEMORY_REGION(frame, cls * kGranule);
-  }
-
- private:
-  struct alignas(16) Header {
-    Header* next;
-  };
-
-  static constexpr std::size_t kGranule = 64;
-  static constexpr std::size_t kMaxPooled = 4096;
-
-  static std::size_t ClassOf(std::size_t size) { return (size + kGranule - 1) / kGranule; }
-
-  static inline Header* free_[kMaxPooled / kGranule + 1] = {};
-};
-
-// Mixed into every promise type so its frame comes from FramePool.
-struct PooledFrame {
-  static void* operator new(std::size_t size) { return FramePool::Allocate(size); }
-  static void operator delete(void* frame, std::size_t size) {
-    FramePool::Deallocate(frame, size);
-  }
-};
 
 // Storage for a task result. Tasks in this codebase do not propagate
 // exceptions; an escaping exception aborts the simulation.
@@ -114,7 +47,7 @@ class PromiseStorage<void> {
 template <typename T = void>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : internal::PromiseStorage<T>, internal::PooledFrame {
+  struct promise_type : internal::PromiseStorage<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
