@@ -45,7 +45,7 @@ void BM_PublishAppend(benchmark::State& state) {
   layout_config.log_size = 8 << 20;
   fslib::Layout layout = fslib::Layout::Compute(kRegionSize, layout_config);
   pmem::Region region(kRegionSize);
-  fslib::PublicFs fs(&region, layout);
+  fslib::PublicFs fs(&region, layout, /*materialize=*/false);
   fs.Mkfs();
   fslib::LogArea log(&region, layout.LogOffset(0), layout.log_size, 0,
                      /*materialize=*/false);
@@ -59,7 +59,7 @@ void BM_PublishAppend(benchmark::State& state) {
   create.payload_len = static_cast<uint32_t>(name.size());
   std::vector<fslib::ParsedEntry> batch{
       Append(&log, create, std::vector<uint8_t>(name.begin(), name.end()))};
-  if (!fs.Publish(batch, log, false).ok()) {
+  if (!fs.Publish(batch, log).ok()) {
     state.SkipWithError("create failed");
     return;
   }
@@ -94,7 +94,7 @@ void BM_PublishAppend(benchmark::State& state) {
     offset += kAppendBytes;
     batch.assign(1, Append(&log, data, payload));
     auto t0 = std::chrono::steady_clock::now();
-    Status st = fs.Publish(batch, log, /*materialize=*/false);
+    Status st = fs.Publish(batch, log);
     benchmark::DoNotOptimize(st);
     total_ns += std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
                     .count();

@@ -210,7 +210,6 @@ class Experiment {
     v.Set("transfer_window", c.repl.transfer_window);
     v.Set("pipeline_stages", c.pipeline_stages);
     v.Set("read_path", c.read_path);
-    v.Set("read_nic_threshold", c.read_nic_threshold);
     v.Set("read_nic_load_max", c.read_nic_load_max);
     v.Set("num_shards", c.num_shards);
     v.Set("shard_placement", c.shard_placement);

@@ -34,10 +34,11 @@ not a failure (new protocols, stage plugins and sweep points can be
 benchmarked before their baselines are committed). The "meta" block (git sha, wall runtime) is
 provenance and is always ignored.
 
-Two deterministic engine counters from each run's "counters" section are
-gated too, lower-is-better, at the much tighter COUNTER_THRESHOLD_PCT (0.5
-percent): "sim.events_processed" (DES events the run took) and
-"sim.queue_depth_max" (the engine's pending-event high-water mark). The
+Three deterministic counters from each run's "counters" section are gated
+too, lower-is-better, at the much tighter COUNTER_THRESHOLD_PCT (0.5
+percent): "sim.events_processed" (DES events the run took),
+"sim.queue_depth_max" (the engine's pending-event high-water mark) and
+"pmem.bytes_backed" (host memory backing the run's simulated PM). The
 simulation is deterministic, so these move only when the work the simulator
 does changes; they stand in for wall time, which is too noisy to gate. A
 counter absent from the baseline is not gated (older baselines predate it);
@@ -46,7 +47,7 @@ one present in the baseline but missing from the candidate fails.
 Schema v3 adds a per-run "timeline" section (windowed virtual-time series:
 delivered/shed rate, queue depth, latency percentiles per window) plus
 "p999"/"p999_us" fields on histogram summaries. The timeline is purely
-informational for this gate -- only "scalars" and the two counters above are
+informational for this gate -- only "scalars" and the three counters above are
 compared, and a v3 candidate gates cleanly against a v2 baseline (the extra
 fields are simply never looked at). Exit status: 0 clean, 1 regression or
 structural mismatch, 2 usage/IO error.
@@ -61,7 +62,7 @@ import shutil
 import sys
 
 HIGHER_BETTER = ("throughput", "kops", "ops_per_sec")
-GATED_COUNTERS = ("sim.events_processed", "sim.queue_depth_max")
+GATED_COUNTERS = ("sim.events_processed", "sim.queue_depth_max", "pmem.bytes_backed")
 # Limit for GATED_COUNTERS: they are deterministic, so they need no room for noise.
 COUNTER_THRESHOLD_PCT = 0.5
 LOWER_BETTER = ("latency",)

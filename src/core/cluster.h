@@ -5,9 +5,10 @@
 #ifndef SRC_CORE_CLUSTER_H_
 #define SRC_CORE_CLUSTER_H_
 
+#include <compare>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/config.h"
@@ -32,16 +33,13 @@ class ClusterManager;
 class LeaseManager;
 class LibFs;
 
-// Side-band for bulk NIC-to-NIC data: the simulated RDMA layer charges the
-// wire costs while the actual bytes (or pre-parsed entries in elided-data
-// mode) travel through this stash, keyed by destination.
-struct WirePayload {
-  std::vector<uint8_t> raw;                  // Chunk image (possibly compressed).
-  std::vector<fslib::ParsedEntry> entries;   // Used when payload bytes are elided.
-  bool compressed = false;
-  bool encrypted = false;      // `raw` is XOR-scrambled (xor_encrypt stage).
-  bool has_checksum = false;   // `checksum` seals `raw` as sent by the origin.
-  uint64_t checksum = 0;
+// Destination of one stashed replication payload: the node it is sent to,
+// the client whose log it carries, and the chunk (SharedFS: range start).
+struct WireSlot {
+  int node = 0;
+  int client = 0;
+  uint64_t chunk = 0;
+  auto operator<=>(const WireSlot&) const = default;
 };
 
 class Cluster {
@@ -137,23 +135,34 @@ class Cluster {
   void SetServiceAlive(int node, bool alive);
 
   // --- Wire payload stash -----------------------------------------------------
-
-  static std::string WireKey(int dst_node, int client, uint64_t chunk_no) {
-    return std::to_string(dst_node) + "/" + std::to_string(client) + "/" +
-           std::to_string(chunk_no);
+  //
+  // Side-band for bulk replication data: the simulated RDMA layer charges the
+  // wire costs while the range itself (bytes, or headers when payloads are
+  // elided) travels through this stash. A sender stashes right before its
+  // control message and the receiving handler takes it. A send that fails
+  // reached no handler, so the sender withdraws its stash; the ticket keeps
+  // it from withdrawing a newer send's payload for the same slot.
+  uint64_t StashWire(WireSlot slot, fslib::LogRange payload) {
+    wire_[slot] = Stashed{std::move(payload), ++wire_tickets_};
+    return wire_tickets_;
   }
-  void StashWire(const std::string& key, WirePayload payload) {
-    wire_[key] = std::move(payload);
-  }
-  WirePayload TakeWire(const std::string& key) {
-    auto it = wire_.find(key);
+  fslib::LogRange TakeWire(WireSlot slot) {
+    auto it = wire_.find(slot);
     if (it == wire_.end()) {
       return {};
     }
-    WirePayload payload = std::move(it->second);
+    fslib::LogRange payload = std::move(it->second.payload);
     wire_.erase(it);
     return payload;
   }
+  void WithdrawWire(WireSlot slot, uint64_t ticket) {
+    auto it = wire_.find(slot);
+    if (it != wire_.end() && it->second.ticket == ticket) {
+      wire_.erase(it);
+    }
+  }
+  // Payloads stashed and not yet taken: 0 once every send has drained.
+  size_t pending_wire() const { return wire_.size(); }
 
  private:
   sim::Engine* engine_;
@@ -177,7 +186,12 @@ class Cluster {
   shard::ShardMap shards_{0, 1, shard::Placement::kHash};
   std::vector<std::unique_ptr<shard::TxnService>> txns_;
   std::vector<std::unique_ptr<LibFs>> clients_;
-  std::unordered_map<std::string, WirePayload> wire_;
+  struct Stashed {
+    fslib::LogRange payload;
+    uint64_t ticket = 0;
+  };
+  std::map<WireSlot, Stashed> wire_;
+  uint64_t wire_tickets_ = 0;
   std::vector<bool> service_alive_;
   std::vector<rdma::EndpointId> service_eps_;
   bool started_ = false;

@@ -59,19 +59,6 @@ Status DfsConfig::Validate() const {
   if (num_shards >= 1 && txn_sweep_interval <= 0) {
     return Invalid("txn_sweep_interval must be > 0 when sharded");
   }
-  if (!(mem_high_watermark > 0.0 && mem_high_watermark < 1.0)) {
-    return Invalid("mem_high_watermark must be in (0,1), got " +
-                   std::to_string(mem_high_watermark));
-  }
-  if (!(mem_low_watermark > 0.0 && mem_low_watermark < 1.0)) {
-    return Invalid("mem_low_watermark must be in (0,1), got " +
-                   std::to_string(mem_low_watermark));
-  }
-  if (mem_low_watermark >= mem_high_watermark) {
-    return Invalid("mem_low_watermark (" + std::to_string(mem_low_watermark) +
-                   ") must be below mem_high_watermark (" +
-                   std::to_string(mem_high_watermark) + ")");
-  }
   if (max_stage_workers < 1) {
     return Invalid("max_stage_workers must be >= 1, got " +
                    std::to_string(max_stage_workers));
@@ -117,9 +104,6 @@ Status DfsConfig::Validate() const {
   if (read_path != "host" && !IsLineFs()) {
     return Invalid("read_path '" + read_path + "' requires a LineFS mode "
                    "(non-LineFS baselines have no NICFS to forward reads to)");
-  }
-  if (read_nic_threshold == 0) {
-    return Invalid("read_nic_threshold must be > 0");
   }
   if (!(read_nic_load_max > 0.0 && read_nic_load_max <= 1.0)) {
     return Invalid("read_nic_load_max must be in (0,1], got " +

@@ -108,9 +108,6 @@ struct DfsConfig {
   //              queues and windows when the read asks) is above
   //              `read_nic_load_max`.
   std::string read_path = "host";
-  // Adaptive route: reads of at least this many bytes prefer the NIC route.
-  // Default sits just above the host/NIC cost-model crossover (~57 KB).
-  uint64_t read_nic_threshold = 64ULL << 10;
   // Adaptive route: NIC-load EWMA at or above this keeps reads on the host.
   double read_nic_load_max = 0.75;
 
@@ -128,10 +125,6 @@ struct DfsConfig {
 
   // Replication knobs live here; read them as `config.repl.*`.
   ReplConfig repl;
-
-  // Replication flow control watermarks (§4).
-  double mem_high_watermark = 0.70;
-  double mem_low_watermark = 0.30;
 
   // Failure detection. The §3.5 kernel-worker probe period and RPC timeout
   // are constants in nicfs.cc.

@@ -76,7 +76,7 @@ class DfsNode {
       : hw_(hw), config_(&config),
         layout_(fslib::Layout::Compute(
             config.pm_size, {config.inode_count, config.max_clients, config.log_size})),
-        fs_(&hw->pm(), layout_) {
+        fs_(&hw->pm(), layout_, config.materialize_data) {
     fs_.Mkfs();
     logs_.resize(config.max_clients);
   }

@@ -70,7 +70,7 @@ sim::Task<Status> KernelWorker::ExecuteCopyList(const fslib::PublishPlan& plan) 
       break;
   }
   if (st.ok() && config_->publish_method != PublishMethod::kNoCopy) {
-    node_->fs().ExecuteCopies(plan, config_->materialize_data);
+    node_->fs().ExecuteCopies(plan);
     copies_executed_->Increment();
     bytes_copied_->Add(plan.copy_bytes);
   }

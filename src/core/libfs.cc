@@ -12,6 +12,10 @@ namespace linefs::core {
 
 namespace {
 
+// Adaptive read route: reads of at least 64 KB prefer the NIC; the host and
+// NIC cost models cross near 57 KB, so 16 KB IOs stay on the host.
+constexpr uint64_t kReadNicThreshold = 64ULL << 10;
+
 // Splits "/a/b/c" into components.
 std::vector<std::string> SplitPath(const std::string& path) {
   std::vector<std::string> parts;
@@ -675,7 +679,7 @@ sim::Task<Result<uint64_t>> LibFs::ReadInternal(fslib::InodeNum inum, std::span<
   if (config_->read_path != "host" && config_->IsLineFs() && nicfs_ != nullptr &&
       cluster_->service_alive(node_id_)) {
     nic_route = config_->read_path == "nic_rpc" ||
-                (len >= config_->read_nic_threshold &&
+                (len >= kReadNicThreshold &&
                  nicfs_->nic_load() < config_->read_nic_load_max);
   }
   if (nic_route) {
@@ -708,7 +712,7 @@ sim::Task<Result<uint64_t>> LibFs::ReadInternal(fslib::InodeNum inum, std::span<
     // Base from the public area, then overlay pending log writes (oldest to
     // newest) — the two-step read of §3.2.
     std::span<uint8_t> window = out.subspan(0, len);
-    Result<uint64_t> base = node_->fs().ReadData(inum, offset, window, true);
+    Result<uint64_t> base = node_->fs().ReadData(inum, offset, window);
     if (!base.ok()) {
       std::fill(window.begin(), window.end(), 0);
     } else if (*base < len) {

@@ -23,6 +23,10 @@ constexpr sim::Time kReplRetryTimeout = 150 * sim::kMillisecond;
 constexpr sim::Time kKworkerCheckInterval = 100 * sim::kMillisecond;
 // Kernel-worker RPC deadline, far above a healthy 4 MB copy: only a dead host trips isolation.
 constexpr sim::Time kKworkerRpcTimeout = 30 * sim::kMillisecond;
+// §4 flow control: fetch stops above 70% NIC-memory use and resumes below 30%,
+// so in-flight chunks always have room to drain.
+constexpr double kMemHighWatermark = 0.70;
+constexpr double kMemLowWatermark = 0.30;
 
 NicFs::Metrics::Metrics(const obs::MetricScope& scope_in)
     : scope(scope_in),
@@ -401,7 +405,6 @@ void NicFs::RegisterClient(int client, ClientHooks hooks) {
 
   raw->env.engine = engine_;
   raw->env.costs = &config_->fs_costs;
-  raw->env.materialize_data = config_->materialize_data;
   raw->env.coalescing = config_->coalescing;
   raw->env.compression_threads = config_->compression_threads;
   raw->env.node = node_->id();
@@ -419,7 +422,6 @@ void NicFs::RegisterClient(int client, ClientHooks hooks) {
       engine_->Spawn(StageWorker(raw, unit.get(), LocalPlacement()), "nicfs.stage");
     }
     engine_->Spawn(PublishWorker(raw), "nicfs.publish");
-    raw->publish_workers = 1;
     engine_->Spawn(TransferWorker(raw), "nicfs.transfer");
     // Dynamic scaling moved to the cluster-wide StagePlacer: each scalable
     // stage of this pipe becomes a placement group it grows and shrinks.
@@ -454,9 +456,9 @@ sim::Task<NicFs::ChunkPtr> NicFs::AdmitFetch(ClientPipe* pipe) {
   // until memory drains below the low watermark. In-flight DMAs keep draining
   // while admission stalls, so the window never overrides the watermarks.
   hw::SmartNic& nic = node_->hw().nic();
-  if (nic.mem_utilization() > config_->mem_high_watermark) {
+  if (nic.mem_utilization() > kMemHighWatermark) {
     sim::Time stall_start = engine_->Now();
-    while (!shutdown_ && nic.mem_utilization() > config_->mem_low_watermark) {
+    while (!shutdown_ && nic.mem_utilization() > kMemLowWatermark) {
       co_await nic.mem_released().Wait();
     }
     metrics_.flow_ctrl_stall_ns->Add(
@@ -493,8 +495,11 @@ sim::Task<> NicFs::FetchDma(ClientPipe* pipe, ChunkPtr chunk) {
                                 rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
                                 rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
                                 chunk->bytes());
-  if (config_->materialize_data) {
-    pipe->log->CopyRawOut(chunk->from, chunk->to, &chunk->image);
+  Result<fslib::LogRange> range = pipe->log->Export(chunk->from, chunk->to);
+  if (range.ok()) {
+    chunk->range = std::move(*range);
+  } else {
+    chunk->failed = true;  // Validation counts it.
   }
   span.End();
   metrics_.stage_fetch->Record(engine_->Now() - t0);
@@ -775,18 +780,13 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
     pipe->pending_acks[chunk->no] = std::move(st);
   }
 
-  WirePayload payload;
-  if (!chunk->wire.empty()) {
-    payload.raw = chunk->wire;
-    payload.compressed = chunk->wire_compressed;
-    payload.encrypted = chunk->wire_encrypted;
-  } else if (config_->materialize_data) {
-    payload.raw = chunk->image;
-  } else {
-    payload.entries = chunk->entries;
+  // The wire carries the transformed bytes when a transform stage ran, else
+  // the fetched image; a range with no bytes carries its validated headers.
+  fslib::LogRange payload;
+  payload.image = chunk->wire.empty() ? chunk->range.image : chunk->wire;
+  if (payload.image.empty()) {
+    payload.headers = chunk->entries;
   }
-  payload.has_checksum = chunk->wire_checksummed;
-  payload.checksum = chunk->wire_checksum;
 
   // Bulk one-sided write into each target NICFS's memory, then its control
   // message — issued back-to-back under the pipe's wire mutex so concurrent
@@ -800,17 +800,6 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
   for (size_t i = 0; i < targets.size(); ++i) {
     const repl::Target& target = targets[i];
     const bool last_target = i + 1 == targets.size();
-    cluster_->StashWire(Cluster::WireKey(target.node, pipe->client, chunk->no),
-                        last_target ? std::move(payload) : payload);
-    // Doorbell batching: the bulk write and its control send are consecutive
-    // posts on this target's QP; under a busy window only every
-    // kDoorbellBatch-th post pays the verb + doorbell cost.
-    rdma::Initiator bulk_init = NicInitiator(urgent);
-    bulk_init.batched = BatchedPost(pipe, target.node);
-    co_await cluster_->net().Write(bulk_init,
-                                   rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-                                   rdma::MemAddr{target.node, rdma::Space::kNicMem},
-                                   wire_bytes);
     ReplChunkMsg msg;
     msg.client = static_cast<uint32_t>(pipe->client);
     msg.chunk_no = chunk->no;
@@ -830,17 +819,18 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
     // each replica, so there is no response to wait for — the transfer stage
     // resolves at its own send completion and the ack path runs fully
     // decoupled. The wire mutex releases as soon as the final control message
-    // is on the wire (`on_wire`), so the next window slot's bulk write books
-    // the link while this slot is still processing its send completion.
-    rdma::Initiator ctl_init = NicInitiator(urgent);
-    ctl_init.batched = BatchedPost(pipe, target.node);
-    Status sent = co_await cluster_->rpc().Post(
-        ctl_init, rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        cluster_->service_endpoint(target.node),
-        urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-        kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context(),
-        last_target ? std::function<void()>([pipe] { pipe->wire_mutex.Unlock(); })
-                    : std::function<void()>{});
+    // is on the wire, so the next window slot's bulk write books the link
+    // while this slot is still processing its send completion.
+    // Built outside the co_await: GCC 12 destroys a conditional expression's
+    // temporary twice when it is an argument of an awaited coroutine call.
+    fslib::LogRange target_payload = last_target ? std::move(payload) : payload;
+    std::function<void()> on_wire;
+    if (last_target) {
+      on_wire = [pipe] { pipe->wire_mutex.Unlock(); };
+    }
+    Status sent = co_await SendChunk(msg, rdma::MemAddr{target.node, rdma::Space::kNicMem},
+                                     wire_bytes, std::move(target_payload), pipe,
+                                     std::move(on_wire));
     if (!sent.ok()) {
       OnReplSendFailure(pipe, chunk->no, target.node);
     }
@@ -850,7 +840,6 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
   metrics_.chunks_transferred->Increment();
   metrics_.raw_repl_bytes->Add(chunk->bytes());
   metrics_.stage_transfer->Record(engine_->Now() - t0);
-  chunk->transfer_done_at = engine_->Now();
   auto pending = pipe->pending_acks.find(chunk->no);
   if (pending != pipe->pending_acks.end()) {
     pending->second.transfer_done = engine_->Now();
@@ -937,7 +926,7 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
             static_cast<uint64_t>(config_->fs_costs.memcpy_cycles_per_byte *
                                   static_cast<double>(bytes)),
             sim::Priority::kNormal, node_->hw().nic().nicfs_account());
-        node_->fs().ExecuteCopies(*plan, config_->materialize_data);
+        node_->fs().ExecuteCopies(*plan);
       }
       // Metadata commit: extent/dirent/inode updates flow NIC -> host PM.
       co_await node_->hw().nic().cpu().RunCycles(config_->fs_costs.index_entry_cycles * n,
@@ -1035,13 +1024,12 @@ NicFs::ReplicaPipe* NicFs::GetReplicaPipe(int client) {
   ReplicaPipe* raw = pipe.get();
   replica_pipes_[client] = std::move(pipe);
   engine_->Spawn(PublishWorker(raw), "nicfs.publish");
-  raw->publish_workers = 1;
   return raw;
 }
 
 sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
-  WirePayload payload =
-      cluster_->TakeWire(Cluster::WireKey(node_->id(), msg.client, msg.chunk_no));
+  fslib::LogRange payload = cluster_->TakeWire(
+      WireSlot{node_->id(), static_cast<int>(msg.client), msg.chunk_no});
   fslib::LogArea& log = node_->client_log(static_cast<int>(msg.client));
   std::vector<int> chain = ChainFor(msg.origin_node);
   // Terminal (fanout) deliveries — quorum dispatch and retransmit refills —
@@ -1071,8 +1059,8 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
         static_cast<uint64_t>(config_->fs_costs.checksum_cycles_per_byte *
                               static_cast<double>(msg.wire_bytes)),
         urgent ? sim::Priority::kRealtime : sim::Priority::kNormal, nic.nicfs_account());
-    if (!payload.raw.empty()) {
-      if (payload.has_checksum && pipeline::WireChecksum(payload.raw) == msg.checksum) {
+    if (!payload.image.empty()) {
+      if (pipeline::WireChecksum(payload.image) == msg.checksum) {
         metrics_.checksum_verified->Increment();
       } else {
         metrics_.checksum_mismatches->Increment();
@@ -1083,7 +1071,7 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
   // Undo the wire transforms in reverse chain order for local use: decrypt,
   // then decompress. `payload` itself stays in wire form — a chain forward
   // must relay the exact bytes (and flags) this hop received.
-  std::vector<uint8_t> plain = payload.raw;
+  std::vector<uint8_t> plain = payload.image;
   if (msg.encrypted != 0 && !plain.empty()) {
     co_await nic.cpu().RunCycles(
         static_cast<uint64_t>(config_->fs_costs.encrypt_cycles_per_byte *
@@ -1093,7 +1081,8 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
   }
   // Decompress for local use (the paper's compression stage compresses once
   // at the primary; every replica decompresses for its own PM copy).
-  std::vector<uint8_t> image;
+  fslib::LogRange local;
+  local.headers = payload.headers;
   if (msg.compressed != 0 && !plain.empty()) {
     co_await nic.cpu().RunCycles(
         static_cast<uint64_t>(config_->fs_costs.decompress_cycles_per_byte *
@@ -1101,21 +1090,21 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
         urgent ? sim::Priority::kRealtime : sim::Priority::kNormal, nic.nicfs_account());
     Result<std::vector<uint8_t>> restored = compress::LzwDecompress(plain);
     if (restored.ok()) {
-      image = std::move(*restored);
+      local.image = std::move(*restored);
     }
   } else {
-    image = std::move(plain);
+    local.image = std::move(plain);
   }
 
   std::vector<sim::Task<>> parallel;
 
   // (a) Forward to the next replica in the chain (Fig. 3, step 5).
   if (!last) {
-    parallel.push_back(ForwardChunk(msg, payload, image, chain));
+    parallel.push_back(ForwardChunk(msg, std::move(payload), chain));
   }
 
   // (b) Copy into the local host PM log, then ack the primary (steps 6, 7).
-  parallel.push_back(LocalCopyAndAck(msg, payload, image, log));
+  parallel.push_back(LocalCopyAndAck(msg, local, log));
 
   co_await sim::AwaitAll(engine_, std::move(parallel));
 
@@ -1131,17 +1120,12 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
     chunk->to = msg.to;
     chunk->release_refs = 1;
     chunk->ctx = msg.ctx;  // Replica publication joins the operation's trace.
-    if (config_->materialize_data) {
-      Result<std::vector<fslib::ParsedEntry>> parsed =
-          msg.direct_to_host ? log.ParseRange(msg.from, msg.to)
-                             : fslib::LogArea::ParseChunkImage(image, msg.from);
-      if (parsed.ok()) {
-        chunk->entries = std::move(*parsed);
-      } else {
-        chunk->failed = true;
-      }
+    Result<std::vector<fslib::ParsedEntry>> parsed =
+        log.Entries(msg.from, msg.to, local, msg.direct_to_host != 0);
+    if (parsed.ok()) {
+      chunk->entries = std::move(*parsed);
     } else {
-      chunk->entries = std::move(payload.entries);
+      chunk->failed = true;
     }
     uint64_t chunk_no = chunk->no;
     rp->publish_rb.Push(chunk_no, std::move(chunk));
@@ -1162,11 +1146,10 @@ sim::Mutex* NicFs::ForwardMutex(int client) {
   return it->second.get();
 }
 
-sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, WirePayload payload,
-                                std::vector<uint8_t> image, std::vector<int> chain) {
+sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, fslib::LogRange payload,
+                                std::vector<int> chain) {
   int next = chain[msg.hop + 1];
   bool next_is_last = msg.hop + 2 >= static_cast<int>(chain.size());
-  bool urgent = msg.urgent != 0;
   obs::Span span(trace_, component_, "forward", node_->id(), static_cast<int>(msg.client),
                  msg.chunk_no, msg.ctx);
   ReplChunkMsg fwd = msg;
@@ -1178,68 +1161,46 @@ sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, WirePayload payload,
   // link ahead of chunk k's control message.
   sim::Mutex* wire_mu = ForwardMutex(static_cast<int>(msg.client));
   co_await wire_mu->Lock();
+  rdma::MemAddr dst{next, rdma::Space::kNicMem};
+  uint64_t bulk_bytes = msg.wire_bytes;
   if (next_is_last && msg.compressed == 0 && msg.encrypted == 0) {
     // Penultimate-hop optimisation (Fig. 3, step 6'): write straight into the
     // last replica's host PM log, skipping its SmartNIC memory copy. Only for
-    // untransformed payloads — host PM must receive plaintext bytes.
+    // untransformed payloads — host PM must receive plaintext bytes. The
+    // receiver then finds the image in its log; only elided headers travel.
     fwd.direct_to_host = 1;
-    fslib::LogArea& dst_log = cluster_->dfs_node(next).client_log(static_cast<int>(msg.client));
-    if (config_->materialize_data && !image.empty()) {
-      dst_log.WriteRaw(msg.from, image);
-    } else {
-      for (const fslib::ParsedEntry& e : payload.entries) {
-        dst_log.MirrorHeader(e);
-      }
-    }
-    dst_log.SetTail(msg.to);
-    WirePayload fwd_payload;
-    fwd_payload.entries = payload.entries;
-    cluster_->StashWire(Cluster::WireKey(next, static_cast<int>(msg.client), msg.chunk_no),
-                        std::move(fwd_payload));
-    co_await cluster_->net().Write(NicInitiator(urgent),
-                                   rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-                                   rdma::MemAddr{next, rdma::Space::kHostPm}, msg.to - msg.from);
-  } else {
-    // Regular NIC-to-NIC forward (compressed payloads stay compressed).
-    cluster_->StashWire(Cluster::WireKey(next, static_cast<int>(msg.client), msg.chunk_no),
-                        payload);
-    co_await cluster_->net().Write(NicInitiator(urgent),
-                                   rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-                                   rdma::MemAddr{next, rdma::Space::kNicMem}, msg.wire_bytes);
+    cluster_->dfs_node(next).client_log(static_cast<int>(msg.client))
+        .Import(msg.from, msg.to, payload);
+    payload.image = std::vector<uint8_t>();
+    dst.space = rdma::Space::kHostPm;
+    bulk_bytes = msg.to - msg.from;
   }
-  // One-way forward; the downstream replica acks the origin directly, so the
-  // only failure this hop can see (and count) is its own send completion. The
-  // origin's retransmit sweeper covers a lost forward either way.
-  Status sent = co_await cluster_->rpc().Post(
-      NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-      cluster_->service_endpoint(next),
-      urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-      kRpcReplChunk, fwd, 10 * sim::kMillisecond, span.context(),
-      [wire_mu] { wire_mu->Unlock(); });
+  // Regular NIC-to-NIC forwards relay the payload in wire form (compressed
+  // payloads stay compressed). One-way: the downstream replica acks the
+  // origin directly, so the only failure this hop can see (and count) is its
+  // own send completion. The origin's retransmit sweeper covers a lost
+  // forward either way.
+  Status sent = co_await SendChunk(fwd, dst, bulk_bytes, std::move(payload), nullptr,
+                                   [wire_mu] { wire_mu->Unlock(); });
   if (!sent.ok()) {
     metrics_.repl_send_failures->Increment();
   }
 }
 
-sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, WirePayload payload,
-                                   std::vector<uint8_t> image, fslib::LogArea& log) {
+sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, fslib::LogRange range,
+                                   fslib::LogArea& log) {
   bool urgent = msg.urgent != 0;
   obs::Span span(trace_, component_, "repl_copy", node_->id(), static_cast<int>(msg.client),
                  msg.chunk_no, msg.ctx);
-  if (!msg.direct_to_host) {
+  if (msg.direct_to_host) {
+    log.SetTail(msg.to);  // The previous hop wrote the range straight into this log.
+  } else {
     // NIC memory -> local host PM log across PCIe.
     co_await cluster_->net().RawTransfer(rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
                                          rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
                                          msg.to - msg.from);
-    if (config_->materialize_data && !image.empty()) {
-      log.WriteRaw(msg.from, image);
-    } else {
-      for (const fslib::ParsedEntry& e : payload.entries) {
-        log.MirrorHeader(e);
-      }
-    }
+    log.Import(msg.from, msg.to, range);
   }
-  log.SetTail(msg.to);
 
   ReplAckMsg ack;
   ack.client = msg.client;
@@ -1411,30 +1372,15 @@ sim::Task<> NicFs::RetransmitChunk(ClientPipe* pipe, uint64_t chunk_no, uint64_t
                                    obs::TraceContext ctx) {
   obs::Span span(trace_, component_, "retransmit", node_->id(), pipe->client, chunk_no, ctx);
   // The log range is still resident: reclaim never passes an unreplicated
-  // chunk, so the bytes can be re-read straight from the client log.
-  std::vector<uint8_t> image;
-  std::vector<fslib::ParsedEntry> entries;
-  if (config_->materialize_data) {
-    pipe->log->CopyRawOut(from, to, &image);
-  } else {
-    Result<std::vector<fslib::ParsedEntry>> parsed = pipe->log->ParseRange(from, to);
-    if (parsed.ok()) {
-      entries = std::move(*parsed);
-    }
-  }
+  // chunk, so the range can be re-read straight from the client log.
+  Result<fslib::LogRange> exported = pipe->log->Export(from, to);
+  const fslib::LogRange range = exported.ok() ? std::move(*exported) : fslib::LogRange{};
   for (int replica : peers) {
     // Re-check liveness per send: the awaits below span real simulated time
     // and the sweeper pre-filtered against an older view.
     if (replica == node_->id() || !cluster_->service_alive(replica)) {
       continue;
     }
-    WirePayload payload;
-    payload.raw = image;
-    payload.entries = entries;
-    cluster_->StashWire(Cluster::WireKey(replica, pipe->client, chunk_no), std::move(payload));
-    co_await cluster_->net().Write(NicInitiator(urgent),
-                                   rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-                                   rdma::MemAddr{replica, rdma::Space::kNicMem}, to - from);
     ReplChunkMsg msg;
     msg.client = static_cast<uint32_t>(pipe->client);
     msg.chunk_no = chunk_no;
@@ -1449,17 +1395,44 @@ sim::Task<> NicFs::RetransmitChunk(ClientPipe* pipe, uint64_t chunk_no, uint64_t
     msg.hop = 1;
     msg.fanout = 1;
     msg.ctx = span.context();
-    Status sent = co_await cluster_->rpc().Post(
-        NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
-        cluster_->service_endpoint(replica),
-        urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-        kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context());
+    Status sent = co_await SendChunk(msg, rdma::MemAddr{replica, rdma::Space::kNicMem},
+                                     to - from, range);
     if (!sent.ok()) {
       // The chunk stays pending; the sweeper comes back on the next tick.
       metrics_.repl_send_failures->Increment();
     }
     metrics_.repl_retransmits->Increment();
   }
+}
+
+sim::Task<Status> NicFs::SendChunk(ReplChunkMsg msg, rdma::MemAddr dst, uint64_t bulk_bytes,
+                                   fslib::LogRange payload, ClientPipe* doorbell,
+                                   std::function<void()> on_wire) {
+  const bool urgent = msg.urgent != 0;
+  WireSlot slot{dst.node, static_cast<int>(msg.client), msg.chunk_no};
+  uint64_t ticket = cluster_->StashWire(slot, std::move(payload));
+  // Doorbell batching: the bulk write and its control send are consecutive
+  // posts on this target's QP; under a busy window only every
+  // kDoorbellBatch-th post pays the verb + doorbell cost.
+  rdma::Initiator bulk_init = NicInitiator(urgent);
+  if (doorbell != nullptr) {
+    bulk_init.batched = BatchedPost(doorbell, dst.node);
+  }
+  co_await cluster_->net().Write(bulk_init, rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
+                                 dst, bulk_bytes);
+  rdma::Initiator ctl_init = NicInitiator(urgent);
+  if (doorbell != nullptr) {
+    ctl_init.batched = BatchedPost(doorbell, dst.node);
+  }
+  Status sent = co_await cluster_->rpc().Post(
+      ctl_init, rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
+      cluster_->service_endpoint(dst.node),
+      urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput, kRpcReplChunk, msg,
+      10 * sim::kMillisecond, msg.ctx, std::move(on_wire));
+  if (!sent.ok()) {
+    cluster_->WithdrawWire(slot, ticket);  // No handler will ever take it.
+  }
+  co_return sent;
 }
 
 // --- fsync (§3.3.2 synchronous path) ---------------------------------------------------
@@ -1569,20 +1542,7 @@ sim::Task<Result<uint64_t>> NicFs::Recover(int peer) {
     }
     local = *remote;
     local.extent_root = 0;
-    if (config_->materialize_data && remote->size > 0) {
-      uint64_t nblocks = fslib::BlocksFor(remote->size);
-      Result<uint64_t> pblock = node_->fs().allocator().Alloc(nblocks);
-      if (pblock.ok()) {
-        std::vector<uint8_t> buffer(remote->size);
-        Result<uint64_t> n = peer_node.fs().ReadData(inum, 0, buffer, true);
-        if (n.ok()) {
-          node_->fs().region().Write(*pblock << fslib::kBlockShift, buffer.data(),
-                                     buffer.size());
-          node_->fs().region().Persist(*pblock << fslib::kBlockShift, buffer.size());
-        }
-        node_->fs().extents().InsertRange(&local, 0, nblocks, *pblock, nullptr);
-      }
-    }
+    node_->fs().CopyFileData(peer_node.fs(), &local);
     node_->fs().inodes().Put(local);
     ++synced;
   }

@@ -179,7 +179,6 @@ class NicFs {
     fslib::LogArea* log = nullptr;
     sim::ReorderBuffer<ChunkPtr> publish_rb;
     uint64_t published_upto = 0;
-    int publish_workers = 0;
     std::function<void(uint64_t)> on_published;
     ClientPipe* as_client = nullptr;  // Non-null for primary-side pipes.
   };
@@ -320,6 +319,14 @@ class NicFs {
   sim::Task<> RetransmitChunk(ClientPipe* pipe, uint64_t chunk_no, uint64_t from, uint64_t to,
                               std::vector<int> peers, bool urgent,
                               obs::TraceContext ctx);
+  // The one send path of a replicated chunk (transfer, retransmit, chain
+  // forward): stashes `payload` for `dst`, writes `bulk_bytes` into `dst`,
+  // then posts `msg` one-way. A failed post reached no handler, so it
+  // withdraws its stash. With `doorbell` set, both posts ride that pipe's
+  // doorbell batch; `on_wire` fires once the control message is on the wire.
+  sim::Task<Status> SendChunk(ReplChunkMsg msg, rdma::MemAddr dst, uint64_t bulk_bytes,
+                              fslib::LogRange payload, ClientPipe* doorbell = nullptr,
+                              std::function<void()> on_wire = {});
 
   // Registry-backed metric handles (hot-path increments stay pointer-cheap).
   struct Metrics {
@@ -376,10 +383,10 @@ class NicFs {
 
   sim::Task<Status> PublishChunk(PipeBase* pipe, ChunkPtr chunk);
   sim::Task<> HandleReplChunk(ReplChunkMsg msg);
-  sim::Task<> ForwardChunk(ReplChunkMsg msg, struct WirePayload payload,
-                           std::vector<uint8_t> image, std::vector<int> chain);
-  sim::Task<> LocalCopyAndAck(ReplChunkMsg msg, struct WirePayload payload,
-                              std::vector<uint8_t> image, fslib::LogArea& log);
+  // `payload` is the range in wire form, as this hop received it; `range` is
+  // the same range with the wire transforms undone.
+  sim::Task<> ForwardChunk(ReplChunkMsg msg, fslib::LogRange payload, std::vector<int> chain);
+  sim::Task<> LocalCopyAndAck(ReplChunkMsg msg, fslib::LogRange range, fslib::LogArea& log);
   void HandleReplAck(const ReplAckMsg& msg);
   // Per-client wire-submission mutex for chain forwards (same single-QP
   // ordering as ClientPipe::wire_mutex, but on the replica's outbound link).

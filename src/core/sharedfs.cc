@@ -246,7 +246,7 @@ sim::Task<Status> SharedFs::DigestRange(fslib::LogArea* log, uint64_t from, uint
   work.push_back(hw.pm_write().Transfer(plan->copy_bytes));
   work.push_back(hw.dram().Transfer(plan->copy_bytes));
   co_await sim::AwaitAll(engine_, std::move(work));
-  node_->fs().ExecuteCopies(*plan, config_->materialize_data);
+  node_->fs().ExecuteCopies(*plan);
   Status cst = node_->fs().CommitPublish(*plan, *parsed);
   if (!cst.ok()) {
     co_return cst;
@@ -344,15 +344,8 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
 
   uint64_t bytes = to - from;
   // Build the wire payload once; each target gets its own stashed copy.
-  WirePayload payload;
-  if (config_->materialize_data) {
-    state->log->CopyRawOut(from, to, &payload.raw);
-  } else {
-    Result<std::vector<fslib::ParsedEntry>> parsed = state->log->ParseRange(from, to);
-    if (parsed.ok()) {
-      payload.entries = std::move(*parsed);
-    }
-  }
+  Result<fslib::LogRange> range = state->log->Export(from, to);
+  fslib::LogRange payload = range.ok() ? std::move(*range) : fslib::LogRange{};
 
   // Host-posted RDMA write into each target's PM, then its RPC — blocking
   // round trips either way (the host baseline is synchronous). Under chain
@@ -365,8 +358,8 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
   for (size_t i = 0; i < targets.size(); ++i) {
     const repl::Target& target = targets[i];
     const bool last_target = i + 1 == targets.size();
-    cluster_->StashWire(Cluster::WireKey(target.node, state->client, from),
-                        last_target ? std::move(payload) : payload);
+    WireSlot slot{target.node, state->client, from};
+    uint64_t ticket = cluster_->StashWire(slot, last_target ? std::move(payload) : payload);
     co_await cluster_->net().Write(HostInitiator(urgent),
                                    rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
                                    rdma::MemAddr{target.node, rdma::Space::kHostPm}, bytes);
@@ -389,6 +382,7 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
     if (ack.ok()) {
       acked.insert(target.node);
     } else {
+      cluster_->WithdrawWire(slot, ticket);
       send_error = ack.status();
     }
   }
@@ -433,16 +427,8 @@ sim::Task<Status> SharedFs::ReplicateHyperloop(ClientState* state, uint64_t from
 
   // Mirror the bytes into every replica's log (the simulator's stand-in for
   // the NIC-chained WAIT-verb data movement).
-  std::vector<uint8_t> raw;
-  std::vector<fslib::ParsedEntry> entries;
-  if (config_->materialize_data) {
-    state->log->CopyRawOut(from, to, &raw);
-  } else {
-    Result<std::vector<fslib::ParsedEntry>> parsed = state->log->ParseRange(from, to);
-    if (parsed.ok()) {
-      entries = std::move(*parsed);
-    }
-  }
+  Result<fslib::LogRange> range = state->log->Export(from, to);
+  fslib::LogRange payload = range.ok() ? std::move(*range) : fslib::LogRange{};
 
   // Hop 1: host-posted one-sided write into replica-1 PM (no remote CPU).
   rdma::Initiator post_only = HostInitiator(urgent);
@@ -455,15 +441,7 @@ sim::Task<Status> SharedFs::ReplicateHyperloop(ClientState* state, uint64_t from
                                    rdma::MemAddr{chain[hop], rdma::Space::kHostPm}, bytes);
   }
   for (size_t hop = 1; hop < chain.size(); ++hop) {
-    fslib::LogArea& dst = cluster_->dfs_node(chain[hop]).client_log(state->client);
-    if (!raw.empty()) {
-      dst.WriteRaw(from, raw);
-    } else {
-      for (const fslib::ParsedEntry& e : entries) {
-        dst.MirrorHeader(e);
-      }
-    }
-    dst.SetTail(to);
+    cluster_->dfs_node(chain[hop]).client_log(state->client).Import(from, to, payload);
   }
   // Final ACK travels back over the wire.
   co_await engine_->SleepFor(config_->node_params.nic.net_latency);
@@ -506,28 +484,22 @@ sim::Task<> SharedFs::HandleReplRange(ReplChunkMsg msg) {
   msg.ctx = recv_span.context();
 
   if (msg.direct_to_host == 0) {
+    // Take the payload first: the caller withdraws it if the call fails.
+    fslib::LogRange payload =
+        cluster_->TakeWire(WireSlot{node_->id(), static_cast<int>(msg.client), msg.from});
     // Persist bookkeeping for the received range.
     co_await hw.host_cpu().RunCycles(3000, urgent ? sim::Priority::kHigh
                                                   : config_->host_fs_priority,
                                      hw.acct_fs());
-    WirePayload payload =
-        cluster_->TakeWire(Cluster::WireKey(node_->id(), static_cast<int>(msg.client), msg.from));
-    if (!payload.raw.empty()) {
-      log.WriteRaw(msg.from, payload.raw);
-    } else {
-      for (const fslib::ParsedEntry& e : payload.entries) {
-        log.MirrorHeader(e);
-      }
-    }
-    log.SetTail(msg.to);
+    log.Import(msg.from, msg.to, payload);
 
     // Forward down the chain before acking (chain replication). Terminal
     // (fanout) deliveries are point-to-point and never relayed.
     std::vector<int> chain = ChainFor(msg.origin_node);
     if (msg.fanout == 0 && msg.hop + 1 < static_cast<int>(chain.size())) {
       int next = chain[msg.hop + 1];
-      cluster_->StashWire(Cluster::WireKey(next, static_cast<int>(msg.client), msg.from),
-                          std::move(payload));
+      WireSlot slot{next, static_cast<int>(msg.client), msg.from};
+      uint64_t ticket = cluster_->StashWire(slot, std::move(payload));
       co_await cluster_->net().Write(HostInitiator(urgent),
                                      rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
                                      rdma::MemAddr{next, rdma::Space::kHostPm},
@@ -539,7 +511,9 @@ sim::Task<> SharedFs::HandleReplRange(ReplChunkMsg msg) {
           cluster_->service_endpoint(next),
           urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
           kRpcReplChunk, fwd, /*timeout=*/200 * sim::kMillisecond, msg.ctx);
-      (void)ack;
+      if (!ack.ok()) {
+        cluster_->WithdrawWire(slot, ticket);
+      }
     }
   } else {
     log.SetTail(msg.to);

@@ -75,13 +75,49 @@ void LogArea::Reclaim(uint64_t up_to) {
   head_ = up_to;
 }
 
-void LogArea::WriteRaw(uint64_t logical_from, std::span<const uint8_t> image) {
-  if (image.empty()) {
-    return;
+Result<LogRange> LogArea::Export(uint64_t from, uint64_t to) const {
+  assert(to >= from);
+  LogRange range;
+  if (!materialize_) {
+    Result<std::vector<ParsedEntry>> headers = ParseRange(from, to);
+    if (!headers.ok()) {
+      return headers.status();
+    }
+    range.headers = std::move(*headers);
+    return range;
   }
-  assert(ToWrapBoundary(logical_from) >= image.size());
-  region_->Write(Phys(logical_from), image.data(), image.size());
-  region_->Persist(Phys(logical_from), image.size());
+  range.image.resize(to - from);
+  if (to > from) {
+    // Chunk ranges never straddle the wrap point (see ChunkEnd), so the
+    // logical range is physically contiguous.
+    assert(ToWrapBoundary(from) >= to - from);
+    region_->Read(Phys(from), range.image.data(), to - from);
+  }
+  return range;
+}
+
+void LogArea::Import(uint64_t from, uint64_t to, const LogRange& range) {
+  if (!range.image.empty()) {
+    assert(ToWrapBoundary(from) >= range.image.size());
+    region_->Write(Phys(from), range.image.data(), range.image.size());
+    region_->Persist(Phys(from), range.image.size());
+  } else {
+    // Elided payloads: mirror just the headers, so this copy of the log stays
+    // scannable.
+    for (const ParsedEntry& entry : range.headers) {
+      region_->WriteObject(Phys(entry.logical_pos), entry.header);
+      region_->Persist(Phys(entry.logical_pos), sizeof(LogEntryHeader));
+    }
+  }
+  SetTail(to);
+}
+
+Result<std::vector<ParsedEntry>> LogArea::Entries(uint64_t from, uint64_t to,
+                                                  const LogRange& range, bool in_log) const {
+  if (!materialize_) {
+    return range.headers;
+  }
+  return in_log ? ParseRange(from, to) : ParseChunkImage(range.image, from);
 }
 
 void LogArea::PersistMeta() {
@@ -90,18 +126,6 @@ void LogArea::PersistMeta() {
   meta.client_id = client_id_;
   region_->WriteObject(base_, meta);
   region_->Persist(base_, sizeof(MetaRecord));
-}
-
-void LogArea::CopyRawOut(uint64_t from, uint64_t to, std::vector<uint8_t>* out) const {
-  assert(to >= from);
-  out->resize(to - from);
-  if (to == from) {
-    return;
-  }
-  // Chunk ranges never straddle the wrap point (see ChunkEnd), so the logical
-  // range is physically contiguous.
-  assert(ToWrapBoundary(from) >= to - from);
-  region_->Read(Phys(from), out->data(), to - from);
 }
 
 uint64_t LogArea::ChunkEnd(uint64_t from, uint64_t max_bytes) const {

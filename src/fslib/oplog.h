@@ -80,11 +80,24 @@ struct ParsedEntry {
   }
 };
 
+// A client-log range on its way from one node's copy of the log to another's
+// (§3.3, Fig. 3): the raw image when payloads are materialised, or only the
+// parsed entry headers when they are elided. LogArea::Export produces one and
+// LogArea::Import applies it, so no caller branches on the mode. On the
+// replication wire `image` may hold transformed (compressed or encrypted)
+// bytes; ReplChunkMsg's flags say which.
+struct LogRange {
+  std::vector<uint8_t> image;        // Empty when payloads are elided.
+  std::vector<ParsedEntry> headers;  // Filled only when payloads are elided.
+};
+
 // The private log of one LibFS client, backed by a slice of the node's PM.
 class LogArea {
  public:
   // `materialize` controls whether payload bytes are really stored (tests)
-  // or elided with time costs still charged (large benchmark sweeps).
+  // or elided with time costs still charged (large benchmark sweeps). It is
+  // also the copy-or-elide choice for every range exported from or imported
+  // into this log.
   LogArea(pmem::Region* region, uint64_t base, uint64_t size, uint32_t client_id,
           bool materialize = true);
 
@@ -105,12 +118,23 @@ class LogArea {
   uint64_t capacity() const { return size_ - kMetaBytes; }
   uint64_t next_seq() const { return next_seq_; }
   uint32_t client_id() const { return client_id_; }
-  bool materialize() const { return materialize_; }
 
-  // Copies the raw log image of logical range [from, to) into `out`
-  // (the fetch stage's view of the chunk). The range never crosses the wrap
-  // point if produced by ChunkEnd().
-  void CopyRawOut(uint64_t from, uint64_t to, std::vector<uint8_t>* out) const;
+  // Logical range [from, to) as it leaves this log (NIC fetch, replication,
+  // retransmit): the raw image when payloads are materialised, else the
+  // parsed headers. Fails only when an elided range's headers do not parse.
+  // The range never crosses the wrap point if produced by ChunkEnd().
+  Result<LogRange> Export(uint64_t from, uint64_t to) const;
+
+  // Applies `range` at the logical position [from, to) it held in the origin's
+  // log (log areas are position-synchronised along the replication chain),
+  // persists it, and advances the tail to `to`.
+  void Import(uint64_t from, uint64_t to, const LogRange& range);
+
+  // Entries of a range for validation or publication: parsed out of `range`'s
+  // image, or its headers when payloads are elided. `in_log` means the sender
+  // wrote the image straight into this log instead of carrying it.
+  Result<std::vector<ParsedEntry>> Entries(uint64_t from, uint64_t to, const LogRange& range,
+                                           bool in_log = false) const;
 
   // Parses entries in logical range [from, to) directly from PM (host-side
   // digestion path used by the Assise baselines and by recovery).
@@ -137,23 +161,11 @@ class LogArea {
   static Result<std::vector<ParsedEntry>> ParseChunkImage(std::span<const uint8_t> image,
                                                           uint64_t base_logical);
 
-  // Replica-side mirroring: writes a raw chunk image at the same logical
-  // position it occupied in the primary's log (log areas are position-
-  // synchronised along the replication chain) and persists it.
-  void WriteRaw(uint64_t logical_from, std::span<const uint8_t> image);
-
-  // Advances the tail to `logical_to` (after WriteRaw of a whole chunk).
+  // Advances the tail to `logical_to` (a range written here by its sender).
   void SetTail(uint64_t logical_to) {
     if (logical_to > tail_) {
       tail_ = logical_to;
     }
-  }
-
-  // Mirrors just an entry header (elided-data mode: replicas keep scannable
-  // logs even when payload bytes are not materialised).
-  void MirrorHeader(const ParsedEntry& entry) {
-    region_->WriteObject(Phys(entry.logical_pos), entry.header);
-    region_->Persist(Phys(entry.logical_pos), sizeof(LogEntryHeader));
   }
 
  private:

@@ -52,8 +52,8 @@ struct PublicFs::PlanContext {
   }
 };
 
-PublicFs::PublicFs(pmem::Region* region, const Layout& layout)
-    : region_(region), layout_(layout), inodes_(region, layout),
+PublicFs::PublicFs(pmem::Region* region, const Layout& layout, bool materialize)
+    : region_(region), layout_(layout), materialize_(materialize), inodes_(region, layout),
       allocator_(layout.data_first_block, layout.data_block_count),
       extents_(region, &allocator_), dirs_(region, &allocator_, &inodes_, &extents_) {}
 
@@ -211,11 +211,11 @@ Result<PublishPlan> PublicFs::PlanPublish(const std::vector<ParsedEntry>& parsed
   return plan;
 }
 
-void PublicFs::ExecuteCopies(const PublishPlan& plan, bool materialize) {
+void PublicFs::ExecuteCopies(const PublishPlan& plan) {
+  if (!materialize_) {
+    return;
+  }
   for (const CopyOp& op : plan.copies) {
-    if (!materialize) {
-      continue;
-    }
     switch (op.kind) {
       case CopyOp::Kind::kPayload:
       case CopyOp::Kind::kOldBlock:
@@ -386,13 +386,12 @@ Status PublicFs::CommitPublish(const PublishPlan& plan, const std::vector<Parsed
   return Status::Ok();
 }
 
-Status PublicFs::Publish(const std::vector<ParsedEntry>& parsed, const LogArea& log,
-                         bool materialize) {
+Status PublicFs::Publish(const std::vector<ParsedEntry>& parsed, const LogArea& log) {
   Result<PublishPlan> plan = PlanPublish(parsed, log);
   if (!plan.ok()) {
     return plan.status();
   }
-  ExecuteCopies(*plan, materialize);
+  ExecuteCopies(*plan);
   return CommitPublish(*plan, parsed);
 }
 
@@ -410,8 +409,7 @@ Result<FileAttr> PublicFs::GetAttr(InodeNum inum) {
   return attr;
 }
 
-Result<uint64_t> PublicFs::ReadData(InodeNum inum, uint64_t offset, std::span<uint8_t> out,
-                                    bool materialize) {
+Result<uint64_t> PublicFs::ReadData(InodeNum inum, uint64_t offset, std::span<uint8_t> out) {
   Result<Inode> inode = inodes_.Get(inum);
   if (!inode.ok()) {
     return inode.status();
@@ -420,9 +418,6 @@ Result<uint64_t> PublicFs::ReadData(InodeNum inum, uint64_t offset, std::span<ui
     return static_cast<uint64_t>(0);
   }
   uint64_t len = std::min<uint64_t>(out.size(), inode->size - offset);
-  if (!materialize) {
-    return len;
-  }
   const std::vector<Extent>& extents = extents_.Load(*inode);
   uint64_t done = 0;
   while (done < len) {
@@ -442,6 +437,23 @@ Result<uint64_t> PublicFs::ReadData(InodeNum inum, uint64_t offset, std::span<ui
     done += n;
   }
   return len;
+}
+
+void PublicFs::CopyFileData(PublicFs& peer, Inode* local) {
+  if (!materialize_ || local->size == 0) {
+    return;
+  }
+  uint64_t nblocks = BlocksFor(local->size);
+  Result<uint64_t> pblock = allocator_.Alloc(nblocks);
+  if (!pblock.ok()) {
+    return;
+  }
+  std::vector<uint8_t> buffer(local->size);
+  if (peer.ReadData(local->inum, 0, buffer).ok()) {
+    region_->Write(*pblock << kBlockShift, buffer.data(), buffer.size());
+    region_->Persist(*pblock << kBlockShift, buffer.size());
+  }
+  extents_.InsertRange(local, 0, nblocks, *pblock, nullptr);
 }
 
 uint64_t CoalesceEntries(std::vector<ParsedEntry>* entries) {

@@ -66,7 +66,10 @@ struct PublishPlan {
 
 class PublicFs {
  public:
-  PublicFs(pmem::Region* region, const Layout& layout);
+  // `materialize` is the node's copy-or-elide choice for payload bytes: with
+  // false, publication and recovery move no data bytes (benchmark mode) while
+  // allocation and metadata stay fully real.
+  PublicFs(pmem::Region* region, const Layout& layout, bool materialize = true);
 
   // Formats the region: superblock + root directory.
   void Mkfs();
@@ -79,15 +82,14 @@ class PublicFs {
 
   Result<PublishPlan> PlanPublish(const std::vector<ParsedEntry>& parsed, const LogArea& log);
 
-  // Moves plan data. With materialize=false the byte movement is elided
-  // (benchmark mode); allocation and metadata stay fully real.
-  void ExecuteCopies(const PublishPlan& plan, bool materialize);
+  // Moves plan data (nothing when payloads are elided).
+  void ExecuteCopies(const PublishPlan& plan);
 
   Status CommitPublish(const PublishPlan& plan, const std::vector<ParsedEntry>& parsed);
 
   // Convenience: plan + copy + commit in one step (host-side digestion and
   // tests).
-  Status Publish(const std::vector<ParsedEntry>& parsed, const LogArea& log, bool materialize);
+  Status Publish(const std::vector<ParsedEntry>& parsed, const LogArea& log);
 
   // --- Read backend --------------------------------------------------------
 
@@ -97,8 +99,12 @@ class PublicFs {
   Result<FileAttr> GetAttr(InodeNum inum);
   // Reads published data; returns bytes read (clipped at file size; holes are
   // zero-filled).
-  Result<uint64_t> ReadData(InodeNum inum, uint64_t offset, std::span<uint8_t> out,
-                            bool materialize = true);
+  Result<uint64_t> ReadData(InodeNum inum, uint64_t offset, std::span<uint8_t> out);
+
+  // Recovery resync (§3.6): gives `local`, a copy of one of `peer`'s inodes
+  // with no extents, fresh blocks holding the peer's published data. Elided
+  // payloads allocate and copy nothing.
+  void CopyFileData(PublicFs& peer, Inode* local);
 
   // --- Accessors -----------------------------------------------------------
 
@@ -123,6 +129,7 @@ class PublicFs {
 
   pmem::Region* region_;
   Layout layout_;
+  bool materialize_;
   InodeTable inodes_;
   pmem::BlockAllocator allocator_;
   ExtentList extents_;

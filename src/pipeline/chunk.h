@@ -27,7 +27,7 @@ struct Chunk {
   uint64_t to = 0;
   bool urgent = false;
   bool failed = false;  // Parse/validation failure: skip work, keep order.
-  std::vector<uint8_t> image;               // Raw log bytes (NIC memory).
+  fslib::LogRange range;                    // As fetched into NIC memory.
   std::vector<fslib::ParsedEntry> entries;  // Populated by validation.
   std::vector<uint8_t> wire;                // Transformed image (optional).
   bool wire_compressed = false;
@@ -36,7 +36,6 @@ struct Chunk {
   uint64_t wire_checksum = 0;               // Seal over the final wire bytes.
   uint64_t mem_reserved = 0;
   int release_refs = 0;
-  sim::Time transfer_done_at = 0;
   // Causal-trace position: updated as the chunk moves through the shared
   // stages (fetch -> validate), so each stage span parents on the previous.
   obs::TraceContext ctx;

@@ -19,7 +19,7 @@ sim::Priority ChunkPriority(const ChunkPtr& chunk) {
 // Current wire representation the transform stages operate on: compressed
 // bytes if a compress stage already ran, else the raw image.
 const std::vector<uint8_t>& WireSource(const ChunkPtr& chunk) {
-  return chunk->wire.empty() ? chunk->image : chunk->wire;
+  return chunk->wire.empty() ? chunk->range.image : chunk->wire;
 }
 
 // Bytes a transform stage touches; falls back to the logical chunk size when
@@ -53,7 +53,7 @@ void XorCipher(std::vector<uint8_t>* data) {
 
 const Stage::Info& ValidateStage::info() const {
   static const Info kInfo{"validate", /*optional=*/false, /*scalable=*/true,
-                          /*shared_fanout=*/true, /*cycles_per_byte=*/0.18};
+                          /*shared_fanout=*/true};
   return kInfo;
 }
 
@@ -64,10 +64,11 @@ sim::Task<> ValidateStage::Process(StageEnv& env, const Placement& where,
   // Downstream stages (compress/transfer/publish) nest under the validation
   // span, which itself nests under fetch.
   chunk->ctx = span.context();
-  Result<std::vector<fslib::ParsedEntry>> parsed =
-      env.materialize_data
-          ? fslib::LogArea::ParseChunkImage(chunk->image, chunk->from)
-          : env.log->ParseRange(chunk->from, chunk->to);
+  // A range whose headers did not parse at fetch arrives already failed.
+  Result<std::vector<fslib::ParsedEntry>> parsed(ErrorCode::kCorrupt, "bad log header");
+  if (!chunk->failed) {
+    parsed = env.log->Entries(chunk->from, chunk->to, chunk->range);
+  }
   uint64_t n = parsed.ok() ? parsed->size() : 1;
   uint64_t cycles = env.costs->validate_entry_cycles * n +
                     static_cast<uint64_t>(env.costs->validate_cycles_per_byte *
@@ -97,13 +98,13 @@ sim::Task<> ValidateStage::Process(StageEnv& env, const Placement& where,
 
 const Stage::Info& CompressStage::info() const {
   static const Info kInfo{"compress", /*optional=*/true, /*scalable=*/true,
-                          /*shared_fanout=*/false, /*cycles_per_byte=*/2.0};
+                          /*shared_fanout=*/false};
   return kInfo;
 }
 
 sim::Task<> CompressStage::Process(StageEnv& env, const Placement& where,
                                    const ChunkPtr& chunk) {
-  if (chunk->failed || !env.materialize_data || chunk->image.empty()) {
+  if (chunk->failed || chunk->range.image.empty()) {
     co_return;
   }
   obs::Span span(env.trace, env.component, "compress", where.node, chunk->client,
@@ -119,7 +120,7 @@ sim::Task<> CompressStage::Process(StageEnv& env, const Placement& where,
                                            where.account));
   }
   co_await sim::AwaitAll(env.engine, std::move(shards));
-  chunk->wire = compress::LzwCompress(chunk->image);
+  chunk->wire = compress::LzwCompress(chunk->range.image);
   chunk->wire_compressed = true;
 }
 
@@ -127,7 +128,7 @@ sim::Task<> CompressStage::Process(StageEnv& env, const Placement& where,
 
 const Stage::Info& ChecksumStage::info() const {
   static const Info kInfo{"checksum", /*optional=*/true, /*scalable=*/true,
-                          /*shared_fanout=*/false, /*cycles_per_byte=*/0.3};
+                          /*shared_fanout=*/false};
   return kInfo;
 }
 
@@ -143,7 +144,7 @@ sim::Task<> ChecksumStage::Process(StageEnv& env, const Placement& where,
                             static_cast<double>(TransformBytes(chunk))),
       ChunkPriority(chunk), where.account);
   const std::vector<uint8_t>& src = WireSource(chunk);
-  if (env.materialize_data && !src.empty()) {
+  if (!src.empty()) {
     chunk->wire_checksum = WireChecksum(src);
     chunk->wire_checksummed = true;
   }
@@ -153,7 +154,7 @@ sim::Task<> ChecksumStage::Process(StageEnv& env, const Placement& where,
 
 const Stage::Info& XorEncryptStage::info() const {
   static const Info kInfo{"xor_encrypt", /*optional=*/true, /*scalable=*/true,
-                          /*shared_fanout=*/false, /*cycles_per_byte=*/1.2};
+                          /*shared_fanout=*/false};
   return kInfo;
 }
 
@@ -168,11 +169,8 @@ sim::Task<> XorEncryptStage::Process(StageEnv& env, const Placement& where,
       static_cast<uint64_t>(env.costs->encrypt_cycles_per_byte *
                             static_cast<double>(TransformBytes(chunk))),
       ChunkPriority(chunk), where.account);
-  if (!env.materialize_data) {
-    co_return;
-  }
-  if (chunk->wire.empty() && !chunk->image.empty()) {
-    chunk->wire = chunk->image;  // First transform: start from the raw image.
+  if (chunk->wire.empty() && !chunk->range.image.empty()) {
+    chunk->wire = chunk->range.image;  // First transform: start from the raw image.
   }
   if (!chunk->wire.empty()) {
     XorCipher(&chunk->wire);

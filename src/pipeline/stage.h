@@ -11,8 +11,8 @@
 //  - Process() is a coroutine that transforms one chunk in place. It charges
 //    compute to `where.pool` (never a hard-coded NIC), so a relocated worker
 //    automatically bills the right complex.
-//  - Stages must tolerate elided payloads (materialize_data=false): charge
-//    the modelled cycles, skip the byte transform.
+//  - Stages must tolerate elided payloads (a fetched range with no image):
+//    charge the modelled cycles, skip the byte transform.
 //  - Optional stages may be skipped entirely under backpressure (the generic
 //    worker's bypass, §3.3.2 generalized); required stages may not.
 //  - Order within one chunk is the configured chain order; cross-chunk order
@@ -56,7 +56,6 @@ struct Placement {
 struct StageEnv {
   sim::Engine* engine = nullptr;
   const hw::FsCosts* costs = nullptr;
-  bool materialize_data = true;
   bool coalescing = false;
   int compression_threads = 1;
   int node = 0;                  // Home node of the pipe (trace lane).
@@ -76,9 +75,6 @@ class Stage {
     bool optional = false;       // Bypassable under backpressure (§3.3.2).
     bool scalable = false;       // The placer may add/retire workers.
     bool shared_fanout = false;  // Output also feeds the publication pipeline.
-    double cycles_per_byte = 0;  // Declared compute target (documentation /
-                                 // placer sizing; actual cost comes from
-                                 // FsCosts so experiments can override it).
   };
 
   virtual ~Stage() = default;

@@ -1,7 +1,6 @@
 #include "src/sim/stats.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace linefs::sim {
 
@@ -85,34 +84,6 @@ void TimeSeries::AddSpread(Time start, Time end, double amount) {
     Time hi = std::min(end, b_end);
     buckets_[i] += amount * static_cast<double>(hi - lo) / total;
   }
-}
-
-std::string FormatRate(double bytes_per_sec) {
-  char buf[64];
-  if (bytes_per_sec >= 1e9) {
-    std::snprintf(buf, sizeof(buf), "%.2f GB/s", bytes_per_sec / 1e9);
-  } else if (bytes_per_sec >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.1f MB/s", bytes_per_sec / 1e6);
-  } else if (bytes_per_sec >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.1f KB/s", bytes_per_sec / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0f B/s", bytes_per_sec);
-  }
-  return buf;
-}
-
-std::string FormatBytes(double bytes) {
-  char buf[64];
-  if (bytes >= 1e9) {
-    std::snprintf(buf, sizeof(buf), "%.2f GB", bytes / 1e9);
-  } else if (bytes >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.2f MB", bytes / 1e6);
-  } else if (bytes >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.1f KB", bytes / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0f B", bytes);
-  }
-  return buf;
 }
 
 }  // namespace linefs::sim

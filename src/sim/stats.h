@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -59,12 +58,6 @@ class TimeSeries {
   Time bucket_width_;
   std::vector<double> buckets_;
 };
-
-// Formats a byte rate like "2.21 GB/s".
-std::string FormatRate(double bytes_per_sec);
-
-// Formats byte counts like "4.00 MB".
-std::string FormatBytes(double bytes);
 
 }  // namespace linefs::sim
 

@@ -18,44 +18,6 @@
 
 namespace linefs::sim {
 
-// One-shot event. Waiters suspend until Fire(); waiting on a fired event is a
-// no-op. Reset() re-arms it.
-class Event {
- public:
-  explicit Event(Engine* engine) : engine_(engine) {}
-  Event(const Event&) = delete;
-  Event& operator=(const Event&) = delete;
-
-  bool fired() const { return fired_; }
-
-  void Fire() {
-    if (fired_) {
-      return;
-    }
-    fired_ = true;
-    for (std::coroutine_handle<> h : waiters_) {
-      engine_->ScheduleNow(h);
-    }
-    waiters_.clear();
-  }
-
-  void Reset() { fired_ = false; }
-
-  struct Awaiter {
-    Event* event;
-    bool await_ready() const noexcept { return event->fired_; }
-    void await_suspend(std::coroutine_handle<> h) { event->waiters_.push_back(h); }
-    void await_resume() const noexcept {}
-  };
-
-  Awaiter Wait() { return Awaiter{this}; }
-
- private:
-  Engine* engine_;
-  bool fired_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
 // Reusable condition: Wait() always suspends until the next NotifyAll()/
 // NotifyOne(). Use together with a predicate loop.
 class Condition {

@@ -338,7 +338,6 @@ TEST(LineFsTest, CompressionRoundTripsThroughReplication) {
 TEST(LineFsTest, AdaptiveReadPathRoutesBySize) {
   DfsConfig config = SmallConfig(DfsMode::kLineFS);
   config.read_path = "adaptive";
-  config.read_nic_threshold = 64 << 10;
   ClusterHarness harness(config);
   LibFs* fs = harness.cluster().CreateClient(0);
   std::vector<uint8_t> data = Pattern(1 << 20, 9);
@@ -375,7 +374,6 @@ TEST(LineFsTest, AdaptiveReadPathRoutesBySize) {
 TEST(LineFsTest, AdaptiveReadPathRoutesByNicLoad) {
   DfsConfig config = SmallConfig(DfsMode::kLineFS);
   config.read_path = "adaptive";
-  config.read_nic_threshold = 64 << 10;
   config.read_nic_load_max = 0.25;
   ClusterHarness harness(config);
   LibFs* fs = harness.cluster().CreateClient(0);

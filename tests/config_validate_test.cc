@@ -61,27 +61,6 @@ TEST(DfsConfigValidate, RejectsBadSizes) {
   EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
 }
 
-TEST(DfsConfigValidate, RejectsBadWatermarks) {
-  DfsConfig config = SmallConfig();
-  config.mem_high_watermark = 1.2;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
-  config = SmallConfig();
-  config.mem_high_watermark = 0.0;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
-  config = SmallConfig();
-  config.mem_low_watermark = -0.1;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
-  // Watermarks must be ordered low < high.
-  config = SmallConfig();
-  config.mem_low_watermark = 0.8;
-  config.mem_high_watermark = 0.5;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
-  config = SmallConfig();
-  config.mem_low_watermark = 0.5;
-  config.mem_high_watermark = 0.5;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
-}
-
 TEST(DfsConfigValidate, RejectsBadWorkerCounts) {
   DfsConfig config = SmallConfig();
   config.max_stage_workers = 0;
@@ -112,23 +91,22 @@ TEST(DfsConfigValidate, RejectsBadTimeouts) {
 
 TEST(DfsConfigValidate, ErrorsNameTheOffendingKnob) {
   DfsConfig config = SmallConfig();
-  config.mem_high_watermark = 2.0;
+  config.read_nic_load_max = 2.0;
   Status st = config.Validate();
   ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("mem_high_watermark"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("read_nic_load_max"), std::string::npos) << st.ToString();
 }
 
 TEST(ClusterStart, RefusesInvalidConfig) {
-  DfsConfig inverted_watermarks = SmallConfig();
-  inverted_watermarks.mem_low_watermark = 0.9;
-  inverted_watermarks.mem_high_watermark = 0.1;
+  DfsConfig no_stage_workers = SmallConfig();
+  no_stage_workers.max_stage_workers = 0;
   // 16 client logs of 64 MB do not fit in 1 GB of PM: no data block is left.
   // The constructor must survive the layout for Start() to refuse it.
   DfsConfig pm_too_small = SmallConfig();
   pm_too_small.pm_size = 1ULL << 30;
   pm_too_small.max_clients = 16;
   pm_too_small.log_size = 64ULL << 20;
-  for (const auto& [config, knob] : {std::pair{inverted_watermarks, "mem_low_watermark"},
+  for (const auto& [config, knob] : {std::pair{no_stage_workers, "max_stage_workers"},
                                      std::pair{pm_too_small, "pm_size"}}) {
     sim::Engine engine;
     Cluster cluster(&engine, config);

@@ -183,7 +183,7 @@ TEST_P(CrashConsistencyTest, RecoveredStateMatchesPersistedPrefix) {
   // and crash recovery replays the log).
   PublicFs remounted(&region, layout);
   ASSERT_TRUE(remounted.Mount().ok());
-  ASSERT_TRUE(remounted.Publish(*entries, recovered, true).ok());
+  ASSERT_TRUE(remounted.Publish(*entries, recovered).ok());
 
   // Build the reference state from the recovered prefix and compare contents.
   for (const ParsedEntry& e : *entries) {

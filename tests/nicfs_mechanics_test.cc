@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "tests/co_test_util.h"
 
 #include "src/core/cluster.h"
@@ -60,18 +62,19 @@ TEST_F(NicFsMechanicsTest, FlowControlPausesFetchAtHighWatermark) {
   DfsConfig config = Config();
   // Tiny NIC memory: 4MB with a 70% watermark => at most ~2 chunks in flight.
   config.node_params.nic.mem_capacity = 4ULL << 20;
-  config.mem_high_watermark = 0.70;
-  config.mem_low_watermark = 0.30;
   Start(config);
   LibFs* fs = cluster_->CreateClient(0);
 
-  uint64_t peak_mem = 0;
-  engine_.Spawn([](sim::Engine* engine, Cluster* cluster, uint64_t* peak) -> sim::Task<> {
+  // Shared with the sampler: it runs on to 30 s of virtual time, past this
+  // body and into TearDown's drain.
+  auto peak_mem = std::make_shared<uint64_t>(0);
+  engine_.Spawn([](sim::Engine* engine, Cluster* cluster,
+                   std::shared_ptr<uint64_t> peak) -> sim::Task<> {
     while (engine->Now() < 30 * sim::kSecond) {
       *peak = std::max(*peak, cluster->hw_node(0).nic().mem_used());
       co_await engine->SleepFor(100 * sim::kMicrosecond);
     }
-  }(&engine_, cluster_.get(), &peak_mem));
+  }(&engine_, cluster_.get(), peak_mem));
 
   Run([&]() -> sim::Task<> {
     Result<int> fd = co_await fs->Open("/fc.dat", fslib::kOpenCreate | fslib::kOpenWrite);
@@ -84,8 +87,8 @@ TEST_F(NicFsMechanicsTest, FlowControlPausesFetchAtHighWatermark) {
 
   // All 16MB made it through a 4MB NIC memory without exceeding capacity
   // (flow control paced the fetch stage), and the data is on the replicas.
-  EXPECT_LE(peak_mem, 4ULL << 20);
-  EXPECT_GT(peak_mem, 0u);
+  EXPECT_LE(*peak_mem, 4ULL << 20);
+  EXPECT_GT(*peak_mem, 0u);
   fslib::PublicFs& replica = cluster_->dfs_node(2).fs();
   Result<fslib::InodeNum> inum = replica.LookupChild(fslib::kRootInode, "fc.dat");
   ASSERT_TRUE(inum.ok());

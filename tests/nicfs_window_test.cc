@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "tests/co_test_util.h"
@@ -204,6 +205,31 @@ TEST_F(NicFsWindowTest, ReplicasApplyInOrderUnderDropsWithOpenWindow) {
   }
 }
 
+TEST_F(NicFsWindowTest, FailedSendToReplicaDeclaredDeadLeavesNoStash) {
+  // Every send from the primary to the chain head fails, and the head is then
+  // declared dead, so nothing will ever send to that slot again. A payload
+  // stashed by a failed send must not outlive it in the wire stash.
+  Start(Config());
+  LibFs* fs = cluster_->CreateClient(0);
+  cluster_->rpc().SetDropFilter(
+      [](int src, int dst, rdma::Channel) { return src == 0 && dst == 1; });
+  Run([&]() -> sim::Task<> {
+    Result<int> fd = co_await fs->Open("/lost.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    CO_ASSERT_OK(fd);
+    Result<uint64_t> w = co_await fs->PwriteGen(*fd, 1ULL << 20, 0, 1);
+    CO_ASSERT_OK(w);
+  });
+  engine_.RunUntil(engine_.Now() + 50 * sim::kMillisecond);
+  EXPECT_GT(cluster_->nicfs(0)->stats().repl_send_failures, 0u);
+  cluster_->SetServiceAlive(1, false);
+  cluster_->rpc().ClearDropFilter();
+  engine_.RunUntil(engine_.Now() + sim::kSecond);
+
+  EXPECT_EQ(cluster_->pending_wire(), 0u);
+  // The healed chain still replicated the chunk to the surviving replica.
+  EXPECT_GT(cluster_->nicfs(0)->replicated_upto(0), 0u);
+}
+
 TEST_F(NicFsWindowTest, OpenWindowStillRespectsNicMemoryWatermarks) {
   DfsConfig config = Config();
   // A wide-open window against a tiny NIC memory: the §4 watermark gate in
@@ -211,18 +237,19 @@ TEST_F(NicFsWindowTest, OpenWindowStillRespectsNicMemoryWatermarks) {
   config.repl.fetch_depth = 8;
   config.repl.transfer_window = 8;
   config.node_params.nic.mem_capacity = 4ULL << 20;
-  config.mem_high_watermark = 0.70;
-  config.mem_low_watermark = 0.30;
   Start(config);
   LibFs* fs = cluster_->CreateClient(0);
 
-  uint64_t peak_mem = 0;
-  engine_.Spawn([](sim::Engine* engine, Cluster* cluster, uint64_t* peak) -> sim::Task<> {
+  // Shared with the sampler: it runs on to 30 s of virtual time, past this
+  // body and into TearDown's drain.
+  auto peak_mem = std::make_shared<uint64_t>(0);
+  engine_.Spawn([](sim::Engine* engine, Cluster* cluster,
+                   std::shared_ptr<uint64_t> peak) -> sim::Task<> {
     while (engine->Now() < 30 * sim::kSecond) {
       *peak = std::max(*peak, cluster->hw_node(0).nic().mem_used());
       co_await engine->SleepFor(100 * sim::kMicrosecond);
     }
-  }(&engine_, cluster_.get(), &peak_mem));
+  }(&engine_, cluster_.get(), peak_mem));
 
   Run([&]() -> sim::Task<> {
     Result<int> fd = co_await fs->Open("/wm.dat", fslib::kOpenCreate | fslib::kOpenWrite);
@@ -233,8 +260,8 @@ TEST_F(NicFsWindowTest, OpenWindowStillRespectsNicMemoryWatermarks) {
   });
   engine_.RunUntil(engine_.Now() + 5 * sim::kSecond);
 
-  EXPECT_LE(peak_mem, 4ULL << 20);
-  EXPECT_GT(peak_mem, 0u);
+  EXPECT_LE(*peak_mem, 4ULL << 20);
+  EXPECT_GT(*peak_mem, 0u);
   EXPECT_GT(cluster_->nicfs(0)->stats().flow_ctrl_stall_ns, 0u);
   fslib::PublicFs& replica = cluster_->dfs_node(2).fs();
   Result<fslib::InodeNum> inum = replica.LookupChild(fslib::kRootInode, "wm.dat");

@@ -108,9 +108,10 @@ TEST_F(OplogTest, ChunkImageParsesLikeDirectParse) {
     ASSERT_TRUE(
         log_.Append(DataHeader(9, i * 64, static_cast<uint32_t>(payload.size())), payload).ok());
   }
-  std::vector<uint8_t> image;
-  log_.CopyRawOut(log_.head(), log_.tail(), &image);
-  Result<std::vector<ParsedEntry>> from_image = LogArea::ParseChunkImage(image, log_.head());
+  Result<LogRange> range = log_.Export(log_.head(), log_.tail());
+  ASSERT_TRUE(range.ok());
+  Result<std::vector<ParsedEntry>> from_image =
+      LogArea::ParseChunkImage(range->image, log_.head());
   ASSERT_TRUE(from_image.ok());
   Result<std::vector<ParsedEntry>> direct = log_.ParseRange(log_.head(), log_.tail());
   ASSERT_TRUE(direct.ok());
@@ -125,8 +126,7 @@ TEST_F(OplogTest, ChunkImageParsesLikeDirectParse) {
 TEST_F(OplogTest, CorruptChunkImageDetected) {
   std::vector<uint8_t> payload = Bytes("data");
   ASSERT_TRUE(log_.Append(DataHeader(1, 0, 4), payload).ok());
-  std::vector<uint8_t> image;
-  log_.CopyRawOut(log_.head(), log_.tail(), &image);
+  std::vector<uint8_t> image = log_.Export(log_.head(), log_.tail())->image;
   image[3] ^= 0xFF;  // Corrupt the magic.
   EXPECT_FALSE(LogArea::ParseChunkImage(image, 0).ok());
 }
@@ -195,6 +195,47 @@ TEST(OplogGhost, GhostModeSkipsPayloadBytes) {
   EXPECT_TRUE((*entries)[0].payload.empty());
   // Logical space is still consumed as if the payload were there.
   EXPECT_EQ(log.used_bytes(), ParsedEntry::AlignedSize(16384));
+}
+
+TEST(OplogRange, ExportImportRoundTripsInBothModes) {
+  // A range exported from one copy of a client's log and imported into
+  // another (the replica's, at the same logical position) parses identically:
+  // from the image when payloads are materialised, from the headers alone
+  // when they are elided.
+  for (bool materialize : {true, false}) {
+    SCOPED_TRACE(materialize ? "materialised" : "elided");
+    pmem::Region region(1 << 20);
+    LogArea origin(&region, 0, 256 << 10, 3, materialize);
+    LogArea replica(&region, 512 << 10, 256 << 10, 3, materialize);
+    std::vector<uint8_t> payload = Bytes("replicated range");
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(origin.Append(DataHeader(4, i * 64, static_cast<uint32_t>(payload.size())),
+                                payload).ok());
+    }
+    Result<LogRange> range = origin.Export(origin.head(), origin.tail());
+    ASSERT_TRUE(range.ok());
+    EXPECT_EQ(range->image.empty(), !materialize);
+    EXPECT_EQ(range->headers.size(), materialize ? 0u : 3u);
+
+    replica.Import(origin.head(), origin.tail(), *range);
+    EXPECT_EQ(replica.tail(), origin.tail());
+    Result<std::vector<ParsedEntry>> mirrored = replica.ParseRange(0, replica.tail());
+    ASSERT_TRUE(mirrored.ok());
+    EXPECT_EQ(mirrored->size(), 3u);
+
+    // The receiver's entries come from the carried range, or from its own
+    // log when the sender wrote the image there directly (penultimate hop).
+    for (bool in_log : {false, true}) {
+      Result<std::vector<ParsedEntry>> entries =
+          replica.Entries(0, origin.tail(), in_log && materialize ? LogRange{} : *range, in_log);
+      ASSERT_TRUE(entries.ok());
+      ASSERT_EQ(entries->size(), 3u);
+      for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ((*entries)[i].header.seq, i + 1);
+        EXPECT_EQ((*entries)[i].payload, materialize ? payload : std::vector<uint8_t>{});
+      }
+    }
+  }
 }
 
 TEST(Crc32c, KnownVector) {

@@ -366,7 +366,7 @@ TEST_P(CoalescePropertyTest, PublishingWithAndWithoutCoalescingIsEquivalent) {
     if (coalesce) {
       fslib::CoalesceEntries(&batch);
     }
-    EXPECT_TRUE(fs.Publish(batch, log, true).ok());
+    EXPECT_TRUE(fs.Publish(batch, log).ok());
     Result<fslib::InodeNum> inum = fs.LookupChild(fslib::kRootInode, "keeper");
     EXPECT_TRUE(inum.ok());
     Result<fslib::FileAttr> attr = fs.GetAttr(*inum);

@@ -97,7 +97,7 @@ TEST_F(PublicFsTest, PublishCreateAndData) {
   entries.push_back(AppendCreate(kRootInode, "file.txt", 100));
   std::vector<uint8_t> data = Pattern(10000, 1);
   entries.push_back(AppendData(100, 0, data));
-  ASSERT_TRUE(fs_.Publish(entries, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(entries, log_).ok());
 
   Result<InodeNum> found = fs_.LookupChild(kRootInode, "file.txt");
   ASSERT_TRUE(found.ok());
@@ -118,13 +118,13 @@ TEST_F(PublicFsTest, UnalignedOverwritePreservesSurroundingBytes) {
   batch1.push_back(AppendCreate(kRootInode, "f", 100));
   std::vector<uint8_t> base = Pattern(3 * kBlockSize, 9);
   batch1.push_back(AppendData(100, 0, base));
-  ASSERT_TRUE(fs_.Publish(batch1, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch1, log_).ok());
 
   // Overwrite bytes [5000, 5000+3000) — straddles block 1, unaligned both ends.
   std::vector<uint8_t> patch = Pattern(3000, 77);
   std::vector<ParsedEntry> batch2;
   batch2.push_back(AppendData(100, 5000, patch));
-  ASSERT_TRUE(fs_.Publish(batch2, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch2, log_).ok());
 
   std::vector<uint8_t> expected = base;
   std::memcpy(expected.data() + 5000, patch.data(), patch.size());
@@ -140,7 +140,7 @@ TEST_F(PublicFsTest, SparseFileReadsZeroInHoles) {
   batch.push_back(AppendCreate(kRootInode, "sparse", 101));
   std::vector<uint8_t> data = Pattern(100, 5);
   batch.push_back(AppendData(101, 1 << 20, data));  // Write at 1MB.
-  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch, log_).ok());
 
   std::vector<uint8_t> out(200);
   Result<uint64_t> n = fs_.ReadData(101, 4096, out);
@@ -156,12 +156,12 @@ TEST_F(PublicFsTest, UnlinkFreesBlocks) {
   std::vector<ParsedEntry> batch;
   batch.push_back(AppendCreate(kRootInode, "doomed", 102));
   batch.push_back(AppendData(102, 0, Pattern(64 << 10, 3)));
-  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch, log_).ok());
   EXPECT_LT(fs_.allocator().free_blocks(), free_before);
 
   std::vector<ParsedEntry> batch2;
   batch2.push_back(AppendUnlink(kRootInode, "doomed", 102));
-  ASSERT_TRUE(fs_.Publish(batch2, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch2, log_).ok());
   // Root's dirent block and its extent-chain block stay allocated; the file's
   // data blocks and extent chain return.
   EXPECT_EQ(fs_.allocator().free_blocks(), free_before - 2);
@@ -175,7 +175,7 @@ TEST_F(PublicFsTest, RenameMovesAndReplaces) {
   batch.push_back(AppendCreate(kRootInode, "a", 111));
   batch.push_back(AppendData(111, 0, Pattern(100, 1)));
   batch.push_back(AppendCreate(110, "b", 112));
-  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch, log_).ok());
 
   // rename("/a", "/dir/b") — replaces existing b.
   LogEntryHeader h;
@@ -189,7 +189,7 @@ TEST_F(PublicFsTest, RenameMovesAndReplaces) {
   h.payload_len = static_cast<uint32_t>(payload.size());
   std::vector<ParsedEntry> batch2;
   batch2.push_back(Append(h, std::vector<uint8_t>(payload.begin(), payload.end())));
-  ASSERT_TRUE(fs_.Publish(batch2, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch2, log_).ok());
 
   EXPECT_FALSE(fs_.LookupChild(kRootInode, "a").ok());
   Result<InodeNum> moved = fs_.LookupChild(110, "b");
@@ -202,7 +202,7 @@ TEST_F(PublicFsTest, TruncateShrinksAndFrees) {
   std::vector<ParsedEntry> batch;
   batch.push_back(AppendCreate(kRootInode, "t", 120));
   batch.push_back(AppendData(120, 0, Pattern(8 * kBlockSize, 2)));
-  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch, log_).ok());
   uint64_t free_mid = fs_.allocator().free_blocks();
 
   LogEntryHeader h;
@@ -211,7 +211,7 @@ TEST_F(PublicFsTest, TruncateShrinksAndFrees) {
   h.offset = 2 * kBlockSize + 100;
   std::vector<ParsedEntry> batch2;
   batch2.push_back(Append(h, {}));
-  ASSERT_TRUE(fs_.Publish(batch2, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch2, log_).ok());
 
   Result<FileAttr> attr = fs_.GetAttr(120);
   ASSERT_TRUE(attr.ok());
@@ -223,7 +223,7 @@ TEST_F(PublicFsTest, MountRebuildsAllocator) {
   std::vector<ParsedEntry> batch;
   batch.push_back(AppendCreate(kRootInode, "m", 130));
   batch.push_back(AppendData(130, 0, Pattern(128 << 10, 4)));
-  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch, log_).ok());
   uint64_t free_before = fs_.allocator().free_blocks();
   std::vector<uint8_t> content(128 << 10);
   ASSERT_TRUE(fs_.ReadData(130, 0, content).ok());
@@ -242,9 +242,12 @@ TEST_F(PublicFsTest, SequentialAppendsKeepOneExtentAndConstantMetadata) {
   // fsync-per-write publication: 2,000 block-aligned appends, one batch each.
   // Each publish must touch O(1) metadata, and the data blocks (allocated
   // back to back) must coalesce into a single extent.
+  // Payload bytes elided: publication moves no data.
+  PublicFs elided(&region_, layout_, /*materialize=*/false);
+  elided.Mkfs();
   std::vector<ParsedEntry> create;
   create.push_back(AppendCreate(kRootInode, "seq", 210));
-  ASSERT_TRUE(fs_.Publish(create, log_, true).ok());
+  ASSERT_TRUE(elided.Publish(create, log_).ok());
   log_.Reclaim(log_.tail());
 
   constexpr int kAppends = 2000;
@@ -254,24 +257,24 @@ TEST_F(PublicFsTest, SequentialAppendsKeepOneExtentAndConstantMetadata) {
     std::vector<ParsedEntry> batch;
     batch.push_back(AppendData(210, static_cast<uint64_t>(i) * kBlockSize, block));
     uint64_t before = region_.total_bytes_written();
-    ASSERT_TRUE(fs_.Publish(batch, log_, /*materialize=*/false).ok());
+    ASSERT_TRUE(elided.Publish(batch, log_).ok());
     max_publish_bytes = std::max(max_publish_bytes, region_.total_bytes_written() - before);
     log_.Reclaim(log_.tail());
   }
   EXPECT_LT(max_publish_bytes, 1024u);
 
-  Result<Inode> inode = fs_.inodes().Get(210);
+  Result<Inode> inode = elided.inodes().Get(210);
   ASSERT_TRUE(inode.ok());
   EXPECT_EQ(inode->size, kAppends * kBlockSize);
-  std::vector<Extent> extents = fs_.extents().Load(*inode);
+  std::vector<Extent> extents = elided.extents().Load(*inode);
   ASSERT_EQ(extents.size(), 1u);
   EXPECT_EQ(extents[0].lblock, 0u);
   EXPECT_EQ(extents[0].count, static_cast<uint64_t>(kAppends));
-  EXPECT_EQ(fs_.extents().ChainBlocks(*inode).size(), 1u);
+  EXPECT_EQ(elided.extents().ChainBlocks(*inode).size(), 1u);
 
   PublicFs remounted(&region_, layout_);
   ASSERT_TRUE(remounted.Mount().ok());
-  const pmem::BlockAllocator& live = fs_.allocator();
+  const pmem::BlockAllocator& live = elided.allocator();
   const pmem::BlockAllocator& rebuilt = remounted.allocator();
   EXPECT_EQ(rebuilt.free_blocks(), live.free_blocks());
   for (uint64_t b = live.first_block(); b < live.first_block() + live.total_blocks(); ++b) {
@@ -292,7 +295,7 @@ TEST_F(PublicFsTest, PlanSeparatesCopiesFromMetadata) {
 
   // Before commit, the file is invisible.
   EXPECT_FALSE(fs_.LookupChild(kRootInode, "p").ok());
-  fs_.ExecuteCopies(*plan, true);
+  fs_.ExecuteCopies(*plan);
   ASSERT_TRUE(fs_.CommitPublish(*plan, batch).ok());
   Result<FileAttr> attr = fs_.GetAttr(140);
   ASSERT_TRUE(attr.ok());
@@ -310,7 +313,7 @@ TEST_F(PublicFsTest, CoalesceDropsCreateUnlinkLifetime) {
   EXPECT_EQ(saved, 4096u + 3 + 3);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].header.inum, 151u);
-  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch, log_).ok());
   EXPECT_TRUE(fs_.LookupChild(kRootInode, "kept").ok());
 }
 
@@ -324,7 +327,7 @@ TEST_F(PublicFsTest, CoalesceDropsSupersededWrites) {
   uint64_t saved = CoalesceEntries(&batch);
   EXPECT_EQ(saved, 4096u);
   ASSERT_EQ(batch.size(), 2u);
-  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch, log_).ok());
   std::vector<uint8_t> out(4096);
   ASSERT_TRUE(fs_.ReadData(160, 0, out).ok());
   EXPECT_EQ(out, new_data);
@@ -341,7 +344,7 @@ TEST_F(PublicFsTest, CoalesceKeepsDistinctRangesWhoseOldHashKeysCollided) {
   batch.push_back(AppendData(165, 4096, small));
   EXPECT_EQ(CoalesceEntries(&batch), 0u);
   ASSERT_EQ(batch.size(), 3u);
-  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch, log_).ok());
   std::vector<uint8_t> expected = big;
   std::copy(small.begin(), small.end(), expected.begin() + 4096);
   std::vector<uint8_t> out(big.size());
@@ -352,45 +355,48 @@ TEST_F(PublicFsTest, CoalesceKeepsDistinctRangesWhoseOldHashKeysCollided) {
 TEST_F(PublicFsTest, ExtentMirrorLoadsEachChainOncePerMount) {
   // Unaligned appends: every other one copies-on-write the previous last
   // block, which splits the run, so the chain grows past one block.
+  // Payload bytes elided: publication moves no data.
+  PublicFs elided(&region_, layout_, /*materialize=*/false);
+  elided.Mkfs();
   std::vector<ParsedEntry> create;
   create.push_back(AppendCreate(kRootInode, "many", 220));
-  ASSERT_TRUE(fs_.Publish(create, log_, true).ok());
-  uint64_t loads = fs_.extents().chain_loads();
+  ASSERT_TRUE(elided.Publish(create, log_).ok());
+  uint64_t loads = elided.extents().chain_loads();
   constexpr uint64_t kLen = 3 * kBlockSize / 2;
   constexpr int kAppends = 600;
   for (int i = 0; i < kAppends; ++i) {
     std::vector<ParsedEntry> batch;
     batch.push_back(AppendData(220, i * kLen, Pattern(kLen, 5)));
-    ASSERT_TRUE(fs_.Publish(batch, log_, /*materialize=*/false).ok());
+    ASSERT_TRUE(elided.Publish(batch, log_).ok());
     log_.Reclaim(log_.tail());
   }
   // One miss: the file's first publish found no mirror (of its empty chain).
-  EXPECT_EQ(fs_.extents().chain_loads(), loads + 1);
-  Result<Inode> inode = fs_.inodes().Get(220);
+  EXPECT_EQ(elided.extents().chain_loads(), loads + 1);
+  Result<Inode> inode = elided.inodes().Get(220);
   ASSERT_TRUE(inode.ok());
-  std::vector<Extent> extents = fs_.extents().Load(*inode);
+  std::vector<Extent> extents = elided.extents().Load(*inode);
   EXPECT_GT(extents.size(), static_cast<size_t>(kAppends / 3));
-  EXPECT_GT(fs_.extents().ChainBlocks(*inode).size(), 1u);
+  EXPECT_GT(elided.extents().ChainBlocks(*inode).size(), 1u);
 
   // A crash invalidates the mirror even though nothing was rolled back.
   region_.Crash();
-  EXPECT_EQ(fs_.extents().Load(*inode), extents);
-  EXPECT_EQ(fs_.extents().chain_loads(), loads + 2);
+  EXPECT_EQ(elided.extents().Load(*inode), extents);
+  EXPECT_EQ(elided.extents().chain_loads(), loads + 2);
 
   // Mount reloads each live chain once, then serves reads from the mirror.
-  ASSERT_TRUE(fs_.Mount().ok());
-  uint64_t mounted = fs_.extents().chain_loads();
+  ASSERT_TRUE(elided.Mount().ok());
+  uint64_t mounted = elided.extents().chain_loads();
   std::vector<uint8_t> out(kLen);
-  ASSERT_TRUE(fs_.ReadData(220, 7 * kLen, out).ok());
-  EXPECT_EQ(fs_.extents().Load(*inode), extents);
-  EXPECT_EQ(fs_.extents().chain_loads(), mounted);
+  ASSERT_TRUE(elided.ReadData(220, 7 * kLen, out).ok());
+  EXPECT_EQ(elided.extents().Load(*inode), extents);
+  EXPECT_EQ(elided.extents().chain_loads(), mounted);
 }
 
 TEST_F(PublicFsTest, PlanSeesTruncatesAndWritesEarlierInTheBatch) {
   std::vector<ParsedEntry> setup;
   setup.push_back(AppendCreate(kRootInode, "t", 175));
   setup.push_back(AppendData(175, 0, Pattern(3 * kBlockSize, 1)));
-  ASSERT_TRUE(fs_.Publish(setup, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(setup, log_).ok());
 
   // A truncate to 0 hides the published blocks from later partial writes in
   // the same batch (their gaps read as zeros), while a partial write over a
@@ -407,7 +413,7 @@ TEST_F(PublicFsTest, PlanSeesTruncatesAndWritesEarlierInTheBatch) {
   batch.push_back(AppendData(175, 100, head));
   batch.push_back(AppendData(175, kBlockSize, next));
   batch.push_back(AppendData(175, kBlockSize + 10, patch));
-  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch, log_).ok());
 
   std::vector<uint8_t> expected(2 * kBlockSize, 0);
   std::copy(head.begin(), head.end(), expected.begin() + 100);
@@ -434,7 +440,7 @@ TEST_F(PublicFsTest, CoalescePreservesFinalStateOnRandomOps) {
     std::memcpy(model.data() + off, data.data(), len);
   }
   CoalesceEntries(&batch);
-  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(batch, log_).ok());
   Result<FileAttr> attr = fs_.GetAttr(170);
   ASSERT_TRUE(attr.ok());
   std::vector<uint8_t> out(attr->size);
@@ -470,7 +476,7 @@ TEST_F(PublicFsTest, ValidatorRejectsDirectoryCycleRename) {
   std::vector<ParsedEntry> setup;
   setup.push_back(AppendCreate(kRootInode, "a", 200, FileType::kDirectory));
   setup.push_back(AppendCreate(200, "b", 201, FileType::kDirectory));
-  ASSERT_TRUE(fs_.Publish(setup, log_, true).ok());
+  ASSERT_TRUE(fs_.Publish(setup, log_).ok());
 
   // rename("/a", "/a/b/a") — would make `a` its own descendant.
   LogEntryHeader h;

@@ -252,14 +252,14 @@ TEST_F(RdmaTest, HungHandlerTimesOutAtExactlyStartPlusTimeout) {
   // same instant a dropped request would.
   RpcEndpoint* ep = rpc_->CreateEndpoint("hung/1", MemAddr{1, Space::kHostPm},
                                          &raw_[1]->host_cpu(), raw_[1]->acct_fs(), false);
-  sim::Event release(&engine_);
+  sim::Condition release(&engine_);
   ep->Handle<TestReq, TestResp>(1, [&release](TestReq req) -> sim::Task<TestResp> {
     co_await release.Wait();
     co_return TestResp{req.value};
   });
   ErrorCode code = ErrorCode::kOk;
   sim::Time elapsed = 0;
-  engine_.RunToCompletion([](RdmaTest* t, sim::Event* release, ErrorCode* code,
+  engine_.RunToCompletion([](RdmaTest* t, sim::Condition* release, ErrorCode* code,
                              sim::Time* elapsed) -> sim::Task<> {
     sim::Time t0 = t->engine_.Now();
     Result<TestResp> resp = co_await t->rpc_->Call<TestReq, TestResp>(
@@ -267,7 +267,7 @@ TEST_F(RdmaTest, HungHandlerTimesOutAtExactlyStartPlusTimeout) {
         Channel::kHighTput, 1, TestReq{1}, /*timeout=*/5 * sim::kMillisecond);
     *code = resp.code();
     *elapsed = t->engine_.Now() - t0;
-    release->Fire();  // Let the handler finish; its reply is dropped.
+    release->NotifyAll();  // Let the handler finish; its reply is dropped.
   }(this, &release, &code, &elapsed));
   EXPECT_EQ(code, ErrorCode::kUnavailable);
   EXPECT_EQ(elapsed, 5 * sim::kMillisecond);

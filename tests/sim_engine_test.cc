@@ -263,37 +263,6 @@ TEST(Timer, SelfProfilerCountsFiresUnderTheArmingLabel) {
   EXPECT_EQ(comps[0].events, 3u);
 }
 
-TEST(Event, WaitersResumeOnFire) {
-  Engine engine;
-  Event event(&engine);
-  int resumed = 0;
-  for (int i = 0; i < 3; ++i) {
-    engine.Spawn([](Event* ev, int* n) -> Task<> {
-      co_await ev->Wait();
-      ++*n;
-    }(&event, &resumed));
-  }
-  engine.Spawn([](Engine* e, Event* ev) -> Task<> {
-    co_await e->SleepFor(kMillisecond);
-    ev->Fire();
-  }(&engine, &event));
-  engine.Run();
-  EXPECT_EQ(resumed, 3);
-  EXPECT_EQ(engine.Now(), kMillisecond);
-}
-
-TEST(Event, WaitOnFiredEventIsImmediate) {
-  Engine engine;
-  Event event(&engine);
-  event.Fire();
-  Time end = -1;
-  engine.RunToCompletion([](Event* ev, Engine* e, Time* out) -> Task<> {
-    co_await ev->Wait();
-    *out = e->Now();
-  }(&event, &engine, &end));
-  EXPECT_EQ(end, 0);
-}
-
 TEST(Semaphore, LimitsConcurrency) {
   Engine engine;
   Semaphore sem(&engine, 2);

@@ -378,6 +378,10 @@ TEST_P(TortureTest, SurvivesSeededFaultSchedule) {
   audit.stop = true;
   harness.Drain(100 * kMillisecond);
 
+  // Every replication payload stashed for a send was taken by its receiver or
+  // withdrawn by a sender whose post failed.
+  EXPECT_EQ(cluster.pending_wire(), 0u);
+
   // Invariant 1: prefix crash consistency of every client log on every node.
   CheckLogPrefixes(cluster, /*num_clients=*/2);
 
