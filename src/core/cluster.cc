@@ -103,13 +103,13 @@ Cluster::Cluster(sim::Engine* engine, const DfsConfig& config)
                                                          rpc_.get(), metrics_.get(),
                                                          trace_.get()));
     }
-    for (int i = 0; i < config_.num_nodes; ++i) {
-      nicfs_.push_back(std::make_unique<NicFs>(this, dfs_nodes_[i].get(), kworkers_[i].get(),
-                                               &config_));
-    }
-  } else {
-    for (int i = 0; i < config_.num_nodes; ++i) {
-      sharedfs_.push_back(std::make_unique<SharedFs>(this, dfs_nodes_[i].get(), &config_));
+  }
+  for (int i = 0; i < config_.num_nodes; ++i) {
+    if (config_.IsLineFs()) {
+      services_.push_back(
+          std::make_unique<NicFs>(this, dfs_nodes_[i].get(), kworkers_[i].get(), &config_));
+    } else {
+      services_.push_back(std::make_unique<SharedFs>(this, dfs_nodes_[i].get(), &config_));
     }
   }
   manager_ = std::make_unique<ClusterManager>(this, &config_);
@@ -157,6 +157,14 @@ Cluster::Cluster(sim::Engine* engine, const DfsConfig& config)
 
 Cluster::~Cluster() = default;
 
+NicFs* Cluster::nicfs(int id) {
+  return config_.IsLineFs() ? static_cast<NicFs*>(service(id)) : nullptr;
+}
+
+SharedFs* Cluster::sharedfs(int id) {
+  return config_.IsLineFs() ? nullptr : static_cast<SharedFs*>(service(id));
+}
+
 void Cluster::SetServiceAlive(int node, bool alive) {
   if (node < 0 || static_cast<size_t>(node) >= service_alive_.size()) {
     return;
@@ -166,7 +174,7 @@ void Cluster::SetServiceAlive(int node, bool alive) {
   if (!changed) {
     return;
   }
-  for (auto& fs : nicfs_) {
+  for (auto& fs : services_) {
     fs->OnPeerLiveness(node, alive);
   }
 }
@@ -181,10 +189,7 @@ Status Cluster::Start() {
   for (auto& kw : kworkers_) {
     kw->Start();
   }
-  for (auto& fs : nicfs_) {
-    fs->Start();
-  }
-  for (auto& fs : sharedfs_) {
+  for (auto& fs : services_) {
     fs->Start();
   }
   if (shards_.sharded()) {
@@ -209,22 +214,14 @@ void Cluster::Shutdown() {
   }
   placer_->Stop();
   manager_->Shutdown();
-  for (auto& fs : nicfs_) {
-    fs->Shutdown();
-  }
-  for (auto& fs : sharedfs_) {
+  for (auto& fs : services_) {
     fs->Shutdown();
   }
 }
 
 LeaseManager* Cluster::arbiter(int node) {
-  if (NicFs* fs = nicfs(node)) {
-    return &fs->leases();
-  }
-  if (SharedFs* fs = sharedfs(node)) {
-    return &fs->leases();
-  }
-  return nullptr;
+  FsService* fs = service(node);
+  return fs != nullptr ? &fs->leases() : nullptr;
 }
 
 bool Cluster::ArbiterCheckWrite(uint32_t client, uint64_t inum, int local_node) {

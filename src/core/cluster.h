@@ -5,10 +5,10 @@
 #ifndef SRC_CORE_CLUSTER_H_
 #define SRC_CORE_CLUSTER_H_
 
-#include <compare>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/config.h"
@@ -26,21 +26,13 @@
 
 namespace linefs::core {
 
+class FsService;
 class NicFs;
 class SharedFs;
 class KernelWorker;
 class ClusterManager;
 class LeaseManager;
 class LibFs;
-
-// Destination of one stashed replication payload: the node it is sent to,
-// the client whose log it carries, and the chunk (SharedFS: range start).
-struct WireSlot {
-  int node = 0;
-  int client = 0;
-  uint64_t chunk = 0;
-  auto operator<=>(const WireSlot&) const = default;
-};
 
 class Cluster {
  public:
@@ -64,14 +56,16 @@ class Cluster {
   rdma::Network& net() { return *net_; }
   rdma::RpcSystem& rpc() { return *rpc_; }
 
-  // A negative id would wrap around the size_t comparison; guard it explicitly.
-  NicFs* nicfs(int id) {
-    return id >= 0 && static_cast<size_t>(id) < nicfs_.size() ? nicfs_[id].get() : nullptr;
-  }
-  SharedFs* sharedfs(int id) {
-    return id >= 0 && static_cast<size_t>(id) < sharedfs_.size() ? sharedfs_[id].get()
+  // The DFS service on node `id` (NICFS under LineFS, SharedFS under the
+  // host-based baselines); nullptr for an out-of-range id. A negative id would
+  // wrap around the size_t comparison; guard it explicitly.
+  FsService* service(int id) {
+    return id >= 0 && static_cast<size_t>(id) < services_.size() ? services_[id].get()
                                                                  : nullptr;
   }
+  // The same service, typed for its statistics: nullptr when the other kind runs.
+  NicFs* nicfs(int id);
+  SharedFs* sharedfs(int id);
   KernelWorker* kworker(int id) {
     return id >= 0 && static_cast<size_t>(id) < kworkers_.size() ? kworkers_[id].get()
                                                                  : nullptr;
@@ -89,8 +83,8 @@ class Cluster {
     return shards_.sharded() ? shards_.ArbiterFor(inum) : local_node;
   }
 
-  // The lease arbiter rooted at `node` (NICFS's for LineFS modes, SharedFS's
-  // for the Assise baselines); nullptr for an out-of-range node.
+  // The lease arbiter rooted at `node`'s service; nullptr for an out-of-range
+  // node.
   LeaseManager* arbiter(int node);
 
   // Validation-stage lease check routed to the owning shard's arbiter. The
@@ -129,38 +123,33 @@ class Cluster {
   // to that node's FS goes to: NICFS under LineFS, SharedFS under the
   // host-based baselines.
   rdma::EndpointId service_endpoint(int node) const { return service_eps_[node]; }
-  // Flips membership and, on a transition, notifies every NicFs so replication
-  // protocols observe the failure/readmission and pending acks re-evaluate
-  // immediately (not at the next sweeper tick).
+  // Flips membership and, on a transition, notifies every service so
+  // replication protocols observe the failure/readmission and pending acks
+  // re-evaluate immediately (not at the next sweeper tick).
   void SetServiceAlive(int node, bool alive);
 
   // --- Wire payload stash -----------------------------------------------------
   //
   // Side-band for bulk replication data: the simulated RDMA layer charges the
   // wire costs while the range itself (bytes, or headers when payloads are
-  // elided) travels through this stash. A sender stashes right before its
-  // control message and the receiving handler takes it. A send that fails
-  // reached no handler, so the sender withdraws its stash; the ticket keeps
-  // it from withdrawing a newer send's payload for the same slot.
-  uint64_t StashWire(WireSlot slot, fslib::LogRange payload) {
-    wire_[slot] = Stashed{std::move(payload), ++wire_tickets_};
+  // elided) travels through this stash. Every send stashes its own payload
+  // under a fresh ticket, which its ReplChunkMsg carries, and the receiving
+  // handler takes exactly that payload: a duplicate delivery of the same
+  // range never takes another send's. A send that fails reached no handler,
+  // so the sender withdraws its ticket.
+  uint64_t StashWire(fslib::LogRange payload) {
+    wire_.emplace(++wire_tickets_, std::move(payload));
     return wire_tickets_;
   }
-  fslib::LogRange TakeWire(WireSlot slot) {
-    auto it = wire_.find(slot);
-    if (it == wire_.end()) {
-      return {};
+  // The payload stashed under `ticket`, removed; nullopt if none is.
+  std::optional<fslib::LogRange> TakeWire(uint64_t ticket) {
+    auto node = wire_.extract(ticket);
+    if (node.empty()) {
+      return std::nullopt;
     }
-    fslib::LogRange payload = std::move(it->second.payload);
-    wire_.erase(it);
-    return payload;
+    return std::move(node.mapped());
   }
-  void WithdrawWire(WireSlot slot, uint64_t ticket) {
-    auto it = wire_.find(slot);
-    if (it != wire_.end() && it->second.ticket == ticket) {
-      wire_.erase(it);
-    }
-  }
+  void WithdrawWire(uint64_t ticket) { wire_.erase(ticket); }
   // Payloads stashed and not yet taken: 0 once every send has drained.
   size_t pending_wire() const { return wire_.size(); }
 
@@ -176,21 +165,16 @@ class Cluster {
   std::unique_ptr<hw::Fabric> fabric_;
   std::unique_ptr<rdma::Network> net_;
   std::unique_ptr<rdma::RpcSystem> rpc_;
-  // Declared before the NICFS services: their pipes register placement groups
+  // Declared before the services: NICFS pipes register placement groups
   // whose callbacks the placer may invoke until it is stopped.
   std::unique_ptr<pipeline::StagePlacer> placer_;
-  std::vector<std::unique_ptr<NicFs>> nicfs_;
-  std::vector<std::unique_ptr<SharedFs>> sharedfs_;
+  std::vector<std::unique_ptr<FsService>> services_;
   std::vector<std::unique_ptr<KernelWorker>> kworkers_;
   std::unique_ptr<ClusterManager> manager_;
   shard::ShardMap shards_{0, 1, shard::Placement::kHash};
   std::vector<std::unique_ptr<shard::TxnService>> txns_;
   std::vector<std::unique_ptr<LibFs>> clients_;
-  struct Stashed {
-    fslib::LogRange payload;
-    uint64_t ticket = 0;
-  };
-  std::map<WireSlot, Stashed> wire_;
+  std::unordered_map<uint64_t, fslib::LogRange> wire_;  // Keyed by ticket.
   uint64_t wire_tickets_ = 0;
   std::vector<bool> service_alive_;
   std::vector<rdma::EndpointId> service_eps_;

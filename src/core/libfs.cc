@@ -6,7 +6,6 @@
 
 #include "src/core/cluster.h"
 #include "src/core/nicfs.h"
-#include "src/core/sharedfs.h"
 
 namespace linefs::core {
 
@@ -84,8 +83,7 @@ void LibFs::Attach() {
   engine_ = cluster_->engine();
   trace_ = &cluster_->trace();
   trace_component_ = "libfs." + std::to_string(client_id_);
-  nicfs_ = cluster_->nicfs(node_id_);
-  sharedfs_ = cluster_->sharedfs(node_id_);
+  service_ = cluster_->service(node_id_);
   log_ = &node_->client_log(client_id_);
   space_cv_ = std::make_unique<sim::Condition>(engine_);
   op_mu_ = std::make_unique<sim::Mutex>(engine_);
@@ -97,25 +95,13 @@ void LibFs::Attach() {
   inum_range_start_ = next_inum_;
   inum_range_end_ = next_inum_ + range;
 
-  auto on_published = [this](uint64_t upto) { index_.DropPublished(upto); };
-  auto on_reclaim = [this](uint64_t upto) { space_cv_->NotifyAll(); };
-  if (config_->IsLineFs()) {
-    NicFs::ClientHooks hooks;
-    hooks.on_published = on_published;
-    hooks.on_reclaim = on_reclaim;
-    nicfs_->RegisterClient(client_id_, std::move(hooks));
-    nicfs_->leases().RegisterRevokeHandler(
-        static_cast<uint32_t>(client_id_),
-        [this](fslib::InodeNum inum) { return HandleLeaseRevoke(inum); });
-  } else {
-    SharedFs::ClientHooks hooks;
-    hooks.on_published = on_published;
-    hooks.on_reclaim = on_reclaim;
-    sharedfs_->RegisterClient(client_id_, std::move(hooks));
-    sharedfs_->leases().RegisterRevokeHandler(
-        static_cast<uint32_t>(client_id_),
-        [this](fslib::InodeNum inum) { return HandleLeaseRevoke(inum); });
-  }
+  FsService::ClientHooks hooks;
+  hooks.on_published = [this](uint64_t upto) { index_.DropPublished(upto); };
+  hooks.on_reclaim = [this](uint64_t upto) { space_cv_->NotifyAll(); };
+  service_->RegisterClient(client_id_, std::move(hooks));
+  service_->leases().RegisterRevokeHandler(
+      static_cast<uint32_t>(client_id_),
+      [this](fslib::InodeNum inum) { return HandleLeaseRevoke(inum); });
   if (cluster_->shards().sharded()) {
     // Sharded namespace: any node's arbiter may grant this client a lease,
     // so every arbiter needs the revoke path back to this process. Client
@@ -180,29 +166,11 @@ sim::Task<> LibFs::FlushForHandoff(uint64_t upto) {
   obs::TraceContext ctx = root.context();
   // 1) Make everything durable/replicated (the fsync path also forces the
   // urgent fetch of the partial tail chunk in LineFS).
-  if (config_->IsLineFs()) {
-    rdma::Initiator init;
-    init.cpu = &node_->hw().host_cpu();
-    init.priority = sim::Priority::kNormal;
-    init.account = node_->hw().acct_fs();
-    Result<Ack> ack = co_await cluster_->rpc().Call<FsyncReq, Ack>(
-        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, cluster_->service_endpoint(node_id_),
-        rdma::Channel::kLowLat, kRpcFsync,
-        FsyncReq{static_cast<uint32_t>(client_id_), upto, ctx},
-        /*timeout=*/10 * sim::kSecond, ctx);
-    (void)ack;
-  } else {
-    Status st = co_await sharedfs_->Fsync(client_id_, upto, ctx);
-    (void)st;
-  }
+  Status st = co_await service_->Fsync(client_id_, upto, ctx);
+  (void)st;
   // 2) Wait for local publication to cover the handoff point, so validation
   // of this client's published entries still sees it as the lease holder.
-  while (true) {
-    uint64_t published = config_->IsLineFs() ? nicfs_->published_upto(client_id_)
-                                             : sharedfs_->published_upto(client_id_);
-    if (published >= upto) {
-      break;
-    }
+  while (service_->published_upto(client_id_) < upto) {
     co_await engine_->SleepFor(200 * sim::kMicrosecond);
   }
 }
@@ -344,9 +312,9 @@ sim::Task<Status> LibFs::EnsureLease(fslib::InodeNum inum, bool write) {
     } else {
       co_await ChargeCpu(1500);  // Host-local arbitration.
       Result<sim::Time> expiry =
-          sharedfs_->leases().TryAcquire(static_cast<uint32_t>(client_id_), inum, write);
+          service_->leases().TryAcquire(static_cast<uint32_t>(client_id_), inum, write);
       if (expiry.ok()) {
-        engine_->Spawn(sharedfs_->leases().PersistGrant(), "lease.persist");
+        engine_->Spawn(service_->leases().PersistGrant(), "lease.persist");
         write_leases_[inum] = *expiry;
         co_return Status::Ok();
       }
@@ -421,32 +389,7 @@ sim::Task<Status> LibFs::AppendEntry(fslib::LogEntryHeader header,
   co_return Status::Ok();
 }
 
-void LibFs::KickService() {
-  if (config_->IsLineFs()) {
-    // Asynchronous RPC: LibFS does not wait (§3.3.1). Each kick roots a
-    // background-publish trace that the pipeline stages parent into.
-    engine_->Spawn(
-        [](LibFs* self) -> sim::Task<> {
-          obs::Span root(self->trace_, self->trace_component_, "publish_kick", self->node_id_,
-                         self->client_id_, 0, obs::TraceContext{});
-          obs::TraceContext ctx = root.context();
-          rdma::Initiator init;
-          init.cpu = &self->node_->hw().host_cpu();
-          init.priority = sim::Priority::kNormal;
-          init.account = self->node_->hw().acct_fs();
-          Result<Ack> ignored = co_await self->cluster_->rpc().Call<StartPipelineReq, Ack>(
-              init, rdma::MemAddr{self->node_id_, rdma::Space::kHostPm},
-              self->cluster_->service_endpoint(self->node_id_), rdma::Channel::kHighTput,
-              kRpcStartPipeline,
-              StartPipelineReq{static_cast<uint32_t>(self->client_id_), ctx},
-              /*timeout=*/10 * sim::kMillisecond, ctx);
-          (void)ignored;
-        }(this),
-        "libfs.publish_kick");
-  } else {
-    sharedfs_->NotifyChunkReady(client_id_);
-  }
-}
+void LibFs::KickService() { service_->NotifyChunkReady(client_id_); }
 
 // --- Open / close -----------------------------------------------------------------------
 
@@ -469,28 +412,11 @@ sim::Task<Result<int>> LibFs::Open(const std::string& path, uint32_t flags, uint
     bool created_pending = index_.PendingType(inum).has_value();
     if (!created_pending) {
       // Permission check + read-only mapping of public pages (§3.6). In LineFS
-      // this crosses PCIe to NICFS and on to the kernel worker — the cost that
-      // hurts open-heavy Varmail; in Assise it is a host-local call.
-      if (config_->IsLineFs()) {
-        rdma::Initiator init;
-        init.cpu = &node_->hw().host_cpu();
-        init.priority = sim::Priority::kNormal;
-        init.account = node_->hw().acct_fs();
-        Result<Ack> ack = co_await cluster_->rpc().Call<OpenReq, Ack>(
-            init, rdma::MemAddr{node_id_, rdma::Space::kHostPm},
-            cluster_->service_endpoint(node_id_), rdma::Channel::kLowLat, kRpcOpen,
-            OpenReq{static_cast<uint32_t>(client_id_), inum, flags});
-        if (!ack.ok()) {
-          co_return ack.status();
-        }
-        if (ack->status != 0) {
-          co_return Status::Error(static_cast<ErrorCode>(ack->status), "open denied");
-        }
-      } else {
-        Status st = co_await sharedfs_->OpenCheck(client_id_, inum);
-        if (!st.ok()) {
-          co_return st;
-        }
+      // this crosses PCIe to NICFS and on to the kernel worker; in Assise it is
+      // a host-local call.
+      Status st = co_await service_->OpenCheck(client_id_, inum, flags);
+      if (!st.ok()) {
+        co_return st;
       }
     }
     if ((flags & fslib::kOpenTrunc) != 0) {
@@ -676,11 +602,10 @@ sim::Task<Result<uint64_t>> LibFs::ReadInternal(fslib::InodeNum inum, std::span<
   // the price of a fixed RPC overhead and two PCIe crossings; "adaptive"
   // takes it only for large transfers on an unloaded NIC.
   bool nic_route = false;
-  if (config_->read_path != "host" && config_->IsLineFs() && nicfs_ != nullptr &&
-      cluster_->service_alive(node_id_)) {
+  NicFs* nicfs = cluster_->nicfs(node_id_);
+  if (config_->read_path != "host" && nicfs != nullptr && cluster_->service_alive(node_id_)) {
     nic_route = config_->read_path == "nic_rpc" ||
-                (len >= kReadNicThreshold &&
-                 nicfs_->nic_load() < config_->read_nic_load_max);
+                (len >= kReadNicThreshold && nicfs->nic_load() < config_->read_nic_load_max);
   }
   if (nic_route) {
     // Host side only submits the RPC and consumes the completion.
@@ -771,26 +696,7 @@ sim::Task<Status> LibFs::Fsync(int fd) {
   obs::Span root(trace_, trace_component_, "fsync", node_id_, client_id_, 0,
                  obs::TraceContext{});
   obs::TraceContext ctx = root.context();
-  if (config_->IsLineFs()) {
-    rdma::Initiator init;
-    init.cpu = &node_->hw().host_cpu();
-    init.priority = sim::Priority::kNormal;
-    init.account = node_->hw().acct_fs();
-    Result<Ack> ack = co_await cluster_->rpc().Call<FsyncReq, Ack>(
-        init, rdma::MemAddr{node_id_, rdma::Space::kHostPm}, cluster_->service_endpoint(node_id_),
-        rdma::Channel::kLowLat, kRpcFsync,
-        FsyncReq{static_cast<uint32_t>(client_id_), upto, ctx},
-        /*timeout=*/10 * sim::kSecond, ctx);
-    if (!ack.ok()) {
-      co_return ack.status();
-    }
-    if (ack->status != 0) {
-      co_return Status::Error(static_cast<ErrorCode>(ack->status), "fsync failed");
-    }
-    metrics_.fsync_latency->Record(engine_->Now(), engine_->Now() - fsync_start);
-    co_return Status::Ok();
-  }
-  Status st = co_await sharedfs_->Fsync(client_id_, upto, ctx);
+  Status st = co_await service_->Fsync(client_id_, upto, ctx);
   if (st.ok()) {
     metrics_.fsync_latency->Record(engine_->Now(), engine_->Now() - fsync_start);
   }

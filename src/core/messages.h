@@ -83,23 +83,27 @@ struct LeaseResp {
 };
 
 struct ReplChunkMsg {
-  uint32_t client = 0;
   uint64_t chunk_no = 0;
   uint64_t from = 0;  // Logical log range [from, to).
   uint64_t to = 0;
   uint64_t wire_bytes = 0;   // Bytes that crossed the network (post-compression).
+  uint64_t checksum = 0;     // Seal over the wire bytes as sent.
+  uint64_t ticket = 0;       // Wire-stash key of this delivery's own payload (0: none).
+  obs::TraceContext ctx;     // Sender-side transfer span; replica spans nest under it.
+  uint32_t client = 0;
+  int32_t origin_node = 0;   // Primary node id.
+  int32_t hop = 0;           // Position in the chain (1 = first replica).
   uint8_t compressed = 0;
   uint8_t encrypted = 0;         // Wire bytes are XOR-scrambled (xor_encrypt stage).
   uint8_t checksum_present = 0;  // `checksum` carries a CRC32C seal to verify.
-  uint64_t checksum = 0;         // Seal over the wire bytes as sent.
   uint8_t direct_to_host = 0;  // Penultimate-hop optimisation (Fig. 3, step 6').
   uint8_t urgent = 0;          // fsync-path chunk: use the low-latency channel.
-  int32_t origin_node = 0;     // Primary node id.
-  int32_t hop = 0;             // Position in the chain (1 = first replica).
   uint8_t fanout = 0;          // Terminal point-to-point delivery: apply, never forward
                                // (quorum dispatch and retransmit refills).
-  obs::TraceContext ctx;       // Sender-side transfer span; replica spans nest under it.
 };
+// A control message's wire time is max(control_bytes, sizeof): widening it
+// would shift every replication timing.
+static_assert(sizeof(ReplChunkMsg) == 88, "keep ReplChunkMsg at 88 bytes");
 
 struct ReplAckMsg {
   uint32_t client = 0;

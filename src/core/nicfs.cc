@@ -144,52 +144,14 @@ void NicFs::RecordDepth(obs::Histogram* hist, size_t depth, obs::TimeSeries* tl)
   }
 }
 
-NicFs::NicFs(Cluster* cluster, DfsNode* node, KernelWorker* kworker, const DfsConfig* config)
-    : cluster_(cluster), node_(node), kworker_(kworker), config_(config),
-      engine_(node->hw().engine()),
-      component_("nicfs." + std::to_string(node->id())),
-      metrics_(obs::MetricScope(&cluster->metrics(), component_)),
-      trace_(&cluster->trace()) {
-  LeaseManager::Context lease_ctx;
-  lease_ctx.engine = engine_;
-  lease_ctx.net = &cluster->net();
-  lease_ctx.initiator = NicInitiator(/*urgent=*/false);
-  lease_ctx.self = rdma::MemAddr{node_->id(), rdma::Space::kNicMem};
-  for (int n = 0; n < cluster->num_nodes(); ++n) {
-    if (n != node_->id()) {
-      lease_ctx.replicas.push_back(rdma::MemAddr{n, rdma::Space::kNicMem});
-    }
-  }
-  lease_ctx.lease_duration = config->lease_duration;
-  leases_ = std::make_unique<LeaseManager>(lease_ctx);
-  kworker_ep_ = cluster->rpc().Resolve(KernelWorker::EndpointName(node_->id()));
-  repl::ProtocolParams repl_params;
-  repl_params.quorum_size = config->repl.quorum_size;
-  protocol_ = repl::Protocols().Create(config->repl.protocol, repl_params);
-  if (!protocol_) {
-    // Unknown names are rejected by Validate() before Start(); fall back to
-    // chain so the object stays usable for config-error reporting paths.
-    protocol_ = repl::Protocols().Create("chain", repl_params);
-  }
-  validator_ = std::make_unique<fslib::Validator>(
-      &node_->fs().inodes(), &node_->fs().dirs(),
-      [this](uint32_t client, fslib::InodeNum inum) {
-        // Sharded namespace: the write lease lives at the shard's arbiter,
-        // which may be a peer NIC. Unsharded this resolves to leases_.
-        return cluster_->ArbiterCheckWrite(client, inum, node_->id());
-      });
-  replica_validator_ = std::make_unique<fslib::Validator>(
-      &node_->fs().inodes(), &node_->fs().dirs(),
-      [](uint32_t, fslib::InodeNum) { return true; });  // Lease state is replicated.
-}
+namespace {
 
-NicFs::~NicFs() = default;
-
-rdma::Initiator NicFs::NicInitiator(bool urgent) const {
+// SmartNIC cores: urgent (fsync-path) work runs realtime on the polling thread.
+rdma::Initiator NicCores(hw::Node& hw, bool urgent) {
   rdma::Initiator init;
-  init.cpu = &node_->hw().nic().cpu();
+  init.cpu = &hw.nic().cpu();
   init.priority = urgent ? sim::Priority::kRealtime : sim::Priority::kNormal;
-  init.account = node_->hw().nic().nicfs_account();
+  init.account = hw.nic().nicfs_account();
   init.polls = urgent;
   // SmartNIC verbs traverse the SoC-internal PCIe to the ConnectX transport,
   // and the A72's slow caches inflate doorbell paths (§5.2.5).
@@ -197,20 +159,23 @@ rdma::Initiator NicFs::NicInitiator(bool urgent) const {
   return init;
 }
 
-repl::PeerView NicFs::View() const {
-  repl::PeerView view;
-  view.self = node_->id();
-  view.num_nodes = cluster_->num_nodes();
-  view.alive = [cluster = cluster_](int n) { return cluster->service_alive(n); };
-  return view;
-}
+}  // namespace
 
-std::vector<int> NicFs::ChainFor(int origin) const {
-  // Chain replication order, skipping nodes whose NICFS the cluster manager
-  // has declared failed (the chain heals around them).
-  repl::PeerView view = View();
-  view.self = origin;
-  return repl::ChainOrder(view);
+NicFs::NicFs(Cluster* cluster, DfsNode* node, KernelWorker* kworker, const DfsConfig* config)
+    : FsService(cluster, node, config, "nicfs", rdma::Space::kNicMem,
+                NicCores(node->hw(), /*urgent=*/false)),
+      kworker_(kworker),
+      kworker_ep_(cluster->rpc().Resolve(KernelWorker::EndpointName(node->id()))),
+      metrics_(obs::MetricScope(&cluster->metrics(), component_)) {}
+
+rdma::Initiator NicFs::NicInitiator(bool urgent) const { return NicCores(node_->hw(), urgent); }
+
+rdma::Initiator NicFs::LibFsInitiator() const {
+  rdma::Initiator init;
+  init.cpu = &node_->hw().host_cpu();
+  init.priority = sim::Priority::kNormal;
+  init.account = node_->hw().acct_fs();
+  return init;
 }
 
 void NicFs::OnPeerLiveness(int node, bool alive) {
@@ -286,28 +251,8 @@ void NicFs::Start() {
   });
 
   ep->Handle<LeaseReq, LeaseResp>(kRpcLease, [this](LeaseReq req) -> sim::Task<LeaseResp> {
-    if (cluster_->shards().sharded()) {
-      // Sharded plane: this NIC is the shard's arbiter root — a single
-      // logical thread that serializes grants and persists each record
-      // before replying (DESIGN.md §13).
-      Result<sim::Time> expiry =
-          co_await leases_->AcquireSerial(req.client, req.inum, req.write != 0, 1200);
-      if (!expiry.ok()) {
-        co_return LeaseResp{static_cast<int32_t>(expiry.code()), 0};
-      }
-      metrics_.tl_lease_grants->Record(engine_->Now(), 1);
-      co_return LeaseResp{0, static_cast<uint64_t>(*expiry)};
-    }
-    co_await node_->hw().nic().cpu().RunCycles(1200, sim::Priority::kRealtime,
-                                               node_->hw().nic().nicfs_account());
-    Result<sim::Time> expiry = leases_->TryAcquire(req.client, req.inum, req.write != 0);
-    if (!expiry.ok()) {
-      co_return LeaseResp{static_cast<int32_t>(expiry.code()), 0};
-    }
-    metrics_.tl_lease_grants->Record(engine_->Now(), 1);
-    // Persist + replicate the grant asynchronously (§3.4).
-    engine_->Spawn(leases_->PersistGrant(), "nicfs.lease");
-    co_return LeaseResp{0, static_cast<uint64_t>(*expiry)};
+    co_return co_await GrantLease(req, NicInitiator(/*urgent=*/true), 1200, "nicfs.lease",
+                                  metrics_.tl_lease_grants);
   });
 
   ep->Handle<LeaseReq, Ack>(kRpcLeaseRelease, [this](LeaseReq req) -> sim::Task<Ack> {
@@ -1028,9 +973,12 @@ NicFs::ReplicaPipe* NicFs::GetReplicaPipe(int client) {
 }
 
 sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
-  fslib::LogRange payload = cluster_->TakeWire(
-      WireSlot{node_->id(), static_cast<int>(msg.client), msg.chunk_no});
   fslib::LogArea& log = node_->client_log(static_cast<int>(msg.client));
+  std::optional<fslib::LogRange> delivered = TakeDelivery(msg, log);
+  if (!delivered) {
+    co_return;  // Nothing this delivery could vouch for: the sweeper re-sends.
+  }
+  fslib::LogRange payload = std::move(*delivered);
   std::vector<int> chain = ChainFor(msg.origin_node);
   // Terminal (fanout) deliveries — quorum dispatch and retransmit refills —
   // are applied locally and never forwarded, whatever the chain looks like.
@@ -1192,9 +1140,8 @@ sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, fslib::LogRange range,
   bool urgent = msg.urgent != 0;
   obs::Span span(trace_, component_, "repl_copy", node_->id(), static_cast<int>(msg.client),
                  msg.chunk_no, msg.ctx);
-  if (msg.direct_to_host) {
-    log.SetTail(msg.to);  // The previous hop wrote the range straight into this log.
-  } else {
+  // A direct delivery found its range already in this log (TakeDelivery).
+  if (!msg.direct_to_host) {
     // NIC memory -> local host PM log across PCIe.
     co_await cluster_->net().RawTransfer(rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
                                          rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
@@ -1209,7 +1156,9 @@ sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, fslib::LogRange range,
   ack.replica_node = node_->id();
   ack.ctx = span.context();
   // The ack is itself one-way: a lost ack leaves the chunk pending at the
-  // origin until its sweeper retransmits, and the re-delivery re-acks.
+  // origin until its sweeper retransmits, and the re-delivery re-acks. It
+  // vouches for this delivery's own copy: a carried delivery imported its
+  // payload above, a direct one found the range in the log.
   Status sent = co_await cluster_->rpc().Post(
       NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
       cluster_->service_endpoint(msg.origin_node),
@@ -1387,7 +1336,6 @@ sim::Task<> NicFs::RetransmitChunk(ClientPipe* pipe, uint64_t chunk_no, uint64_t
     msg.from = from;
     msg.to = to;
     msg.wire_bytes = to - from;
-    msg.compressed = 0;
     msg.urgent = urgent ? 1 : 0;
     msg.origin_node = node_->id();
     // Terminal delivery: retransmits fan out point-to-point, never
@@ -1409,8 +1357,7 @@ sim::Task<Status> NicFs::SendChunk(ReplChunkMsg msg, rdma::MemAddr dst, uint64_t
                                    fslib::LogRange payload, ClientPipe* doorbell,
                                    std::function<void()> on_wire) {
   const bool urgent = msg.urgent != 0;
-  WireSlot slot{dst.node, static_cast<int>(msg.client), msg.chunk_no};
-  uint64_t ticket = cluster_->StashWire(slot, std::move(payload));
+  msg.ticket = cluster_->StashWire(std::move(payload));
   // Doorbell batching: the bulk write and its control send are consecutive
   // posts on this target's QP; under a busy window only every
   // kDoorbellBatch-th post pays the verb + doorbell cost.
@@ -1430,9 +1377,60 @@ sim::Task<Status> NicFs::SendChunk(ReplChunkMsg msg, rdma::MemAddr dst, uint64_t
       urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput, kRpcReplChunk, msg,
       10 * sim::kMillisecond, msg.ctx, std::move(on_wire));
   if (!sent.ok()) {
-    cluster_->WithdrawWire(slot, ticket);  // No handler will ever take it.
+    cluster_->WithdrawWire(msg.ticket);  // No handler will ever take it.
   }
   co_return sent;
+}
+
+// --- LibFS entry points (host side of LibFS's RPCs) -----------------------------------
+
+void NicFs::NotifyChunkReady(int client) {
+  // Asynchronous RPC: LibFS does not wait (§3.3.1). Each kick roots a
+  // background-publish trace that the pipeline stages parent into.
+  engine_->Spawn(
+      [](NicFs* self, int client) -> sim::Task<> {
+        obs::Span root(self->trace_, "libfs." + std::to_string(client), "publish_kick",
+                       self->node_->id(), client, 0, obs::TraceContext{});
+        obs::TraceContext ctx = root.context();
+        Result<Ack> ignored = co_await self->cluster_->rpc().Call<StartPipelineReq, Ack>(
+            self->LibFsInitiator(), rdma::MemAddr{self->node_->id(), rdma::Space::kHostPm},
+            self->cluster_->service_endpoint(self->node_->id()), rdma::Channel::kHighTput,
+            kRpcStartPipeline, StartPipelineReq{static_cast<uint32_t>(client), ctx},
+            /*timeout=*/10 * sim::kMillisecond, ctx);
+        (void)ignored;
+      }(this, client),
+      "libfs.publish_kick");
+}
+
+sim::Task<Status> NicFs::Fsync(int client, uint64_t upto, obs::TraceContext ctx) {
+  Result<Ack> ack = co_await cluster_->rpc().Call<FsyncReq, Ack>(
+      LibFsInitiator(), rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
+      cluster_->service_endpoint(node_->id()), rdma::Channel::kLowLat, kRpcFsync,
+      FsyncReq{static_cast<uint32_t>(client), upto, ctx},
+      /*timeout=*/10 * sim::kSecond, ctx);
+  if (!ack.ok()) {
+    co_return ack.status();
+  }
+  if (ack->status != 0) {
+    co_return Status::Error(static_cast<ErrorCode>(ack->status), "fsync failed");
+  }
+  co_return Status::Ok();
+}
+
+sim::Task<Status> NicFs::OpenCheck(int client, fslib::InodeNum inum, uint32_t flags) {
+  // Crosses PCIe to NICFS and on to the kernel worker (kRpcOpen) — the cost
+  // that hurts open-heavy Varmail.
+  Result<Ack> ack = co_await cluster_->rpc().Call<OpenReq, Ack>(
+      LibFsInitiator(), rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
+      cluster_->service_endpoint(node_->id()), rdma::Channel::kLowLat, kRpcOpen,
+      OpenReq{static_cast<uint32_t>(client), inum, flags});
+  if (!ack.ok()) {
+    co_return ack.status();
+  }
+  if (ack->status != 0) {
+    co_return Status::Error(static_cast<ErrorCode>(ack->status), "open denied");
+  }
+  co_return Status::Ok();
 }
 
 // --- fsync (§3.3.2 synchronous path) ---------------------------------------------------

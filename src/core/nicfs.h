@@ -35,60 +35,46 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/config.h"
-#include "src/core/dfs_node.h"
+#include "src/core/fs_service.h"
 #include "src/core/kworker.h"
-#include "src/core/lease.h"
-#include "src/core/messages.h"
-#include "src/fslib/validate.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/pipeline/placer.h"
 #include "src/pipeline/stage.h"
 #include "src/rdma/rpc.h"
-#include "src/repl/protocol.h"
 #include "src/sim/queue.h"
 #include "src/sim/stats.h"
 #include "src/sim/sync.h"
 
 namespace linefs::core {
 
-class Cluster;
-
-class NicFs {
+class NicFs : public FsService {
  public:
-  // Progress callbacks into the local LibFS instance (in the real system,
-  // RPC-free shared-memory notifications).
-  struct ClientHooks {
-    std::function<void(uint64_t)> on_published;  // Publication advanced to pos.
-    std::function<void(uint64_t)> on_reclaim;    // Log reclaimed up to pos.
-  };
-
   NicFs(Cluster* cluster, DfsNode* node, KernelWorker* kworker, const DfsConfig* config);
-  ~NicFs();
 
   // Registers RPC endpoints and starts monitor tasks.
-  void Start();
-  // Stops all service loops so the engine can drain.
-  void Shutdown();
-
+  void Start() override;
+  void Shutdown() override;
   // Primary-side: attach a client whose LibFS lives on this node.
-  void RegisterClient(int client, ClientHooks hooks);
+  void RegisterClient(int client, ClientHooks hooks) override;
 
-  // Cluster membership transition for `node` (declared dead or readmitted).
   // Forwards to the replication protocol's OnPeerFailure hook and kicks every
   // pipe's retry sweeper so pending acks re-evaluate against the new view.
-  void OnPeerLiveness(int node, bool alive);
+  void OnPeerLiveness(int node, bool alive) override;
+
+  // LibFS entry points: LibFS's host-side RPCs across PCIe to this NICFS
+  // (kRpcStartPipeline, kRpcFsync, kRpcOpen), issued on the host cores.
+  void NotifyChunkReady(int client) override;
+  sim::Task<Status> Fsync(int client, uint64_t upto, obs::TraceContext ctx) override;
+  sim::Task<Status> OpenCheck(int client, fslib::InodeNum inum, uint32_t flags) override;
+
+  uint64_t replicated_upto(int client) const override;
+  uint64_t published_upto(int client) const override;
 
   static std::string EndpointName(int node_id) { return "nicfs/" + std::to_string(node_id); }
 
-  LeaseManager& leases() { return *leases_; }
   bool isolated() const { return isolated_; }
   uint64_t current_epoch() const { return epoch_; }
   void SetEpoch(uint64_t epoch);
-
-  uint64_t replicated_upto(int client) const;
-  uint64_t published_upto(int client) const;
 
   // Adaptive read-path input (DfsConfig::read_path = "adaptive"): how busy
   // this NIC's data path is as a 0..1 fraction of its windowed capacity.
@@ -144,8 +130,6 @@ class NicFs {
   StatsSnapshot stats() const;
 
  private:
-  friend class Cluster;
-
   // The pipeline unit of work now lives in src/pipeline so stage plugins can
   // transform it without depending on NICFS.
   using Chunk = pipeline::Chunk;
@@ -320,10 +304,11 @@ class NicFs {
                               std::vector<int> peers, bool urgent,
                               obs::TraceContext ctx);
   // The one send path of a replicated chunk (transfer, retransmit, chain
-  // forward): stashes `payload` for `dst`, writes `bulk_bytes` into `dst`,
-  // then posts `msg` one-way. A failed post reached no handler, so it
-  // withdraws its stash. With `doorbell` set, both posts ride that pipe's
-  // doorbell batch; `on_wire` fires once the control message is on the wire.
+  // forward): stashes `payload` under a ticket `msg` carries, writes
+  // `bulk_bytes` into `dst`, then posts `msg` one-way. A failed post reached
+  // no handler, so it withdraws its ticket. With `doorbell` set, both posts
+  // ride that pipe's doorbell batch; `on_wire` fires once the control message
+  // is on the wire.
   sim::Task<Status> SendChunk(ReplChunkMsg msg, rdma::MemAddr dst, uint64_t bulk_bytes,
                               fslib::LogRange payload, ClientPipe* doorbell = nullptr,
                               std::function<void()> on_wire = {});
@@ -396,38 +381,22 @@ class NicFs {
   void ReleaseChunk(Chunk* chunk);
   ReplicaPipe* GetReplicaPipe(int client);
 
-  // Chain helpers: replication order for data originating at `origin`.
-  std::vector<int> ChainFor(int origin) const;
-
-  // The replication protocol's view of the cluster, rooted at this node.
-  repl::PeerView View() const;
-
   rdma::Initiator NicInitiator(bool urgent) const;
+  // LibFS's side of its RPCs to this NICFS: host cores, normal priority.
+  rdma::Initiator LibFsInitiator() const;
 
-  Cluster* cluster_;
-  DfsNode* node_;
   KernelWorker* kworker_;
-  const DfsConfig* config_;
-  sim::Engine* engine_;
   rdma::EndpointId kworker_ep_;              // This host's kernel worker.
-  std::unique_ptr<LeaseManager> leases_;
-  // Replication protocol driving dispatch topology and commit/retire
-  // decisions (DfsConfig::repl.protocol); the window/retry machinery around
-  // it is protocol-agnostic.
-  std::unique_ptr<repl::Protocol> protocol_;
-  std::unique_ptr<fslib::Validator> validator_;
-  std::unique_ptr<fslib::Validator> replica_validator_;
+  // The window/retry machinery around FsService::protocol_ is
+  // protocol-agnostic.
   std::unordered_map<int, std::unique_ptr<ClientPipe>> pipes_;
   std::unordered_map<int, std::unique_ptr<ReplicaPipe>> replica_pipes_;
   std::unordered_map<int, std::unique_ptr<sim::Mutex>> forward_mutexes_;
-  bool shutdown_ = false;
   bool isolated_ = false;
   uint64_t epoch_ = 0;
-  std::string component_;  // "nicfs.<node>": metric scope and trace category.
   double nic_load_ = 0.0;     // EWMA data-path occupancy as of nic_load_at_.
   sim::Time nic_load_at_ = 0;  // Virtual time of the last nic_load() query.
   Metrics metrics_;
-  obs::TraceBuffer* trace_;
 };
 
 }  // namespace linefs::core

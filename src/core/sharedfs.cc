@@ -13,42 +13,24 @@ constexpr int kBgReplThreads = 3;
 // Hyperloop verb-chain refill period: under 1% of ops wait on a busy host (Table 3 p99.9).
 constexpr uint64_t kHyperloopPrepostBatch = 128;
 
-SharedFs::SharedFs(Cluster* cluster, DfsNode* node, const DfsConfig* config)
-    : cluster_(cluster), node_(node), config_(config), engine_(node->hw().engine()) {
-  LeaseManager::Context lease_ctx;
-  lease_ctx.engine = engine_;
-  lease_ctx.net = &cluster->net();
-  lease_ctx.initiator = HostInitiator(false);
-  lease_ctx.self = rdma::MemAddr{node_->id(), rdma::Space::kHostPm};
-  for (int n = 0; n < cluster->num_nodes(); ++n) {
-    if (n != node_->id()) {
-      lease_ctx.replicas.push_back(rdma::MemAddr{n, rdma::Space::kHostPm});
-    }
-  }
-  lease_ctx.lease_duration = config->lease_duration;
-  leases_ = std::make_unique<LeaseManager>(lease_ctx);
-  repl::ProtocolParams repl_params;
-  repl_params.quorum_size = config->repl.quorum_size;
-  protocol_ = repl::Protocols().Create(config->repl.protocol, repl_params);
-  if (!protocol_) {
-    protocol_ = repl::Protocols().Create("chain", repl_params);
-  }
-  validator_ = std::make_unique<fslib::Validator>(
-      &node_->fs().inodes(), &node_->fs().dirs(),
-      [this](uint32_t client, fslib::InodeNum inum) {
-        // Routed through the shard map: the owning arbiter may be a peer
-        // node. Unsharded this resolves to leases_ as before.
-        return cluster_->ArbiterCheckWrite(client, inum, node_->id());
-      });
-  // Replicas digest logs whose leases were checked at the primary; their own
-  // lease table only mirrors grants asynchronously, so it is not consulted.
-  replica_validator_ = std::make_unique<fslib::Validator>(
-      &node_->fs().inodes(), &node_->fs().dirs(),
-      [](uint32_t, fslib::InodeNum) { return true; });
+namespace {
 
-  component_ = "sharedfs." + std::to_string(node->id());
-  trace_ = &cluster->trace();
-  obs::MetricScope scope(&cluster->metrics(), "sharedfs." + std::to_string(node->id()));
+// Host cores at the configured DFS priority; fsync-path work preempts.
+rdma::Initiator HostCores(hw::Node& hw, sim::Priority fs_priority, bool urgent) {
+  rdma::Initiator init;
+  init.cpu = &hw.host_cpu();
+  init.priority = urgent ? sim::Priority::kHigh : fs_priority;
+  init.account = hw.acct_fs();
+  init.polls = false;  // Busy polling is not viable for a multi-tenant host (§3.3.2).
+  return init;
+}
+
+}  // namespace
+
+SharedFs::SharedFs(Cluster* cluster, DfsNode* node, const DfsConfig* config)
+    : FsService(cluster, node, config, "sharedfs", rdma::Space::kHostPm,
+                HostCores(node->hw(), config->host_fs_priority, /*urgent=*/false)) {
+  obs::MetricScope scope(&cluster->metrics(), component_);
   metrics_.chunks_digested = scope.CounterAt("chunks_digested");
   metrics_.bytes_digested = scope.CounterAt("bytes_digested");
   metrics_.chunks_replicated = scope.CounterAt("chunks_replicated");
@@ -67,29 +49,8 @@ SharedFs::Stats SharedFs::stats() const {
   return s;
 }
 
-SharedFs::~SharedFs() = default;
-
 rdma::Initiator SharedFs::HostInitiator(bool urgent) const {
-  rdma::Initiator init;
-  init.cpu = &node_->hw().host_cpu();
-  init.priority = urgent ? sim::Priority::kHigh : config_->host_fs_priority;
-  init.account = node_->hw().acct_fs();
-  init.polls = false;  // Busy polling is not viable for a multi-tenant host (§3.3.2).
-  return init;
-}
-
-repl::PeerView SharedFs::View() const {
-  repl::PeerView view;
-  view.self = node_->id();
-  view.num_nodes = cluster_->num_nodes();
-  view.alive = [cluster = cluster_](int n) { return cluster->service_alive(n); };
-  return view;
-}
-
-std::vector<int> SharedFs::ChainFor(int origin) const {
-  repl::PeerView view = View();
-  view.self = origin;
-  return repl::ChainOrder(view);
+  return HostCores(node_->hw(), config_->host_fs_priority, urgent);
 }
 
 void SharedFs::Start() {
@@ -100,8 +61,7 @@ void SharedFs::Start() {
   ep->SetDispatchPriority(config_->host_fs_priority);
 
   ep->Handle<ReplChunkMsg, Ack>(kRpcReplChunk, [this](ReplChunkMsg msg) -> sim::Task<Ack> {
-    co_await HandleReplRange(msg);
-    co_return Ack{};
+    co_return co_await HandleReplRange(msg);
   });
 
   // Remote lease arbitration: with a sharded namespace a client whose inode
@@ -109,24 +69,7 @@ void SharedFs::Start() {
   // RPC. Unsharded clients keep the in-process fast path (LibFs::EnsureLease)
   // and never send this message.
   ep->Handle<LeaseReq, LeaseResp>(kRpcLease, [this](LeaseReq req) -> sim::Task<LeaseResp> {
-    if (cluster_->shards().sharded()) {
-      // Sharded plane: serial arbiter root with the grant record persisted
-      // before the reply (DESIGN.md §13), same as the NICFS arbiters.
-      Result<sim::Time> expiry =
-          co_await leases_->AcquireSerial(req.client, req.inum, req.write != 0, 1500);
-      if (!expiry.ok()) {
-        co_return LeaseResp{static_cast<int32_t>(expiry.code()), 0};
-      }
-      co_return LeaseResp{0, static_cast<uint64_t>(*expiry)};
-    }
-    co_await node_->hw().host_cpu().RunCycles(1500, config_->host_fs_priority,
-                                              node_->hw().acct_fs());
-    Result<sim::Time> expiry = leases_->TryAcquire(req.client, req.inum, req.write != 0);
-    if (!expiry.ok()) {
-      co_return LeaseResp{static_cast<int32_t>(expiry.code()), 0};
-    }
-    engine_->Spawn(leases_->PersistGrant(), "sharedfs.lease");
-    co_return LeaseResp{0, static_cast<uint64_t>(*expiry)};
+    co_return co_await GrantLease(req, HostInitiator(/*urgent=*/false), 1500, "sharedfs.lease");
   });
 
   ep->Handle<HeartbeatMsg, Ack>(kRpcHeartbeat,
@@ -347,22 +290,15 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
   Result<fslib::LogRange> range = state->log->Export(from, to);
   fslib::LogRange payload = range.ok() ? std::move(*range) : fslib::LogRange{};
 
-  // Host-posted RDMA write into each target's PM, then its RPC — blocking
-  // round trips either way (the host baseline is synchronous). Under chain
-  // the single first-hop handler forwards downstream before acking, so one
-  // call covers the whole chain — Assise's synchronous semantics. Under a
+  // One blocking send per target (the host baseline is synchronous). Under
+  // chain the single first-hop handler forwards downstream before acking, so
+  // one call covers the whole chain — Assise's synchronous semantics. Under a
   // fan-out protocol every target is reached directly (terminal deliveries,
   // no forwarding) and the range commits per the protocol's quorum rule.
   std::set<int> acked;
   Status send_error = Status::Ok();
   for (size_t i = 0; i < targets.size(); ++i) {
     const repl::Target& target = targets[i];
-    const bool last_target = i + 1 == targets.size();
-    WireSlot slot{target.node, state->client, from};
-    uint64_t ticket = cluster_->StashWire(slot, last_target ? std::move(payload) : payload);
-    co_await cluster_->net().Write(HostInitiator(urgent),
-                                   rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
-                                   rdma::MemAddr{target.node, rdma::Space::kHostPm}, bytes);
     ReplChunkMsg msg;
     msg.client = static_cast<uint32_t>(state->client);
     msg.chunk_no = from;  // Ranges are identified by their start position.
@@ -374,16 +310,16 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
     msg.hop = target.hop;
     msg.fanout = target.terminal ? 1 : 0;
     msg.ctx = span.context();
-    Result<Ack> ack = co_await cluster_->rpc().Call<ReplChunkMsg, Ack>(
-        HostInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
-        cluster_->service_endpoint(target.node),
-        urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-        kRpcReplChunk, msg, /*timeout=*/200 * sim::kMillisecond, span.context());
-    if (ack.ok()) {
+    // Built outside the co_await: GCC 12 destroys a conditional expression's
+    // temporary twice when it is an argument of an awaited coroutine call.
+    fslib::LogRange target_payload = i + 1 == targets.size() ? std::move(payload) : payload;
+    Result<Ack> ack = co_await SendRange(msg, target.node, std::move(target_payload));
+    if (!ack.ok()) {
+      send_error = ack.status();
+    } else if (ack->status == 0) {
       acked.insert(target.node);
     } else {
-      cluster_->WithdrawWire(slot, ticket);
-      send_error = ack.status();
+      send_error = Status::Error(static_cast<ErrorCode>(ack->status), "replica did not ack");
     }
   }
   // A forwarding protocol's single ack covers the whole chain; a fan-out
@@ -403,6 +339,24 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
   state->progress.NotifyAll();
   TryReclaim(state);
   co_return Status::Ok();
+}
+
+sim::Task<Result<Ack>> SharedFs::SendRange(ReplChunkMsg msg, int target,
+                                             fslib::LogRange payload) {
+  const bool urgent = msg.urgent != 0;
+  msg.ticket = cluster_->StashWire(std::move(payload));
+  co_await cluster_->net().Write(HostInitiator(urgent),
+                                 rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
+                                 rdma::MemAddr{target, rdma::Space::kHostPm}, msg.to - msg.from);
+  Result<Ack> ack = co_await cluster_->rpc().Call<ReplChunkMsg, Ack>(
+      HostInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
+      cluster_->service_endpoint(target),
+      urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput, kRpcReplChunk, msg,
+      /*timeout=*/200 * sim::kMillisecond, msg.ctx);
+  if (!ack.ok()) {
+    cluster_->WithdrawWire(msg.ticket);  // The handler never took it.
+  }
+  co_return ack;
 }
 
 sim::Task<Status> SharedFs::ReplicateHyperloop(ClientState* state, uint64_t from, uint64_t to,
@@ -475,52 +429,40 @@ sim::Task<Status> SharedFs::ReplicateHyperloop(ClientState* state, uint64_t from
   co_return Status::Ok();
 }
 
-sim::Task<> SharedFs::HandleReplRange(ReplChunkMsg msg) {
+sim::Task<Ack> SharedFs::HandleReplRange(ReplChunkMsg msg) {
   hw::Node& hw = node_->hw();
   fslib::LogArea& log = node_->client_log(static_cast<int>(msg.client));
+  // Take the payload first: the caller withdraws it if the call fails.
+  std::optional<fslib::LogRange> payload = TakeDelivery(msg, log);
+  if (!payload) {
+    co_return Ack{static_cast<int32_t>(ErrorCode::kUnavailable)};
+  }
   bool urgent = msg.urgent != 0;
   obs::Span recv_span(trace_, component_, "repl_recv", node_->id(),
                       static_cast<int>(msg.client), msg.chunk_no, msg.ctx);
   msg.ctx = recv_span.context();
 
   if (msg.direct_to_host == 0) {
-    // Take the payload first: the caller withdraws it if the call fails.
-    fslib::LogRange payload =
-        cluster_->TakeWire(WireSlot{node_->id(), static_cast<int>(msg.client), msg.from});
     // Persist bookkeeping for the received range.
     co_await hw.host_cpu().RunCycles(3000, urgent ? sim::Priority::kHigh
                                                   : config_->host_fs_priority,
                                      hw.acct_fs());
-    log.Import(msg.from, msg.to, payload);
+    log.Import(msg.from, msg.to, *payload);
 
     // Forward down the chain before acking (chain replication). Terminal
     // (fanout) deliveries are point-to-point and never relayed.
     std::vector<int> chain = ChainFor(msg.origin_node);
     if (msg.fanout == 0 && msg.hop + 1 < static_cast<int>(chain.size())) {
-      int next = chain[msg.hop + 1];
-      WireSlot slot{next, static_cast<int>(msg.client), msg.from};
-      uint64_t ticket = cluster_->StashWire(slot, std::move(payload));
-      co_await cluster_->net().Write(HostInitiator(urgent),
-                                     rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
-                                     rdma::MemAddr{next, rdma::Space::kHostPm},
-                                     msg.to - msg.from);
       ReplChunkMsg fwd = msg;
       fwd.hop = msg.hop + 1;
-      Result<Ack> ack = co_await cluster_->rpc().Call<ReplChunkMsg, Ack>(
-          HostInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
-          cluster_->service_endpoint(next),
-          urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-          kRpcReplChunk, fwd, /*timeout=*/200 * sim::kMillisecond, msg.ctx);
-      if (!ack.ok()) {
-        cluster_->WithdrawWire(slot, ticket);
-      }
+      Result<Ack> ignored = co_await SendRange(fwd, chain[fwd.hop], std::move(*payload));
+      (void)ignored;
     }
-  } else {
-    log.SetTail(msg.to);
   }
 
   // Queue local digestion of the replicated range.
   GetReplicaState(static_cast<int>(msg.client))->digest_q.Push({msg.from, msg.to});
+  co_return Ack{};
 }
 
 SharedFs::ReplicaState* SharedFs::GetReplicaState(int client) {
@@ -594,7 +536,7 @@ sim::Task<Status> SharedFs::Fsync(int client, uint64_t upto, obs::TraceContext c
   co_return Status::Ok();
 }
 
-sim::Task<Status> SharedFs::OpenCheck(int client, fslib::InodeNum inum) {
+sim::Task<Status> SharedFs::OpenCheck(int client, fslib::InodeNum inum, uint32_t flags) {
   hw::Node& hw = node_->hw();
   co_await hw.host_cpu().RunCycles(3000, config_->host_fs_priority, hw.acct_fs());
   Result<fslib::FileAttr> attr = node_->fs().GetAttr(inum);

@@ -25,55 +25,31 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/config.h"
-#include "src/core/dfs_node.h"
-#include "src/core/lease.h"
-#include "src/core/messages.h"
-#include "src/fslib/validate.h"
+#include "src/core/fs_service.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/rdma/rpc.h"
-#include "src/repl/protocol.h"
 #include "src/sim/queue.h"
 #include "src/sim/sync.h"
 
 namespace linefs::core {
 
-class Cluster;
-
-class SharedFs {
+class SharedFs : public FsService {
  public:
-  struct ClientHooks {
-    std::function<void(uint64_t)> on_published;
-    std::function<void(uint64_t)> on_reclaim;
-  };
-
   SharedFs(Cluster* cluster, DfsNode* node, const DfsConfig* config);
-  ~SharedFs();
 
-  void Start();
-  void Shutdown();
+  void Start() override;
+  void Shutdown() override;
+  void RegisterClient(int client, ClientHooks hooks) override;
 
-  void RegisterClient(int client, ClientHooks hooks);
+  // LibFS entry points: host-local shared-memory calls.
+  void NotifyChunkReady(int client) override;
+  sim::Task<Status> Fsync(int client, uint64_t upto, obs::TraceContext ctx) override;
+  sim::Task<Status> OpenCheck(int client, fslib::InodeNum inum, uint32_t flags) override;
 
-  // --- LibFS-facing API (host-local shared-memory calls) ---------------------
-
-  // Background processing trigger: a chunk's worth of log accumulated.
-  void NotifyChunkReady(int client);
-
-  // Synchronous durability: replicate (and persist) everything up to `upto`.
-  // `ctx` is the caller's (LibFS) trace context; all spans parent under it.
-  sim::Task<Status> Fsync(int client, uint64_t upto, obs::TraceContext ctx = {});
-
-  // Host-local permission check for open().
-  sim::Task<Status> OpenCheck(int client, fslib::InodeNum inum);
-
-  LeaseManager& leases() { return *leases_; }
+  uint64_t published_upto(int client) const override;
+  uint64_t replicated_upto(int client) const override;
 
   static std::string EndpointName(int node_id) { return "sharedfs/" + std::to_string(node_id); }
-
-  uint64_t published_upto(int client) const;
-  uint64_t replicated_upto(int client) const;
 
   // Counters live in the cluster's MetricsRegistry under "sharedfs.<node>";
   // stats() returns a value snapshot of them.
@@ -130,25 +106,20 @@ class SharedFs {
                                 uint64_t* published_upto, bool replica_side = false,
                                 obs::TraceContext ctx = {});
 
-  sim::Task<> HandleReplRange(ReplChunkMsg msg);
+  // The one send path of a replicated range (replication, chain forward):
+  // stashes `payload` under a ticket `msg` carries, writes the range into
+  // `target`'s PM, then calls its handler. A failed call withdraws the ticket.
+  sim::Task<Result<Ack>> SendRange(ReplChunkMsg msg, int target, fslib::LogRange payload);
+  // Replica receive handler; the status says whether the delivery vouches
+  // for its range (FsService::TakeDelivery).
+  sim::Task<Ack> HandleReplRange(ReplChunkMsg msg);
   void TryReclaim(ClientState* state);
   ReplicaState* GetReplicaState(int client);
   rdma::Initiator HostInitiator(bool urgent) const;
-  std::vector<int> ChainFor(int origin) const;
-  // The replication protocol's view of the cluster, rooted at this node.
-  repl::PeerView View() const;
 
-  Cluster* cluster_;
-  DfsNode* node_;
-  const DfsConfig* config_;
-  sim::Engine* engine_;
-  // Same protocol instance kind as the NIC path (DfsConfig::repl.protocol):
-  // decides dispatch targets and the range's commit point. The host baseline
-  // always sends blocking Calls, so only topology and commit differ here.
-  std::unique_ptr<repl::Protocol> protocol_;
-  std::unique_ptr<LeaseManager> leases_;
-  std::unique_ptr<fslib::Validator> validator_;
-  std::unique_ptr<fslib::Validator> replica_validator_;
+  // The protocol (FsService::protocol_) decides dispatch targets and the
+  // range's commit point. The host baseline always sends blocking Calls, so
+  // only topology and commit differ from the NIC path here.
   std::unordered_map<int, std::unique_ptr<ClientState>> clients_;
   std::unordered_map<int, std::unique_ptr<ReplicaState>> replicas_;
   // BgRepl: fixed worker pool; clients map to workers round-robin so each
@@ -156,9 +127,6 @@ class SharedFs {
   std::vector<std::unique_ptr<sim::Queue<std::pair<int, std::pair<uint64_t, uint64_t>>>>>
       bg_queues_;
   uint64_t hyperloop_ops_since_prepost_ = 0;
-  bool shutdown_ = false;
-  std::string component_;  // "sharedfs.<node>": trace category.
-  obs::TraceBuffer* trace_ = nullptr;
 
   // Registry-backed counters ("sharedfs.<node>" scope); minted in the ctor.
   struct Metrics {

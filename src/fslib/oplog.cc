@@ -87,20 +87,18 @@ Result<LogRange> LogArea::Export(uint64_t from, uint64_t to) const {
     return range;
   }
   range.image.resize(to - from);
-  if (to > from) {
-    // Chunk ranges never straddle the wrap point (see ChunkEnd), so the
-    // logical range is physically contiguous.
-    assert(ToWrapBoundary(from) >= to - from);
-    region_->Read(Phys(from), range.image.data(), to - from);
-  }
+  ForEachPiece(from, to - from, [&](uint64_t phys, uint64_t offset, uint64_t len) {
+    region_->Read(phys, range.image.data() + offset, len);
+  });
   return range;
 }
 
 void LogArea::Import(uint64_t from, uint64_t to, const LogRange& range) {
   if (!range.image.empty()) {
-    assert(ToWrapBoundary(from) >= range.image.size());
-    region_->Write(Phys(from), range.image.data(), range.image.size());
-    region_->Persist(Phys(from), range.image.size());
+    ForEachPiece(from, range.image.size(), [&](uint64_t phys, uint64_t offset, uint64_t len) {
+      region_->Write(phys, range.image.data() + offset, len);
+      region_->Persist(phys, len);
+    });
   } else {
     // Elided payloads: mirror just the headers, so this copy of the log stays
     // scannable.
@@ -109,7 +107,7 @@ void LogArea::Import(uint64_t from, uint64_t to, const LogRange& range) {
       region_->Persist(Phys(entry.logical_pos), sizeof(LogEntryHeader));
     }
   }
-  SetTail(to);
+  tail_ = std::max(tail_, to);
 }
 
 Result<std::vector<ParsedEntry>> LogArea::Entries(uint64_t from, uint64_t to,
@@ -136,15 +134,13 @@ uint64_t LogArea::ChunkEnd(uint64_t from, uint64_t max_bytes) const {
     if (header.magic != kLogEntryMagic) {
       break;
     }
-    uint64_t entry_bytes = header.type == LogOpType::kWrap
-                               ? ParsedEntry::AlignedSize(header.payload_len)
-                               : ParsedEntry::AlignedSize(header.payload_len);
+    uint64_t entry_bytes = ParsedEntry::AlignedSize(header.payload_len);
     if (pos + entry_bytes - from > max_bytes && end != from) {
       break;
     }
     pos += entry_bytes;
     end = pos;
-    // Stop at the wrap point: a chunk is physically contiguous.
+    // Stop at the wrap point: a NICFS chunk is one contiguous PCIe fetch.
     if (pos % capacity_ == 0) {
       break;
     }

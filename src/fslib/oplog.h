@@ -5,8 +5,9 @@
 // and replicates. The log is a ring of 64-byte-aligned entries addressed by
 // *logical* positions (monotonic byte offsets); physical placement wraps
 // within the area and entries never straddle the wrap point (a kWrap marker
-// pads to the end instead), so any [from,to) logical range maps to one
-// contiguous physical span — which is what makes bulk chunk fetches possible.
+// pads to the end instead). A logical range may still cross the wrap point:
+// Export and Import carry it in logical order and split it into at most two
+// physical pieces themselves, so no caller has to cut ranges at the wrap.
 //
 // Durability protocol per append: payload bytes are written and persisted
 // first, then the header (with magic + CRCs) is written and persisted as the
@@ -15,6 +16,7 @@
 #ifndef SRC_FSLIB_OPLOG_H_
 #define SRC_FSLIB_OPLOG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -120,9 +122,9 @@ class LogArea {
   uint32_t client_id() const { return client_id_; }
 
   // Logical range [from, to) as it leaves this log (NIC fetch, replication,
-  // retransmit): the raw image when payloads are materialised, else the
-  // parsed headers. Fails only when an elided range's headers do not parse.
-  // The range never crosses the wrap point if produced by ChunkEnd().
+  // retransmit): the raw image in logical order when payloads are
+  // materialised, else the parsed headers. Fails only when an elided range's
+  // headers do not parse.
   Result<LogRange> Export(uint64_t from, uint64_t to) const;
 
   // Applies `range` at the logical position [from, to) it held in the origin's
@@ -161,13 +163,6 @@ class LogArea {
   static Result<std::vector<ParsedEntry>> ParseChunkImage(std::span<const uint8_t> image,
                                                           uint64_t base_logical);
 
-  // Advances the tail to `logical_to` (a range written here by its sender).
-  void SetTail(uint64_t logical_to) {
-    if (logical_to > tail_) {
-      tail_ = logical_to;
-    }
-  }
-
  private:
   static constexpr uint64_t kMetaBytes = 64;  // Persistent head pointer record.
 
@@ -182,6 +177,16 @@ class LogArea {
   uint64_t Phys(uint64_t logical) const { return base_ + kMetaBytes + logical % capacity_; }
   uint64_t ToWrapBoundary(uint64_t logical) const {
     return capacity_ - logical % capacity_;  // Bytes until physical end.
+  }
+  // Calls copy(phys, offset, len) for each physical piece (at most two) of
+  // the logical range [from, from + len), in logical order.
+  template <typename Fn>
+  void ForEachPiece(uint64_t from, uint64_t len, Fn copy) const {
+    for (uint64_t done = 0; done < len;) {
+      uint64_t piece = std::min(len - done, ToWrapBoundary(from + done));
+      copy(Phys(from + done), done, piece);
+      done += piece;
+    }
   }
 
   pmem::Region* region_;

@@ -253,6 +253,60 @@ TEST_P(DfsModeTest, LogReclaimAllowsWritingPastLogCapacity) {
   EXPECT_GE(fs->stats().log_stall_waits, 0u);
 }
 
+TEST_P(DfsModeTest, ReplicaLogsMatchThePrimaryAcrossTheWrap) {
+  // Fsyncs every 3 x 96KB replicate ranges that cross the log's wrap point
+  // (SharedFS replicates straight from an fsync, wherever the range ends).
+  // Every replica's log ring must equal the primary's byte for byte, and the
+  // PM just past each log area (client 1's, unused) must stay untouched.
+  DfsConfig config = SmallConfig(GetParam());
+  config.log_size = 4ULL << 20;
+  ClusterHarness harness(config);
+  Cluster& cluster = harness.cluster();
+  LibFs* fs = cluster.CreateClient(0);
+  const fslib::Layout& layout = cluster.dfs_node(0).layout();
+  const uint64_t ring_bytes = cluster.dfs_node(0).client_log(0).capacity();
+  const uint64_t ring = layout.LogOffset(0) + layout.log_size - ring_bytes;
+  const uint64_t past = layout.LogOffset(0) + layout.log_size;
+  auto read_pm = [&](int node, uint64_t offset, uint64_t len) {
+    std::vector<uint8_t> bytes(len);
+    cluster.hw_node(node).pm().Read(offset, bytes.data(), len);
+    return bytes;
+  };
+  // The primary's neighbouring PM holds a pattern, so a copy that ran past
+  // its log would carry the pattern into a replica's.
+  std::vector<uint8_t> pattern = Pattern(256 << 10, 11);
+  cluster.hw_node(0).pm().Write(past, pattern.data(), pattern.size());
+  std::vector<std::vector<uint8_t>> before;
+  for (int node = 0; node < 3; ++node) {
+    before.push_back(read_pm(node, past, pattern.size()));
+  }
+
+  harness.RunClient([&]() -> sim::Task<> {
+    Result<int> fd = co_await fs->Open("/wrap.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    CO_ASSERT_OK(fd);
+    std::vector<uint8_t> block = Pattern(96 << 10, 5);
+    for (int i = 0; i < 120; ++i) {
+      CO_ASSERT_OK((co_await fs->Write(*fd, block)));
+      if (i % 3 == 2) {
+        CO_ASSERT_OK((co_await fs->Fsync(*fd)));
+      }
+    }
+  });
+  harness.Drain(2 * sim::kSecond);
+
+  ASSERT_GT(cluster.dfs_node(0).client_log(0).tail(), 2 * ring_bytes)
+      << "every ring position must have been written";
+  std::vector<uint8_t> primary = read_pm(0, ring, ring_bytes);
+  for (int node = 1; node < 3; ++node) {
+    EXPECT_TRUE(read_pm(node, ring, ring_bytes) == primary) << "node " << node
+                                                            << ": log diverged";
+  }
+  for (int node = 0; node < 3; ++node) {
+    EXPECT_TRUE(read_pm(node, past, pattern.size()) == before[node])
+        << "node " << node << ": wrote past its log";
+  }
+}
+
 TEST_P(DfsModeTest, MultipleClientsConcurrently) {
   ClusterHarness harness(SmallConfig(GetParam()));
   std::vector<LibFs*> clients;

@@ -230,6 +230,53 @@ TEST_F(NicFsWindowTest, FailedSendToReplicaDeclaredDeadLeavesNoStash) {
   EXPECT_GT(cluster_->nicfs(0)->replicated_upto(0), 0u);
 }
 
+TEST_F(NicFsWindowTest, RetransmitRacingTheOriginalDeliveryLeavesNoEmptyHandedAck) {
+  // The chain head's NIC stalls with the original delivery of chunk 0 queued.
+  // The sweeper's retransmit to it is stashed for the same chunk, then lost on
+  // the wire, so its sender withdraws it. When the head resumes, the original
+  // delivery must still find its own payload: an ack vouches that this
+  // delivery wrote the range into the replica's log.
+  Start(Config());
+  LibFs* fs = cluster_->CreateClient(0);
+  cluster_->hw_node(1).StallNic();
+  bool synced = false;
+  engine_.Spawn([](LibFs* fs, bool* synced) -> sim::Task<> {
+    Result<int> fd = co_await fs->Open("/race.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    CO_ASSERT_OK(fd);
+    CO_ASSERT_OK(co_await fs->PwriteGen(*fd, 256 << 10, 0, 7));
+    CO_ASSERT_OK(co_await fs->Fsync(*fd));
+    *synced = true;
+  }(fs, &synced));
+  // The original delivery is on the head's queue pair well before the
+  // sweeper's first retransmit (kReplRetryTimeout, 150 ms).
+  engine_.RunUntil(engine_.Now() + 100 * sim::kMillisecond);
+  cluster_->rpc().SetDropFilter([](int src, int dst, rdma::Channel) {
+    return src == 0 && dst == 1;
+  });
+  engine_.RunUntil(engine_.Now() + 150 * sim::kMillisecond);
+  EXPECT_GT(cluster_->nicfs(0)->stats().repl_retransmits, 0u);
+  EXPECT_GT(cluster_->nicfs(0)->stats().repl_send_failures, 0u);
+  EXPECT_FALSE(synced);
+  cluster_->rpc().ClearDropFilter();
+  cluster_->hw_node(1).ResumeNic();
+  engine_.RunUntil(engine_.Now() + sim::kSecond);
+  ASSERT_TRUE(synced);
+
+  fslib::LogArea& primary = cluster_->dfs_node(0).client_log(0);
+  Result<fslib::LogRange> want = primary.Export(0, primary.tail());
+  ASSERT_TRUE(want.ok());
+  for (int node = 1; node <= 2; ++node) {
+    Result<fslib::LogRange> got =
+        cluster_->dfs_node(node).client_log(0).Export(0, primary.tail());
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(got->image == want->image) << "replica " << node << " acked a log it lacks";
+    EXPECT_TRUE(
+        cluster_->dfs_node(node).fs().LookupChild(fslib::kRootInode, "race.dat").ok())
+        << "replica " << node;
+  }
+  EXPECT_EQ(cluster_->pending_wire(), 0u);
+}
+
 TEST_F(NicFsWindowTest, OpenWindowStillRespectsNicMemoryWatermarks) {
   DfsConfig config = Config();
   // A wide-open window against a tiny NIC memory: the §4 watermark gate in

@@ -17,6 +17,8 @@
 //      considers allocated is allocated in the live instance).
 //   4. Lease single-writer safety: at no sampled instant do two clients hold
 //      an unexpired write lease on the same inode.
+//   5. The replication ledger: every replica that stayed live holds each
+//      client's log up to the origin's commit point, byte for byte.
 //
 // A separate determinism test runs one seed twice and requires byte-identical
 // injector event logs (and identical drop/op counts): fault schedules are
@@ -281,6 +283,48 @@ void CheckAllocatorRebuild(core::Cluster& cluster) {
   }
 }
 
+// --- Invariant 5: the replication ledger -------------------------------------------
+
+// Replicas the cluster manager never declared dead. A declared-dead replica
+// stops counting toward commits and is readmitted only by the explicit
+// recovery step, so before that step the live set is exactly this one.
+std::vector<int> LiveReplicas(core::Cluster& cluster) {
+  std::vector<int> live;
+  for (int n = 1; n < cluster.num_nodes(); ++n) {
+    if (cluster.service_alive(n)) {
+      live.push_back(n);
+    }
+  }
+  return live;
+}
+
+// After the final drain, for every client (all attached to node 0) and every
+// replica in `replicas`: the origin's commit point is at most the replica's
+// log tail, and the bytes below it that the origin's ring still holds equal
+// the origin's (every such range was acked, and an ack vouches for its copy).
+void CheckReplicationLedger(core::Cluster& cluster, int num_clients,
+                            const std::vector<int>& replicas) {
+  for (int client = 0; client < num_clients; ++client) {
+    fslib::LogArea& origin = cluster.dfs_node(0).client_log(client);
+    const uint64_t committed = cluster.service(0)->replicated_upto(client);
+    const uint64_t oldest =
+        origin.tail() > origin.capacity() ? origin.tail() - origin.capacity() : 0;
+    const uint64_t from = std::min(oldest, committed);
+    Result<fslib::LogRange> want = origin.Export(from, committed);
+    ASSERT_TRUE(want.ok()) << "client " << client << ": " << want.status().ToString();
+    for (int node : replicas) {
+      fslib::LogArea& replica = cluster.dfs_node(node).client_log(client);
+      EXPECT_LE(committed, replica.tail())
+          << "node " << node << " client " << client << ": committed past the replica's log";
+      Result<fslib::LogRange> got = replica.Export(from, committed);
+      ASSERT_TRUE(got.ok()) << "node " << node << " client " << client;
+      EXPECT_TRUE(got->image == want->image)
+          << "node " << node << " client " << client << ": acked log bytes diverge in ["
+          << from << ", " << committed << ")";
+    }
+  }
+}
+
 // --- The torture run ---------------------------------------------------------------
 
 struct TortureResult {
@@ -338,6 +382,7 @@ TEST_P(TortureTest, SurvivesSeededFaultSchedule) {
   // fill replication holes on the still-admitted chain members.
   harness.Drain(2 * kSecond);
   EXPECT_TRUE(injector.done());
+  const std::vector<int> live = LiveReplicas(cluster);
 
   // Barrier: one small fsynced write per client forces the whole replication
   // backlog through the healed chain (nodes declared dead during the run are
@@ -398,6 +443,9 @@ TEST_P(TortureTest, SurvivesSeededFaultSchedule) {
   EXPECT_GT(audit.samples, 0u);
   EXPECT_EQ(audit.violations, 0u);
 
+  // Invariant 5: the replication ledger.
+  CheckReplicationLedger(cluster, /*num_clients=*/2, live);
+
   // The fault log is non-empty and every edge was applied.
   EXPECT_GE(injector.event_log().size(), 2u);
   EXPECT_EQ(injector.edges_applied(), 2 * plan.size());
@@ -438,6 +486,7 @@ TortureResult ShortTortureRun(uint64_t seed) {
   });
   harness.Drain(kSecond);
   EXPECT_TRUE(injector.done());
+  CheckReplicationLedger(cluster, /*num_clients=*/1, LiveReplicas(cluster));
   result.event_log = injector.EventLogText();
   result.messages_dropped = injector.messages_dropped();
   return result;
@@ -550,6 +599,7 @@ TEST_P(ShardTortureTest, NoDanglingOrDuplicatedDirents) {
   });
   harness.Drain(2 * kSecond);
   EXPECT_TRUE(injector.done());
+  const std::vector<int> live = LiveReplicas(cluster);
 
   // Readmit/recover the replicas FIRST: unlike the unsharded torture run, a
   // dead node here takes its shard arbiters down with it, so any op touching
@@ -597,6 +647,7 @@ TEST_P(ShardTortureTest, NoDanglingOrDuplicatedDirents) {
   for (int n = 0; n < 3; ++n) {
     EXPECT_EQ(cluster.txn(n)->intent_locks_held(), 0u) << "node " << n;
   }
+  CheckReplicationLedger(cluster, /*num_clients=*/1, live);
 }
 
 INSTANTIATE_TEST_SUITE_P(
