@@ -132,7 +132,8 @@ class Cluster {
   //
   // Side-band for bulk replication data: the simulated RDMA layer charges the
   // wire costs while the range itself (bytes, or headers when payloads are
-  // elided) travels through this stash. Every send stashes its own payload
+  // elided) travels through this stash, sharing the sender's image rather
+  // than copying it. Every send stashes its own payload
   // under a fresh ticket, which its ReplChunkMsg carries, and the receiving
   // handler takes exactly that payload: a duplicate delivery of the same
   // range never takes another send's. A send that fails reached no handler,

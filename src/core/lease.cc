@@ -68,21 +68,6 @@ Result<sim::Time> LeaseManager::TryAcquire(uint32_t client, fslib::InodeNum inum
   return record.expires_at;
 }
 
-void LeaseManager::Release(uint32_t client, fslib::InodeNum inum) {
-  auto it = records_.find(inum);
-  if (it == records_.end()) {
-    return;
-  }
-  if (it->second.writer == client + 1) {
-    it->second.writer = 0;
-  } else if (it->second.readers > 0) {
-    --it->second.readers;
-  }
-  if (it->second.writer == 0 && it->second.readers == 0) {
-    records_.erase(it);
-  }
-}
-
 bool LeaseManager::CheckWrite(uint32_t client, fslib::InodeNum inum) const {
   auto it = records_.find(inum);
   return it != records_.end() && it->second.writer == client + 1;

@@ -67,11 +67,9 @@ class LeaseManager {
   // lost in a crash could otherwise admit a second writer. Replica mirrors
   // stay asynchronous (they only matter after failover, which expires the
   // epoch). TryAcquire never suspends, so the root mutex is never held across
-  // a revocation wait and kRpcLeaseRelease stays deadlock-free.
+  // a revocation wait.
   sim::Task<Result<sim::Time>> AcquireSerial(uint32_t client, fslib::InodeNum inum, bool write,
                                              uint64_t cycles);
-
-  void Release(uint32_t client, fslib::InodeNum inum);
 
   // Validation-stage check: does `client` hold the write lease on `inum`?
   bool CheckWrite(uint32_t client, fslib::InodeNum inum) const;

@@ -17,7 +17,7 @@ enum RpcMethod : uint32_t {
   kRpcFsync = 2,          // LibFS -> NICFS/SharedFS: replicate+persist up to `upto`.
   kRpcOpen = 3,           // LibFS -> NICFS: permission check + kworker mmap (§3.6).
   kRpcLease = 4,          // LibFS -> lease manager.
-  kRpcLeaseRelease = 5,
+  // 5 is unused: leases end by expiry or revocation, never by release.
   kRpcReplChunk = 6,      // NICFS -> next NICFS: chunk data has been RDMA'd over.
                           // Delivered as a one-way Post; no response round trip.
   kRpcReplAck = 7,        // replica NICFS -> primary NICFS, also a one-way Post

@@ -255,11 +255,6 @@ void NicFs::Start() {
                                   metrics_.tl_lease_grants);
   });
 
-  ep->Handle<LeaseReq, Ack>(kRpcLeaseRelease, [this](LeaseReq req) -> sim::Task<Ack> {
-    leases_->Release(req.client, req.inum);
-    co_return Ack{};
-  });
-
   ep->Handle<ReplChunkMsg, Ack>(kRpcReplChunk, [this](ReplChunkMsg msg) -> sim::Task<Ack> {
     // Ack receipt immediately; processing (local copy, forwarding, ack to the
     // primary, publication) proceeds asynchronously so the sender can pipeline
@@ -725,10 +720,15 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
     pipe->pending_acks[chunk->no] = std::move(st);
   }
 
-  // The wire carries the transformed bytes when a transform stage ran, else
-  // the fetched image; a range with no bytes carries its validated headers.
+  // The wire carries the transformed bytes when a transform stage ran (this
+  // is their last reader, so they move), else the fetched image, shared; a
+  // range with no bytes carries its validated headers.
   fslib::LogRange payload;
-  payload.image = chunk->wire.empty() ? chunk->range.image : chunk->wire;
+  if (chunk->wire.empty()) {
+    payload.image = chunk->range.image;
+  } else {
+    payload.image = fslib::SharedBytes(std::move(chunk->wire));
+  }
   if (payload.image.empty()) {
     payload.headers = chunk->entries;
   }
@@ -828,10 +828,15 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
   sim::Time t0 = engine_->Now();
   Status result = Status::Ok();
   if (!chunk->failed) {
-    std::vector<fslib::ParsedEntry> to_publish = chunk->entries;
+    // Coalescing edits its own list (the transfer stage may still read the
+    // chunk's); the entries' payloads are shared slices either way.
+    std::vector<fslib::ParsedEntry> coalesced;
     if (config_->coalescing) {
-      metrics_.coalesce_saved_bytes->Add(fslib::CoalesceEntries(&to_publish));
+      coalesced = chunk->entries;
+      metrics_.coalesce_saved_bytes->Add(fslib::CoalesceEntries(&coalesced));
     }
+    const std::vector<fslib::ParsedEntry>& to_publish =
+        config_->coalescing ? coalesced : chunk->entries;
     uint64_t n = to_publish.size();
     co_await node_->hw().nic().cpu().RunCycles(config_->fs_costs.publish_entry_cycles * n,
                                                sim::Priority::kNormal,
@@ -1017,31 +1022,33 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
   }
 
   // Undo the wire transforms in reverse chain order for local use: decrypt,
-  // then decompress. `payload` itself stays in wire form — a chain forward
-  // must relay the exact bytes (and flags) this hop received.
-  std::vector<uint8_t> plain = payload.image;
-  if (msg.encrypted != 0 && !plain.empty()) {
+  // then decompress, each into a buffer of its own. `payload` itself stays in
+  // wire form — a chain forward must relay the exact bytes (and flags) this
+  // hop received — so only the last hop hands it over. An untransformed
+  // image is shared as it is.
+  fslib::LogRange local = last ? std::move(payload) : payload;
+  if (msg.encrypted != 0 && !local.image.empty()) {
+    std::vector<uint8_t> plain(local.image.begin(), local.image.end());
     co_await nic.cpu().RunCycles(
         static_cast<uint64_t>(config_->fs_costs.encrypt_cycles_per_byte *
                               static_cast<double>(plain.size())),
         urgent ? sim::Priority::kRealtime : sim::Priority::kNormal, nic.nicfs_account());
     pipeline::XorCipher(&plain);  // Involutive: same routine decrypts.
+    local.image = fslib::SharedBytes(std::move(plain));
   }
   // Decompress for local use (the paper's compression stage compresses once
   // at the primary; every replica decompresses for its own PM copy).
-  fslib::LogRange local;
-  local.headers = payload.headers;
-  if (msg.compressed != 0 && !plain.empty()) {
+  if (msg.compressed != 0 && !local.image.empty()) {
     co_await nic.cpu().RunCycles(
         static_cast<uint64_t>(config_->fs_costs.decompress_cycles_per_byte *
                               static_cast<double>(raw_bytes)),
         urgent ? sim::Priority::kRealtime : sim::Priority::kNormal, nic.nicfs_account());
-    Result<std::vector<uint8_t>> restored = compress::LzwDecompress(plain);
+    Result<std::vector<uint8_t>> restored = compress::LzwDecompress(local.image);
     if (restored.ok()) {
-      local.image = std::move(*restored);
+      local.image = fslib::SharedBytes(std::move(*restored));
+    } else {
+      local.image = fslib::SharedBytes();
     }
-  } else {
-    local.image = std::move(plain);
   }
 
   std::vector<sim::Task<>> parallel;
@@ -1119,7 +1126,7 @@ sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, fslib::LogRange payload,
     fwd.direct_to_host = 1;
     cluster_->dfs_node(next).client_log(static_cast<int>(msg.client))
         .Import(msg.from, msg.to, payload);
-    payload.image = std::vector<uint8_t>();
+    payload.image = fslib::SharedBytes();
     dst.space = rdma::Space::kHostPm;
     bulk_bytes = msg.to - msg.from;
   }
@@ -1135,7 +1142,7 @@ sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, fslib::LogRange payload,
   }
 }
 
-sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, fslib::LogRange range,
+sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, const fslib::LogRange& range,
                                    fslib::LogArea& log) {
   bool urgent = msg.urgent != 0;
   obs::Span span(trace_, component_, "repl_copy", node_->id(), static_cast<int>(msg.client),

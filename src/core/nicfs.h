@@ -371,7 +371,9 @@ class NicFs : public FsService {
   // `payload` is the range in wire form, as this hop received it; `range` is
   // the same range with the wire transforms undone.
   sim::Task<> ForwardChunk(ReplChunkMsg msg, fslib::LogRange payload, std::vector<int> chain);
-  sim::Task<> LocalCopyAndAck(ReplChunkMsg msg, fslib::LogRange range, fslib::LogArea& log);
+  // `range` lives in the caller's frame, which awaits this task.
+  sim::Task<> LocalCopyAndAck(ReplChunkMsg msg, const fslib::LogRange& range,
+                              fslib::LogArea& log);
   void HandleReplAck(const ReplAckMsg& msg);
   // Per-client wire-submission mutex for chain forwards (same single-QP
   // ordering as ClientPipe::wire_mutex, but on the replica's outbound link).

@@ -286,7 +286,7 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
   }
 
   uint64_t bytes = to - from;
-  // Build the wire payload once; each target gets its own stashed copy.
+  // Read the wire payload once; each target's stash entry shares its image.
   Result<fslib::LogRange> range = state->log->Export(from, to);
   fslib::LogRange payload = range.ok() ? std::move(*range) : fslib::LogRange{};
 

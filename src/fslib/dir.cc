@@ -1,6 +1,5 @@
 #include "src/fslib/dir.h"
 
-#include <cassert>
 #include <cstring>
 
 namespace linefs::fslib {
@@ -19,8 +18,7 @@ Status DirStore::WriteSlot(const Inode& dir_inode, uint64_t slot, const Dirent& 
   if (!off.ok()) {
     return off.status();
   }
-  region_->WriteObject(*off, entry);
-  region_->Persist(*off, sizeof(Dirent));
+  region_->WriteObjectDurable(*off, entry);
   return Status::Ok();
 }
 
@@ -103,8 +101,7 @@ Status DirStore::Add(InodeNum dir, std::string_view name, InodeNum child) {
     if (!block.ok()) {
       return block.status();
     }
-    region_->Fill(*block << kBlockShift, 0, kBlockSize);
-    region_->Persist(*block << kBlockShift, kBlockSize);
+    region_->FillDurable(*block << kBlockShift, 0, kBlockSize);
     uint64_t lblock = cache->slot_count / kDirentsPerBlock;
     Status st = extents_->InsertRange(&dir_inode.value(), lblock, 1, *block, nullptr);
     if (!st.ok()) {

@@ -1,9 +1,10 @@
 #include "src/fslib/extent.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstring>
+
+#include "src/sim/check.h"
 
 namespace linefs::fslib {
 
@@ -14,8 +15,8 @@ void ExtentList::LoadChain(Mirror* mirror) const {
   for (uint64_t block = mirror->root; block != 0;) {
     uint64_t off = block << kBlockShift;
     NodeHeader header = region_->ReadObject<NodeHeader>(off);
-    assert(header.magic == kNodeMagic);
-    assert(header.next == 0 || header.count == kEntriesPerBlock);
+    LINEFS_CHECK(header.magic == kNodeMagic);
+    LINEFS_CHECK(header.next == 0 || header.count == kEntriesPerBlock);
     mirror->blocks.push_back(block);
     // Bulk-read the block's entries in one go.
     size_t base = mirror->extents.size();
@@ -79,8 +80,7 @@ Result<uint64_t> ExtentList::WriteBlocks(const Extent* extents, size_t n,
     std::memcpy(image, &header, sizeof(header));
     std::memcpy(image + sizeof(header), extents + idx, header.count * sizeof(Extent));
     uint64_t len = sizeof(NodeHeader) + header.count * sizeof(Extent);
-    region_->Write(off, image, len);
-    region_->Persist(off, len);
+    region_->WriteDurable(off, image, len);
     idx += header.count;
   }
   return blocks_needed == 0 ? uint64_t{0} : fresh[0];
@@ -109,12 +109,10 @@ Status ExtentList::Update(Inode* inode, Mirror* mirror, size_t first,
       // Append into the tail's free slots; bumping the count publishes them.
       uint64_t off = tail_entries + (same - tail_first) * sizeof(Extent);
       uint64_t len = (updated.size() - same) * sizeof(Extent);
-      region_->Write(off, updated.data() + same, len);
-      region_->Persist(off, len);
+      region_->WriteDurable(off, updated.data() + same, len);
       uint32_t count = static_cast<uint32_t>(updated.size() - tail_first);
       uint64_t count_off = tail_off + offsetof(NodeHeader, count);
-      region_->WriteObject(count_off, count);
-      region_->Persist(count_off, sizeof(count));
+      region_->WriteObjectDurable(count_off, count);
       return Status::Ok();
     }
     if (same + 1 == old_size && updated.size() == old_size &&
@@ -122,8 +120,7 @@ Status ExtentList::Update(Inode* inode, Mirror* mirror, size_t first,
         updated[same].pblock == old_suffix.back().pblock) {
       // Only the last run's length changed.
       uint64_t off = tail_entries + (same - tail_first) * sizeof(Extent) + offsetof(Extent, count);
-      region_->WriteObject(off, updated[same].count);
-      region_->Persist(off, sizeof(uint64_t));
+      region_->WriteObjectDurable(off, updated[same].count);
       return Status::Ok();
     }
   }
@@ -144,8 +141,7 @@ Status ExtentList::Update(Inode* inode, Mirror* mirror, size_t first,
     mirror->root = *head;
   } else {
     uint64_t next_off = (blocks[kept - 1] << kBlockShift) + offsetof(NodeHeader, next);
-    region_->WriteObject(next_off, *head);
-    region_->Persist(next_off, sizeof(uint64_t));
+    region_->WriteObjectDurable(next_off, *head);
   }
   for (size_t i = kept; i < old_blocks; ++i) {
     allocator_->Free(blocks[i]);

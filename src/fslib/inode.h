@@ -59,8 +59,7 @@ class InodeTable {
 
   // Writes + persists the record.
   void Put(const Inode& inode) {
-    region_->WriteObject(layout_.InodeOffset(inode.inum), inode);
-    region_->Persist(layout_.InodeOffset(inode.inum), sizeof(Inode));
+    region_->WriteObjectDurable(layout_.InodeOffset(inode.inum), inode);
   }
 
   void Free(InodeNum inum) {

@@ -1,7 +1,8 @@
 #include "src/fslib/oplog.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "src/sim/check.h"
 
 namespace linefs::fslib {
 
@@ -22,7 +23,7 @@ Result<uint64_t> LogArea::Append(LogEntryHeader header, std::span<const uint8_t>
   // Payload elision applies only to data entries: namespace payloads (names)
   // are always materialised — publication needs them.
   bool materialize_payload = materialize_ || header.type != LogOpType::kData;
-  assert(payload.size() == header.payload_len || !materialize_payload);
+  LINEFS_CHECK(payload.size() == header.payload_len || !materialize_payload);
   uint64_t need = ParsedEntry::AlignedSize(header.payload_len);
   if (need > capacity_) {
     return Status::Error(ErrorCode::kInvalid, "entry larger than log");
@@ -41,8 +42,7 @@ Result<uint64_t> LogArea::Append(LogEntryHeader header, std::span<const uint8_t>
     wrap.payload_len = static_cast<uint32_t>(to_wrap - sizeof(LogEntryHeader));
     wrap.client_id = client_id_;
     wrap.header_crc = wrap.ComputeHeaderCrc();
-    region_->WriteObject(Phys(tail_), wrap);
-    region_->Persist(Phys(tail_), sizeof(LogEntryHeader));
+    region_->WriteObjectDurable(Phys(tail_), wrap);
     tail_ += to_wrap;
   }
 
@@ -54,8 +54,7 @@ Result<uint64_t> LogArea::Append(LogEntryHeader header, std::span<const uint8_t>
 
   if (materialize_payload && !payload.empty()) {
     header.payload_crc = Crc32c(payload.data(), payload.size());
-    region_->Write(payload_phys, payload.data(), payload.size());
-    region_->Persist(payload_phys, payload.size());
+    region_->WriteDurable(payload_phys, payload.data(), payload.size());
   } else if (!materialize_payload) {
     header.flags |= kLogFlagGhost;
     header.payload_crc = 0;
@@ -64,19 +63,18 @@ Result<uint64_t> LogArea::Append(LogEntryHeader header, std::span<const uint8_t>
   }
 
   header.header_crc = header.ComputeHeaderCrc();
-  region_->WriteObject(Phys(pos), header);
-  region_->Persist(Phys(pos), sizeof(LogEntryHeader));
+  region_->WriteObjectDurable(Phys(pos), header);
   tail_ = pos + ParsedEntry::AlignedSize(header.payload_len);
   return pos;
 }
 
 void LogArea::Reclaim(uint64_t up_to) {
-  assert(up_to >= head_ && up_to <= tail_);
+  LINEFS_CHECK(up_to >= head_ && up_to <= tail_);
   head_ = up_to;
 }
 
 Result<LogRange> LogArea::Export(uint64_t from, uint64_t to) const {
-  assert(to >= from);
+  LINEFS_CHECK(to >= from);
   LogRange range;
   if (!materialize_) {
     Result<std::vector<ParsedEntry>> headers = ParseRange(from, to);
@@ -86,25 +84,28 @@ Result<LogRange> LogArea::Export(uint64_t from, uint64_t to) const {
     range.headers = std::move(*headers);
     return range;
   }
-  range.image.resize(to - from);
-  ForEachPiece(from, to - from, [&](uint64_t phys, uint64_t offset, uint64_t len) {
-    region_->Read(phys, range.image.data() + offset, len);
-  });
+  range.image = ReadImage(from, to);
   return range;
+}
+
+SharedBytes LogArea::ReadImage(uint64_t from, uint64_t to) const {
+  return SharedBytes::Filled(to - from, [&](uint8_t* image) {
+    ForEachPiece(from, to - from, [&](uint64_t phys, uint64_t offset, uint64_t len) {
+      region_->Read(phys, image + offset, len);
+    });
+  });
 }
 
 void LogArea::Import(uint64_t from, uint64_t to, const LogRange& range) {
   if (!range.image.empty()) {
     ForEachPiece(from, range.image.size(), [&](uint64_t phys, uint64_t offset, uint64_t len) {
-      region_->Write(phys, range.image.data() + offset, len);
-      region_->Persist(phys, len);
+      region_->WriteDurable(phys, range.image.data() + offset, len);
     });
   } else {
     // Elided payloads: mirror just the headers, so this copy of the log stays
     // scannable.
     for (const ParsedEntry& entry : range.headers) {
-      region_->WriteObject(Phys(entry.logical_pos), entry.header);
-      region_->Persist(Phys(entry.logical_pos), sizeof(LogEntryHeader));
+      region_->WriteObjectDurable(Phys(entry.logical_pos), entry.header);
     }
   }
   tail_ = std::max(tail_, to);
@@ -122,8 +123,7 @@ void LogArea::PersistMeta() {
   MetaRecord meta;
   meta.head = head_;
   meta.client_id = client_id_;
-  region_->WriteObject(base_, meta);
-  region_->Persist(base_, sizeof(MetaRecord));
+  region_->WriteObjectDurable(base_, meta);
 }
 
 uint64_t LogArea::ChunkEnd(uint64_t from, uint64_t max_bytes) const {
@@ -152,6 +152,10 @@ uint64_t LogArea::ChunkEnd(uint64_t from, uint64_t max_bytes) const {
 }
 
 Result<std::vector<ParsedEntry>> LogArea::ParseRange(uint64_t from, uint64_t to) const {
+  if (materialize_) {
+    return ParseChunkImage(ReadImage(from, to), from);
+  }
+  // Elided payloads: read header by header, skipping the unwritten data.
   std::vector<ParsedEntry> entries;
   // Entries are at least a header (64B) apart; most ranges are a handful of
   // small writes, so a modest reserve kills nearly all growth reallocations.
@@ -171,9 +175,9 @@ Result<std::vector<ParsedEntry>> LogArea::ParseRange(uint64_t from, uint64_t to)
       entry.header = header;
       entry.logical_pos = pos;
       if ((header.flags & kLogFlagGhost) == 0 && header.payload_len > 0) {
-        entry.payload.resize(header.payload_len);
-        region_->Read(Phys(pos) + sizeof(LogEntryHeader), entry.payload.data(),
-                      header.payload_len);
+        entry.payload = SharedBytes::Filled(header.payload_len, [&](uint8_t* payload) {
+          region_->Read(Phys(pos) + sizeof(LogEntryHeader), payload, header.payload_len);
+        });
       }
       entries.push_back(std::move(entry));
     }
@@ -182,7 +186,7 @@ Result<std::vector<ParsedEntry>> LogArea::ParseRange(uint64_t from, uint64_t to)
   return entries;
 }
 
-Result<std::vector<ParsedEntry>> LogArea::ParseChunkImage(std::span<const uint8_t> image,
+Result<std::vector<ParsedEntry>> LogArea::ParseChunkImage(const SharedBytes& image,
                                                           uint64_t base_logical) {
   std::vector<ParsedEntry> entries;
   entries.reserve(std::min<uint64_t>(image.size() / 1024 + 8, 16384));
@@ -205,8 +209,7 @@ Result<std::vector<ParsedEntry>> LogArea::ParseChunkImage(std::span<const uint8_
         if (pos + sizeof(LogEntryHeader) + header.payload_len > image.size()) {
           return Status::Error(ErrorCode::kCorrupt, "truncated chunk payload");
         }
-        entry.payload.assign(image.begin() + pos + sizeof(LogEntryHeader),
-                             image.begin() + pos + sizeof(LogEntryHeader) + header.payload_len);
+        entry.payload = image.Slice(pos + sizeof(LogEntryHeader), header.payload_len);
       }
       entries.push_back(std::move(entry));
     }

@@ -69,11 +69,12 @@ struct LogEntryHeader {
 };
 static_assert(sizeof(LogEntryHeader) == 64, "log entries are 64-byte aligned");
 
-// One decoded log entry (header + payload copy), as processed by validation,
-// coalescing, and digestion.
+// One decoded log entry, as processed by validation, coalescing, and
+// digestion. A materialised payload is a slice of the image it was parsed
+// from, not a copy.
 struct ParsedEntry {
   LogEntryHeader header;
-  std::vector<uint8_t> payload;
+  SharedBytes payload;
   uint64_t logical_pos = 0;  // Logical byte position of the header in the log.
 
   uint64_t TotalBytes() const { return AlignedSize(header.payload_len); }
@@ -85,11 +86,12 @@ struct ParsedEntry {
 // A client-log range on its way from one node's copy of the log to another's
 // (§3.3, Fig. 3): the raw image when payloads are materialised, or only the
 // parsed entry headers when they are elided. LogArea::Export produces one and
-// LogArea::Import applies it, so no caller branches on the mode. On the
-// replication wire `image` may hold transformed (compressed or encrypted)
-// bytes; ReplChunkMsg's flags say which.
+// LogArea::Import applies it, so no caller branches on the mode. The image
+// is read out of PM once and then shared, never copied, by every stage and
+// replica it reaches. On the replication wire `image` may hold transformed
+// (compressed or encrypted) bytes; ReplChunkMsg's flags say which.
 struct LogRange {
-  std::vector<uint8_t> image;        // Empty when payloads are elided.
+  SharedBytes image;                 // Empty when payloads are elided.
   std::vector<ParsedEntry> headers;  // Filled only when payloads are elided.
 };
 
@@ -139,7 +141,8 @@ class LogArea {
                                            bool in_log = false) const;
 
   // Parses entries in logical range [from, to) directly from PM (host-side
-  // digestion path used by the Assise baselines and by recovery).
+  // digestion path used by the Assise baselines and by recovery). With
+  // payloads materialised the range is read once and the payloads slice it.
   Result<std::vector<ParsedEntry>> ParseRange(uint64_t from, uint64_t to) const;
 
   // Largest logical position `end` in (from, from + max_bytes] such that
@@ -159,8 +162,9 @@ class LogArea {
   // head and scans forward while entries are valid.
   Result<uint64_t> RecoverScan();
 
-  // Parses entries out of a fetched raw chunk image (NIC-side view).
-  static Result<std::vector<ParsedEntry>> ParseChunkImage(std::span<const uint8_t> image,
+  // Parses entries out of a fetched raw chunk image (NIC-side view); their
+  // payloads are slices of `image`.
+  static Result<std::vector<ParsedEntry>> ParseChunkImage(const SharedBytes& image,
                                                           uint64_t base_logical);
 
  private:
@@ -174,6 +178,8 @@ class LogArea {
   };
   static_assert(sizeof(MetaRecord) == 64);
 
+  // The bytes of logical range [from, to) in logical order, read once.
+  SharedBytes ReadImage(uint64_t from, uint64_t to) const;
   uint64_t Phys(uint64_t logical) const { return base_ + kMetaBytes + logical % capacity_; }
   uint64_t ToWrapBoundary(uint64_t logical) const {
     return capacity_ - logical % capacity_;  // Bytes until physical end.

@@ -1,9 +1,10 @@
 #include "src/fslib/publicfs.h"
 
 #include <algorithm>
-#include <cassert>
 #include <compare>
 #include <unordered_set>
+
+#include "src/sim/check.h"
 
 namespace linefs::fslib {
 
@@ -64,8 +65,7 @@ void PublicFs::Mkfs() {
   sb.log_size = layout_.log_size;
   sb.data_first_block = layout_.data_first_block;
   sb.data_block_count = layout_.data_block_count;
-  region_->WriteObject(0, sb);
-  region_->Persist(0, sizeof(sb));
+  region_->WriteObjectDurable(0, sb);
 
   allocator_.Reset();
   extents_.DropMirrors();
@@ -112,8 +112,7 @@ uint64_t PublicFs::epoch() const { return region_->ReadObject<Superblock>(0).epo
 void PublicFs::SetEpoch(uint64_t epoch) {
   Superblock sb = region_->ReadObject<Superblock>(0);
   sb.epoch = epoch;
-  region_->WriteObject(0, sb);
-  region_->Persist(0, sizeof(sb));
+  region_->WriteObjectDurable(0, sb);
 }
 
 Result<PublishPlan> PublicFs::PlanPublish(const std::vector<ParsedEntry>& parsed,
@@ -219,13 +218,12 @@ void PublicFs::ExecuteCopies(const PublishPlan& plan) {
     switch (op.kind) {
       case CopyOp::Kind::kPayload:
       case CopyOp::Kind::kOldBlock:
-        region_->Copy(op.dst_off, op.src_off, op.len);
+        region_->CopyDurable(op.dst_off, op.src_off, op.len);
         break;
       case CopyOp::Kind::kZero:
-        region_->Fill(op.dst_off, 0, op.len);
+        region_->FillDurable(op.dst_off, 0, op.len);
         break;
     }
-    region_->Persist(op.dst_off, op.len);
   }
 }
 
@@ -309,7 +307,7 @@ Status PublicFs::ApplyNamespaceOp(const ParsedEntry& entry) {
 }
 
 Status PublicFs::CommitPublish(const PublishPlan& plan, const std::vector<ParsedEntry>& parsed) {
-  assert(plan.entries.size() == parsed.size());
+  LINEFS_CHECK(plan.entries.size() == parsed.size());
   std::vector<Extent> freed;
   for (size_t i = 0; i < parsed.size(); ++i) {
     const ParsedEntry& entry = parsed[i];
@@ -370,8 +368,7 @@ Status PublicFs::CommitPublish(const PublishPlan& plan, const std::vector<Parsed
               extents_.Lookup(*inode, per.new_size >> kBlockShift);
           if (tail.has_value()) {
             uint64_t off = (tail->pblock << kBlockShift) + in_block;
-            region_->Fill(off, 0, kBlockSize - in_block);
-            region_->Persist(off, kBlockSize - in_block);
+            region_->FillDurable(off, 0, kBlockSize - in_block);
           }
         }
         inode->size = per.new_size;
@@ -450,8 +447,7 @@ void PublicFs::CopyFileData(PublicFs& peer, Inode* local) {
   }
   std::vector<uint8_t> buffer(local->size);
   if (peer.ReadData(local->inum, 0, buffer).ok()) {
-    region_->Write(*pblock << kBlockShift, buffer.data(), buffer.size());
-    region_->Persist(*pblock << kBlockShift, buffer.size());
+    region_->WriteDurable(*pblock << kBlockShift, buffer.data(), buffer.size());
   }
   extents_.InsertRange(local, 0, nblocks, *pblock, nullptr);
 }

@@ -2,11 +2,32 @@
 
 #include <cstring>
 
+#include "src/sim/check.h"
+
 #if defined(__x86_64__)
 #include <nmmintrin.h>
 #endif
 
 namespace linefs::fslib {
+
+SharedBytes::SharedBytes(std::vector<uint8_t> bytes) : size_(bytes.size()) {
+  auto owned = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+  data_ = owned->data();
+  owner_ = std::move(owned);
+}
+
+SharedBytes SharedBytes::Slice(uint64_t offset, uint64_t n) const {
+  LINEFS_CHECK(offset <= size_ && n <= size_ - offset);
+  SharedBytes slice;
+  slice.owner_ = owner_;
+  slice.data_ = data_ + offset;
+  slice.size_ = n;
+  return slice;
+}
+
+bool operator==(const SharedBytes& a, std::span<const uint8_t> b) {
+  return a.size() == b.size() && (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
 
 namespace {
 

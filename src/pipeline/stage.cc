@@ -18,20 +18,23 @@ sim::Priority ChunkPriority(const ChunkPtr& chunk) {
 
 // Current wire representation the transform stages operate on: compressed
 // bytes if a compress stage already ran, else the raw image.
-const std::vector<uint8_t>& WireSource(const ChunkPtr& chunk) {
-  return chunk->wire.empty() ? chunk->range.image : chunk->wire;
+std::span<const uint8_t> WireSource(const ChunkPtr& chunk) {
+  if (chunk->wire.empty()) {
+    return chunk->range.image;
+  }
+  return chunk->wire;
 }
 
 // Bytes a transform stage touches; falls back to the logical chunk size when
 // payloads are elided so the cost model still charges the stage.
 uint64_t TransformBytes(const ChunkPtr& chunk) {
-  const std::vector<uint8_t>& src = WireSource(chunk);
+  std::span<const uint8_t> src = WireSource(chunk);
   return src.empty() ? chunk->bytes() : src.size();
 }
 
 }  // namespace
 
-uint64_t WireChecksum(const std::vector<uint8_t>& data) {
+uint64_t WireChecksum(std::span<const uint8_t> data) {
   return fslib::Crc32c(data.data(), data.size());
 }
 
@@ -143,7 +146,7 @@ sim::Task<> ChecksumStage::Process(StageEnv& env, const Placement& where,
       static_cast<uint64_t>(env.costs->checksum_cycles_per_byte *
                             static_cast<double>(TransformBytes(chunk))),
       ChunkPriority(chunk), where.account);
-  const std::vector<uint8_t>& src = WireSource(chunk);
+  std::span<const uint8_t> src = WireSource(chunk);
   if (!src.empty()) {
     chunk->wire_checksum = WireChecksum(src);
     chunk->wire_checksummed = true;
@@ -170,7 +173,8 @@ sim::Task<> XorEncryptStage::Process(StageEnv& env, const Placement& where,
                             static_cast<double>(TransformBytes(chunk))),
       ChunkPriority(chunk), where.account);
   if (chunk->wire.empty() && !chunk->range.image.empty()) {
-    chunk->wire = chunk->range.image;  // First transform: start from the raw image.
+    // First transform: the wire gets its own copy of the raw image.
+    chunk->wire.assign(chunk->range.image.begin(), chunk->range.image.end());
   }
   if (!chunk->wire.empty()) {
     XorCipher(&chunk->wire);

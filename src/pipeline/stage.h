@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,7 +89,7 @@ class Stage {
 // --- Wire-transform helpers (shared with the replica-side undo path) ----------
 
 // Seal over wire bytes (CRC32C). Replicas recompute and compare.
-uint64_t WireChecksum(const std::vector<uint8_t>& data);
+uint64_t WireChecksum(std::span<const uint8_t> data);
 // Involutive keystream XOR: applying it twice restores the input, so the same
 // routine encrypts on the primary and decrypts on each replica.
 void XorCipher(std::vector<uint8_t>* data);

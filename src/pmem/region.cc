@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <new>
 
+#include "src/sim/check.h"
+
 namespace linefs::pmem {
 
 namespace {
@@ -23,6 +25,13 @@ uint64_t LineBits(uint64_t first, uint64_t last) {
 // Size class of a slot block holding `count` (1..8) lines: log2 of its
 // lines, rounded up.
 int SlotClass(uint64_t count) { return std::bit_width(count - 1); }
+
+// A StoreRuns emitter that stores the bytes at `src`.
+auto CopyFrom(const void* src) {
+  return [p = static_cast<const uint8_t*>(src)](uint8_t* host, uint64_t done, uint64_t len) {
+    std::memcpy(host, p + done, len);
+  };
+}
 
 }  // namespace
 
@@ -116,6 +125,8 @@ uint8_t* Region::WritableRange(uint64_t offset, uint64_t n) {
   uint64_t& lines = dir->lines[idx];
   uint64_t begin = offset & (kPageSize - 1);
   uint64_t end = begin + n;
+  // Debug-only: this runs once per page of every store, and its callers
+  // (StoreRuns) cut ranges at page edges by construction.
   assert(n > 0 && end <= kPageSize);
   uint64_t first = begin >> kLineShift;
   uint64_t last = (end - 1) >> kLineShift;
@@ -163,18 +174,20 @@ uint8_t* Region::WritableRange(uint64_t offset, uint64_t n) {
   return page + LineOffset(lines, first) + (begin & (kLineSize - 1));
 }
 
-// Both copies walk the range page by page but issue one memcpy per run of
-// bytes that are adjacent in host memory (full pages carved in write order
+// Stores and CopyOut walk the range page by page but touch host memory once
+// per run of bytes that are adjacent there (full pages carved in write order
 // are; a page's written lines in one range are consecutive slots).
 
-void Region::CopyIn(uint64_t offset, const void* src, uint64_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(src);
-  // The pending run: host bytes [run, run + run_len) take p's next bytes.
+template <typename Fn>
+void Region::StoreRuns(uint64_t offset, uint64_t n, Fn emit) {
+  // The pending run: host bytes [run, run + run_len) take the range's bytes
+  // from `done` on.
   uint8_t* run = nullptr;
   uint64_t run_len = 0;
+  uint64_t done = 0;
   auto flush = [&] {
-    std::memcpy(run, p, run_len);
-    p += run_len;
+    emit(run, done, run_len);
+    done += run_len;
     run_len = 0;
   };
   while (n > 0) {
@@ -193,6 +206,10 @@ void Region::CopyIn(uint64_t offset, const void* src, uint64_t n) {
   if (run_len > 0) {
     flush();
   }
+}
+
+void Region::CopyIn(uint64_t offset, const void* src, uint64_t n) {
+  StoreRuns(offset, n, CopyFrom(src));
 }
 
 void Region::CopyOut(uint64_t offset, void* dst, uint64_t n) const {
@@ -269,15 +286,13 @@ void Region::CopyOutLines(const uint8_t* page, uint64_t lines, uint64_t offset, 
   }
 }
 
-void Region::Write(uint64_t offset, const void* src, uint64_t n) {
-  CheckRange("Write", offset, n);
-  // UndoEntry::len is 32 bits: a larger write could not be rolled back.
+void Region::CaptureUndo(const char* op, uint64_t offset, uint64_t n) {
+  // UndoEntry::len is 32 bits: a larger store could not be rolled back.
   if (n > UINT32_MAX) {
-    std::fprintf(stderr, "pmem::Region::Write too large to undo: offset %" PRIu64 " len %" PRIu64
-                 " region size %" PRIu64 "\n", offset, n, size_);
+    std::fprintf(stderr, "pmem::Region::%s too large to undo: offset %" PRIu64 " len %" PRIu64
+                 " region size %" PRIu64 "\n", op, offset, n, size_);
     std::abort();
   }
-  // Capture undo data so an un-persisted write can be rolled back on Crash().
   // Old bytes append to the shared arena: no per-write allocation.
   UndoEntry undo;
   undo.offset = offset;
@@ -287,27 +302,48 @@ void Region::Write(uint64_t offset, const void* src, uint64_t n) {
   CopyOut(offset, undo_arena_.data() + undo.arena_off, n);
   live_.push_back(static_cast<uint32_t>(undo_log_.size()));
   undo_log_.push_back(undo);
+  undo_bytes_captured_ += n;
+}
+
+void Region::Write(uint64_t offset, const void* src, uint64_t n) {
+  CheckRange("Write", offset, n);
+  CaptureUndo("Write", offset, n);
   CopyIn(offset, src, n);
   total_bytes_written_ += n;
 }
 
-void Region::Fill(uint64_t offset, uint8_t value, uint64_t n) {
-  static std::vector<uint8_t> scratch;
-  if (scratch.size() < n) {
-    scratch.resize(n);
+template <typename Fn>
+void Region::StoreDurable(const char* op, uint64_t offset, uint64_t n, Fn store) {
+  CheckRange(op, offset, n);
+  // A persist that takes effect would kill this store's undo entry at once,
+  // so none is captured. Only an armed FailAfterPersists() can make the
+  // Persist below a no-op and leave a crash needing the old bytes.
+  if (persists_left_ != kNoFailure) {
+    CaptureUndo(op, offset, n);
   }
-  std::memset(scratch.data(), value, n);
-  Write(offset, scratch.data(), n);
+  StoreRuns(offset, n, store);
+  total_bytes_written_ += n;
+  Persist(offset, n);
 }
 
-void Region::Copy(uint64_t dst, uint64_t src, uint64_t n) {
+void Region::WriteDurable(uint64_t offset, const void* src, uint64_t n) {
+  StoreDurable("Write", offset, n, CopyFrom(src));
+}
+
+void Region::FillDurable(uint64_t offset, uint8_t value, uint64_t n) {
+  StoreDurable("Fill", offset, n,
+               [value](uint8_t* host, uint64_t, uint64_t len) { std::memset(host, value, len); });
+}
+
+void Region::CopyDurable(uint64_t dst, uint64_t src, uint64_t n) {
   CheckRange("Copy", src, n);
-  static std::vector<uint8_t> scratch;
-  if (scratch.size() < n) {
-    scratch.resize(n);
-  }
-  CopyOut(src, scratch.data(), n);
-  Write(dst, scratch.data(), n);
+  // Straight from the source pages into the destination's, so no byte may be
+  // read after the copy overwrote it. Storing into one page only moves that
+  // page's lines, and CopyOut looks every page up anew.
+  LINEFS_CHECK(src + n <= dst || dst + n <= src);
+  StoreDurable("Copy", dst, n, [this, src](uint8_t* host, uint64_t done, uint64_t len) {
+    CopyOut(src + done, host, len);
+  });
 }
 
 void Region::Read(uint64_t offset, void* dst, uint64_t n) const {

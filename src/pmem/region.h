@@ -42,12 +42,14 @@
 // fresh line, not 4KB per page. bytes_backed() is the real footprint: full
 // pages x 4KB plus the bytes of live slot blocks.
 //
-// Undo capture is the hottest path in the whole simulator (every simulated
-// log append lands here), so it is allocation-free in steady state: old data
-// goes into a shared append-only arena, entries are fixed-size records, and
-// the set of live (unpersisted) entries is a small flat vector — the file
-// system persists what it writes almost immediately, so scanning the live set
-// beats maintaining an ordered index.
+// The file system stores through the durable calls (write, then persist at
+// once), which copy each byte once and capture no undo data. Undo capture
+// serves volatile Write()s and durable stores made while a persist failure
+// is armed. It is allocation-free in steady state: old data goes into a
+// shared append-only arena, entries are fixed-size records, and the set of
+// live (unpersisted) entries is a small flat vector — writers persist what
+// they write almost immediately, so scanning the live set beats maintaining
+// an ordered index.
 //
 // Timing is NOT modelled here: PM latency/bandwidth costs are charged by the
 // hardware layer (hw::Node's PM links); a Region is pure state.
@@ -78,19 +80,30 @@ class Region {
   // Volatile store: visible to reads immediately, durable only after Persist().
   void Write(uint64_t offset, const void* src, uint64_t n);
 
+  // Durable stores: each equals the volatile store followed by Persist() of
+  // the same range. When that persist takes effect there is nothing to roll
+  // back, so they capture no undo bytes; while FailAfterPersists() is armed
+  // the persist may not take effect, so they capture like Write().
+  void WriteDurable(uint64_t offset, const void* src, uint64_t n);
+  // Fills [offset, offset+n) with `value`.
+  void FillDurable(uint64_t offset, uint8_t value, uint64_t n);
+  // Region-internal copy (DMA-style data movement) between ranges that do
+  // not overlap.
+  void CopyDurable(uint64_t dst, uint64_t src, uint64_t n);
+
   // Reads current (possibly unpersisted) content.
   void Read(uint64_t offset, void* dst, uint64_t n) const;
-
-  // Fills [offset, offset+n) with `value`.
-  void Fill(uint64_t offset, uint8_t value, uint64_t n);
-
-  // Region-internal copy (DMA-style data movement), with undo tracking.
-  void Copy(uint64_t dst, uint64_t src, uint64_t n);
 
   template <typename T>
   void WriteObject(uint64_t offset, const T& obj) {
     static_assert(std::is_trivially_copyable_v<T>);
     Write(offset, &obj, sizeof(T));
+  }
+
+  template <typename T>
+  void WriteObjectDurable(uint64_t offset, const T& obj) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    WriteDurable(offset, &obj, sizeof(T));
   }
 
   template <typename T>
@@ -127,6 +140,8 @@ class Region {
 
   // Lifetime counters (write amplification studies).
   uint64_t total_bytes_written() const { return total_bytes_written_; }
+  // Old bytes copied aside so that a crash could roll a store back.
+  uint64_t undo_bytes_captured() const { return undo_bytes_captured_; }
 
   // Host memory backing this region: full pages x 4KB + live slot blocks.
   uint64_t bytes_backed() const { return bytes_backed_; }
@@ -177,6 +192,18 @@ class Region {
   bool ConsumePersist();
   // Aborts unless [offset, offset + n) lies inside the region.
   void CheckRange(const char* op, uint64_t offset, uint64_t n) const;
+  // Copies the current bytes of [offset, offset + n) into the undo log as a
+  // live entry, so Crash() restores them unless a Persist() covers it.
+  void CaptureUndo(const char* op, uint64_t offset, uint64_t n);
+  // The durable-store protocol: `store` writes [offset, offset + n) through
+  // StoreRuns, then the range is persisted.
+  template <typename Fn>
+  void StoreDurable(const char* op, uint64_t offset, uint64_t n, Fn store);
+  // Walks [offset, offset + n) page by page, backing what it touches, and
+  // calls emit(host, done, len) once per run of bytes adjacent in host
+  // memory: `host` takes the range's bytes [done, done + len).
+  template <typename Fn>
+  void StoreRuns(uint64_t offset, uint64_t n, Fn emit);
   // Host address of `offset`, for a write of n bytes that must not cross a
   // page edge: backs the page or moves it to a larger block if needed and
   // marks the range's lines written, zeroing what the range leaves uncovered
@@ -215,6 +242,7 @@ class Region {
   // scans this (small) set and swap-removes what it kills.
   std::vector<uint32_t> live_;
   uint64_t total_bytes_written_ = 0;
+  uint64_t undo_bytes_captured_ = 0;
   uint64_t crash_count_ = 0;
   static constexpr uint64_t kNoFailure = UINT64_MAX;
   uint64_t persists_left_ = kNoFailure;  // See FailAfterPersists().

@@ -126,9 +126,10 @@ TEST_F(OplogTest, ChunkImageParsesLikeDirectParse) {
 TEST_F(OplogTest, CorruptChunkImageDetected) {
   std::vector<uint8_t> payload = Bytes("data");
   ASSERT_TRUE(log_.Append(DataHeader(1, 0, 4), payload).ok());
-  std::vector<uint8_t> image = log_.Export(log_.head(), log_.tail())->image;
+  SharedBytes exported = log_.Export(log_.head(), log_.tail())->image;
+  std::vector<uint8_t> image(exported.begin(), exported.end());
   image[3] ^= 0xFF;  // Corrupt the magic.
-  EXPECT_FALSE(LogArea::ParseChunkImage(image, 0).ok());
+  EXPECT_FALSE(LogArea::ParseChunkImage(SharedBytes(std::move(image)), 0).ok());
 }
 
 TEST_F(OplogTest, RecoverScanFindsPersistedPrefix) {
@@ -235,6 +236,31 @@ TEST(OplogRange, ExportImportRoundTripsInBothModes) {
         EXPECT_EQ((*entries)[i].payload, materialize ? payload : std::vector<uint8_t>{});
       }
     }
+  }
+}
+
+TEST(OplogRange, AppendAndImportCaptureNoUndoBytes) {
+  // Log appends and imports persist what they store at once: a fresh log
+  // leaves no undo record behind and copies no old bytes aside.
+  pmem::Region region(1 << 20);
+  LogArea origin(&region, 0, 256 << 10, 3);
+  LogArea replica(&region, 512 << 10, 256 << 10, 3);
+  std::vector<uint8_t> payload(3000, 0x6B);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(origin.Append(DataHeader(4, i * 3000, static_cast<uint32_t>(payload.size())),
+                              payload).ok());
+  }
+  Result<LogRange> range = origin.Export(origin.head(), origin.tail());
+  ASSERT_TRUE(range.ok());
+  replica.Import(origin.head(), origin.tail(), *range);
+  EXPECT_EQ(region.pending_undo_count(), 0u);
+  EXPECT_EQ(region.unpersisted_bytes(), 0u);
+  EXPECT_EQ(region.undo_bytes_captured(), 0u);
+  Result<std::vector<ParsedEntry>> entries = replica.ParseRange(0, replica.tail());
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries->size(), 4u);
+  for (const ParsedEntry& entry : *entries) {
+    EXPECT_EQ(entry.payload, payload);
   }
 }
 

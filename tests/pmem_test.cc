@@ -371,8 +371,13 @@ TEST(RegionDeathTest, OutOfRangeAccessAborts) {
   EXPECT_DEATH(region.Write((1 << 20) - 8, buf, 16),
                "Write out of range: offset 1048568 len 16 region size 1048576");
   EXPECT_DEATH(region.Read(1 << 20, buf, 1), "Read out of range: offset 1048576 len 1");
-  EXPECT_DEATH(region.Copy(0, (1 << 20) - 1, 2), "Copy out of range: offset 1048575 len 2");
+  EXPECT_DEATH(region.CopyDurable(0, (1 << 20) - 1, 2), "Copy out of range: offset 1048575 len 2");
   EXPECT_DEATH(region.Write(8, buf, UINT64_MAX - 4), "Write out of range");
+}
+
+TEST(RegionDeathTest, OverlappingCopyAborts) {
+  Region region(1 << 20);
+  EXPECT_DEATH(region.CopyDurable(100, 0, 200), "check failed");
 }
 
 TEST(RegionDeathTest, WriteTooLargeToUndoAborts) {
@@ -481,10 +486,113 @@ TEST(Region, CopyMovesData) {
   Region region(1 << 20);
   const char msg[] = "dma copy list";
   region.Write(0, msg, sizeof(msg));
-  region.Copy(5000, 0, sizeof(msg));
+  region.CopyDurable(5000, 0, sizeof(msg));
   char out[sizeof(msg)] = {};
   region.Read(5000, out, sizeof(msg));
   EXPECT_STREQ(out, msg);
+}
+
+TEST(Region, DurableStoresEqualWriteThenPersist) {
+  // One seeded mix of stores, persists, armed persist failures and crashes,
+  // applied to two regions: `plain` stores with Write (or a staged buffer
+  // for fills and copies) followed by Persist of the same range, `durable`
+  // with the durable stores. The two must be indistinguishable after every
+  // step, including the backing footprint.
+  constexpr uint64_t kSize = 64 << 10;  // 16 pages: slot-packed and full.
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    auto uniform = [&](uint64_t n) { return rng() % n; };
+    Region plain(kSize);
+    Region durable(kSize);
+    std::vector<uint8_t> data;
+    std::vector<uint8_t> want(kSize);
+    std::vector<uint8_t> got(kSize);
+    for (int step = 0; step < 3000; ++step) {
+      // Mostly small stores (a log header is one line), some spanning pages.
+      uint64_t n = 1 + (uniform(4) == 0 ? uniform(3 * 4096) : uniform(200));
+      uint64_t off = uniform(kSize - n + 1);
+      int op = static_cast<int>(uniform(16));
+      if (op < 5) {
+        data.resize(n);
+        for (uint8_t& b : data) {
+          b = static_cast<uint8_t>(rng());
+        }
+        plain.Write(off, data.data(), n);
+        plain.Persist(off, n);
+        durable.WriteDurable(off, data.data(), n);
+      } else if (op < 6) {
+        auto value = static_cast<uint8_t>(rng());
+        data.assign(n, value);
+        plain.Write(off, data.data(), n);
+        plain.Persist(off, n);
+        durable.FillDurable(off, value, n);
+      } else if (op < 8) {
+        uint64_t src = uniform(kSize - n + 1);
+        if (src < off + n && off < src + n) {
+          continue;  // Copies between overlapping ranges abort.
+        }
+        data.resize(n);
+        plain.Read(src, data.data(), n);
+        plain.Write(off, data.data(), n);
+        plain.Persist(off, n);
+        durable.CopyDurable(off, src, n);
+      } else if (op < 11) {
+        // A volatile store on both, for the durable stores and persists to
+        // leave live or kill.
+        data.assign(n, static_cast<uint8_t>(rng()));
+        plain.Write(off, data.data(), n);
+        durable.Write(off, data.data(), n);
+      } else if (op < 13) {
+        plain.Persist(off, n);
+        durable.Persist(off, n);
+      } else if (op < 14) {
+        uint64_t persists = uniform(6);
+        plain.FailAfterPersists(persists);
+        durable.FailAfterPersists(persists);
+      } else if (op < 15) {
+        plain.Crash();
+        durable.Crash();
+      } else {
+        plain.PersistAll();
+        durable.PersistAll();
+      }
+      plain.Read(0, want.data(), kSize);
+      durable.Read(0, got.data(), kSize);
+      ASSERT_EQ(got, want) << "step " << step << " op " << op;
+      ASSERT_EQ(durable.unpersisted_bytes(), plain.unpersisted_bytes()) << "step " << step;
+      ASSERT_EQ(durable.pending_undo_count(), plain.pending_undo_count()) << "step " << step;
+      ASSERT_EQ(durable.bytes_backed(), plain.bytes_backed()) << "step " << step;
+      ASSERT_EQ(durable.total_bytes_written(), plain.total_bytes_written()) << "step " << step;
+    }
+    // The durable stores captured old bytes only while a failure was armed.
+    EXPECT_LT(durable.undo_bytes_captured(), plain.undo_bytes_captured());
+  }
+}
+
+TEST(Region, DurableStoreCapturesNothingUnlessAFailureIsArmed) {
+  Region region(1 << 20);
+  std::vector<uint8_t> data(5000, 0x3C);
+  region.WriteDurable(100, data.data(), data.size());
+  region.FillDurable(8192, 0x11, 300);
+  region.CopyDurable(20000, 100, 5000);
+  EXPECT_EQ(region.undo_bytes_captured(), 0u);
+  EXPECT_EQ(region.pending_undo_count(), 0u);
+
+  // Armed: the second persist does not take effect, so the second store
+  // must be rolled back by the crash.
+  region.FailAfterPersists(1);
+  std::vector<uint8_t> first(64, 0xA1);
+  std::vector<uint8_t> second(64, 0xB2);
+  region.WriteDurable(40000, first.data(), first.size());
+  region.WriteDurable(50000, second.data(), second.size());
+  EXPECT_EQ(region.undo_bytes_captured(), 128u);
+  region.Crash();
+  std::vector<uint8_t> out(64);
+  region.Read(40000, out.data(), out.size());
+  EXPECT_EQ(out, first);
+  region.Read(50000, out.data(), out.size());
+  EXPECT_EQ(out, std::vector<uint8_t>(64, 0));
 }
 
 TEST(Allocator, AllocatesDistinctBlocks) {

@@ -465,7 +465,11 @@ TEST_F(PublicFsTest, ValidatorDetectsCorruptPayload) {
   std::vector<ParsedEntry> batch;
   batch.push_back(AppendCreate(kRootInode, "c", 190));
   batch.push_back(AppendData(190, 0, Pattern(1024, 3)));
-  batch[1].payload[5] ^= 0xFF;  // Bit flip after CRC computation.
+  // Bit flip after CRC computation (payloads are immutable slices: swap in a
+  // flipped copy).
+  std::vector<uint8_t> flipped(batch[1].payload.begin(), batch[1].payload.end());
+  flipped[5] ^= 0xFF;
+  batch[1].payload = SharedBytes(std::move(flipped));
   Status st = lenient.Validate(batch);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), ErrorCode::kCorrupt);
