@@ -35,14 +35,7 @@ Result<uint64_t> LogArea::Append(LogEntryHeader header, std::span<const uint8_t>
   // Wrap if the entry would straddle the physical end of the ring.
   uint64_t to_wrap = ToWrapBoundary(tail_);
   if (to_wrap < need) {
-    LogEntryHeader wrap;
-    wrap.magic = kLogEntryMagic;
-    wrap.type = LogOpType::kWrap;
-    wrap.seq = next_seq_;  // Not consumed: wrap markers share the next seq.
-    wrap.payload_len = static_cast<uint32_t>(to_wrap - sizeof(LogEntryHeader));
-    wrap.client_id = client_id_;
-    wrap.header_crc = wrap.ComputeHeaderCrc();
-    region_->WriteObjectDurable(Phys(tail_), wrap);
+    WriteWrapMarker(tail_, next_seq_);  // Not consumed: wrap markers share the next seq.
     tail_ += to_wrap;
   }
 
@@ -66,6 +59,17 @@ Result<uint64_t> LogArea::Append(LogEntryHeader header, std::span<const uint8_t>
   region_->WriteObjectDurable(Phys(pos), header);
   tail_ = pos + ParsedEntry::AlignedSize(header.payload_len);
   return pos;
+}
+
+void LogArea::WriteWrapMarker(uint64_t logical, uint64_t seq) {
+  LogEntryHeader wrap;
+  wrap.magic = kLogEntryMagic;
+  wrap.type = LogOpType::kWrap;
+  wrap.seq = seq;
+  wrap.payload_len = static_cast<uint32_t>(ToWrapBoundary(logical) - sizeof(LogEntryHeader));
+  wrap.client_id = client_id_;
+  wrap.header_crc = wrap.ComputeHeaderCrc();
+  region_->WriteObjectDurable(Phys(logical), wrap);
 }
 
 void LogArea::Reclaim(uint64_t up_to) {
@@ -102,10 +106,27 @@ void LogArea::Import(uint64_t from, uint64_t to, const LogRange& range) {
       region_->WriteDurable(phys, range.image.data() + offset, len);
     });
   } else {
-    // Elided payloads: mirror just the headers, so this copy of the log stays
-    // scannable.
+    // Elided payloads: mirror the headers, every payload the origin kept
+    // (namespace names) and the wrap markers, which the headers skip: the
+    // only gaps between entries.
+    uint64_t pos = from;
     for (const ParsedEntry& entry : range.headers) {
-      region_->WriteObjectDurable(Phys(entry.logical_pos), entry.header);
+      if (entry.logical_pos != pos) {
+        LINEFS_CHECK(entry.logical_pos - pos == ToWrapBoundary(pos));
+        WriteWrapMarker(pos, entry.header.seq);
+      }
+      uint64_t phys = Phys(entry.logical_pos);
+      region_->WriteObjectDurable(phys, entry.header);
+      if (!entry.payload.empty()) {
+        region_->WriteDurable(phys + sizeof(LogEntryHeader), entry.payload.data(),
+                              entry.payload.size());
+      }
+      pos = entry.logical_pos + ParsedEntry::AlignedSize(entry.header.payload_len);
+      next_seq_ = std::max(next_seq_, entry.header.seq + 1);
+    }
+    if (pos != to) {
+      LINEFS_CHECK(to - pos == ToWrapBoundary(pos));
+      WriteWrapMarker(pos, next_seq_);
     }
   }
   tail_ = std::max(tail_, to);

@@ -131,7 +131,9 @@ class LogArea {
 
   // Applies `range` at the logical position [from, to) it held in the origin's
   // log (log areas are position-synchronised along the replication chain),
-  // persists it, and advances the tail to `to`.
+  // persists it, and advances the tail to `to`. Elided headers get their
+  // payloads (namespace names) and the wrap markers between them written back,
+  // so this copy scans and validates like the origin's.
   void Import(uint64_t from, uint64_t to, const LogRange& range);
 
   // Entries of a range for validation or publication: parsed out of `range`'s
@@ -177,6 +179,10 @@ class LogArea {
     uint8_t pad[44] = {};
   };
   static_assert(sizeof(MetaRecord) == 64);
+
+  // Writes and persists a wrap marker at `logical`, padding to the physical
+  // end of the ring.
+  void WriteWrapMarker(uint64_t logical, uint64_t seq);
 
   // The bytes of logical range [from, to) in logical order, read once.
   SharedBytes ReadImage(uint64_t from, uint64_t to) const;

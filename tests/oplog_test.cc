@@ -7,7 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "src/fslib/layout.h"
 #include "src/fslib/oplog.h"
+#include "src/fslib/publicfs.h"
+#include "src/fslib/validate.h"
 #include "src/pmem/region.h"
 
 namespace linefs::fslib {
@@ -237,6 +240,75 @@ TEST(OplogRange, ExportImportRoundTripsInBothModes) {
       }
     }
   }
+}
+
+TEST(OplogRange, ElidedImportKeepsNamespaceNames) {
+  // With data payloads elided, namespace entries still carry their names.
+  // The replica's copy of the range must keep them, so it parses and
+  // validates like the origin's.
+  pmem::Region region(1 << 20);
+  LogArea origin(&region, 0, 256 << 10, 3, /*materialize=*/false);
+  LogArea replica(&region, 512 << 10, 256 << 10, 3, /*materialize=*/false);
+  const std::string name = "report.txt";
+  LogEntryHeader create;
+  create.type = LogOpType::kCreate;
+  create.inum = 40;
+  create.parent = kRootInode;
+  create.ftype = FileType::kRegular;
+  create.payload_len = static_cast<uint32_t>(name.size());
+  ASSERT_TRUE(origin.Append(create, Bytes(name)).ok());
+  ASSERT_TRUE(origin.Append(DataHeader(40, 0, 16384), {}).ok());
+
+  Result<LogRange> range = origin.Export(origin.head(), origin.tail());
+  ASSERT_TRUE(range.ok());
+  replica.Import(origin.head(), origin.tail(), *range);
+  Result<std::vector<ParsedEntry>> entries = replica.ParseRange(0, replica.tail());
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries->size(), 2u);
+  EXPECT_EQ((*entries)[0].payload, Bytes(name));
+  EXPECT_TRUE((*entries)[1].payload.empty());
+
+  LayoutConfig config;
+  config.inode_count = 256;
+  config.max_clients = 1;
+  config.log_size = 256 << 10;
+  pmem::Region fs_region(8 << 20);
+  PublicFs fs(&fs_region, Layout::Compute(8 << 20, config));
+  fs.Mkfs();
+  Validator validator(&fs.inodes(), &fs.dirs(), [](uint32_t, InodeNum) { return true; });
+  Status st = validator.Validate(*entries);
+  EXPECT_TRUE(st.ok()) << st.message();
+}
+
+TEST(OplogRange, ElidedImportMirrorsWrapMarkers) {
+  // Elided headers skip the wrap markers; the replica must write them back,
+  // or its copy of a range that crosses the wrap point stops parsing there.
+  pmem::Region region(1 << 20);
+  LogArea origin(&region, 0, 64 << 10, 3, /*materialize=*/false);
+  LogArea replica(&region, 512 << 10, 64 << 10, 3, /*materialize=*/false);
+  uint64_t mirrored = 0;
+  for (int lap = 0; lap < 4; ++lap) {
+    SCOPED_TRACE(lap);
+    while (origin.HasSpaceFor(5000)) {
+      ASSERT_TRUE(origin.Append(DataHeader(4, 0, 5000), {}).ok());
+    }
+    Result<LogRange> range = origin.Export(mirrored, origin.tail());
+    ASSERT_TRUE(range.ok());
+    replica.Import(mirrored, origin.tail(), *range);
+    Result<std::vector<ParsedEntry>> want = origin.ParseRange(mirrored, origin.tail());
+    Result<std::vector<ParsedEntry>> got = replica.ParseRange(mirrored, origin.tail());
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    ASSERT_EQ(got->size(), want->size());
+    for (size_t i = 0; i < got->size(); ++i) {
+      EXPECT_EQ((*got)[i].logical_pos, (*want)[i].logical_pos);
+      EXPECT_EQ((*got)[i].header.seq, (*want)[i].header.seq);
+    }
+    EXPECT_EQ(replica.next_seq(), origin.next_seq());
+    mirrored = origin.tail();
+    origin.Reclaim(mirrored);
+  }
+  EXPECT_GT(mirrored, uint64_t{2} * (64 << 10));  // The ring wrapped.
 }
 
 TEST(OplogRange, AppendAndImportCaptureNoUndoBytes) {
