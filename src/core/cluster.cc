@@ -1,6 +1,5 @@
 #include "src/core/cluster.h"
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -9,6 +8,7 @@
 #include "src/core/libfs.h"
 #include "src/core/nicfs.h"
 #include "src/core/sharedfs.h"
+#include "src/sim/check.h"
 
 namespace linefs::core {
 
@@ -180,7 +180,7 @@ void Cluster::SetServiceAlive(int node, bool alive) {
 }
 
 Status Cluster::Start() {
-  assert(!started_);
+  LINEFS_CHECK(!started_);
   Status valid = config_.Validate();
   if (!valid.ok()) {
     return valid;

@@ -1,10 +1,10 @@
 #include "src/load/generator.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/core/cluster.h"
 #include "src/fslib/types.h"
+#include "src/sim/check.h"
 #include "src/sim/engine.h"
 
 namespace linefs::load {
@@ -42,7 +42,7 @@ Generator::Generator(sim::Engine* engine, std::vector<core::LibFs*> clients, Opt
       options_(std::move(options)),
       rng_(options_.seed),
       workers_done_(engine) {
-  assert(!clients_.empty());
+  LINEFS_CHECK(!clients_.empty());
   if (options_.tenants.empty()) {
     options_.tenants.push_back(TenantSpec{});
   }

@@ -1,8 +1,9 @@
 #include "src/shard/txn.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
+
+#include "src/sim/check.h"
 
 namespace linefs::shard {
 
@@ -52,7 +53,7 @@ sim::Task<> TxnService::Persist() {
 
 sim::Task<Result<bool>> TxnService::Run(TxnOp op, uint32_t client, std::vector<int> participants,
                                         std::vector<uint64_t> locks) {
-  assert(participants.size() == locks.size());
+  LINEFS_CHECK(participants.size() == locks.size());
   metrics_.started->Increment();
   uint64_t txn_id = (static_cast<uint64_t>(context_.node + 1) << 32) | next_seq_++;
 

@@ -36,12 +36,12 @@
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "src/sim/check.h"
 #include "src/sim/time.h"
 
 namespace linefs::sim {
@@ -75,7 +75,7 @@ class EventQueue {
     if (t == *now) {
       return;
     }
-    assert(ring_count_ == 0 && t > *now);
+    LINEFS_CHECK(ring_count_ == 0 && t > *now);
     *now = t;
     while (!heap_.empty() && heap_.front().t == t) {
       RingPush(HeapPop());

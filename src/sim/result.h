@@ -4,10 +4,11 @@
 #ifndef SRC_SIM_RESULT_H_
 #define SRC_SIM_RESULT_H_
 
-#include <cassert>
 #include <string>
 #include <utility>
 #include <variant>
+
+#include "src/sim/check.h"
 
 namespace linefs {
 
@@ -66,7 +67,7 @@ class [[nodiscard]] Result {
  public:
   Result(T value) : var_(std::move(value)) {}                    // NOLINT(runtime/explicit)
   Result(Status status) : var_(std::move(status)) {              // NOLINT(runtime/explicit)
-    assert(!std::get<Status>(var_).ok() && "Result constructed from OK status");
+    LINEFS_CHECK(!std::get<Status>(var_).ok() && "Result constructed from OK status");
   }
   Result(ErrorCode code, std::string message = "")               // NOLINT(runtime/explicit)
       : var_(Status(code, std::move(message))) {}
@@ -75,15 +76,15 @@ class [[nodiscard]] Result {
   explicit operator bool() const { return ok(); }
 
   const T& value() const& {
-    assert(ok());
+    LINEFS_CHECK(ok());
     return std::get<T>(var_);
   }
   T& value() & {
-    assert(ok());
+    LINEFS_CHECK(ok());
     return std::get<T>(var_);
   }
   T&& value() && {
-    assert(ok());
+    LINEFS_CHECK(ok());
     return std::get<T>(std::move(var_));
   }
   const T& operator*() const& { return value(); }
