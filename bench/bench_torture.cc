@@ -47,29 +47,36 @@ struct TortureRow {
   std::vector<std::string> window_dominant;
 };
 
-// Intersects every operation's attributed critical-path segments with each
-// fault window and reports, per window, how the pipeline spent its time while
-// the fault was open — the "which stage did this fault hurt" view.
-obs::JsonValue AttributeFaultWindows(const obs::CriticalPathAnalyzer& analyzer,
-                                     const std::vector<fault::FaultEvent>& windows,
-                                     TortureRow* row) {
-  std::vector<obs::OpBreakdown> ops = analyzer.Operations();
-  obs::JsonValue out = obs::JsonValue::Array();
-  for (const fault::FaultEvent& w : windows) {
-    std::map<std::string, sim::Time> in_window;
-    for (const obs::OpBreakdown& op : ops) {
-      for (const obs::CriticalSegment& seg : op.segments) {
-        sim::Time begin = std::max(seg.begin, w.at);
-        sim::Time end = std::min(seg.end, w.until);
-        if (end > begin) {
-          in_window[seg.stage] += end - begin;
-        }
+// Per fault window, the critical-path time of every operation's attributed
+// segments that fell inside it, by canonical stage. The fold hands each
+// operation's segments over as the operation completes.
+using WindowStages = std::vector<std::map<std::string, sim::Time>>;
+
+void AddToFaultWindows(const obs::OpBreakdown& op, const std::vector<fault::FaultEvent>& windows,
+                       WindowStages* in_window) {
+  for (size_t i = 0; i < windows.size(); ++i) {
+    for (const obs::CriticalSegment& seg : op.segments) {
+      sim::Time begin = std::max(seg.begin, windows[i].at);
+      sim::Time end = std::min(seg.end, windows[i].until);
+      if (end > begin) {
+        (*in_window)[i][seg.stage] += end - begin;
       }
     }
+  }
+}
+
+// Reports, per fault window, how the pipeline spent its time while the fault
+// was open — the "which stage did this fault hurt" view.
+obs::JsonValue AttributeFaultWindows(const WindowStages& in_window,
+                                     const std::vector<fault::FaultEvent>& windows,
+                                     TortureRow* row) {
+  obs::JsonValue out = obs::JsonValue::Array();
+  for (size_t i = 0; i < windows.size(); ++i) {
+    const fault::FaultEvent& w = windows[i];
     std::string dominant = "-";
     sim::Time dominant_ns = 0;
     obs::JsonValue stages = obs::JsonValue::Object();
-    for (const auto& [stage, ns] : in_window) {
+    for (const auto& [stage, ns] : in_window[i]) {
       stages.Set(stage, sim::ToMicros(ns));
       if (ns > dominant_ns) {
         dominant = stage;
@@ -113,6 +120,11 @@ void RunOne(std::string label, fault::FaultPlan plan) {
   row.spec = plan.ToSpec();
   std::vector<fault::FaultEvent> windows = plan.events();
 
+  WindowStages in_window(windows.size());
+  obs::CriticalPathFold& fold = exp.cluster().trace().fold();
+  fold.SetFoldCallback(
+      [&](const obs::OpBreakdown& op) { AddToFaultWindows(op, windows, &in_window); });
+
   fault::Injector injector(&exp.cluster(), std::move(plan));
   Status armed = injector.Arm();
   if (!armed.ok()) {
@@ -145,9 +157,10 @@ void RunOne(std::string label, fault::FaultPlan plan) {
   exp.AddScalar("repl_retransmits", static_cast<double>(row.retransmits));
   exp.AddScalar("fault_edges_applied", static_cast<double>(row.fault_edges));
 
-  obs::CriticalPathAnalyzer analyzer(&exp.cluster().trace());
+  fold.FoldOpenTraces();
+  fold.SetFoldCallback(nullptr);
   obs::JsonValue extra = obs::JsonValue::Object();
-  extra.Set("fault_windows", AttributeFaultWindows(analyzer, windows, &row));
+  extra.Set("fault_windows", AttributeFaultWindows(in_window, windows, &row));
   exp.SetExtra(std::move(extra));
   g_rows.push_back(std::move(row));
 }

@@ -123,6 +123,10 @@ class Experiment {
       selfprof_ = std::make_unique<obs::SelfProfiler>(&engine_);
     }
     cluster_ = std::make_unique<core::Cluster>(&engine_, config);
+    // Raw spans are kept only for the optional Chrome trace export below.
+    if (std::getenv("LINEFS_TRACE_JSON") != nullptr) {
+      cluster_->trace().EnableRing();
+    }
     Status st = cluster_->Start();
     if (!st.ok()) {
       std::fprintf(stderr, "bench: invalid config: %s\n", st.message().c_str());
@@ -168,7 +172,7 @@ class Experiment {
     run_.metrics = registry.TakeSnapshot();
     run_.virtual_time_us = sim::ToMicros(engine_.Now());
     run_.config = ConfigJson(cluster_->config());
-    // Per-stage critical-path attribution of every traced operation.
+    // Per-stage critical-path attribution of every operation of the run.
     run_.critical_path = obs::CriticalPathAnalyzer(&cluster_->trace()).ReportJson();
     // Optional structured trace capture: export the last experiment's pipeline
     // spans as Chrome trace_event JSON (chrome://tracing, Perfetto), with the

@@ -3,18 +3,58 @@
 #include <cstdio>
 #include <utility>
 
+#include "src/obs/critical_path.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/sim/check.h"
 
 namespace linefs::obs {
 
-TraceBuffer::TraceBuffer(sim::Engine* engine, size_t capacity)
-    : engine_(engine), capacity_(capacity == 0 ? 1 : capacity) {
+TraceBuffer::TraceBuffer(sim::Engine* engine)
+    : engine_(engine), fold_(std::make_unique<CriticalPathFold>(this)) {}
+
+TraceBuffer::~TraceBuffer() = default;
+
+void TraceBuffer::EnableRing(size_t capacity) {
+  capacity_ = capacity == 0 ? 1 : capacity;
   events_.reserve(capacity_ < 4096 ? capacity_ : 4096);
 }
 
-void TraceBuffer::Record(TraceEvent event) {
+uint16_t TraceBuffer::InternSlow(std::string_view name) {
+  auto it = name_ids_.find(name);
+  if (it != name_ids_.end()) {
+    return it->second;
+  }
+  LINEFS_CHECK(names_.size() < UINT16_MAX);
+  auto id = static_cast<uint16_t>(names_.size());
+  name_ids_.emplace(names_.emplace_back(name), id);
+  return id;
+}
+
+void TraceBuffer::Record(const TraceEvent& event) {
+  SpanRecord span;
+  span.span_id = event.span_id;
+  span.parent_span = event.parent_span;
+  span.begin = event.begin;
+  span.end = event.end;
+  span.node = event.node;
+  span.client = event.client;
+  span.component = Intern(event.component);
+  span.stage = Intern(event.stage);
+  Finish(event.trace_id, span, event.chunk_no, SpanOrigin::kRecorded);
+}
+
+void TraceBuffer::Finish(uint64_t trace_id, const SpanRecord& span, uint64_t chunk_no,
+                         SpanOrigin origin) {
   ++total_recorded_;
+  if (trace_id != 0) {
+    fold_->Close(trace_id, span, origin);
+  }
+  if (capacity_ == 0) {
+    return;
+  }
+  TraceEvent event{Name(span.component), Name(span.stage), span.node, span.client,
+                   chunk_no, span.begin, span.end, trace_id, span.span_id, span.parent_span};
   if (events_.size() < capacity_) {
     events_.push_back(std::move(event));
     return;
@@ -34,16 +74,8 @@ void TraceBuffer::ForEach(const std::function<void(const TraceEvent&)>& fn) cons
   }
 }
 
-void TraceBuffer::Clear() {
-  events_.clear();
-  head_ = 0;
-  dropped_ = 0;
-  total_recorded_ = 0;
-  last_id_ = 0;
-}
-
 std::string TraceBuffer::ToChromeJson(const TimelineSnapshot* timeline) const {
-  // Streamed emission: a 64K-event buffer would be wasteful to round-trip
+  // Streamed emission: a 64K-event ring would be wasteful to round-trip
   // through the JsonValue DOM.
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
@@ -110,41 +142,48 @@ bool TraceBuffer::WriteChromeJson(const std::string& path, const TimelineSnapsho
   return written == json.size();
 }
 
-Span::Span(TraceBuffer* buffer, std::string component, std::string stage, int node,
+Span::Span(TraceBuffer* buffer, std::string_view component, std::string_view stage, int node,
            int client, uint64_t chunk_no)
-    : Span(buffer, std::move(component), std::move(stage), node, client, chunk_no,
-           TraceContext{}) {}
+    : Span(buffer, component, stage, node, client, chunk_no, TraceContext{}) {}
 
-Span::Span(TraceBuffer* buffer, std::string component, std::string stage, int node,
+Span::Span(TraceBuffer* buffer, std::string_view component, std::string_view stage, int node,
            int client, uint64_t chunk_no, TraceContext parent)
-    : buffer_(buffer) {
-  event_.component = std::move(component);
-  event_.stage = std::move(stage);
-  event_.node = node;
-  event_.client = client;
-  event_.chunk_no = chunk_no;
-  if (buffer_ != nullptr) {
-    event_.begin = buffer_->engine()->Now();
-    event_.span_id = buffer_->NextId();
-    if (parent.valid()) {
-      event_.trace_id = parent.trace_id;
-      event_.parent_span = parent.parent_span;
-    } else {
-      // No (or invalid) parent: this span roots a fresh trace.
-      event_.trace_id = event_.span_id;
-      event_.parent_span = 0;
-    }
+    : buffer_(buffer), chunk_no_(chunk_no) {
+  if (buffer_ == nullptr) {
+    return;
   }
+  record_.node = node;
+  record_.client = client;
+  record_.component = buffer_->Intern(component);
+  record_.stage = buffer_->Intern(stage);
+  record_.begin = buffer_->engine()->Now();
+  record_.span_id = buffer_->NextId();
+  if (parent.valid()) {
+    trace_id_ = parent.trace_id;
+    record_.parent_span = parent.parent_span;
+  } else {
+    // No (or invalid) parent: this span roots a fresh trace.
+    trace_id_ = record_.span_id;
+    record_.parent_span = 0;
+  }
+  origin_ = buffer_->fold_->Open(trace_id_);
 }
 
 Span::Span(Span&& other) noexcept
-    : buffer_(std::exchange(other.buffer_, nullptr)), event_(std::move(other.event_)) {}
+    : buffer_(std::exchange(other.buffer_, nullptr)),
+      trace_id_(other.trace_id_),
+      chunk_no_(other.chunk_no_),
+      record_(other.record_),
+      origin_(other.origin_) {}
 
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     End();
     buffer_ = std::exchange(other.buffer_, nullptr);
-    event_ = std::move(other.event_);
+    trace_id_ = other.trace_id_;
+    chunk_no_ = other.chunk_no_;
+    record_ = other.record_;
+    origin_ = other.origin_;
   }
   return *this;
 }
@@ -155,8 +194,8 @@ void Span::End() {
   if (buffer_ == nullptr) {
     return;
   }
-  event_.end = buffer_->engine()->Now();
-  buffer_->Record(std::move(event_));
+  record_.end = buffer_->engine()->Now();
+  buffer_->Finish(trace_id_, record_, chunk_no_, origin_);
   buffer_ = nullptr;
 }
 

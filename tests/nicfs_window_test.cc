@@ -72,6 +72,7 @@ WindowRun RunWindowedWrite(const DfsConfig& config) {
   WindowRun out;
   sim::Engine engine;
   Cluster cluster(&engine, config);
+  cluster.trace().EnableRing();  // StageSpans reads raw spans.
   Status start_st = cluster.Start();
   EXPECT_TRUE(start_st.ok()) << start_st.ToString();
   LibFs* fs = cluster.CreateClient(0);
@@ -121,6 +122,7 @@ class NicFsWindowTest : public ::testing::Test {
  protected:
   void Start(const DfsConfig& config) {
     cluster_ = std::make_unique<Cluster>(&engine_, config);
+    cluster_->trace().EnableRing();  // StageSpans reads raw spans.
     Status start_st = cluster_->Start();
     EXPECT_TRUE(start_st.ok()) << start_st.ToString();
   }

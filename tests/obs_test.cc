@@ -90,7 +90,8 @@ TEST(MetricsRegistry, SnapshotIsAValueCopy) {
 
 TEST(TraceBuffer, SpanRecordsOnDestruction) {
   sim::Engine engine;
-  TraceBuffer buffer(&engine, 16);
+  TraceBuffer buffer(&engine);
+  buffer.EnableRing(16);
   {
     Span span(&buffer, "nicfs.0", "fetch", 0, 1, 42);
   }
@@ -106,7 +107,7 @@ TEST(TraceBuffer, SpanRecordsOnDestruction) {
 
 TEST(TraceBuffer, MovedFromSpanRecordsNothing) {
   sim::Engine engine;
-  TraceBuffer buffer(&engine, 16);
+  TraceBuffer buffer(&engine);
   {
     Span a(&buffer, "nicfs.0", "validate", 0, 0, 1);
     Span b = std::move(a);
@@ -120,7 +121,8 @@ TEST(TraceBuffer, MovedFromSpanRecordsNothing) {
 
 TEST(TraceBuffer, OverflowDropsOldestAndCounts) {
   sim::Engine engine;
-  TraceBuffer buffer(&engine, 4);
+  TraceBuffer buffer(&engine);
+  buffer.EnableRing(4);
   for (uint64_t i = 0; i < 10; ++i) {
     buffer.Record(TraceEvent{"c", "s", 0, 0, i, 0, 1});
   }
@@ -137,7 +139,8 @@ TEST(TraceBuffer, OverflowDropsOldestAndCounts) {
 
 TEST(TraceBuffer, ChromeJsonParsesAndContainsStages) {
   sim::Engine engine;
-  TraceBuffer buffer(&engine, 64);
+  TraceBuffer buffer(&engine);
+  buffer.EnableRing(64);
   const char* stages[] = {"fetch", "validate", "compress", "transfer", "publish"};
   for (uint64_t i = 0; i < 5; ++i) {
     buffer.Record(TraceEvent{"nicfs.0", stages[i], 0, static_cast<int>(i), i,

@@ -79,6 +79,7 @@ class ClusterHarness {
 // the primary and both replicas.
 TEST(TracePropagation, FsyncYieldsOneConnectedCrossNodeTree) {
   ClusterHarness harness(SmallConfig(DfsMode::kLineFS));
+  harness.cluster().trace().EnableRing();  // The tree checks read raw spans.
   LibFs* fs = harness.cluster().CreateClient(0);
   std::vector<uint8_t> data(1 << 20, 0x5a);
 
@@ -159,12 +160,13 @@ TEST(TracePropagation, FsyncYieldsOneConnectedCrossNodeTree) {
 //       +-- ack      [ 70, 90)us  (depth 2)    -> ack       20us (shadows transfer)
 TEST(CriticalPath, AttributesHandBuiltDag) {
   sim::Engine engine;
-  TraceBuffer buffer(&engine, 64);
+  TraceBuffer buffer(&engine);
   const sim::Time us = sim::kMicrosecond;
-  buffer.Record(TraceEvent{"libfs.0", "fsync", 0, 0, 0, 0, 100 * us, 1, 1, 0});
+  // Recorded in end order, as spans finish in a run: the root folds last.
   buffer.Record(TraceEvent{"nicfs.0", "fetch", 0, 0, 0, 10 * us, 30 * us, 1, 2, 1});
   buffer.Record(TraceEvent{"nicfs.0", "transfer", 0, 0, 0, 30 * us, 80 * us, 1, 3, 1});
   buffer.Record(TraceEvent{"nicfs.1", "ack", 1, 0, 0, 70 * us, 90 * us, 1, 4, 3});
+  buffer.Record(TraceEvent{"libfs.0", "fsync", 0, 0, 0, 0, 100 * us, 1, 1, 0});
 
   CriticalPathAnalyzer analyzer(&buffer);
   std::vector<OpBreakdown> ops = analyzer.Operations();
@@ -198,15 +200,15 @@ TEST(CriticalPath, AttributesHandBuiltDag) {
   EXPECT_EQ(attributed, op.duration());
 }
 
-// A child whose parent the ring dropped must still attach under the root
+// A child whose parent was never recorded must still attach under the root
 // (depth 1) instead of being lost or becoming a second root.
 TEST(CriticalPath, DanglingParentChainsAttachUnderRoot) {
   sim::Engine engine;
-  TraceBuffer buffer(&engine, 64);
+  TraceBuffer buffer(&engine);
   const sim::Time us = sim::kMicrosecond;
-  buffer.Record(TraceEvent{"libfs.0", "fsync", 0, 0, 0, 0, 100 * us, 1, 1, 0});
-  // Span 9's parent (span 7) was dropped by the ring: never recorded.
+  // Span 9's parent (span 7) was never recorded.
   buffer.Record(TraceEvent{"nicfs.0", "transfer", 0, 0, 0, 20 * us, 60 * us, 1, 9, 7});
+  buffer.Record(TraceEvent{"libfs.0", "fsync", 0, 0, 0, 0, 100 * us, 1, 1, 0});
 
   CriticalPathAnalyzer analyzer(&buffer);
   std::vector<OpBreakdown> ops = analyzer.Operations();
@@ -219,7 +221,8 @@ TEST(CriticalPath, DanglingParentChainsAttachUnderRoot) {
 TEST(TraceBufferDrops, CounterMirrorsRingOverflow) {
   sim::Engine engine;
   MetricsRegistry registry;
-  TraceBuffer buffer(&engine, 4);
+  TraceBuffer buffer(&engine);
+  buffer.EnableRing(4);
   buffer.SetDroppedCounter(MetricScope(&registry, "obs.trace").CounterAt("dropped"));
   for (uint64_t i = 0; i < 10; ++i) {
     buffer.Record(TraceEvent{"c", "s", 0, 0, i, 0, 1});
@@ -234,6 +237,7 @@ TEST(TraceBufferDrops, CounterMirrorsRingOverflow) {
 TEST(TraceDeterminism, ExportIsByteIdenticalAcrossRuns) {
   auto run_once = []() -> std::string {
     ClusterHarness harness(SmallConfig(DfsMode::kLineFS));
+    harness.cluster().trace().EnableRing();
     LibFs* fs = harness.cluster().CreateClient(0);
     std::vector<uint8_t> data(512 << 10, 0x3c);
     harness.RunClient([&]() -> sim::Task<> {

@@ -211,6 +211,7 @@ class ReplConformanceTest : public ::testing::TestWithParam<std::string> {
  protected:
   void Start(const DfsConfig& config) {
     cluster_ = std::make_unique<Cluster>(&engine_, config);
+    cluster_->trace().EnableRing();  // ExpectInOrderPublishes reads raw spans.
     Status st = cluster_->Start();
     ASSERT_TRUE(st.ok()) << st.ToString();
   }

@@ -229,7 +229,7 @@ TEST(HistogramSummary, P999TracksTail) {
 
 TEST(TraceBuffer, ChromeJsonEmitsTimelineCounterEvents) {
   sim::Engine engine;
-  TraceBuffer buffer(&engine, 16);
+  TraceBuffer buffer(&engine);
   MetricsRegistry registry;
   registry.SetTimelineWindow(1000);
   registry.GetTimeSeries("load.delivered", SeriesKind::kCounter)->Record(500, 1);
