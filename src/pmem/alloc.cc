@@ -1,5 +1,7 @@
 #include "src/pmem/alloc.h"
 
+#include <algorithm>
+
 namespace linefs::pmem {
 
 BlockAllocator::BlockAllocator(uint64_t first_block, uint64_t total_blocks)
@@ -61,6 +63,10 @@ void BlockAllocator::Free(uint64_t block, uint64_t count) {
     if (idx + i < total_blocks_ && bitmap_[idx + i]) {
       bitmap_[idx + i] = false;
       ++free_blocks_;
+      // AllocFromTop hands this block out again before going lower: a
+      // copy-on-write metadata rewrite then alternates between two blocks
+      // instead of walking down the data area one fresh block at a time.
+      top_hint_ = std::max(top_hint_, idx + i);
     }
   }
 }
