@@ -185,8 +185,8 @@ class CriticalPathFold {
   // Folds an open trace and forgets it.
   void Finish(uint64_t trace_id, OpenTrace* trace);
   void Fold(uint64_t trace_id, OpenTrace* trace);
-  // Attributes `spans` into `op`; false when no span can be the root. Builds `segments` when `all_segments` is set or the
-  // operation would be kept.
+  // Attributes `spans` into `op`; false when no span can be the root. Builds
+  // `segments` when `all_segments` is set or the operation would be kept.
   bool Attribute(uint64_t trace_id, const std::vector<SpanRecord>& spans,
                  std::vector<FoldedSegment>* segments, bool all_segments, FoldedOp* op) const;
   // Whether an operation this slow would enter its root stage's kept set.

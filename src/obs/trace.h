@@ -112,7 +112,8 @@ class TraceBuffer {
     // compare guards against a reused buffer holding another name. Each
     // address may sit in either of two neighbouring slots.
     size_t slot =
-        ((reinterpret_cast<uintptr_t>(name.data()) * 0x9E3779B97F4A7C15ull) >> kHintShift) & ~1u;
+        ((reinterpret_cast<uintptr_t>(name.data()) * 0x9E3779B97F4A7C15ull) >> kHintShift) &
+        ~size_t{1};
     for (size_t i = slot; i < slot + 2; ++i) {
       const NameHint& hint = hints_[i];
       if (hint.data == name.data() && hint.size == name.size() && names_[hint.id] == name) {
@@ -126,7 +127,7 @@ class TraceBuffer {
   }
   const std::string& Name(uint16_t id) const { return names_[id]; }
 
-  // Ring accounting (all zero while the ring is off).
+  // Ring accounting (zero while the ring is off).
   size_t size() const { return events_.size(); }
   size_t capacity() const { return capacity_; }
   // Events overwritten because the ring was full.

@@ -1,8 +1,8 @@
-// Streaming critical-path fold tests. The oracle is a batch sweep over raw
-// spans, the way the analyzer worked when it read a span ring after the run:
-// group every recorded span by trace, find each root, sweep. The fold must
-// agree with it op by op, and ReportJson() byte for byte, on a run that
-// records more spans than the old 64K ring held.
+// Streaming critical-path fold tests. The oracle is a batch sweep over every
+// raw span of a run, kept in a ring large enough to drop none: group the
+// spans by trace, find each root, sweep. The fold must agree with it op by
+// op, and ReportJson() byte for byte, on a run that records more spans than
+// TraceBuffer::kDefaultRingCapacity.
 
 #include <gtest/gtest.h>
 
@@ -241,6 +241,10 @@ JsonValue BatchReport(const std::vector<OpBreakdown>& ops, size_t max_exemplars)
   return doc;
 }
 
+std::string BatchReportOf(const TraceBuffer& buffer) {
+  return BatchReport(BatchOperations(RawSpans(buffer)), CriticalPathFold::kSlowestKept).Dump(2);
+}
+
 // Compares everything but segments, which the fold keeps only for some ops.
 void ExpectSameOps(const std::vector<OpBreakdown>& got, const std::vector<OpBreakdown>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -329,7 +333,7 @@ TEST(CriticalPathFold, MatchesBatchSweepOnRunPastTheOldRing) {
   engine.Run();
   // Shutdown's late spans change nothing but span counts and node sets.
   ExpectSameOps(analyzer.Operations(), BatchOperations(RawSpans(trace)));
-  EXPECT_EQ(analyzer.ReportJson().Dump(2), BatchReport(BatchOperations(RawSpans(trace)), 3).Dump(2));
+  EXPECT_EQ(analyzer.ReportJson().Dump(2), BatchReportOf(trace));
 }
 
 // --- Hand-driven spans -------------------------------------------------------
@@ -370,7 +374,7 @@ TEST(CriticalPathFold, ChildEndingAfterRootIsClippedToTheRoot) {
   EXPECT_EQ(ops[0].nodes, (std::set<int>{0, 2}));
   EXPECT_EQ(ops[0].stage_ns, want);
   ExpectSameOps(ops, BatchOperations(RawSpans(buffer)));
-  EXPECT_EQ(analyzer.ReportJson().Dump(2), BatchReport(BatchOperations(RawSpans(buffer)), 3).Dump(2));
+  EXPECT_EQ(analyzer.ReportJson().Dump(2), BatchReportOf(buffer));
 }
 
 // A trace whose root is still open reports as it stands (rooted at its
@@ -393,7 +397,7 @@ TEST(CriticalPathFold, OpenTracesReportAsTheyStand) {
   EXPECT_EQ(ops[0].root_stage, "fetch");
   EXPECT_FALSE(ops[0].segments.empty());
   ExpectSameOps(ops, BatchOperations(RawSpans(buffer)));
-  EXPECT_EQ(analyzer.ReportJson().Dump(2), BatchReport(BatchOperations(RawSpans(buffer)), 3).Dump(2));
+  EXPECT_EQ(analyzer.ReportJson().Dump(2), BatchReportOf(buffer));
 
   buffer.fold().FoldOpenTraces();
   ASSERT_EQ(seen.size(), 1u);
