@@ -49,7 +49,8 @@ struct TortureRow {
 
 // Per fault window, the critical-path time of every operation's attributed
 // segments that fell inside it, by canonical stage. The fold hands each
-// operation's segments over as the operation completes.
+// operation's segments over as the operation completes; those still in
+// flight when the windows are read count as they stand.
 using WindowStages = std::vector<std::map<std::string, sim::Time>>;
 
 void AddToFaultWindows(const obs::OpBreakdown& op, const std::vector<fault::FaultEvent>& windows,
@@ -157,7 +158,10 @@ void RunOne(std::string label, fault::FaultPlan plan) {
   exp.AddScalar("repl_retransmits", static_cast<double>(row.retransmits));
   exp.AddScalar("fault_edges_applied", static_cast<double>(row.fault_edges));
 
-  fold.FoldOpenTraces();
+  // Operations still in flight count as they stand; they fold, whole, later.
+  for (const auto& [op, segments] : fold.OpenOps()) {
+    AddToFaultWindows(fold.Breakdown(op, &segments), windows, &in_window);
+  }
   fold.SetFoldCallback(nullptr);
   obs::JsonValue extra = obs::JsonValue::Object();
   extra.Set("fault_windows", AttributeFaultWindows(in_window, windows, &row));

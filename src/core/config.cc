@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/fslib/layout.h"
+#include "src/obs/critical_path.h"
 #include "src/pipeline/registry.h"
 #include "src/repl/registry.h"
 #include "src/shard/shard_map.h"
@@ -22,6 +23,11 @@ Status Invalid(const std::string& message) {
 Status DfsConfig::Validate() const {
   if (num_nodes < 1) {
     return Invalid("num_nodes must be >= 1, got " + std::to_string(num_nodes));
+  }
+  if (num_nodes > obs::CriticalPathFold::kMaxNodes) {
+    return Invalid("num_nodes must be <= " + std::to_string(obs::CriticalPathFold::kMaxNodes) +
+                   " (critical-path attribution keeps each op's nodes as a bit mask), got " +
+                   std::to_string(num_nodes));
   }
   if (max_clients < 1) {
     return Invalid("max_clients must be >= 1, got " + std::to_string(max_clients));

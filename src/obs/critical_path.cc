@@ -81,110 +81,62 @@ std::string CriticalPathAnalyzer::CanonicalStage(std::string_view raw) {
 
 // --- CriticalPathFold --------------------------------------------------------
 
-SpanOrigin CriticalPathFold::Open(uint64_t trace_id) {
-  if (OpenTrace* trace = FindOpen(trace_id)) {
-    ++trace->open;
-    return SpanOrigin::kOpened;
-  }
-  if (FindFolded(trace_id) != nullptr) {
-    return SpanOrigin::kLate;  // Starts after its trace folded: Close() only counts it.
-  }
-  Start(trace_id)->open = 1;
-  return SpanOrigin::kOpened;
-}
-
-CriticalPathFold::OpenTrace* CriticalPathFold::FindOpen(uint64_t trace_id) {
-  if (trace_id != hot_id_) {
-    auto it = open_.find(trace_id);
-    if (it == open_.end()) {
-      return nullptr;
-    }
-    hot_id_ = trace_id;
-    hot_ = &it->second;
-  }
-  return hot_;
-}
-
-CriticalPathFold::OpenTrace* CriticalPathFold::Start(uint64_t trace_id) {
-  OpenTrace& trace = open_[trace_id];
-  if (!spare_.empty()) {
-    trace.spans = std::move(spare_.back());
-    spare_.pop_back();
-  }
-  hot_id_ = trace_id;
-  hot_ = &trace;
-  return hot_;
-}
-
-void CriticalPathFold::Finish(uint64_t trace_id, OpenTrace* trace) {
-  Fold(trace_id, trace);
-  open_.erase(trace_id);
-  if (hot_id_ == trace_id) {
-    hot_id_ = 0;
-    hot_ = nullptr;
+void CriticalPathFold::Open(uint64_t trace_id) {
+  auto it = open_.find(trace_id);
+  if (it != open_.end()) {
+    ++it->second.open;
+  } else if (FindFolded(trace_id) == nullptr) {
+    open_[trace_id].open = 1;
   }
 }
 
-void CriticalPathFold::Close(uint64_t trace_id, const SpanRecord& span, SpanOrigin origin) {
-  OpenTrace* trace = origin == SpanOrigin::kLate ? nullptr : FindOpen(trace_id);
-  if (trace == nullptr) {
+void CriticalPathFold::Close(uint64_t trace_id, const SpanRecord& span, bool opened) {
+  auto it = open_.find(trace_id);
+  if (it == open_.end()) {
     if (FoldedOp* op = FindFolded(trace_id)) {
       // Begins at or past the root's end, so the sweep would clip it away.
       ++op->span_count;
       op->node_mask |= NodeBit(span.node);
       return;
     }
-    trace = Start(trace_id);
+    it = open_.try_emplace(trace_id).first;
   }
-  trace->spans.push_back(span);
-  if (origin == SpanOrigin::kOpened && trace->open > 0) {
-    --trace->open;
+  OpenTrace& trace = it->second;
+  trace.spans.push_back(span);
+  if (opened && trace.open > 0) {
+    --trace.open;
   }
   if (span.parent_span == 0) {
-    trace->root_done = true;
+    trace.root_done = true;
   }
-  if (trace->root_done && trace->open == 0) {
-    Finish(trace_id, trace);
-  }
-}
-
-void CriticalPathFold::FoldOpenTraces() {
-  std::vector<uint64_t> ids;
-  ids.reserve(open_.size());
-  for (const auto& [trace_id, trace] : open_) {
-    ids.push_back(trace_id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (uint64_t trace_id : ids) {
-    Finish(trace_id, &open_.at(trace_id));
+  if (trace.root_done && trace.open == 0) {
+    Fold(trace_id, trace);
+    open_.erase(it);
   }
 }
 
-void CriticalPathFold::Fold(uint64_t trace_id, OpenTrace* trace) {
+void CriticalPathFold::Fold(uint64_t trace_id, const OpenTrace& trace) {
   std::vector<FoldedSegment> segments;
   FoldedOp op;
-  if (!trace->spans.empty() &&
-      Attribute(trace_id, trace->spans, &segments, /*all_segments=*/callback_ != nullptr,
-                &op)) {
-    if (folded_.empty() || folded_.back().trace_id < trace_id) {
-      folded_.push_back(op);
-    } else {
-      folded_.insert(std::upper_bound(folded_.begin(), folded_.end(), trace_id,
-                                      [](uint64_t id, const FoldedOp& f) {
-                                        return id < f.trace_id;
-                                      }),
-                     op);
-      hot_folded_id_ = 0;  // Indices past the insert moved.
-    }
-    if (callback_) {
-      callback_(Breakdown(op, &segments));
-    }
-    if (WouldKeep(op.root_stage, op.duration(), trace_id)) {
-      Keep(op, std::move(segments));
-    }
+  if (trace.spans.empty() ||
+      !Attribute(trace_id, trace.spans, &segments, /*all_segments=*/callback_ != nullptr, &op)) {
+    return;
   }
-  trace->spans.clear();
-  spare_.push_back(std::move(trace->spans));
+  if (folded_.empty() || folded_.back().trace_id < trace_id) {
+    folded_.push_back(op);
+  } else {
+    folded_.insert(std::upper_bound(folded_.begin(), folded_.end(), trace_id,
+                                    [](uint64_t id, const FoldedOp& f) {
+                                      return id < f.trace_id;
+                                    }),
+                   op);
+  }
+  if (callback_) {
+    callback_(Breakdown(op, &segments));
+  }
+  if (WouldKeep(op.root_stage, op.duration(), trace_id)) {
+    Keep(op, std::move(segments));
+  }
 }
 
 bool CriticalPathFold::Attribute(uint64_t trace_id, const std::vector<SpanRecord>& spans,
@@ -192,31 +144,23 @@ bool CriticalPathFold::Attribute(uint64_t trace_id, const std::vector<SpanRecord
                                  FoldedOp* out) const {
   const size_t n = spans.size();
 
-  // Span id -> index, open addressing (the first record of an id wins).
-  std::vector<int>& slots = scratch_.slots;
-  size_t mask = 15;
-  while (mask + 1 < 2 * n) {
-    mask = 2 * mask + 1;
-  }
-  slots.assign(mask + 1, -1);
-  auto slot_of = [&](uint64_t span_id) {
-    size_t h = static_cast<size_t>((span_id * 0x9E3779B97F4A7C15ull) >> 32) & mask;
-    while (slots[h] >= 0 && spans[slots[h]].span_id != span_id) {
-      h = (h + 1) & mask;
-    }
-    return h;
-  };
+  // (span id, index) sorted by span id, the first record of an id first. A
+  // sorted vector, reused from trace to trace, allocates nothing per span.
+  std::vector<std::pair<uint64_t, int>>& index = scratch_.index;
+  index.clear();
   for (size_t i = 0; i < n; ++i) {
-    size_t h = slot_of(spans[i].span_id);
-    if (slots[h] < 0) {
-      slots[h] = static_cast<int>(i);
-    }
+    index.emplace_back(spans[i].span_id, static_cast<int>(i));
   }
+  std::sort(index.begin(), index.end());
   // Each span's parent in this trace (-1: none).
   std::vector<int>& parent = scratch_.parent;
   parent.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    parent[i] = spans[i].parent_span == 0 ? -1 : slots[slot_of(spans[i].parent_span)];
+    auto it = std::lower_bound(index.begin(), index.end(),
+                               std::make_pair(spans[i].parent_span, 0));
+    bool found = spans[i].parent_span != 0 && it != index.end() &&
+                 it->first == spans[i].parent_span;
+    parent[i] = found ? it->second : -1;
   }
 
   // Root: a span with no parent in this trace. Several orphans (a parent
@@ -392,20 +336,13 @@ const std::vector<FoldedSegment>* CriticalPathFold::KeptSegments(const FoldedOp&
 }
 
 FoldedOp* CriticalPathFold::FindFolded(uint64_t trace_id) {
-  if (trace_id == hot_folded_id_) {
-    return &folded_[hot_folded_];
-  }
+  // folded_ is sorted by trace id, and a new trace's id is above all of them.
   if (folded_.empty() || trace_id > folded_.back().trace_id) {
     return nullptr;
   }
   auto it = std::lower_bound(folded_.begin(), folded_.end(), trace_id,
                              [](const FoldedOp& f, uint64_t id) { return f.trace_id < id; });
-  if (it == folded_.end() || it->trace_id != trace_id) {
-    return nullptr;
-  }
-  hot_folded_id_ = trace_id;
-  hot_folded_ = static_cast<size_t>(it - folded_.begin());
-  return &*it;
+  return it == folded_.end() || it->trace_id != trace_id ? nullptr : &*it;
 }
 
 uint8_t CriticalPathFold::Canonical(uint16_t raw_stage) const {

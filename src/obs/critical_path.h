@@ -134,15 +134,14 @@ class CriticalPathFold {
   explicit CriticalPathFold(const TraceBuffer* names) : names_(names) {}
 
   // Span lifecycle (TraceBuffer calls these). Open() counts a span into its
-  // open trace, or returns kLate when the trace has already folded.
-  SpanOrigin Open(uint64_t trace_id);
-  void Close(uint64_t trace_id, const SpanRecord& span, SpanOrigin origin);
+  // trace until Close(..., opened=true); a trace that has folded never
+  // reopens. Close(..., opened=false) takes a span recorded whole.
+  void Open(uint64_t trace_id);
+  void Close(uint64_t trace_id, const SpanRecord& span, bool opened);
 
   // Hands every operation folded from now on, segments included, to `fn`.
+  // Traces still open are not folded early: OpenOps() shows them.
   void SetFoldCallback(FoldCallback fn) { callback_ = std::move(fn); }
-  // Folds every trace still open as it stands (end of a run), so a fold
-  // callback sees every operation.
-  void FoldOpenTraces();
 
   // Folded operations, by trace id.
   const std::deque<FoldedOp>& folded() const { return folded_; }
@@ -171,7 +170,7 @@ class CriticalPathFold {
   };
   // Buffers the sweep reuses from one trace to the next.
   struct Scratch {
-    std::vector<int> slots;
+    std::vector<std::pair<uint64_t, int>> index;  // (span id, index), sorted.
     std::vector<int> parent;
     std::vector<int> depth;
     std::vector<int> chain;
@@ -180,11 +179,7 @@ class CriticalPathFold {
     std::vector<int> active;
   };
 
-  OpenTrace* FindOpen(uint64_t trace_id);
-  OpenTrace* Start(uint64_t trace_id);
-  // Folds an open trace and forgets it.
-  void Finish(uint64_t trace_id, OpenTrace* trace);
-  void Fold(uint64_t trace_id, OpenTrace* trace);
+  void Fold(uint64_t trace_id, const OpenTrace& trace);
   // Attributes `spans` into `op`; false when no span can be the root. Builds
   // `segments` when `all_segments` is set or the operation would be kept.
   bool Attribute(uint64_t trace_id, const std::vector<SpanRecord>& spans,
@@ -197,13 +192,6 @@ class CriticalPathFold {
 
   const TraceBuffer* names_;
   std::unordered_map<uint64_t, OpenTrace> open_;
-  // The last traces looked up, open and folded: a trace's spans tend to come
-  // in runs.
-  uint64_t hot_id_ = 0;
-  OpenTrace* hot_ = nullptr;
-  uint64_t hot_folded_id_ = 0;
-  size_t hot_folded_ = 0;  // Index into folded_.
-  std::vector<std::vector<SpanRecord>> spare_;  // Span vectors for reuse.
   std::deque<FoldedOp> folded_;  // Grows without copying what it holds.
   std::vector<std::vector<Kept>> kept_;  // By root stage name id, slowest first.
   mutable std::vector<uint8_t> canonical_;  // By raw stage name id.

@@ -20,7 +20,7 @@ void TraceBuffer::EnableRing(size_t capacity) {
   events_.reserve(capacity_ < 4096 ? capacity_ : 4096);
 }
 
-uint16_t TraceBuffer::InternSlow(std::string_view name) {
+uint16_t TraceBuffer::Intern(std::string_view name) {
   auto it = name_ids_.find(name);
   if (it != name_ids_.end()) {
     return it->second;
@@ -41,14 +41,14 @@ void TraceBuffer::Record(const TraceEvent& event) {
   span.client = event.client;
   span.component = Intern(event.component);
   span.stage = Intern(event.stage);
-  Finish(event.trace_id, span, event.chunk_no, SpanOrigin::kRecorded);
+  Finish(event.trace_id, span, event.chunk_no, /*opened=*/false);
 }
 
 void TraceBuffer::Finish(uint64_t trace_id, const SpanRecord& span, uint64_t chunk_no,
-                         SpanOrigin origin) {
+                         bool opened) {
   ++total_recorded_;
   if (trace_id != 0) {
-    fold_->Close(trace_id, span, origin);
+    fold_->Close(trace_id, span, opened);
   }
   if (capacity_ == 0) {
     return;
@@ -166,15 +166,14 @@ Span::Span(TraceBuffer* buffer, std::string_view component, std::string_view sta
     trace_id_ = record_.span_id;
     record_.parent_span = 0;
   }
-  origin_ = buffer_->fold_->Open(trace_id_);
+  buffer_->fold_->Open(trace_id_);
 }
 
 Span::Span(Span&& other) noexcept
     : buffer_(std::exchange(other.buffer_, nullptr)),
       trace_id_(other.trace_id_),
       chunk_no_(other.chunk_no_),
-      record_(other.record_),
-      origin_(other.origin_) {}
+      record_(other.record_) {}
 
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
@@ -183,7 +182,6 @@ Span& Span::operator=(Span&& other) noexcept {
     trace_id_ = other.trace_id_;
     chunk_no_ = other.chunk_no_;
     record_ = other.record_;
-    origin_ = other.origin_;
   }
   return *this;
 }
@@ -195,7 +193,7 @@ void Span::End() {
     return;
   }
   record_.end = buffer_->engine()->Now();
-  buffer_->Finish(trace_id_, record_, chunk_no_, origin_);
+  buffer_->Finish(trace_id_, record_, chunk_no_, /*opened=*/true);
   buffer_ = nullptr;
 }
 

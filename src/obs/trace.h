@@ -2,15 +2,16 @@
 //
 // Components record spans (component, stage, client, chunk, sim-time
 // begin/end). Every span feeds the streaming critical-path fold
-// (critical_path.h): the buffer keeps each trace only while it is open and
-// folds it into one compact per-operation record once it completes, so every
-// operation of a run is attributed with memory bounded by the operations in
-// flight. Raw spans are kept only on request: EnableRing() adds a bounded
-// ring of TraceEvents (oldest overwritten when full) that ForEach() visits and
-// that exports as Chrome trace_event JSON ("catapult" format): open
-// chrome://tracing or https://ui.perfetto.dev and load the file to see a
-// whole pipeline run (fetch -> validate -> compress -> transfer -> publish ->
-// ack) on a per-node, per-client timeline.
+// (critical_path.h): the buffer keeps each trace's spans only while it is
+// open and folds it into one compact per-operation record once it completes,
+// so every operation of a run is attributed. Memory is the spans of the
+// traces still open plus one 128-byte record per completed operation, which
+// grows with the length of the run. Raw spans are kept only on request:
+// EnableRing() adds a bounded ring of TraceEvents (oldest overwritten when
+// full) that ForEach() visits and that exports as Chrome trace_event JSON
+// ("catapult" format): open chrome://tracing or https://ui.perfetto.dev and
+// load the file to see a whole pipeline run (fetch -> validate -> compress ->
+// transfer -> publish -> ack) on a per-node, per-client timeline.
 //
 // Causal linkage: every span carries a (trace_id, span_id, parent_span)
 // triple. A TraceContext — the id pair a child needs to parent itself — is
@@ -23,7 +24,6 @@
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -67,10 +67,6 @@ struct TraceEvent {
   uint64_t parent_span = 0;  // 0 marks a trace root.
 };
 
-// How a span reached the fold: opened by a Span while its trace was open
-// (counted until it ends), opened after its trace folded, or recorded whole.
-enum class SpanOrigin : uint8_t { kOpened, kLate, kRecorded };
-
 // A finished span as the fold keeps it while its trace is open: names are
 // interned ids (TraceBuffer::Name), the chunk number is not kept.
 struct SpanRecord {
@@ -106,25 +102,7 @@ class TraceBuffer {
   uint64_t NextId() { return ++last_id_; }
 
   // Interned component/stage names: ids are dense, in first-use order.
-  uint16_t Intern(std::string_view name) {
-    // Call sites pass the same literal or member string every time, so a
-    // hint keyed by the characters' address skips the hash lookup; the
-    // compare guards against a reused buffer holding another name. Each
-    // address may sit in either of two neighbouring slots.
-    size_t slot =
-        ((reinterpret_cast<uintptr_t>(name.data()) * 0x9E3779B97F4A7C15ull) >> kHintShift) &
-        ~size_t{1};
-    for (size_t i = slot; i < slot + 2; ++i) {
-      const NameHint& hint = hints_[i];
-      if (hint.data == name.data() && hint.size == name.size() && names_[hint.id] == name) {
-        return hint.id;
-      }
-    }
-    uint16_t id = InternSlow(name);
-    NameHint& evict = hints_[hints_[slot].data == nullptr ? slot : slot + 1];
-    evict = NameHint{name.data(), name.size(), id};
-    return id;
-  }
+  uint16_t Intern(std::string_view name);
   const std::string& Name(uint16_t id) const { return names_[id]; }
 
   // Ring accounting (zero while the ring is off).
@@ -160,23 +138,14 @@ class TraceBuffer {
  private:
   friend class Span;
 
-  struct NameHint {
-    const char* data = nullptr;
-    size_t size = 0;
-    uint16_t id = 0;
-  };
-  static constexpr int kHintShift = 56;
-  static constexpr size_t kNameHints = size_t{1} << (64 - kHintShift);
-
-  uint16_t InternSlow(std::string_view name);
-  // A finished span: feeds the fold and, when enabled, the ring.
-  void Finish(uint64_t trace_id, const SpanRecord& span, uint64_t chunk_no, SpanOrigin origin);
+  // A finished span: feeds the fold and, when enabled, the ring. `opened`:
+  // a Span opened it, so the fold counted it as open until now.
+  void Finish(uint64_t trace_id, const SpanRecord& span, uint64_t chunk_no, bool opened);
 
   sim::Engine* engine_;
   std::unique_ptr<CriticalPathFold> fold_;
   std::deque<std::string> names_;  // A deque: name_ids_ keys view into it.
   std::unordered_map<std::string_view, uint16_t> name_ids_;
-  std::array<NameHint, kNameHints> hints_{};
   size_t capacity_ = 0;
   size_t head_ = 0;  // Index of the oldest event once the ring has wrapped.
   uint64_t dropped_ = 0;
@@ -219,7 +188,6 @@ class Span {
   uint64_t trace_id_ = 0;
   uint64_t chunk_no_ = 0;
   SpanRecord record_;
-  SpanOrigin origin_ = SpanOrigin::kOpened;
 };
 
 }  // namespace linefs::obs

@@ -9,6 +9,7 @@
 
 #include "src/core/cluster.h"
 #include "src/core/config.h"
+#include "src/obs/critical_path.h"
 #include "src/sim/engine.h"
 
 namespace linefs::core {
@@ -36,6 +37,9 @@ TEST(DfsConfigValidate, RejectsBadNodeAndClientCounts) {
   EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
   config = SmallConfig();
   config.num_nodes = -2;
+  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
+  config = SmallConfig();
+  config.num_nodes = obs::CriticalPathFold::kMaxNodes + 1;
   EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
   config = SmallConfig();
   config.max_clients = 0;

@@ -18,8 +18,11 @@
 
 #include "src/core/cluster.h"
 #include "src/core/libfs.h"
+#include "src/fault/injector.h"
+#include "src/fault/schedule.h"
 #include "src/obs/critical_path.h"
 #include "src/obs/trace.h"
+#include "src/workloads/filebench.h"
 
 namespace linefs::obs {
 namespace {
@@ -336,6 +339,94 @@ TEST(CriticalPathFold, MatchesBatchSweepOnRunPastTheOldRing) {
   EXPECT_EQ(analyzer.ReportJson().Dump(2), BatchReportOf(trace));
 }
 
+// Fault-window attribution as bench_torture does it: a fold callback takes
+// every op as it folds, and the ops still in flight when the windows are read
+// count as they stand. Both must equal the batch sweep over every span at
+// that instant, and reading the open ops must not fold them: the report after
+// shutdown still equals the batch sweep.
+using WindowStages = std::vector<std::map<std::string, sim::Time>>;
+
+void AddToWindows(const OpBreakdown& op, const std::vector<fault::FaultEvent>& windows,
+                  WindowStages* in_window) {
+  for (size_t i = 0; i < windows.size(); ++i) {
+    for (const CriticalSegment& seg : op.segments) {
+      sim::Time begin = std::max(seg.begin, windows[i].at);
+      sim::Time end = std::min(seg.end, windows[i].until);
+      if (end > begin) {
+        (*in_window)[i][seg.stage] += end - begin;
+      }
+    }
+  }
+}
+
+TEST(CriticalPathFold, FaultWindowsMatchBatchSweepAndLeaveTheFoldIntact) {
+  core::DfsConfig config;
+  config.mode = core::DfsMode::kLineFS;
+  config.num_nodes = 3;
+  config.pm_size = 256ULL << 20;
+  config.log_size = 8ULL << 20;
+  config.inode_count = 1 << 16;
+  config.chunk_size = 1ULL << 20;
+  config.heartbeat_interval = 200 * sim::kMillisecond;
+  config.heartbeat_timeout = 300 * sim::kMillisecond;
+  sim::Engine engine;
+  auto cluster = std::make_unique<core::Cluster>(&engine, config);
+  cluster->trace().EnableRing(1 << 20);
+  ASSERT_TRUE(cluster->Start().ok());
+  core::LibFs* fs = cluster->CreateClient(0);
+
+  fault::ScheduleOptions sched;
+  sched.num_nodes = 3;
+  sched.first_fault = 300 * sim::kMillisecond;
+  sched.last_heal = 1500 * sim::kMillisecond;
+  sched.max_extra_faults = 2;
+  fault::FaultPlan plan = fault::RandomPlan(4, sched);
+  std::vector<fault::FaultEvent> windows = plan.events();
+  fault::Injector injector(cluster.get(), std::move(plan));
+  ASSERT_TRUE(injector.Arm().ok());
+
+  WindowStages streamed(windows.size());
+  CriticalPathFold& fold = cluster->trace().fold();
+  fold.SetFoldCallback([&](const OpBreakdown& op) { AddToWindows(op, windows, &streamed); });
+
+  workloads::Filebench bench(fs, workloads::Filebench::VarmailOptions(48));
+  bool done = false;
+  engine.Spawn([](workloads::Filebench* bench, bool* done) -> sim::Task<> {
+    co_await bench->Preallocate();
+    co_await bench->Run(2 * sim::kSecond);
+    *done = true;
+  }(&bench, &done));
+  // Read the windows mid-run, with operations in flight.
+  engine.RunUntil(1200 * sim::kMillisecond);
+  ASSERT_FALSE(done);
+  std::vector<std::pair<FoldedOp, std::vector<FoldedSegment>>> open = fold.OpenOps();
+  EXPECT_FALSE(open.empty());
+  for (const auto& [op, segments] : open) {
+    AddToWindows(fold.Breakdown(op, &segments), windows, &streamed);
+  }
+  fold.SetFoldCallback(nullptr);
+
+  const TraceBuffer& trace = cluster->trace();
+  ASSERT_EQ(trace.dropped(), 0u);
+  WindowStages batch(windows.size());
+  for (const OpBreakdown& op : BatchOperations(RawSpans(trace))) {
+    AddToWindows(op, windows, &batch);
+  }
+  EXPECT_EQ(streamed, batch);
+  size_t attributed = 0;
+  for (const auto& stages : batch) {
+    attributed += stages.size();
+  }
+  EXPECT_GT(attributed, 0u) << "no op overlapped a fault window";
+
+  while (!done && engine.RunOne()) {
+  }
+  ASSERT_TRUE(done);
+  cluster->Shutdown();
+  engine.Run();
+  EXPECT_EQ(CriticalPathAnalyzer(&trace).ReportJson().Dump(2), BatchReportOf(trace));
+}
+
 // --- Hand-driven spans -------------------------------------------------------
 
 // A child that outlives its root keeps the trace open; it is clipped to the
@@ -378,7 +469,7 @@ TEST(CriticalPathFold, ChildEndingAfterRootIsClippedToTheRoot) {
 }
 
 // A trace whose root is still open reports as it stands (rooted at its
-// earliest orphan), and FoldOpenTraces() folds it the same way.
+// earliest orphan) without being folded; it folds whole once the root ends.
 TEST(CriticalPathFold, OpenTracesReportAsTheyStand) {
   sim::Engine engine;
   TraceBuffer buffer(&engine);
@@ -399,15 +490,22 @@ TEST(CriticalPathFold, OpenTracesReportAsTheyStand) {
   ExpectSameOps(ops, BatchOperations(RawSpans(buffer)));
   EXPECT_EQ(analyzer.ReportJson().Dump(2), BatchReportOf(buffer));
 
-  buffer.fold().FoldOpenTraces();
+  EXPECT_TRUE(seen.empty()) << "reading an open trace folded it";
+  std::vector<std::pair<FoldedOp, std::vector<FoldedSegment>>> open = buffer.fold().OpenOps();
+  ASSERT_EQ(open.size(), 1u);
+  EXPECT_EQ(buffer.fold().Breakdown(open[0].first, &open[0].second).stage_ns, ops[0].stage_ns);
+
+  engine.RunUntil(30 * kUs);
+  root.End();
   ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].root_stage, "fetch");
-  EXPECT_EQ(seen[0].stage_ns, ops[0].stage_ns);
-  root.End();  // Late: counted, not swept.
+  EXPECT_EQ(seen[0].root_stage, "fsync");
+  EXPECT_TRUE(buffer.fold().OpenOps().empty());
   ops = analyzer.Operations();
   ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].root_stage, "fsync");
   EXPECT_EQ(ops[0].span_count, 2u);
-  EXPECT_EQ(seen.size(), 1u);
+  ExpectSameOps(ops, BatchOperations(RawSpans(buffer)));
+  EXPECT_EQ(analyzer.ReportJson().Dump(2), BatchReportOf(buffer));
 }
 
 // Only the slowest kSlowestKept ops per root stage keep their segments, and
