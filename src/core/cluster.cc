@@ -1,9 +1,5 @@
 #include "src/core/cluster.h"
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include <cstdio>
 #include <cstdlib>
 
@@ -56,29 +52,10 @@ sim::Task<> PersistTxnRecord(rdma::Network* net, rdma::Initiator init, rdma::Mem
   co_await net->Write(init, self, rdma::MemAddr{self.node, rdma::Space::kHostPm}, 64);
 }
 
-// Chunk images (up to chunk_size: 4 MB in the benches) and large read and
-// wire buffers are allocated and freed thousands of times per run. Above
-// glibc's default 128 KB mmap threshold each is mapped afresh and faulted in
-// page by page. glibc raises the threshold by itself once it frees a large
-// mapped block, so without pinning it a run's speed depends on which large
-// block happened to be freed first; pinned, they come from the heap and
-// reuse freed memory.
-void KeepLargeBuffersInHeap() {
-#if defined(__GLIBC__)
-  static const bool pinned = [] {
-    mallopt(M_MMAP_THRESHOLD, 32 << 20);
-    mallopt(M_TRIM_THRESHOLD, 64 << 20);
-    return true;
-  }();
-  (void)pinned;
-#endif
-}
-
 }  // namespace
 
 Cluster::Cluster(sim::Engine* engine, const DfsConfig& config)
     : engine_(engine), config_(config) {
-  KeepLargeBuffersInHeap();
   config_.node_params.host.pm_size = config_.pm_size;
 
   metrics_ = std::make_unique<obs::MetricsRegistry>();

@@ -6,6 +6,19 @@
 
 namespace linefs::fslib {
 
+namespace {
+
+// The first reservation for a range's parsed entries: one per KB of range,
+// at most ~100 KB of entries. A larger first block lies above glibc's
+// default mmap threshold (128 KB), and ranges differ in size, so each one
+// would be mapped and faulted in afresh; the few ranges with more entries
+// grow by doubling instead.
+size_t EntriesToReserve(uint64_t range_bytes) {
+  return static_cast<size_t>(std::min<uint64_t>(range_bytes / 1024 + 8, 1024));
+}
+
+}  // namespace
+
 LogArea::LogArea(pmem::Region* region, uint64_t base, uint64_t size, uint32_t client_id,
                  bool materialize)
     : region_(region), base_(base), size_(size), capacity_(size - kMetaBytes),
@@ -178,9 +191,7 @@ Result<std::vector<ParsedEntry>> LogArea::ParseRange(uint64_t from, uint64_t to)
   }
   // Elided payloads: read header by header, skipping the unwritten data.
   std::vector<ParsedEntry> entries;
-  // Entries are at least a header (64B) apart; most ranges are a handful of
-  // small writes, so a modest reserve kills nearly all growth reallocations.
-  entries.reserve(std::min<uint64_t>((to - from) / 1024 + 8, 16384));
+  entries.reserve(EntriesToReserve(to - from));
   uint64_t pos = from;
   while (pos < to) {
     LogEntryHeader header = region_->ReadObject<LogEntryHeader>(Phys(pos));
@@ -210,7 +221,7 @@ Result<std::vector<ParsedEntry>> LogArea::ParseRange(uint64_t from, uint64_t to)
 Result<std::vector<ParsedEntry>> LogArea::ParseChunkImage(const SharedBytes& image,
                                                           uint64_t base_logical) {
   std::vector<ParsedEntry> entries;
-  entries.reserve(std::min<uint64_t>(image.size() / 1024 + 8, 16384));
+  entries.reserve(EntriesToReserve(image.size()));
   uint64_t pos = 0;
   while (pos + sizeof(LogEntryHeader) <= image.size()) {
     LogEntryHeader header;

@@ -73,7 +73,7 @@ class SharedBytes {
     if (n == 0) {
       return SharedBytes();
     }
-    std::shared_ptr<uint8_t[]> buffer = std::make_shared_for_overwrite<uint8_t[]>(n);
+    std::shared_ptr<uint8_t[]> buffer = Allocate(n);
     fill(buffer.get());
     SharedBytes bytes;
     bytes.data_ = buffer.get();
@@ -99,6 +99,10 @@ class SharedBytes {
   }
 
  private:
+  // An uninitialised buffer of n > 0 bytes. Large ones (log-range images)
+  // reuse a recently freed buffer of about the same size when there is one.
+  static std::shared_ptr<uint8_t[]> Allocate(uint64_t n);
+
   std::shared_ptr<const void> owner_;
   const uint8_t* data_ = nullptr;
   uint64_t size_ = 0;

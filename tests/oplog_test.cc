@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -334,6 +335,38 @@ TEST(OplogRange, AppendAndImportCaptureNoUndoBytes) {
   for (const ParsedEntry& entry : *entries) {
     EXPECT_EQ(entry.payload, payload);
   }
+}
+
+// A freed log-range image is reused for the next one of about its size; one
+// still referenced by a slice is not, and a reused buffer holds only what
+// the new fill wrote.
+TEST(SharedBytesImages, FreedLargeImagesAreReused) {
+  // Larger than any log range the other tests export, so no buffer they
+  // freed fits.
+  constexpr uint64_t kImage = 6ULL << 20;
+  auto filled = [](uint64_t n, uint8_t value) {
+    return SharedBytes::Filled(n, [&](uint8_t* bytes) { std::memset(bytes, value, n); });
+  };
+  const uint8_t* first;
+  {
+    SharedBytes image = filled(kImage, 1);
+    first = image.data();
+  }
+  SharedBytes again = filled(kImage - 64, 2);
+  EXPECT_EQ(again.data(), first);
+  EXPECT_TRUE(again == std::vector<uint8_t>(kImage - 64, 2));
+
+  SharedBytes slice = again.Slice(8, 16);
+  again = SharedBytes();
+  SharedBytes other = filled(kImage, 3);
+  EXPECT_NE(other.data(), first) << "reused a buffer a slice still holds";
+  EXPECT_TRUE(slice == std::vector<uint8_t>(16, 2));
+
+  // A much smaller image does not take a large buffer.
+  const uint8_t* large = other.data();
+  other = SharedBytes();
+  SharedBytes small = filled(kImage / 2, 4);
+  EXPECT_NE(small.data(), large);
 }
 
 TEST(Crc32c, KnownVector) {
