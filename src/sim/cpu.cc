@@ -1,7 +1,6 @@
 #include "src/sim/cpu.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace linefs::sim {
 
@@ -14,18 +13,36 @@ int CpuPool::RegisterAccount(const std::string& name) {
   return static_cast<int>(account_names_.size()) - 1;
 }
 
-bool CpuPool::CoreAwaiter::await_ready() noexcept {
-  if (!pool->stopped_ && pool->free_cores_ > 0) {
-    --pool->free_cores_;
-    return true;
-  }
-  return false;
+void CpuPool::CoreAwaiter::await_suspend(std::coroutine_handle<> h) {
+  waiter.handle = h;
+  waiter.label = pool->engine_->current_label();
+  pool->waiters_[static_cast<int>(priority)].push_back(&waiter);
+  pool->ClaimBoundary();
 }
 
-void CpuPool::CoreAwaiter::await_suspend(std::coroutine_handle<> h) {
-  waited = true;
-  waiter.handle = h;
-  pool->waiters_[static_cast<int>(priority)].push_back(&waiter);
+void CpuPool::StretchAwaiter::await_suspend(std::coroutine_handle<> h) {
+  if (pool->idle_stretches_.empty()) {
+    pool->idle_stretches_.push_back(&pool->stretches_.emplace_back(pool->engine_));
+  }
+  stretch = pool->idle_stretches_.back();
+  pool->idle_stretches_.pop_back();
+  stretch->owner = h;
+  stretch->start = pool->engine_->Now();
+  stretch->end = stretch->start + work;
+  stretch->next = stretch->start + pool->options_.quantum;
+  stretch->timer.Arm(stretch->end);
+  pool->unclaimed_.push_back(stretch);
+}
+
+Time CpuPool::StretchAwaiter::await_resume() {
+  stretch->owner = nullptr;
+  pool->idle_stretches_.push_back(stretch);
+  auto& unclaimed = pool->unclaimed_;
+  auto it = std::find(unclaimed.begin(), unclaimed.end(), stretch);
+  if (it != unclaimed.end()) {
+    unclaimed.erase(it);  // It ran to its end unclaimed.
+  }
+  return pool->engine_->Now() - stretch->start;
 }
 
 void CpuPool::ReleaseCore() {
@@ -35,26 +52,64 @@ void CpuPool::ReleaseCore() {
     ++free_cores_;
     return;
   }
-  if (!stopped_) {
-    for (int p = kPriorityLevels - 1; p >= 0; --p) {
-      if (!waiters_[p].empty()) {
-        Waiter* w = waiters_[p].front();
-        waiters_[p].pop_front();
-        engine_->ScheduleNow(w->handle);
-        return;  // Core handed off directly; free count unchanged.
-      }
-    }
+  if (stopped_ || !HandOff()) {
+    ++free_cores_;
   }
-  ++free_cores_;
 }
 
-bool CpuPool::HasContention() const {
-  for (int p = 0; p < kPriorityLevels; ++p) {
+bool CpuPool::HandOff() {
+  for (int p = kPriorityLevels - 1; p >= 0; --p) {
     if (!waiters_[p].empty()) {
+      Waiter* w = waiters_[p].front();
+      waiters_[p].pop_front();
+      engine_->ScheduleAt(engine_->Now() + HandoffDelay(w->slice), w->handle, w->label);
       return true;
     }
   }
   return false;
+}
+
+Time CpuPool::HandoffDelay(Time slice) {
+  Time jitter = 0;
+  if (options_.jitter_prob > 0 && jitter_rng_.Bernoulli(options_.jitter_prob)) {
+    jitter = static_cast<Time>(jitter_rng_.Exponential(static_cast<double>(options_.jitter_mean)));
+  }
+  return options_.dispatch_latency + jitter + options_.context_switch_cost + slice;
+}
+
+Time CpuPool::NextBoundary(Stretch& s) {
+  // Cached: a cascade of claims at one boundary divides once per stretch.
+  Time now = engine_->Now();
+  if (s.next < now) {
+    Time k = (now - s.start + options_.quantum - 1) / options_.quantum;
+    s.next = s.start + k * options_.quantum;
+  }
+  return s.next;
+}
+
+void CpuPool::ClaimBoundary() {
+  Time now = engine_->Now();
+  size_t best = unclaimed_.size();
+  Time best_at = 0;
+  for (size_t i = 0; i < unclaimed_.size(); ++i) {
+    Time at = NextBoundary(*unclaimed_[i]);
+    if (at < unclaimed_[i]->end && (best == unclaimed_.size() || at < best_at)) {
+      best = i;
+      best_at = at;
+      if (at == now) {
+        break;  // None can be earlier.
+      }
+    }
+  }
+  if (best < unclaimed_.size()) {
+    Claim(best, best_at);
+  }
+}
+
+void CpuPool::Claim(size_t i, Time at) {
+  Stretch* s = unclaimed_[i];
+  unclaimed_.erase(unclaimed_.begin() + static_cast<ptrdiff_t>(i));
+  s->timer.MoveTo(at);
 }
 
 void CpuPool::ChargeBusy(int account, Time t) {
@@ -90,58 +145,59 @@ Task<> CpuPool::Run(Time work, Priority priority, int account) {
   Time remaining = work;
   bool preempted_in = false;
   while (remaining > 0) {
-    bool waited;
     if (!stopped_ && free_cores_ > 0) {
+      // A free core means no one waits: run to the end of the work, or to
+      // the quantum boundary a later waiter claims.
       --free_cores_;
-      waited = false;
-    } else if (!stopped_ && priority >= Priority::kHigh && !preempted_in) {
+      Time ran = remaining;
+      // Work within one quantum has no boundary to claim: a plain sleep.
+      if (remaining > options_.quantum) {
+        ran = co_await StretchAwaiter{this, remaining};
+      } else {
+        co_await engine_->SleepFor(remaining);
+      }
+      remaining -= ran;
+      ChargeBusy(account, ran);
+      ReleaseCore();
+      continue;
+    }
+    Time slice = std::min(remaining, options_.quantum);
+    if (!stopped_ && priority >= Priority::kHigh && !preempted_in) {
       // Priority preemption: deschedule a victim and take its core. The pool
       // is briefly oversubscribed (free count goes negative) until a release
       // restores balance — the sim-time approximation of CFS/RT preemption.
       co_await engine_->SleepFor(options_.preempt_latency);
-      --free_cores_;
-      preempted_in = true;
-      waited = true;
-    } else {
-      waited = co_await AcquireCore(priority);
-    }
-    if (waited) {
-      // Dispatch latency (wakeup-to-run) followed by a context switch charged
-      // as core-busy time; occasionally scheduling noise strikes.
-      co_await engine_->SleepFor(options_.dispatch_latency);
-      if (options_.jitter_prob > 0 && jitter_rng_.Bernoulli(options_.jitter_prob)) {
-        double u = jitter_rng_.NextDouble();
-        Time extra = static_cast<Time>(-static_cast<double>(options_.jitter_mean) *
-                                       std::log(1.0 - u));
-        co_await engine_->SleepFor(extra);
+      if (--free_cores_ < 0) {
+        ClaimBoundary();
       }
-      co_await engine_->SleepFor(options_.context_switch_cost);
-      ChargeBusy(account, options_.context_switch_cost);
+      preempted_in = true;
+      co_await engine_->SleepFor(HandoffDelay(slice));
+    } else {
+      co_await AwaitCore(priority, slice);
     }
-    Time slice = std::min(remaining, options_.quantum);
-    co_await engine_->SleepFor(slice);
+    ChargeBusy(account, options_.context_switch_cost + slice);
     remaining -= slice;
-    ChargeBusy(account, slice);
     ReleaseCore();
-    // If nobody is waiting, the loop re-acquires immediately and cost-free.
   }
 }
 
-void CpuPool::Stop() { stopped_ = true; }
+void CpuPool::Stop() {
+  stopped_ = true;
+  for (size_t i = 0; i < unclaimed_.size();) {
+    Time at = NextBoundary(*unclaimed_[i]);
+    if (at < unclaimed_[i]->end) {
+      Claim(i, at);
+    } else {
+      ++i;
+    }
+  }
+}
 
 void CpuPool::Resume() {
   stopped_ = false;
   // Hand out any free cores to queued waiters, highest priority first.
-  while (free_cores_ > 0 && HasContention()) {
+  while (free_cores_ > 0 && HandOff()) {
     --free_cores_;
-    for (int p = kPriorityLevels - 1; p >= 0; --p) {
-      if (!waiters_[p].empty()) {
-        Waiter* w = waiters_[p].front();
-        waiters_[p].pop_front();
-        engine_->ScheduleNow(w->handle);
-        break;
-      }
-    }
   }
 }
 

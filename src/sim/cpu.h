@@ -4,17 +4,38 @@
 // @ 2.2 GHz) and the BlueField's ARM Cortex-A72 complex (16 cores @ 800 MHz).
 //
 // Scheduling model:
-//  - A compute request is sliced into quanta (default 500us). Between quanta the
-//    core is released, giving round-robin fairness among equal priorities and
-//    bounding the wait of a higher-priority arrival by one quantum (coarse
-//    preemption). This is what produces the millisecond-scale tail latencies the
-//    paper reports for host-based DFSes under co-located CPU-intensive jobs.
-//  - A task that had to wait for a core pays a context-switch + dispatch cost
-//    when it gets one, modelling the wakeup/dispatch overheads of §2.1 (I3).
+//  - A compute request is sliced into quanta (default 500us). At each quantum
+//    boundary a running task gives its core to the first waiter of the
+//    highest waiting priority and queues again behind it: round-robin
+//    fairness among equal priorities, and a higher-priority arrival waits at
+//    most one quantum (coarse preemption). This is what produces the
+//    millisecond-scale tail latencies the paper reports for host-based DFSes
+//    under co-located CPU-intensive jobs.
+//  - A boundary only matters when someone is waiting, so the simulator pays
+//    for boundaries only then. A task that takes a free core (so no one is
+//    waiting) with more than one quantum of work runs it as one *stretch*:
+//    one timer, in a slot the pool owns, set for the end of the work.
+//  - A task that finds no free core queues and *claims* the unclaimed
+//    stretch whose next boundary (start + k * quantum, at or after now)
+//    comes first and falls before that stretch ends; the claim pulls the
+//    stretch's timer in to the boundary, where the stretch charges what it
+//    ran and releases its core, at the instant it would release it running
+//    quantum by quantum. A claim is a demand for one release, not a
+//    reservation: the core goes to whichever waiter is first when it frees.
+//  - A task that had to wait pays dispatch latency, occasional scheduling
+//    noise (jitter) and a context switch when it gets a core, modelling the
+//    wakeup/dispatch overheads of §2.1 (I3). The releaser draws the jitter
+//    at the handoff and schedules the waiter once, at the end of all of
+//    that plus its first slice: one event per handoff.
+//  - kHigh/kRealtime arrivals may instead preempt: after `preempt_latency`
+//    they take a core even if none is free (the pool owes one back, and the
+//    debt claims a boundary like a waiter), then pay one such handoff.
 //  - Per-account busy-time accounting supports the CPU-utilization comparisons
-//    of Table 1 and the interference experiments (Fig. 6, Fig. 7).
-//  - Stop()/Resume() model a host OS crash and reboot (§3.5): a stopped pool
-//    finishes in-flight quanta but grants no further cores until Resume().
+//    of Table 1 and the interference experiments (Fig. 6, Fig. 7). A task is
+//    charged when its stretch or slice ends.
+//  - Stop()/Resume() model a host OS crash and reboot (§3.5): Stop claims
+//    every stretch's next boundary, so a stopped pool finishes in-flight
+//    quanta but grants no further cores until Resume().
 
 #ifndef SRC_SIM_CPU_H_
 #define SRC_SIM_CPU_H_
@@ -29,6 +50,7 @@
 #include "src/sim/random.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
+#include "src/sim/timer.h"
 
 namespace linefs::sim {
 
@@ -103,23 +125,57 @@ class CpuPool {
  private:
   struct Waiter {
     std::coroutine_handle<> handle;
+    const char* label;  // The waiting task's label; its handoff runs under it.
+    Time slice;         // Work it runs once handed a core.
   };
 
   struct CoreAwaiter {
     CpuPool* pool;
     Priority priority;
     Waiter waiter;
-    bool waited = false;
 
-    bool await_ready() noexcept;
+    bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h);
-    // Returns true if the task had to wait (it then owes a context switch).
-    bool await_resume() const noexcept { return waited; }
+    void await_resume() const noexcept {}
   };
 
-  CoreAwaiter AcquireCore(Priority priority) { return CoreAwaiter{this, priority, {}, false}; }
+  // One uncontended run of more than a quantum. `owner` is null while the
+  // slot is free; the timer outlives the fire that lets the owner finish.
+  struct Stretch {
+    explicit Stretch(Engine* engine) : timer(engine, [this] { owner.resume(); }) {}
+    Timer timer;
+    std::coroutine_handle<> owner;
+    Time start = 0;
+    Time end = 0;
+    Time next = 0;  // A quantum boundary no later than the next one.
+  };
+
+  struct StretchAwaiter {
+    CpuPool* pool;
+    Time work;
+    Stretch* stretch = nullptr;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    Time await_resume();  // Frees the slot; returns the time run.
+  };
+
+  // Queues the caller until a release hands it a core and `slice` has run.
+  CoreAwaiter AwaitCore(Priority priority, Time slice) {
+    return CoreAwaiter{this, priority, {nullptr, nullptr, slice}};
+  }
   void ReleaseCore();
-  bool HasContention() const;
+  // Hands a core to the first waiter of the highest waiting priority; false
+  // if no one waits.
+  bool HandOff();
+  // Dispatch, jitter and context switch ahead of `slice`, from now.
+  Time HandoffDelay(Time slice);
+  // Pulls in the unclaimed stretch with the earliest boundary before its end.
+  void ClaimBoundary();
+  // Moves the release of `unclaimed_[i]` to the boundary `at`.
+  void Claim(size_t i, Time at);
+  // The first start + k * quantum, k >= 1, not before now.
+  Time NextBoundary(Stretch& s);
   void ChargeBusy(int account, Time t);
 
   Engine* engine_;
@@ -128,6 +184,10 @@ class CpuPool {
   int free_cores_;
   bool stopped_ = false;
   std::deque<Waiter*> waiters_[kPriorityLevels];
+  // Made on first use; a stretch holds a core, so there are at most `cores`.
+  std::deque<Stretch> stretches_;
+  std::vector<Stretch*> idle_stretches_;  // Slots with no owner.
+  std::vector<Stretch*> unclaimed_;       // Running, unclaimed, in start order.
   std::vector<std::string> account_names_;
   std::vector<Time> busy_ns_;
   Rng jitter_rng_{0xC0FFEE};  // Deterministic per-pool noise.

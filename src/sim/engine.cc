@@ -130,7 +130,7 @@ bool Engine::TimerIsNext() const {
   return first.when != next ? first.when < next : first.seq < queue_.NextSeq();
 }
 
-void Engine::ArmTimer(Timer* timer, Time t) {
+void Engine::ArmTimer(Timer* timer, Time t, const char* label) {
   timer->Cancel();
   ++schedule_calls_;
   if (t < now_) {
@@ -138,7 +138,7 @@ void Engine::ArmTimer(Timer* timer, Time t) {
     ++schedule_clamped_;
   }
   timer->key_ = TimerKey{t, next_seq_++, timer};
-  timer->label_ = current_label_;
+  timer->label_ = label;
   timer->armed_ = true;
   timers_.insert(timer->key_);
 }

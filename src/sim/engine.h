@@ -51,13 +51,17 @@ class Engine {
   // clamped to now and counted: a nonzero clamp count usually means a
   // scheduling bug (a cost model computed a wake-up in the past), so the
   // bench harness exposes it as the `sim.schedule.clamped` counter.
-  void ScheduleAt(Time t, std::coroutine_handle<> handle) {
+  void ScheduleAt(Time t, std::coroutine_handle<> handle) { ScheduleAt(t, handle, current_label_); }
+
+  // As above, but the resumption runs under `label` instead of the ambient
+  // one: a wake-up issued on behalf of another task keeps that task's label.
+  void ScheduleAt(Time t, std::coroutine_handle<> handle, const char* label) {
     ++schedule_calls_;
     if (t < now_) {
       t = now_;
       ++schedule_clamped_;
     }
-    queue_.Push(t, next_seq_++, current_label_, handle, now_);
+    queue_.Push(t, next_seq_++, label, handle, now_);
   }
 
   void ScheduleNow(std::coroutine_handle<> handle) { ScheduleAt(now_, handle); }
@@ -96,6 +100,9 @@ class Engine {
   // Spawns `task` and runs the engine until the event queue drains. Aborts if
   // the task did not complete (i.e. it deadlocked waiting on something).
   void RunToCompletion(Task<> task);
+
+  // Label of the executing event (the one Spawn seeded for its task).
+  const char* current_label() const { return current_label_; }
 
   int64_t live_tasks() const { return live_tasks_; }
   uint64_t events_processed() const { return events_processed_; }
@@ -138,7 +145,7 @@ class Engine {
       return when != o.when ? when < o.when : seq < o.seq;
     }
   };
-  void ArmTimer(Timer* timer, Time t);
+  void ArmTimer(Timer* timer, Time t, const char* label);
   void CancelTimer(Timer* timer);
   bool TimerIsNext() const;
 

@@ -38,7 +38,12 @@ class Timer {
   // Arms the timer to fire at absolute time `t` (clamped to now, and counted
   // like Engine::ScheduleAt, when in the past). Arming an armed timer moves
   // it: the pending fire is dropped and the new one takes a fresh seq.
-  void Arm(Time t) { engine_->ArmTimer(this, t); }
+  void Arm(Time t) { engine_->ArmTimer(this, t, engine_->current_label_); }
+
+  // Moves an armed timer's fire to `t` like Arm, but keeps the label it was
+  // armed under: a task that pulls in another task's timer does not take
+  // over its attribution.
+  void MoveTo(Time t) { engine_->ArmTimer(this, t, label_); }
 
   // Drops a pending fire; a no-op on an unarmed timer.
   void Cancel() {

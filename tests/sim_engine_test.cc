@@ -495,6 +495,130 @@ TEST(CpuPool, StopBlocksNewWorkUntilResume) {
   EXPECT_EQ(done_at, 11 * kMillisecond);
 }
 
+// Options with no jitter and round dispatch/switch costs, so the expected
+// instants below can be read off the scheduling model by hand.
+CpuPool::Options ExactOptions(int cores) {
+  CpuPool::Options opt;
+  opt.cores = cores;
+  opt.quantum = 500 * kMicrosecond;
+  opt.dispatch_latency = 2 * kMicrosecond;
+  opt.context_switch_cost = 3 * kMicrosecond;
+  opt.jitter_prob = 0;
+  return opt;
+}
+
+Task<> RunAt(Engine* e, CpuPool* cpu, Time arrive, Time work, int acct, Time* done) {
+  co_await e->SleepUntil(arrive);
+  co_await cpu->Run(work, Priority::kNormal, acct);
+  *done = e->Now();
+}
+
+TEST(CpuPool, UncontendedLongRunIsOneEvent) {
+  Engine engine;
+  CpuPool cpu(&engine, "host", ExactOptions(2));
+  int acct = cpu.RegisterAccount("app");
+  engine.RunToCompletion([](CpuPool* cpu, int acct) -> Task<> {
+    co_await cpu->Run(100 * kMillisecond, Priority::kNormal, acct);
+  }(&cpu, acct));
+  // The spawn's start event plus one timer fire: no per-quantum events.
+  EXPECT_EQ(engine.events_processed(), 2u);
+  EXPECT_EQ(engine.Now(), 100 * kMillisecond);
+  EXPECT_DOUBLE_EQ(cpu.BusySeconds(acct), ToSeconds(100 * kMillisecond));
+  EXPECT_EQ(cpu.busy_cores(), 0);
+}
+
+TEST(CpuPool, WaiterGetsTheCoreAtTheStretchsNextBoundary) {
+  Engine engine;
+  CpuPool cpu(&engine, "host", ExactOptions(1));
+  int acct = cpu.RegisterAccount("app");
+  Time long_done = -1;
+  Time short_done = -1;
+  engine.Spawn(RunAt(&engine, &cpu, 0, 100 * kMillisecond, acct, &long_done));
+  engine.Spawn(RunAt(&engine, &cpu, 1200 * kMicrosecond, 300 * kMicrosecond, acct, &short_done));
+  engine.Run();
+  // The waiter arrives mid-quantum and takes the core at the boundary
+  // (1.5ms), then pays dispatch + context switch before its 300us.
+  EXPECT_EQ(short_done, (1500 + 2 + 3 + 300) * kMicrosecond);
+  // The displaced task waits out those 305us and pays its own dispatch +
+  // context switch: exactly where the per-quantum loop would end it.
+  EXPECT_EQ(long_done, 100 * kMillisecond + (305 + 5) * kMicrosecond);
+  EXPECT_DOUBLE_EQ(cpu.BusySeconds(acct),
+                   ToSeconds(100 * kMillisecond + 300 * kMicrosecond + 2 * 3 * kMicrosecond));
+}
+
+TEST(CpuPool, StopMidStretchYieldsAtTheNextBoundaryUntilResume) {
+  Engine engine;
+  CpuPool cpu(&engine, "host", ExactOptions(1));
+  int acct = cpu.RegisterAccount("app");
+  Time long_done = -1;
+  Time short_done = -1;
+  engine.Spawn(RunAt(&engine, &cpu, 0, 10 * kMillisecond, acct, &long_done));
+  engine.Spawn(RunAt(&engine, &cpu, 2 * kMillisecond, 100 * kMicrosecond, acct, &short_done));
+  engine.Spawn([](Engine* e, CpuPool* cpu) -> Task<> {
+    co_await e->SleepUntil(1200 * kMicrosecond);
+    cpu->Stop();
+    co_await e->SleepUntil(5 * kMillisecond);
+    cpu->Resume();
+  }(&engine, &cpu));
+  engine.RunUntil(4 * kMillisecond);
+  // The in-flight quantum ended at 1.5ms; since then no core was granted.
+  EXPECT_EQ(cpu.busy_cores(), 0);
+  EXPECT_EQ(cpu.waiter_count(), 2u);
+  EXPECT_DOUBLE_EQ(cpu.BusySeconds(acct), ToSeconds(1500 * kMicrosecond));
+  engine.Run();
+  // Resume hands the core to the first waiter (the stopped task, 500us), then
+  // the 100us arrival runs, then the stopped task finishes its last 7.5ms.
+  EXPECT_EQ(short_done, (5000 + 505 + 105) * kMicrosecond);
+  EXPECT_EQ(long_done, (5610 + 505 + 7500) * kMicrosecond);
+}
+
+TEST(CpuPool, SameJitterSeedGivesIdenticalCompletionTimes) {
+  auto run = [](double jitter_prob) {
+    Engine engine;
+    CpuPool::Options opt = ExactOptions(2);
+    opt.jitter_prob = jitter_prob;
+    CpuPool cpu(&engine, "host", opt);
+    int acct = cpu.RegisterAccount("app");
+    std::vector<Time> done(12, -1);
+    for (size_t i = 0; i < done.size(); ++i) {
+      Time arrive = static_cast<Time>(i) * 170 * kMicrosecond;
+      Time work = static_cast<Time>(1 + i % 4) * 400 * kMicrosecond;
+      engine.Spawn(RunAt(&engine, &cpu, arrive, work, acct, &done[i]));
+    }
+    engine.Run();
+    return done;
+  };
+  std::vector<Time> first = run(0.5);
+  EXPECT_EQ(first, run(0.5));
+  EXPECT_NE(first, run(0));  // The jitter draws did delay someone.
+}
+
+TEST(CpuPool, HandoffsRunUnderTheWaitingTasksLabel) {
+  Engine engine;
+  obs::SelfProfiler profiler(&engine);
+  CpuPool cpu(&engine, "host", ExactOptions(1));
+  int acct = cpu.RegisterAccount("app");
+  Time alpha_done = -1;
+  Time beta_done = -1;
+  engine.Spawn(RunAt(&engine, &cpu, 0, 2 * kMillisecond, acct, &alpha_done), "alpha");
+  engine.Spawn(RunAt(&engine, &cpu, 0, 2 * kMillisecond, acct, &beta_done), "beta");
+  engine.Run();
+  profiler.Detach();
+  // beta claims alpha's first boundary; from then on the two alternate one
+  // 505us handoff at a time.
+  EXPECT_EQ(alpha_done, 3530 * kMicrosecond);
+  EXPECT_EQ(beta_done, 4035 * kMicrosecond);
+  // Each task: its start, its sleep to the arrival instant, four quanta.
+  // alpha's first quantum is its stretch's claimed fire, armed by alpha and
+  // pulled in by beta; every other quantum is a handoff from the other task.
+  std::vector<obs::SelfProfiler::ComponentStat> comps = profiler.Components();
+  ASSERT_EQ(comps.size(), 2u);
+  for (const auto& c : comps) {
+    EXPECT_EQ(c.events, 6u) << c.label;
+  }
+  EXPECT_EQ(profiler.total_events(), engine.events_processed());
+}
+
 TEST(CpuPool, CyclesToTimeScalesWithFrequencyAndIpc) {
   Engine engine;
   CpuPool::Options host_opt;
