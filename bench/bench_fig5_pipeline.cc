@@ -18,7 +18,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/harness.h"
-#include "src/pipeline/registry.h"
+#include "src/pipeline/stage.h"
 #include "src/workloads/microbench.h"
 
 namespace linefs::bench {

@@ -209,7 +209,6 @@ class Experiment {
     v.Set("publish_method", core::PublishMethodName(c.publish_method));
     v.Set("max_stage_workers", c.max_stage_workers);
     v.Set("replication_protocol", c.repl.protocol);
-    v.Set("quorum_size", c.repl.quorum_size);
     v.Set("fetch_depth", c.repl.fetch_depth);
     v.Set("transfer_window", c.repl.transfer_window);
     v.Set("pipeline_stages", c.pipeline_stages);

@@ -44,6 +44,12 @@ does changes; they stand in for wall time, which is too noisy to gate. A
 counter absent from the baseline is not gated (older baselines predate it);
 one present in the baseline but missing from the candidate fails.
 
+A run's "config" section (the knobs the bench set) is not gated by value, but
+its key set must equal the baseline run's: a key that only one side has means
+a knob was added, renamed or removed without refreshing the baselines, so the
+baseline no longer describes what the code runs. Every such run is printed
+with the keys each side lacks, and the comparison fails.
+
 Schema v3 adds a per-run "timeline" section (windowed virtual-time series:
 delivered/shed rate, queue depth, latency percentiles per window) plus
 "p999"/"p999_us" fields on histogram summaries. The timeline is purely
@@ -132,6 +138,14 @@ def compare_report(name, base, cand, threshold_pct, failures, rows):
             else:
                 failures.append(f"{name}: run {label!r} missing from candidate")
             continue
+        base_keys = set(base_run.get("config", {}))
+        cand_keys = set(cand_run.get("config", {}))
+        if base_keys != cand_keys:
+            drift = (f"{name}/{label}: config keys differ from baseline "
+                     f"(only in baseline: {sorted(base_keys - cand_keys)}, "
+                     f"only in candidate: {sorted(cand_keys - base_keys)})")
+            print(f"config drift: {drift}")
+            failures.append(drift)
         # (key, baseline, candidate, direction, threshold) for every gated value.
         checks = []
         base_scalars = base_run.get("scalars", {})

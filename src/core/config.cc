@@ -6,8 +6,8 @@
 
 #include "src/fslib/layout.h"
 #include "src/obs/critical_path.h"
-#include "src/pipeline/registry.h"
-#include "src/repl/registry.h"
+#include "src/pipeline/stage.h"
+#include "src/repl/protocol.h"
 #include "src/shard/shard_map.h"
 
 namespace linefs::core {
@@ -81,27 +81,8 @@ Status DfsConfig::Validate() const {
     return Invalid("repl.transfer_window must be >= 1, got " +
                    std::to_string(repl.transfer_window));
   }
-  {
-    if (!repl::Protocols().Contains(repl.protocol)) {
-      return Invalid("repl.protocol names unknown protocol '" +
-                     repl.protocol + "'");
-    }
-    repl::ProtocolParams params;
-    params.quorum_size = repl.quorum_size;
-    auto protocol = repl::Protocols().Create(repl.protocol, params);
-    if (repl.quorum_size < 0) {
-      return Invalid("quorum_size must be >= 0, got " +
-                     std::to_string(repl.quorum_size));
-    }
-    if (repl.quorum_size > num_nodes) {
-      return Invalid("quorum_size (" + std::to_string(repl.quorum_size) +
-                     ") cannot exceed num_nodes (" + std::to_string(num_nodes) + ")");
-    }
-    if (repl.quorum_size > 0 && !protocol->info().quorum) {
-      return Invalid("quorum_size is only meaningful for quorum-style protocols; "
-                     "repl.protocol '" + repl.protocol + "' ignores acks "
-                     "past its own commit rule");
-    }
+  if (repl::MakeProtocol(repl.protocol) == nullptr) {
+    return Invalid("repl.protocol names unknown protocol '" + repl.protocol + "'");
   }
   if (read_path != "host" && read_path != "nic_rpc" && read_path != "adaptive") {
     return Invalid("read_path must be 'host', 'nic_rpc' or 'adaptive', got '" +
@@ -115,44 +96,23 @@ Status DfsConfig::Validate() const {
     return Invalid("read_nic_load_max must be in (0,1], got " +
                    std::to_string(read_nic_load_max));
   }
-  if (compression_threads < 1) {
-    return Invalid("compression_threads must be >= 1, got " +
-                   std::to_string(compression_threads));
-  }
   {
+    // validate, then a subsequence of the wire transforms in kStageNames order.
     std::vector<std::string> stages = pipeline::ParseStageList(pipeline_stages);
-    if (stages.empty()) {
-      return Invalid("pipeline_stages must name at least one stage");
-    }
+    const std::string_view* end = std::end(pipeline::kStageNames);
+    const std::string_view* next = std::begin(pipeline::kStageNames);
+    bool ok = stages.front() == "validate";
     for (const std::string& name : stages) {
-      if (name.empty()) {
-        return Invalid("pipeline_stages has an empty entry: '" + pipeline_stages + "'");
+      next = std::find(next, end, name);
+      if (next == end) {
+        ok = false;
+        break;
       }
-      if (!pipeline::Stages().Contains(name)) {
-        return Invalid("pipeline_stages names unknown stage '" + name + "'");
-      }
-      if (std::count(stages.begin(), stages.end(), name) > 1) {
-        return Invalid("pipeline_stages lists '" + name + "' more than once");
-      }
+      ++next;
     }
-    if (stages.front() != "validate") {
-      return Invalid("pipeline_stages must start with 'validate' (the shared "
-                     "fan-out stage feeds both publication and replication)");
-    }
-    auto pos = [&stages](const std::string& name) {
-      return std::find(stages.begin(), stages.end(), name);
-    };
-    auto compress_it = pos("compress");
-    auto encrypt_it = pos("xor_encrypt");
-    if (compress_it != stages.end() && encrypt_it != stages.end() &&
-        encrypt_it < compress_it) {
-      return Invalid("'xor_encrypt' must come after 'compress' "
-                     "(ciphertext does not compress)");
-    }
-    auto checksum_it = pos("checksum");
-    if (checksum_it != stages.end() && checksum_it + 1 != stages.end()) {
-      return Invalid("'checksum' must be the last stage so the seal covers "
-                     "the bytes actually sent");
+    if (!ok) {
+      return Invalid("pipeline_stages must be 'validate' followed by a subsequence of "
+                     "'compress,xor_encrypt,checksum', got '" + pipeline_stages + "'");
     }
   }
   if (!(placer_nic_saturation > 0.0 && placer_nic_saturation <= 1.0)) {

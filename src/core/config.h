@@ -37,16 +37,12 @@ const char* PublishMethodName(PublishMethod method);
 
 // Replication-layer knobs, grouped and validated as a unit.
 struct ReplConfig {
-  // Names a protocol registered in repl::Protocols(). Built-ins:
+  // One of repl::kProtocolNames:
   //   chain  - successor-chain forwarding, one-way posts (default).
   //   quorum - primary fans out to every live replica in parallel; the
-  //            client ack fires at a write quorum (majority by default).
+  //            client ack fires once a majority of num_nodes holds the
+  //            chunk, the origin's own copy counting as one vote.
   std::string protocol = "chain";
-
-  // Write-quorum size for quorum-style protocols, counting the origin's own
-  // copy as one vote. 0 = majority of num_nodes. Rejected for protocols that
-  // do not use quorums.
-  int quorum_size = 0;
 
   // Windowed asynchronous data path. `fetch_depth` bounds concurrently
   // outstanding PCIe log reads in the fetch stage; `transfer_window` bounds
@@ -75,16 +71,11 @@ struct DfsConfig {
   // Benchmarks may elide payload byte movement; tests always materialize.
   bool materialize_data = true;
 
-  // Cores the replication-pipeline compression stage (§5.4) splits a chunk
-  // across.
-  int compression_threads = 16;
-
-  // Per-pipe pipeline-stage chain, composed from the StageRegistry
-  // (src/pipeline). Comma-separated stage names; "validate" must come first,
-  // "checksum" (when present) must come last so the seal covers the sent
-  // bytes, and "xor_encrypt" must follow "compress" so ciphertext never feeds
-  // LZW. A stage runs if and only if it is listed: compression (§5.4) is on
-  // exactly when "compress" is in the chain.
+  // Per-pipe pipeline-stage chain (src/pipeline/stage.h), comma-separated:
+  // "validate" followed by a subsequence of "compress,xor_encrypt,checksum".
+  // That order keeps ciphertext out of LZW and makes the checksum seal the
+  // bytes actually sent. A stage runs if and only if it is listed:
+  // compression (§5.4) is on exactly when "compress" is in the chain.
   std::string pipeline_stages = "validate";
 
   // StagePlacer (src/pipeline/placer.h): with pooling enabled, grown stage

@@ -1,7 +1,6 @@
 #include "src/core/fs_service.h"
 
 #include "src/core/cluster.h"
-#include "src/repl/registry.h"
 
 namespace linefs::core {
 
@@ -22,14 +21,9 @@ FsService::FsService(Cluster* cluster, DfsNode* node, const DfsConfig* config,
   }
   lease_ctx.lease_duration = config->lease_duration;
   leases_ = std::make_unique<LeaseManager>(lease_ctx);
-  repl::ProtocolParams repl_params;
-  repl_params.quorum_size = config->repl.quorum_size;
-  protocol_ = repl::Protocols().Create(config->repl.protocol, repl_params);
-  if (!protocol_) {
-    // Unknown names are rejected by Validate() before Start(); fall back to
-    // chain so the object stays usable for config-error reporting paths.
-    protocol_ = repl::Protocols().Create("chain", repl_params);
-  }
+  // nullptr for an unknown name, which Start()'s Validate() rejects before
+  // anything consults the protocol.
+  protocol_ = repl::MakeProtocol(config->repl.protocol);
   validator_ = std::make_unique<fslib::Validator>(
       &node_->fs().inodes(), &node_->fs().dirs(),
       [this](uint32_t client, fslib::InodeNum inum) {

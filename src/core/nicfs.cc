@@ -8,8 +8,6 @@
 #include "src/compress/lzw.h"
 #include "src/core/cluster.h"
 #include "src/core/clustermgr.h"
-#include "src/pipeline/registry.h"
-#include "src/repl/registry.h"
 
 namespace linefs::core {
 
@@ -104,7 +102,7 @@ NicFs::StatsSnapshot NicFs::stats() const {
   }
   for (const auto& [client, pipe] : pipes_) {
     for (const auto& unit : pipe->stages) {
-      s.stages[unit->stage->info().name].workers += unit->workers;
+      s.stages[unit->stage->name()].workers += unit->workers;
     }
   }
   return s;
@@ -182,7 +180,6 @@ void NicFs::OnPeerLiveness(int node, bool alive) {
   if (shutdown_) {
     return;
   }
-  protocol_->OnPeerFailure(View(), node, alive);
   for (auto& [client, pipe] : pipes_) {
     pipe->retry_kick.NotifyAll();
   }
@@ -346,7 +343,6 @@ void NicFs::RegisterClient(int client, ClientHooks hooks) {
   raw->env.engine = engine_;
   raw->env.costs = &config_->fs_costs;
   raw->env.coalescing = config_->coalescing;
-  raw->env.compression_threads = config_->compression_threads;
   raw->env.node = node_->id();
   raw->env.component = component_;
   raw->env.trace = trace_;
@@ -507,7 +503,7 @@ sim::Task<> NicFs::FetchLoop(ClientPipe* pipe) {
 
 void NicFs::BuildStages(ClientPipe* pipe) {
   for (const std::string& name : pipeline::ParseStageList(config_->pipeline_stages)) {
-    std::unique_ptr<pipeline::Stage> stage = pipeline::Stages().Create(name);
+    std::unique_ptr<pipeline::Stage> stage = pipeline::MakeStage(name);
     if (stage == nullptr) {
       continue;  // Validate() rejects unknown names before boot.
     }
@@ -564,9 +560,9 @@ pipeline::Placement NicFs::PlacementFor(const pipeline::StagePlacer::Site& site)
 }
 
 void NicFs::PushDownstream(ClientPipe* pipe, StageUnit* unit, ChunkPtr chunk) {
-  if (unit->stage->info().shared_fanout) {
-    // Fan out to the publication pipeline: it shares the fetched+validated
-    // data with replication.
+  if (unit->index == 0) {
+    // The chain's first stage (validate) fans out to the publication
+    // pipeline: it shares the fetched+validated data with replication.
     pipe->publish_rb.Push(chunk->no, chunk);
     RecordDepth(metrics_.qdepth_publish_rb, pipe->publish_rb.size());
   }
@@ -584,7 +580,7 @@ void NicFs::PushDownstream(ClientPipe* pipe, StageUnit* unit, ChunkPtr chunk) {
 
 sim::Task<> NicFs::StageWorker(ClientPipe* pipe, StageUnit* unit,
                                pipeline::Placement where) {
-  const pipeline::Stage::Info& info = unit->stage->info();
+  Metrics::StageSet& set = metrics_.ForStage(unit->stage->name());
   while (true) {
     std::optional<ChunkPtr> popped = co_await unit->queue.Pop();
     if (!popped.has_value()) {
@@ -599,11 +595,10 @@ sim::Task<> NicFs::StageWorker(ClientPipe* pipe, StageUnit* unit,
       metrics_.stage_workers_retired->Increment();
       break;
     }
-    Metrics::StageSet& set = metrics_.ForStage(info.name);
-    // If an optional stage is the pipeline bottleneck, NICFS opportunistically
-    // disables it for queued chunks (§3.3.2, generalized to every optional
-    // stage).
-    if (info.optional &&
+    // If a stage after validate is the pipeline bottleneck, NICFS
+    // opportunistically disables it for queued chunks (§3.3.2, generalized to
+    // every wire transform).
+    if (unit->index > 0 &&
         unit->queue.size() > static_cast<size_t>(config_->stage_queue_threshold) &&
         unit->workers >= config_->max_stage_workers) {
       set.bypassed->Increment();
@@ -624,11 +619,8 @@ sim::Task<> NicFs::StageWorker(ClientPipe* pipe, StageUnit* unit,
 void NicFs::RegisterStageGroups(ClientPipe* pipe) {
   for (auto& unit_ptr : pipe->stages) {
     StageUnit* unit = unit_ptr.get();
-    if (!unit->stage->info().scalable) {
-      continue;
-    }
     pipeline::StagePlacer::Group group;
-    group.stage = unit->stage->info().name;
+    group.stage = unit->stage->name();
     group.node = node_->id();
     group.depth = [unit] { return unit->queue.size(); };
     group.workers = [unit] { return unit->workers; };
@@ -948,7 +940,7 @@ sim::Task<> NicFs::SequentialLoop(ClientPipe* pipe) {
     for (auto& unit : pipe->stages) {
       sim::Time t0 = engine_->Now();
       co_await unit->stage->Process(pipe->env, local, chunk);
-      metrics_.ForStage(unit->stage->info().name).latency->Record(engine_->Now() - t0);
+      metrics_.ForStage(unit->stage->name()).latency->Record(engine_->Now() - t0);
     }
     co_await PublishChunk(pipe, chunk);
     uint64_t target = chunk->to;
@@ -1187,7 +1179,6 @@ void NicFs::HandleReplAck(const ReplAckMsg& msg) {
     return;  // Duplicate delivery of an already-completed chunk.
   }
   it->second.acked.insert(msg.replica_node);
-  protocol_->OnAck(View(), msg.replica_node, msg.chunk_no);
   AdvanceReplicated(pipe);
 }
 
@@ -1265,7 +1256,7 @@ void NicFs::OnReplSendFailure(ClientPipe* pipe, uint64_t chunk_no, int peer) {
     // send, so all clocks expire; a fan-out protocol lost only `peer`'s copy
     // and the other in-flight sends are unaffected.
     sim::Time expired = engine_->Now() - kReplRetryTimeout;
-    if (protocol_->info().forwards) {
+    if (protocol_->forwards()) {
       for (auto& [node, clock] : it->second.last_send) {
         clock = expired;
       }

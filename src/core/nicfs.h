@@ -57,8 +57,8 @@ class NicFs : public FsService {
   // Primary-side: attach a client whose LibFS lives on this node.
   void RegisterClient(int client, ClientHooks hooks) override;
 
-  // Forwards to the replication protocol's OnPeerFailure hook and kicks every
-  // pipe's retry sweeper so pending acks re-evaluate against the new view.
+  // Kicks every pipe's retry sweeper so pending acks re-evaluate against the
+  // new view.
   void OnPeerLiveness(int node, bool alive) override;
 
   // LibFS entry points: LibFS's host-side RPCs across PCIe to this NICFS

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "src/core/cluster.h"
-#include "src/repl/registry.h"
 
 namespace linefs::core {
 
@@ -324,7 +323,7 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
   }
   // A forwarding protocol's single ack covers the whole chain; a fan-out
   // protocol asks its commit rule whether enough targets answered.
-  bool committed = protocol_->info().forwards ? !acked.empty()
+  bool committed = protocol_->forwards() ? !acked.empty()
                                               : protocol_->CommitPoint(View(), acked);
   if (!committed) {
     state->repl_mu.Unlock();

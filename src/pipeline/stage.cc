@@ -1,6 +1,5 @@
 #include "src/pipeline/stage.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "src/compress/lzw.h"
@@ -11,6 +10,9 @@
 namespace linefs::pipeline {
 
 namespace {
+
+// §5.4: the compress stage splits each chunk across the SmartNIC's 16 cores.
+constexpr int kCompressionThreads = 16;
 
 sim::Priority ChunkPriority(const ChunkPtr& chunk) {
   return chunk->urgent ? sim::Priority::kRealtime : sim::Priority::kNormal;
@@ -52,13 +54,37 @@ void XorCipher(std::vector<uint8_t>* data) {
   }
 }
 
-// --- ValidateStage ------------------------------------------------------------
-
-const Stage::Info& ValidateStage::info() const {
-  static const Info kInfo{"validate", /*optional=*/false, /*scalable=*/true,
-                          /*shared_fanout=*/true};
-  return kInfo;
+std::unique_ptr<Stage> MakeStage(std::string_view name) {
+  if (name == "validate") return std::make_unique<ValidateStage>();
+  if (name == "compress") return std::make_unique<CompressStage>();
+  if (name == "xor_encrypt") return std::make_unique<XorEncryptStage>();
+  if (name == "checksum") return std::make_unique<ChecksumStage>();
+  return nullptr;
 }
+
+std::vector<std::string> ParseStageList(const std::string& csv) {
+  std::vector<std::string> names;
+  std::string current;
+  auto flush = [&] {
+    size_t begin = current.find_first_not_of(" \t");
+    size_t end = current.find_last_not_of(" \t");
+    names.push_back(begin == std::string::npos
+                        ? std::string()
+                        : current.substr(begin, end - begin + 1));
+    current.clear();
+  };
+  for (char c : csv) {
+    if (c == ',') {
+      flush();
+    } else {
+      current += c;
+    }
+  }
+  flush();
+  return names;
+}
+
+// --- ValidateStage ------------------------------------------------------------
 
 sim::Task<> ValidateStage::Process(StageEnv& env, const Placement& where,
                                    const ChunkPtr& chunk) {
@@ -99,12 +125,6 @@ sim::Task<> ValidateStage::Process(StageEnv& env, const Placement& where,
 
 // --- CompressStage ------------------------------------------------------------
 
-const Stage::Info& CompressStage::info() const {
-  static const Info kInfo{"compress", /*optional=*/true, /*scalable=*/true,
-                          /*shared_fanout=*/false};
-  return kInfo;
-}
-
 sim::Task<> CompressStage::Process(StageEnv& env, const Placement& where,
                                    const ChunkPtr& chunk) {
   if (chunk->failed || chunk->range.image.empty()) {
@@ -115,12 +135,11 @@ sim::Task<> CompressStage::Process(StageEnv& env, const Placement& where,
   // Parallel compression: the chunk is split across the placement's cores.
   uint64_t total_cycles = static_cast<uint64_t>(env.costs->compress_cycles_per_byte *
                                                 static_cast<double>(chunk->bytes()));
-  int threads = std::max(1, env.compression_threads);
   std::vector<sim::Task<>> shards;
-  shards.reserve(threads);
-  for (int i = 0; i < threads; ++i) {
-    shards.push_back(where.pool->RunCycles(total_cycles / threads, sim::Priority::kNormal,
-                                           where.account));
+  shards.reserve(kCompressionThreads);
+  for (int i = 0; i < kCompressionThreads; ++i) {
+    shards.push_back(where.pool->RunCycles(total_cycles / kCompressionThreads,
+                                           sim::Priority::kNormal, where.account));
   }
   co_await sim::AwaitAll(env.engine, std::move(shards));
   chunk->wire = compress::LzwCompress(chunk->range.image);
@@ -128,12 +147,6 @@ sim::Task<> CompressStage::Process(StageEnv& env, const Placement& where,
 }
 
 // --- ChecksumStage ------------------------------------------------------------
-
-const Stage::Info& ChecksumStage::info() const {
-  static const Info kInfo{"checksum", /*optional=*/true, /*scalable=*/true,
-                          /*shared_fanout=*/false};
-  return kInfo;
-}
 
 sim::Task<> ChecksumStage::Process(StageEnv& env, const Placement& where,
                                    const ChunkPtr& chunk) {
@@ -154,12 +167,6 @@ sim::Task<> ChecksumStage::Process(StageEnv& env, const Placement& where,
 }
 
 // --- XorEncryptStage ----------------------------------------------------------
-
-const Stage::Info& XorEncryptStage::info() const {
-  static const Info kInfo{"xor_encrypt", /*optional=*/true, /*scalable=*/true,
-                          /*shared_fanout=*/false};
-  return kInfo;
-}
 
 sim::Task<> XorEncryptStage::Process(StageEnv& env, const Placement& where,
                                      const ChunkPtr& chunk) {

@@ -1,11 +1,15 @@
-// First-class pipeline-stage API (Meili-style "SmartNIC as a service").
+// Pipeline-stage API (Meili-style "SmartNIC as a service").
 //
-// A Stage is a relocatable unit of the NICFS persistence pipeline with a
-// declared identity and resource targets. NICFS composes the per-pipe chain
-// from DfsConfig::pipeline_stages via the StageRegistry (registry.h) and runs
-// each stage through generic queue-fed workers; the StagePlacer (placer.h)
-// decides *where* those workers execute — the local SmartNIC's wimpy cores,
-// a pooled remote NIC, or host cores once every NIC saturates.
+// A Stage is a relocatable unit of the NICFS persistence pipeline. NICFS
+// composes the per-pipe chain from DfsConfig::pipeline_stages through
+// MakeStage() and runs each stage through generic queue-fed workers; the
+// StagePlacer (placer.h) decides *where* those workers execute — the local
+// SmartNIC's wimpy cores, a pooled remote NIC, or host cores once every NIC
+// saturates.
+//
+// The set is closed: validate (§3.3.1), then a subsequence of the wire
+// transforms compress (§5.4), xor_encrypt and checksum, in that order
+// (DfsConfig::Validate() enforces it).
 //
 // Contract:
 //  - Process() is a coroutine that transforms one chunk in place. It charges
@@ -13,8 +17,9 @@
 //    automatically bills the right complex.
 //  - Stages must tolerate elided payloads (a fetched range with no image):
 //    charge the modelled cycles, skip the byte transform.
-//  - Optional stages may be skipped entirely under backpressure (the generic
-//    worker's bypass, §3.3.2 generalized); required stages may not.
+//  - The chain's first stage (validate) is required and its output also feeds
+//    the publication pipeline; every later stage may be skipped under
+//    backpressure (the generic worker's bypass, §3.3.2 generalized).
 //  - Order within one chunk is the configured chain order; cross-chunk order
 //    is restored downstream by reorder buffers, which is what makes worker
 //    migration transparent to the wire protocol.
@@ -27,6 +32,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/fslib/validate.h"
@@ -58,7 +64,6 @@ struct StageEnv {
   sim::Engine* engine = nullptr;
   const hw::FsCosts* costs = nullptr;
   bool coalescing = false;
-  int compression_threads = 1;
   int node = 0;                  // Home node of the pipe (trace lane).
   std::string component;         // "nicfs.<n>": trace category.
   obs::TraceBuffer* trace = nullptr;
@@ -69,22 +74,25 @@ struct StageEnv {
 
 class Stage {
  public:
-  // Declared identity and resource/perf targets, consulted by config
-  // validation, the generic workers, and the placer.
-  struct Info {
-    std::string name;            // Registry key and metric/trace stage name.
-    bool optional = false;       // Bypassable under backpressure (§3.3.2).
-    bool scalable = false;       // The placer may add/retire workers.
-    bool shared_fanout = false;  // Output also feeds the publication pipeline.
-  };
-
   virtual ~Stage() = default;
-  virtual const Info& info() const = 0;
+  // Config key and metric/trace stage name.
+  virtual const char* name() const = 0;
   // Transforms one chunk at `where`. Must be safe to call on failed chunks
   // (skip the transform, keep the order).
   virtual sim::Task<> Process(StageEnv& env, const Placement& where,
                               const ChunkPtr& chunk) = 0;
 };
+
+// Every stage name, in the only order a chain may list them.
+inline constexpr std::string_view kStageNames[] = {"validate", "compress", "xor_encrypt",
+                                                   "checksum"};
+
+// The stage named `name`, or nullptr for an unknown name.
+std::unique_ptr<Stage> MakeStage(std::string_view name);
+
+// Splits "validate, compress,checksum" into trimmed names (empty items kept
+// as empty strings so validation can reject them explicitly).
+std::vector<std::string> ParseStageList(const std::string& csv);
 
 // --- Wire-transform helpers (shared with the replica-side undo path) ----------
 
@@ -96,40 +104,38 @@ void XorCipher(std::vector<uint8_t>* data);
 
 // --- Built-in stages ----------------------------------------------------------
 
-// Parse + permission/lease validation (§3.3.1). Required; shared fan-out
-// (feeds both publication and replication).
+// Parse + permission/lease validation (§3.3.1). Always first.
 class ValidateStage : public Stage {
  public:
-  const Info& info() const override;
+  const char* name() const override { return "validate"; }
   sim::Task<> Process(StageEnv& env, const Placement& where,
                       const ChunkPtr& chunk) override;
 };
 
-// LZW compression of the replication wire image (§5.4). Optional.
+// LZW compression of the replication wire image (§5.4).
 class CompressStage : public Stage {
  public:
-  const Info& info() const override;
+  const char* name() const override { return "compress"; }
   sim::Task<> Process(StageEnv& env, const Placement& where,
                       const ChunkPtr& chunk) override;
 };
 
 // CRC32C seal over the outgoing wire bytes; replicas verify on receipt.
-// Optional plugin; must be the last transform so the seal covers what is
-// actually sent (enforced by DfsConfig::Validate()).
+// Always last, so the seal covers what is actually sent.
 class ChecksumStage : public Stage {
  public:
-  const Info& info() const override;
+  const char* name() const override { return "checksum"; }
   sim::Task<> Process(StageEnv& env, const Placement& where,
                       const ChunkPtr& chunk) override;
 };
 
 // At-rest/in-flight scrambling of the wire bytes with an involutive XOR
 // keystream (stand-in for a real cipher; the cost model carries the weight).
-// Optional plugin; replicas undo it before decompression-independent use —
-// config validation keeps it after compress so ciphertext never feeds LZW.
+// Replicas undo it before decompression-independent use; it comes after
+// compress so ciphertext never feeds LZW.
 class XorEncryptStage : public Stage {
  public:
-  const Info& info() const override;
+  const char* name() const override { return "xor_encrypt"; }
   sim::Task<> Process(StageEnv& env, const Placement& where,
                       const ChunkPtr& chunk) override;
 };

@@ -22,4 +22,10 @@ bool Protocol::RetirePoint(const PeerView& view, const std::set<int>& acked) con
   return true;
 }
 
+std::unique_ptr<Protocol> MakeProtocol(std::string_view name) {
+  if (name == "chain") return std::make_unique<ChainProtocol>();
+  if (name == "quorum") return std::make_unique<QuorumProtocol>();
+  return nullptr;
+}
+
 }  // namespace linefs::repl

@@ -10,11 +10,14 @@
 // sweeper, ack dedup) stay protocol-agnostic in core::NicFs / core::SharedFs. Protocols are pure decision objects: they
 // never touch the wire themselves and hold no per-chunk state, which keeps
 // them trivially usable from both the NIC-offloaded and host-only data paths.
+//
+// The set is closed: chain replication (the paper's) and a majority-quorum
+// fan-out. MakeProtocol() maps a DfsConfig::repl.protocol name to one of them.
 
-#include <cstdint>
 #include <functional>
+#include <memory>
 #include <set>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace linefs::repl {
@@ -47,26 +50,15 @@ struct Target {
 
 class Protocol {
  public:
-  struct Info {
-    std::string name;
-    // Forwarding protocols relay chunks replica-to-replica (chain); fan-out
-    // protocols reach every replica directly from the origin.
-    bool forwards = false;
-    // Quorum-style protocols honor ReplConfig::quorum_size; validation
-    // rejects the knob for anything else.
-    bool quorum = false;
-  };
-
   virtual ~Protocol() = default;
 
-  virtual const Info& info() const = 0;
+  // Forwarding protocols relay chunks replica-to-replica (chain); fan-out
+  // protocols reach every replica directly from the origin.
+  virtual bool forwards() const = 0;
 
   // Wire destinations for a chunk staged at the origin. An empty vector means
   // no live replicas: the chunk is trivially committed and retired.
   virtual std::vector<Target> OnChunkReady(const PeerView& view) = 0;
-
-  // Ack bookkeeping hook; stateless protocols ignore it.
-  virtual void OnAck(const PeerView& view, int replica, uint64_t chunk_no) {}
 
   // True once the chunk may become client-visible (fsync can pass it).
   virtual bool CommitPoint(const PeerView& view, const std::set<int>& acked) const = 0;
@@ -76,9 +68,29 @@ class Protocol {
   // protocol: the retransmit sweeper re-reads the client log to refill
   // laggards, so reclaim must wait for them even after commit.
   virtual bool RetirePoint(const PeerView& view, const std::set<int>& acked) const;
-
-  // Liveness transition of `node` (declared dead or readmitted).
-  virtual void OnPeerFailure(const PeerView& view, int node, bool alive) {}
 };
+
+// Successor-chain forwarding on one-way posts (chain.cc).
+class ChainProtocol : public Protocol {
+ public:
+  bool forwards() const override { return true; }
+  std::vector<Target> OnChunkReady(const PeerView& view) override;
+  bool CommitPoint(const PeerView& view, const std::set<int>& acked) const override;
+};
+
+// The origin fans every chunk out to all live replicas; commit at a majority
+// of num_nodes (quorum.cc).
+class QuorumProtocol : public Protocol {
+ public:
+  bool forwards() const override { return false; }
+  std::vector<Target> OnChunkReady(const PeerView& view) override;
+  bool CommitPoint(const PeerView& view, const std::set<int>& acked) const override;
+};
+
+// Every protocol name, in the order the torture and conformance sweeps run them.
+inline constexpr std::string_view kProtocolNames[] = {"chain", "quorum"};
+
+// The protocol named `name`, or nullptr for an unknown name.
+std::unique_ptr<Protocol> MakeProtocol(std::string_view name);
 
 }  // namespace linefs::repl

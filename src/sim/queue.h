@@ -57,15 +57,6 @@ class Queue {
   size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
 
-  std::optional<T> TryPop() {
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
-  }
-
   struct Waiter {
     std::coroutine_handle<> handle;
     std::optional<T> slot;

@@ -18,8 +18,8 @@
 
 namespace linefs::sim {
 
-// Reusable condition: Wait() always suspends until the next NotifyAll()/
-// NotifyOne(). Use together with a predicate loop.
+// Reusable condition: Wait() always suspends until the next NotifyAll().
+// Use together with a predicate loop.
 class Condition {
  public:
   explicit Condition(Engine* engine) : engine_(engine) {}
@@ -40,13 +40,6 @@ class Condition {
       engine_->ScheduleNow(h);
     }
     waiters_.clear();
-  }
-
-  void NotifyOne() {
-    if (!waiters_.empty()) {
-      engine_->ScheduleNow(waiters_.front());
-      waiters_.pop_front();
-    }
   }
 
   size_t waiter_count() const { return waiters_.size(); }

@@ -43,9 +43,6 @@ class Streamcluster {
     sim::Time solo = static_cast<sim::Time>(options_.iterations) * options_.work_per_iteration;
     return static_cast<double>(elapsed_) / static_cast<double>(solo);
   }
-  static sim::Time SoloRuntime(const Options& options) {
-    return static_cast<sim::Time>(options.iterations) * options.work_per_iteration;
-  }
 
  private:
   sim::Task<> Thread();

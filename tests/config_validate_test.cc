@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/core/cluster.h"
 #include "src/core/config.h"
@@ -72,9 +74,59 @@ TEST(DfsConfigValidate, RejectsBadWorkerCounts) {
   config = SmallConfig();
   config.stage_queue_threshold = 0;
   EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
-  config = SmallConfig();
-  config.compression_threads = 0;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid);
+}
+
+// The pipeline_stages rule -- "validate" followed by a subsequence of
+// compress, xor_encrypt, checksum -- over every ordering of every subset of
+// the four stage names. It must accept exactly what the five separate rules
+// it replaced accepted: known names, no repeats, validate first, xor_encrypt
+// after compress, checksum last.
+TEST(DfsConfigValidate, StageChainRuleMatchesTheSeparateOrderingRules) {
+  const std::vector<std::string> names = {"validate", "compress", "xor_encrypt", "checksum"};
+  auto subsequence_rule = [&](const std::vector<std::string>& chain) {
+    if (chain.empty() || chain[0] != "validate") return false;
+    auto next = names.begin() + 1;
+    for (size_t i = 1; i < chain.size(); ++i) {
+      next = std::find(next, names.end(), chain[i]);
+      if (next == names.end()) return false;
+      ++next;
+    }
+    return true;
+  };
+  auto separate_rules = [](const std::vector<std::string>& chain) {
+    auto pos = [&chain](const char* name) {
+      return std::find(chain.begin(), chain.end(), name) - chain.begin();
+    };
+    const long size = static_cast<long>(chain.size());
+    return size > 0 && chain[0] == "validate" &&
+           !(pos("compress") < size && pos("xor_encrypt") < size &&
+             pos("xor_encrypt") < pos("compress")) &&
+           !(pos("checksum") < size && pos("checksum") != size - 1);
+  };
+  int accepted = 0;
+  int chains = 0;
+  for (unsigned mask = 0; mask < 16; ++mask) {
+    std::vector<std::string> subset;
+    for (size_t i = 0; i < names.size(); ++i) {
+      if (mask & (1u << i)) subset.push_back(names[i]);
+    }
+    std::sort(subset.begin(), subset.end());
+    do {
+      std::string csv;
+      for (const std::string& name : subset) {
+        csv += (csv.empty() ? "" : ",") + name;
+      }
+      DfsConfig config = SmallConfig();
+      config.pipeline_stages = csv;
+      bool ok = config.Validate().ok();
+      EXPECT_EQ(ok, subsequence_rule(subset)) << "'" << csv << "'";
+      EXPECT_EQ(ok, separate_rules(subset)) << "'" << csv << "'";
+      accepted += ok;
+      ++chains;
+    } while (std::next_permutation(subset.begin(), subset.end()));
+  }
+  EXPECT_EQ(chains, 65);    // 1 + 4 + 12 + 24 + 24 orderings.
+  EXPECT_EQ(accepted, 8);   // validate plus any of the 2^3 transform subsets.
 }
 
 TEST(DfsConfigValidate, RejectsBadTimeouts) {

@@ -100,7 +100,7 @@ TEST_F(NicFsMechanicsTest, FlowControlPausesFetchAtHighWatermark) {
 TEST_F(NicFsMechanicsTest, CompressionBypassesWhenBacklogged) {
   DfsConfig config = Config();
   config.pipeline_stages = "validate,compress";
-  config.compression_threads = 1;   // Starve the stage.
+  config.fs_costs.compress_cycles_per_byte *= 16;  // Starve the stage.
   config.max_stage_workers = 1;     // No scaling relief.
   config.stage_queue_threshold = 1;
   Start(config);
@@ -114,8 +114,10 @@ TEST_F(NicFsMechanicsTest, CompressionBypassesWhenBacklogged) {
   });
   engine_.RunUntil(engine_.Now() + 5 * sim::kSecond);
   NicFs::StatsSnapshot stats = cluster_->nicfs(0)->stats();
-  // Some chunks skipped the overloaded compression stage (§3.3.2)...
+  // Some chunks skipped the overloaded compression stage (§3.3.2); validate,
+  // the chain's first stage, is never skipped...
   EXPECT_GT(stats.stages.at("compress").bypassed, 0u);
+  EXPECT_EQ(stats.stages.at("validate").bypassed, 0u);
   // ...but everything still replicated correctly.
   fslib::PublicFs& replica = cluster_->dfs_node(1).fs();
   Result<fslib::InodeNum> inum = replica.LookupChild(fslib::kRootInode, "cb.dat");

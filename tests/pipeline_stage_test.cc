@@ -1,15 +1,16 @@
-// The first-class pipeline-stage API (src/pipeline): registry lookup and
-// config-chain validation, per-chunk stage-order preservation through the
-// generic workers, plugin wire round-trips (checksum seal, XOR scrambling),
-// placer policy and worker migration, and a seeded fault run with the full
-// plugin chain armed.
+// The pipeline-stage API (src/pipeline): the stage factory and config-chain
+// validation, per-chunk stage order through the generic workers, wire
+// round-trips of the transform stages (checksum seal, XOR scrambling), placer
+// policy and worker migration, and a seeded fault run with the full chain
+// armed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,8 +23,8 @@
 #include "src/fault/injector.h"
 #include "src/fault/plan.h"
 #include "src/fault/schedule.h"
+#include "src/obs/trace.h"
 #include "src/pipeline/placer.h"
-#include "src/pipeline/registry.h"
 #include "src/pipeline/stage.h"
 #include "src/sim/engine.h"
 #include "src/workloads/minikv.h"
@@ -76,34 +77,19 @@ class PipelineHarness {
   std::unique_ptr<core::Cluster> cluster_;
 };
 
-// --- Registry ----------------------------------------------------------------------
+// --- Factory -----------------------------------------------------------------------
 
-TEST(StageRegistryTest, BuiltinsAreRegisteredWithDeclaredInfo) {
-  StageRegistry& reg = Stages();
-  for (const char* name : {"validate", "compress", "checksum", "xor_encrypt"}) {
-    EXPECT_TRUE(reg.Contains(name)) << name;
-    const Stage::Info* info = reg.Lookup(name);
-    ASSERT_NE(info, nullptr) << name;
-    EXPECT_EQ(info->name, name);
-    std::unique_ptr<Stage> stage = reg.Create(name);
+TEST(StageFactoryTest, MakesEveryNamedStageAndNothingElse) {
+  for (std::string_view name : kStageNames) {
+    std::unique_ptr<Stage> stage = MakeStage(name);
     ASSERT_NE(stage, nullptr) << name;
-    EXPECT_EQ(stage->info().name, name);
+    EXPECT_EQ(stage->name(), name);
   }
-  // Declared flags drive validation and the generic workers.
-  EXPECT_FALSE(reg.Lookup("validate")->optional);
-  EXPECT_TRUE(reg.Lookup("validate")->shared_fanout);
-  EXPECT_TRUE(reg.Lookup("compress")->optional);
-  EXPECT_TRUE(reg.Lookup("checksum")->optional);
-  EXPECT_TRUE(reg.Lookup("xor_encrypt")->optional);
+  EXPECT_EQ(MakeStage("no_such_stage"), nullptr);
+  EXPECT_EQ(MakeStage(""), nullptr);
 }
 
-TEST(StageRegistryTest, UnknownStagesAreRejectedEverywhere) {
-  EXPECT_FALSE(Stages().Contains("no_such_stage"));
-  EXPECT_EQ(Stages().Lookup("no_such_stage"), nullptr);
-  EXPECT_EQ(Stages().Create("no_such_stage"), nullptr);
-}
-
-TEST(StageRegistryTest, ParseStageListTrimsAndKeepsEmptyItems) {
+TEST(StageFactoryTest, ParseStageListTrimsAndKeepsEmptyItems) {
   std::vector<std::string> names = ParseStageList("validate, compress ,checksum");
   ASSERT_EQ(names.size(), 3u);
   EXPECT_EQ(names[0], "validate");
@@ -140,55 +126,15 @@ TEST(StageChainValidation, RejectsMalformedChains) {
   EXPECT_TRUE(invalid("validate,xor_encrypt,compress"));  // LZW after cipher
 }
 
-// --- Per-chunk stage-order preservation --------------------------------------------
-
-// Probe stages appended to the chain record the order in which each chunk
-// traverses them. Shared state is process-global because registry factories
-// are stateless.
-struct ProbeLog {
-  std::mutex mu;
-  std::vector<std::pair<std::string, uint64_t>> events;  // (stage, chunk_no)
-};
-ProbeLog& probe_log() {
-  static ProbeLog log;
-  return log;
-}
-
-class ProbeStage : public Stage {
- public:
-  explicit ProbeStage(std::string name) : name_(std::move(name)) {
-    info_.name = name_;
-    info_.optional = false;
-    info_.scalable = false;
-  }
-  const Info& info() const override { return info_; }
-  sim::Task<> Process(StageEnv& env, const Placement& where,
-                      const ChunkPtr& chunk) override {
-    (void)env;
-    (void)where;
-    std::lock_guard<std::mutex> lock(probe_log().mu);
-    probe_log().events.emplace_back(name_, chunk->no);
-    co_return;
-  }
-
- private:
-  std::string name_;
-  Info info_;
-};
+// --- Per-chunk stage order ---------------------------------------------------------
 
 TEST(StageChainTest, ChunksTraverseConfiguredStagesInOrder) {
-  for (const char* name : {"probe_a", "probe_b"}) {
-    Stage::Info info;
-    info.name = name;
-    Stages().Register(name, info,
-                      [name] { return std::make_unique<ProbeStage>(name); });
-  }
-  probe_log().events.clear();
-
+  const std::vector<std::string> chain = {"validate", "compress", "xor_encrypt", "checksum"};
   DfsConfig config = TestConfig();
-  config.pipeline_stages = "validate,probe_a,probe_b";
+  config.pipeline_stages = "validate,compress,xor_encrypt,checksum";
   ASSERT_TRUE(config.Validate().ok()) << config.Validate().ToString();
   PipelineHarness harness(config);
+  harness.cluster_->trace().EnableRing(1 << 20);
   LibFs* fs = harness.cluster_->CreateClient(0);
   harness.RunClient([&]() -> sim::Task<> {
     Result<int> fd = co_await fs->Open("/order.dat", fslib::kOpenCreate | fslib::kOpenWrite);
@@ -197,20 +143,30 @@ TEST(StageChainTest, ChunksTraverseConfiguredStagesInOrder) {
     CO_ASSERT_OK(co_await fs->Fsync(*fd));
   });
   harness.Drain(2 * sim::kSecond);
+  ASSERT_EQ(harness.cluster_->trace().dropped(), 0u);
 
-  // Every chunk that reached probe_b passed probe_a first.
-  std::map<uint64_t, std::vector<std::string>> per_chunk;
-  {
-    std::lock_guard<std::mutex> lock(probe_log().mu);
-    for (const auto& [stage, chunk_no] : probe_log().events) {
-      per_chunk[chunk_no].push_back(stage);
+  // The primary's stage spans of each chunk, in the order they began.
+  std::map<uint64_t, std::vector<obs::TraceEvent>> per_chunk;
+  harness.cluster_->trace().ForEach([&](const obs::TraceEvent& ev) {
+    if (ev.component == "nicfs.0" &&
+        std::find(chain.begin(), chain.end(), ev.stage) != chain.end()) {
+      per_chunk[ev.chunk_no].push_back(ev);
     }
-  }
-  ASSERT_FALSE(per_chunk.empty());
-  for (const auto& [chunk_no, stages] : per_chunk) {
-    ASSERT_EQ(stages.size(), 2u) << "chunk " << chunk_no;
-    EXPECT_EQ(stages[0], "probe_a") << "chunk " << chunk_no;
-    EXPECT_EQ(stages[1], "probe_b") << "chunk " << chunk_no;
+  });
+  ASSERT_GE(per_chunk.size(), 8u);
+  for (auto& [chunk_no, spans] : per_chunk) {
+    std::stable_sort(spans.begin(), spans.end(),
+                     [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+                       return a.begin < b.begin;
+                     });
+    ASSERT_EQ(spans.size(), chain.size()) << "chunk " << chunk_no;
+    for (size_t i = 0; i < chain.size(); ++i) {
+      EXPECT_EQ(spans[i].stage, chain[i]) << "chunk " << chunk_no;
+      if (i > 0) {
+        // Each stage starts only after the previous one finished the chunk.
+        EXPECT_LE(spans[i - 1].end, spans[i].begin) << "chunk " << chunk_no;
+      }
+    }
   }
 }
 

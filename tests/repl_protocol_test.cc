@@ -1,13 +1,15 @@
-// Replication-protocol API: registry and protocol-object units, config
-// validation of the ReplConfig group, and a cluster-level conformance suite
-// that runs the same replicate/agree/failure invariants against every
-// registered protocol.
+// Replication-protocol API: the protocol factory and protocol-object units,
+// config validation of the ReplConfig group, and a cluster-level conformance
+// suite that runs the same replicate/agree/failure invariants against every
+// protocol.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tests/co_test_util.h"
@@ -17,42 +19,21 @@
 #include "src/core/nicfs.h"
 #include "src/obs/trace.h"
 #include "src/repl/protocol.h"
-#include "src/repl/registry.h"
 
 namespace linefs::core {
 namespace {
 
-// --- Registry ----------------------------------------------------------------------
+// --- Factory -----------------------------------------------------------------------
 
-TEST(ReplRegistryTest, BuiltinsAreRegistered) {
-  repl::ProtocolRegistry& reg = repl::Protocols();
-  EXPECT_TRUE(reg.Contains("chain"));
-  EXPECT_TRUE(reg.Contains("quorum"));
-  EXPECT_FALSE(reg.Contains("paxos"));
-  EXPECT_EQ(reg.Create("paxos"), nullptr);
-
-  std::vector<std::string> names = reg.Names();
-  for (const char* expected : {"chain", "quorum"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end()) << expected;
+TEST(ReplFactoryTest, MakesEveryNamedProtocolAndNothingElse) {
+  for (std::string_view name : repl::kProtocolNames) {
+    ASSERT_NE(repl::MakeProtocol(name), nullptr) << name;
   }
-}
-
-TEST(ReplRegistryTest, PrivateRegistryAndOverride) {
-  repl::ProtocolRegistry reg;
-  repl::RegisterBuiltinProtocols(reg);
-  EXPECT_TRUE(reg.Contains("chain"));
-
-  // Later registrations under the same name win (test protocols can shadow).
-  bool used = false;
-  reg.Register("chain", [&used](const repl::ProtocolParams&) {
-    used = true;
-    repl::ProtocolRegistry fresh;
-    repl::RegisterBuiltinProtocols(fresh);
-    return fresh.Create("chain");
-  });
-  auto protocol = reg.Create("chain");
-  ASSERT_NE(protocol, nullptr);
-  EXPECT_TRUE(used);
+  // Chain relays replica-to-replica; quorum reaches every replica directly.
+  EXPECT_TRUE(repl::MakeProtocol("chain")->forwards());
+  EXPECT_FALSE(repl::MakeProtocol("quorum")->forwards());
+  EXPECT_EQ(repl::MakeProtocol("paxos"), nullptr);
+  EXPECT_EQ(repl::MakeProtocol(""), nullptr);
 }
 
 // --- Protocol decision objects -----------------------------------------------------
@@ -74,11 +55,8 @@ TEST(ReplProtocolUnitTest, ChainOrderRotatesAndSkipsDeadPeers) {
 }
 
 TEST(ReplProtocolUnitTest, ChainDispatchesOneForwardingHop) {
-  auto chain = repl::Protocols().Create("chain");
+  auto chain = repl::MakeProtocol("chain");
   ASSERT_NE(chain, nullptr);
-  EXPECT_EQ(chain->info().name, "chain");
-  EXPECT_TRUE(chain->info().forwards);
-  EXPECT_FALSE(chain->info().quorum);
 
   // Three live nodes: a single non-terminal send to the successor, which
   // forwards down the chain.
@@ -98,7 +76,7 @@ TEST(ReplProtocolUnitTest, ChainDispatchesOneForwardingHop) {
 }
 
 TEST(ReplProtocolUnitTest, ChainCommitNeedsEveryLivePeer) {
-  auto chain = repl::Protocols().Create("chain");
+  auto chain = repl::MakeProtocol("chain");
   repl::PeerView view = ViewOf(0, 3);
   EXPECT_FALSE(chain->CommitPoint(view, {}));
   EXPECT_FALSE(chain->CommitPoint(view, {1}));
@@ -111,10 +89,8 @@ TEST(ReplProtocolUnitTest, ChainCommitNeedsEveryLivePeer) {
 }
 
 TEST(ReplProtocolUnitTest, QuorumFansOutAndCommitsAtMajority) {
-  auto quorum = repl::Protocols().Create("quorum");
+  auto quorum = repl::MakeProtocol("quorum");
   ASSERT_NE(quorum, nullptr);
-  EXPECT_TRUE(quorum->info().quorum);
-  EXPECT_FALSE(quorum->info().forwards);
 
   // Fan-out: every live peer gets a terminal point-to-point delivery.
   std::vector<repl::Target> targets = quorum->OnChunkReady(ViewOf(0, 3));
@@ -135,15 +111,10 @@ TEST(ReplProtocolUnitTest, QuorumFansOutAndCommitsAtMajority) {
   // retransmits until every live replica holds the chunk.
   EXPECT_FALSE(quorum->RetirePoint(view, {1}));
   EXPECT_TRUE(quorum->RetirePoint(view, {1, 2}));
-
-  // An explicit quorum_size overrides the majority rule.
-  auto strict = repl::Protocols().Create("quorum", {/*quorum_size=*/3});
-  EXPECT_FALSE(strict->CommitPoint(view, {1}));
-  EXPECT_TRUE(strict->CommitPoint(view, {1, 2}));
 }
 
 TEST(ReplProtocolUnitTest, QuorumDegradesToAllLiveAcked) {
-  auto quorum = repl::Protocols().Create("quorum");
+  auto quorum = repl::MakeProtocol("quorum");
   // 5 nodes, majority 3, but only one peer is still alive: quorum can never
   // be reached, so commit falls back to all-live-acked (same availability as
   // chain under the same faults).
@@ -177,22 +148,7 @@ TEST(ReplConfigValidateTest, UnknownProtocolRejected) {
   }
 }
 
-TEST(ReplConfigValidateTest, QuorumSizeRejectedForNonQuorumProtocols) {
-  DfsConfig config = ValidConfig();
-  config.repl.protocol = "chain";
-  config.repl.quorum_size = 2;
-  EXPECT_FALSE(config.Validate().ok());
-
-  config.repl.protocol = "quorum";
-  EXPECT_TRUE(config.Validate().ok());
-
-  config.repl.quorum_size = 4;  // > num_nodes.
-  EXPECT_FALSE(config.Validate().ok());
-  config.repl.quorum_size = -1;
-  EXPECT_FALSE(config.Validate().ok());
-}
-
-// --- Cluster-level conformance: every registered protocol ---------------------------
+// --- Cluster-level conformance: every protocol ------------------------------------
 
 DfsConfig ConformanceConfig(const std::string& protocol) {
   DfsConfig config;
@@ -340,7 +296,9 @@ TEST_P(ReplConformanceTest, SurvivesDroppedSendsToFirstReplica) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, ReplConformanceTest,
-                         ::testing::ValuesIn(repl::Protocols().Names()),
+                         ::testing::ValuesIn(std::vector<std::string>(
+                             std::begin(repl::kProtocolNames),
+                             std::end(repl::kProtocolNames))),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });

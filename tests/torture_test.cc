@@ -48,7 +48,7 @@
 #include "src/fault/schedule.h"
 #include "src/fslib/oplog.h"
 #include "src/fslib/publicfs.h"
-#include "src/repl/registry.h"
+#include "src/repl/protocol.h"
 #include "src/sim/engine.h"
 #include "src/workloads/filebench.h"
 #include "src/workloads/minikv.h"
@@ -60,12 +60,12 @@ using sim::kMillisecond;
 using sim::kSecond;
 
 // Replication protocols the torture suite sweeps. CI pins one per job via
-// LINEFS_REPL_PROTOCOL; a bare local run covers every registered protocol.
+// LINEFS_REPL_PROTOCOL; a bare local run covers every protocol.
 std::vector<std::string> TortureProtocols() {
   if (const char* pinned = std::getenv("LINEFS_REPL_PROTOCOL")) {
     return {pinned};
   }
-  return repl::Protocols().Names();
+  return {std::begin(repl::kProtocolNames), std::end(repl::kProtocolNames)};
 }
 
 core::DfsConfig TortureConfig(const std::string& protocol) {
