@@ -81,7 +81,6 @@ struct StageMixPoint {
   std::vector<std::pair<std::string, double>> stage_us;
   std::vector<std::pair<std::string, double>> stage_q;
   double host_placements = 0;   // Host-fallback run only.
-  double remote_placements = 0;
 };
 std::vector<StageMixPoint> g_mix;
 
@@ -91,9 +90,9 @@ StageMixPoint RunStageMix(const char* mix_name, const std::string& stages,
   config.pipeline_stages = stages;
   config.chunk_size = 1ULL << 20;
   if (host_fallback) {
-    // Saturate every NIC so grown workers spill to host cores: pooled
-    // placement on, an aggressive saturation mark, and a hair-trigger grow
-    // threshold while plugin stages burn wimpy-core cycles on every chunk.
+    // Saturate every NIC so grown workers spill to host cores: host fallback
+    // on, an aggressive saturation mark, and a hair-trigger grow threshold
+    // while plugin stages burn wimpy-core cycles on every chunk.
     config.placer_pooling = true;
     config.placer_nic_saturation = 0.05;
     config.stage_queue_threshold = 1;
@@ -102,8 +101,7 @@ StageMixPoint RunStageMix(const char* mix_name, const std::string& stages,
   Experiment exp(config);
   workloads::BenchResult result;
   std::vector<sim::Task<>> tasks;
-  // One writer per node keeps all NICs busy (required for the fallback run:
-  // a remote NIC with idle cores would absorb the spill first).
+  // The fallback run puts one writer on every node, so every NIC is busy.
   int writers = host_fallback ? exp.cluster().num_nodes() : 1;
   for (int w = 0; w < writers; ++w) {
     core::LibFs* fs = exp.cluster().CreateClient(w % exp.cluster().num_nodes());
@@ -147,10 +145,7 @@ StageMixPoint RunStageMix(const char* mix_name, const std::string& stages,
   if (host_fallback) {
     p.host_placements =
         static_cast<double>(metrics.counters["placer.placements.host"]);
-    p.remote_placements =
-        static_cast<double>(metrics.counters["placer.placements.remote"]);
     exp.AddScalar("host_placements", p.host_placements);
-    exp.AddScalar("remote_placements", p.remote_placements);
   }
   return p;
 }
@@ -313,9 +308,9 @@ void PrintTable() {
     }
     std::printf("%-14s %8.3f  %-44s %s\n", p.mix.c_str(), p.gbps, stages, queues);
     if (p.mix == "host_fallback") {
-      std::printf("%-14s placements: host=%.0f remote=%.0f (NICs saturated, pooled "
-                  "placer spills to host cores)\n",
-                  "", p.host_placements, p.remote_placements);
+      std::printf("%-14s placements: host=%.0f (NICs saturated, grown workers "
+                  "spill to host cores)\n",
+                  "", p.host_placements);
     }
   }
 }

@@ -7,10 +7,12 @@ Usage:
         [--update]
 
 With --update the comparison still runs and prints per-scalar deltas, but
-instead of gating, every candidate BENCH_*.json is copied over the baseline
+instead of gating, every candidate BENCH_*.json is written over the baseline
 directory (intentional perf changes are recorded by committing the refreshed
-baselines). New candidate reports are added; exit status is 0 unless files
-cannot be read or written.
+baselines). Baselines are slim: the report header plus, per run, only the
+sections this gate reads (BASELINE_RUN_KEYS); stages, histograms, gauges,
+timelines and critical-path exemplars stay in the full reports. New candidate
+reports are added; exit status is 0 unless files cannot be read or written.
 
 For every BENCH_<name>.json in the baseline directory (optionally restricted
 with --bench), the candidate directory must contain a report with the same
@@ -64,7 +66,6 @@ Only the Python standard library is used.
 import argparse
 import json
 import os
-import shutil
 import sys
 
 HIGHER_BETTER = ("throughput", "kops", "ops_per_sec")
@@ -73,6 +74,9 @@ GATED_COUNTERS = ("sim.events_processed", "sim.queue_depth_max", "pmem.bytes_bac
 COUNTER_THRESHOLD_PCT = 0.5
 LOWER_BETTER = ("latency",)
 LOWER_BETTER_SUFFIX = "_us"
+# Per-run sections a committed baseline keeps: what the gate compares, plus
+# the virtual time for context.
+BASELINE_RUN_KEYS = ("label", "scalars", "counters", "config", "virtual_time_us")
 
 
 def classify(name):
@@ -254,9 +258,17 @@ def main():
     return 0
 
 
+def slim_report(report):
+    """The report header plus each run's BASELINE_RUN_KEYS sections."""
+    slim = {key: value for key, value in report.items() if key != "runs"}
+    slim["runs"] = [{key: value for key, value in run.items() if key in BASELINE_RUN_KEYS}
+                    for run in report.get("runs", [])]
+    return slim
+
+
 def update_baselines(args, rows):
-    """Copies every candidate BENCH_*.json over the baseline dir (adding new
-    reports) and summarizes how the gated scalars moved."""
+    """Writes every candidate BENCH_*.json, slimmed, over the baseline dir
+    (adding new reports) and summarizes how the gated scalars moved."""
     cand_files = sorted(
         f for f in os.listdir(args.candidate)
         if f.startswith("BENCH_") and f.endswith(".json")
@@ -290,8 +302,11 @@ def update_baselines(args, rows):
 
     for f in cand_files:
         try:
-            shutil.copyfile(os.path.join(args.candidate, f), os.path.join(args.baseline, f))
-        except OSError as e:
+            report = slim_report(load_report(os.path.join(args.candidate, f)))
+            with open(os.path.join(args.baseline, f), "w", encoding="utf-8") as out:
+                json.dump(report, out, indent=2)
+                out.write("\n")
+        except (OSError, ValueError) as e:
             print(f"error: cannot update {f}: {e}", file=sys.stderr)
             return 2
         print(f"  updated {os.path.join(args.baseline, f)}")

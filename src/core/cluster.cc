@@ -46,6 +46,9 @@ const char* PublishMethodName(PublishMethod method) {
 
 namespace {
 
+// Stage-scaling check period: about one 4 MB chunk's validate time (~1.7 ms, Fig. 5).
+constexpr sim::Time kStageScaleInterval = 2 * sim::kMillisecond;
+
 // Durable 2PC record (intent / decision): 64B from the arbiter's memory to
 // its host PM, the same cost model as a lease-grant persist.
 sim::Task<> PersistTxnRecord(rdma::Network* net, rdma::Initiator init, rdma::MemAddr self) {
@@ -83,20 +86,11 @@ Cluster::Cluster(sim::Engine* engine, const DfsConfig& config)
   for (int i = 0; i < config_.num_nodes; ++i) {
     dfs_nodes_.push_back(std::make_unique<DfsNode>(hw_nodes_[i].get(), config_));
   }
-  pipeline::StagePlacer::Options placer_opts;
-  placer_opts.pooling = config_.placer_pooling;
-  placer_opts.nic_saturation = config_.placer_nic_saturation;
-  placer_opts.queue_threshold = config_.stage_queue_threshold;
-  placer_opts.max_workers = config_.max_stage_workers;
-  placer_ = std::make_unique<pipeline::StagePlacer>(
-      engine_, placer_opts, obs::MetricScope(metrics_.get(), "placer"));
-  // Every site is registered before any placement decision: the NIC pool of
-  // each node plus its host pool as the saturation fallback.
-  for (int i = 0; i < config_.num_nodes; ++i) {
-    hw::Node& hwn = *hw_nodes_[i];
-    placer_->AddSite({i, /*host=*/false, &hwn.nic().cpu(), hwn.nic().nicfs_account()});
-    placer_->AddSite({i, /*host=*/true, &hwn.host_cpu(), hwn.acct_fs()});
-  }
+  // NicFs::ScaleStages counts where grown stage workers land; every mode
+  // reports the two counters so all runs share one counter set.
+  obs::MetricScope placements(metrics_.get(), "placer.placements");
+  placements.CounterAt("local");
+  placements.CounterAt("host");
   if (config_.IsLineFs()) {
     for (int i = 0; i < config_.num_nodes; ++i) {
       kworkers_.push_back(std::make_unique<KernelWorker>(dfs_nodes_[i].get(), &config_,
@@ -201,7 +195,7 @@ Status Cluster::Start() {
   }
   manager_->Start();
   if (config_.pipeline_parallel()) {
-    placer_->Start();
+    engine_->Spawn(ScaleStagesLoop(), "placer");
   }
   return Status::Ok();
 }
@@ -212,10 +206,22 @@ void Cluster::Shutdown() {
       txn->Shutdown();
     }
   }
-  placer_->Stop();
+  shut_down_ = true;
   manager_->Shutdown();
   for (auto& fs : services_) {
     fs->Shutdown();
+  }
+}
+
+sim::Task<> Cluster::ScaleStagesLoop() {
+  while (!shut_down_) {
+    co_await engine_->SleepFor(kStageScaleInterval);
+    if (shut_down_) {
+      break;
+    }
+    for (const std::unique_ptr<LibFs>& client : clients_) {
+      nicfs(client->node_id())->ScaleStages(client->client_id());
+    }
   }
 }
 

@@ -17,12 +17,12 @@
 #include "src/hw/node.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/pipeline/placer.h"
 #include "src/rdma/rdma.h"
 #include "src/rdma/rpc.h"
 #include "src/shard/shard_map.h"
 #include "src/shard/txn.h"
 #include "src/sim/engine.h"
+#include "src/sim/task.h"
 
 namespace linefs::core {
 
@@ -104,11 +104,6 @@ class Cluster {
   obs::TraceBuffer& trace() { return *trace_; }
   const obs::TraceBuffer& trace() const { return *trace_; }
 
-  // Cluster-wide stage-worker placement (src/pipeline/placer.h). NICFS pipes
-  // register their scalable stage groups here; sites cover every node's NIC
-  // pool plus its host pool as saturation fallback.
-  pipeline::StagePlacer& placer() { return *placer_; }
-
   // Creates a LibFS client process on `node_id` (clients get globally unique
   // ids; at most config.max_clients in total, since every node keeps a log
   // area per id). Aborts past that limit.
@@ -155,6 +150,10 @@ class Cluster {
   size_t pending_wire() const { return wire_.size(); }
 
  private:
+  // Drives NICFS stage scaling: every 2 ms, NicFs::ScaleStages for each client
+  // in creation order.
+  sim::Task<> ScaleStagesLoop();
+
   sim::Engine* engine_;
   DfsConfig config_;
   // Declared before the services so metrics outlive the components that
@@ -166,9 +165,6 @@ class Cluster {
   std::unique_ptr<hw::Fabric> fabric_;
   std::unique_ptr<rdma::Network> net_;
   std::unique_ptr<rdma::RpcSystem> rpc_;
-  // Declared before the services: NICFS pipes register placement groups
-  // whose callbacks the placer may invoke until it is stopped.
-  std::unique_ptr<pipeline::StagePlacer> placer_;
   std::vector<std::unique_ptr<FsService>> services_;
   std::vector<std::unique_ptr<KernelWorker>> kworkers_;
   std::unique_ptr<ClusterManager> manager_;
@@ -180,6 +176,7 @@ class Cluster {
   std::vector<bool> service_alive_;
   std::vector<rdma::EndpointId> service_eps_;
   bool started_ = false;
+  bool shut_down_ = false;
 };
 
 }  // namespace linefs::core

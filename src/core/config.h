@@ -78,11 +78,10 @@ struct DfsConfig {
   // compression (§5.4) is on exactly when "compress" is in the chain.
   std::string pipeline_stages = "validate";
 
-  // StagePlacer (src/pipeline/placer.h): with pooling enabled, grown stage
-  // workers may land on the least-busy remote NIC once the local NIC passes
-  // `placer_nic_saturation` busy-core ratio, and on host cores once every NIC
-  // is saturated. Disabled (default), every placement is local and the
-  // pre-placer scaling behavior is reproduced exactly.
+  // Host fallback for stage scaling (NicFs::ScaleStages): with
+  // `placer_pooling` set, a grown stage worker runs on the home host's cores
+  // once the home NIC's busy/cores ratio reaches `placer_nic_saturation`.
+  // Off (default), every grown worker runs on the home NIC.
   bool placer_pooling = false;
   double placer_nic_saturation = 0.75;
 
@@ -107,10 +106,10 @@ struct DfsConfig {
 
   PublishMethod publish_method = PublishMethod::kDmaInterruptBatch;
 
-  // NICFS dynamic stage scaling (§3.1): grow a stage when its wait queue
-  // exceeds the threshold; retire an extra worker again once the queue has
-  // stayed below the threshold for three consecutive scaling checks
-  // (src/pipeline/placer.cc).
+  // NICFS dynamic stage scaling (§3.1, NicFs::ScaleStages): grow a stage when
+  // its wait queue exceeds the threshold; retire an extra worker again once
+  // the queue has stayed below the threshold for three consecutive scaling
+  // checks (one every 2 ms).
   int stage_queue_threshold = 5;
   int max_stage_workers = 4;
 

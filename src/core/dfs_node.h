@@ -19,6 +19,8 @@
 #include "src/fslib/oplog.h"
 #include "src/fslib/publicfs.h"
 #include "src/hw/node.h"
+#include "src/sim/sync.h"
+#include "src/sim/task.h"
 
 namespace linefs::core {
 
@@ -95,6 +97,24 @@ class DfsNode {
           static_cast<uint32_t>(client), config_->materialize_data);
     }
     return *logs_[client];
+  }
+
+  // Host memcpy of `bytes` into PM, billed to `account`: the copy cycles
+  // split over 4 host threads, concurrent with the PM write and DRAM
+  // transfers (the store stream is what the cores are busy doing, and Optane
+  // and DRAM share the iMC).
+  sim::Task<> HostMemcpy(uint64_t bytes, int account) {
+    sim::CpuPool& cpu = hw_->host_cpu();
+    sim::Time cpu_time = cpu.CyclesToTime(static_cast<uint64_t>(
+        config_->fs_costs.pm_memcpy_cycles_per_byte * static_cast<double>(bytes)));
+    constexpr int kCopyThreads = 4;
+    std::vector<sim::Task<>> work;
+    for (int t = 0; t < kCopyThreads; ++t) {
+      work.push_back(cpu.Run(cpu_time / kCopyThreads, config_->host_fs_priority, account));
+    }
+    work.push_back(hw_->pm_write().Transfer(bytes));
+    work.push_back(hw_->dram().Transfer(bytes));
+    co_await sim::AwaitAll(hw_->engine(), std::move(work));
   }
 
   // --- Shared plan table (NICFS -> kernel worker hand-off) ------------------

@@ -1,9 +1,6 @@
 #include "src/core/kworker.h"
 
 #include <memory>
-#include <vector>
-
-#include "src/sim/sync.h"
 
 namespace linefs::core {
 
@@ -78,24 +75,22 @@ sim::Task<Status> KernelWorker::ExecuteCopyList(const fslib::PublishPlan& plan) 
 }
 
 sim::Task<Status> KernelWorker::CopyWithCpu(const fslib::PublishPlan& plan) {
-  hw::Node& hw = node_->hw();
-  // Host cores move every byte; CPU time and PM write bandwidth are consumed
-  // concurrently (the store stream is what the core is busy doing).
-  uint64_t bytes = plan.copy_bytes;
-  sim::Time cpu_time =
-      hw.host_cpu().CyclesToTime(static_cast<uint64_t>(
-          static_cast<double>(bytes) * config_->fs_costs.pm_memcpy_cycles_per_byte));
-  constexpr int kCopyThreads = 4;
-  std::vector<sim::Task<>> work;
-  for (int t = 0; t < kCopyThreads; ++t) {
-    work.push_back(
-        hw.host_cpu().Run(cpu_time / kCopyThreads, config_->host_fs_priority,
-                          hw.acct_kworker()));
-  }
-  work.push_back(hw.pm_write().Transfer(bytes));
-  work.push_back(hw.dram().Transfer(bytes));  // PM and DRAM share the iMC.
-  co_await sim::AwaitAll(engine_, std::move(work));
+  // Host cores move every byte.
+  co_await node_->HostMemcpy(plan.copy_bytes, node_->hw().acct_kworker());
   co_return Status::Ok();
+}
+
+sim::Task<> KernelWorker::PollDma(uint64_t bytes) {
+  hw::Node& hw = node_->hw();
+  bool done = false;
+  engine_->Spawn([](hw::Node* hw, uint64_t len, bool* done) -> sim::Task<> {
+    co_await hw->dma().Copy(len);
+    *done = true;
+  }(&hw, bytes, &done));
+  while (!done) {
+    co_await hw.host_cpu().Run(20 * sim::kMicrosecond, config_->host_fs_priority,
+                               hw.acct_kworker());
+  }
 }
 
 sim::Task<Status> KernelWorker::CopyWithDma(const fslib::PublishPlan& plan, bool polling,
@@ -111,15 +106,7 @@ sim::Task<Status> KernelWorker::CopyWithDma(const fslib::PublishPlan& plan, bool
       co_await hw.host_cpu().RunCycles(submit_cycles, config_->host_fs_priority,
                                        hw.acct_kworker());
       if (polling) {
-        bool done = false;
-        engine_->Spawn([](hw::Node* hw, uint64_t len, bool* done) -> sim::Task<> {
-          co_await hw->dma().Copy(len);
-          *done = true;
-        }(&hw, op.len, &done));
-        while (!done) {
-          co_await hw.host_cpu().Run(20 * sim::kMicrosecond, config_->host_fs_priority,
-                                     hw.acct_kworker());
-        }
+        co_await PollDma(op.len);
       } else {
         co_await hw.dma().Copy(op.len);
         co_await engine_->SleepFor(hw::DmaEngine::kInterruptLatency);
@@ -132,17 +119,8 @@ sim::Task<Status> KernelWorker::CopyWithDma(const fslib::PublishPlan& plan, bool
   co_await hw.host_cpu().RunCycles(submit_cycles * plan.copies.size(),
                                    config_->host_fs_priority, hw.acct_kworker());
   if (polling) {
-    bool done = false;
-    engine_->Spawn([](hw::Node* hw, uint64_t bytes, bool* done) -> sim::Task<> {
-      co_await hw->dma().Copy(bytes);
-      *done = true;
-    }(&hw, plan.copy_bytes, &done));
-    // Busy-poll in slices until the engine signals completion: the host core
-    // is occupied for the entire copy duration (Fig. 7 "DMA polling").
-    while (!done) {
-      co_await hw.host_cpu().Run(20 * sim::kMicrosecond, config_->host_fs_priority,
-                                 hw.acct_kworker());
-    }
+    // The host core is occupied for the entire copy (Fig. 7 "DMA polling").
+    co_await PollDma(plan.copy_bytes);
   } else {
     // Interrupt mode: the worker sleeps; only the wakeup costs CPU. The DMA
     // engine still consumes iMC bandwidth.

@@ -46,6 +46,9 @@ class KernelWorker {
  private:
   sim::Task<Status> CopyWithCpu(const fslib::PublishPlan& plan);
   sim::Task<Status> CopyWithDma(const fslib::PublishPlan& plan, bool polling, bool batched);
+  // Starts a DMA copy of `bytes`, then busy-polls a host core in 20 us slices
+  // until it completes.
+  sim::Task<> PollDma(uint64_t bytes);
 
   DfsNode* node_;
   const DfsConfig* config_;

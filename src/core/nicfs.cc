@@ -25,8 +25,12 @@ constexpr sim::Time kKworkerRpcTimeout = 30 * sim::kMillisecond;
 // so in-flight chunks always have room to drain.
 constexpr double kMemHighWatermark = 0.70;
 constexpr double kMemLowWatermark = 0.30;
+// Quiet scaling checks before an extra stage worker retires: 6 ms at one check
+// every 2 ms, so gaps between chunks don't thrash.
+constexpr int kScaleDownChecks = 3;
 
-NicFs::Metrics::Metrics(const obs::MetricScope& scope_in)
+NicFs::Metrics::Metrics(const obs::MetricScope& scope_in,
+                        const obs::MetricScope& placements)
     : scope(scope_in),
       chunks_fetched(scope.CounterAt("chunks_fetched")),
       bytes_fetched(scope.CounterAt("bytes_fetched")),
@@ -44,6 +48,8 @@ NicFs::Metrics::Metrics(const obs::MetricScope& scope_in)
       stage_workers_retired(scope.CounterAt("stage_workers_retired")),
       nic_reads(scope.CounterAt("nic_reads")),
       nic_read_bytes(scope.CounterAt("nic_read_bytes")),
+      placements_local(placements.CounterAt("local")),
+      placements_host(placements.CounterAt("host")),
       stage_fetch(scope.Sub("stage").HistogramAt("fetch")),
       stage_publish(scope.Sub("stage").HistogramAt("publish")),
       stage_transfer(scope.Sub("stage").HistogramAt("transfer")),
@@ -164,7 +170,8 @@ NicFs::NicFs(Cluster* cluster, DfsNode* node, KernelWorker* kworker, const DfsCo
                 NicCores(node->hw(), /*urgent=*/false)),
       kworker_(kworker),
       kworker_ep_(cluster->rpc().Resolve(KernelWorker::EndpointName(node->id()))),
-      metrics_(obs::MetricScope(&cluster->metrics(), component_)) {}
+      metrics_(obs::MetricScope(&cluster->metrics(), component_),
+               obs::MetricScope(&cluster->metrics(), "placer.placements")) {}
 
 rdma::Initiator NicFs::NicInitiator(bool urgent) const { return NicCores(node_->hw(), urgent); }
 
@@ -359,9 +366,6 @@ void NicFs::RegisterClient(int client, ClientHooks hooks) {
     }
     engine_->Spawn(PublishWorker(raw), "nicfs.publish");
     engine_->Spawn(TransferWorker(raw), "nicfs.transfer");
-    // Dynamic scaling moved to the cluster-wide StagePlacer: each scalable
-    // stage of this pipe becomes a placement group it grows and shrinks.
-    RegisterStageGroups(raw);
   } else {
     engine_->Spawn(SequentialLoop(raw), "nicfs.sequential");
   }
@@ -517,46 +521,60 @@ void NicFs::BuildStages(ClientPipe* pipe) {
 
 pipeline::Placement NicFs::LocalPlacement() const {
   pipeline::Placement p;
-  p.site = pipeline::Placement::Site::kLocalNic;
   p.node = node_->id();
   p.pool = &node_->hw().nic().cpu();
   p.account = node_->hw().nic().nicfs_account();
   return p;
 }
 
-pipeline::Placement NicFs::PlacementFor(const pipeline::StagePlacer::Site& site) const {
+pipeline::Placement NicFs::HostPlacement() const {
   pipeline::Placement p;
-  p.node = site.node;
-  p.pool = site.pool;
-  p.account = site.account;
-  if (site.host) {
-    // Host fallback: the chunk crosses PCIe up to host DRAM and a small
-    // completion descriptor returns to the NIC.
-    p.site = pipeline::Placement::Site::kHost;
-    hw::SmartNic* nic = &node_->hw().nic();
-    p.ship = [nic](uint64_t bytes) -> sim::Task<> {
-      co_await nic->pcie_n2h().Transfer(bytes);
-      co_await nic->pcie_h2n().Transfer(64);
-    };
-  } else if (site.node != node_->id()) {
-    // Pooled remote NIC: the peer's cores pull the chunk over the fabric and
-    // write a small result descriptor back into the home NIC.
-    p.site = pipeline::Placement::Site::kRemoteNic;
-    rdma::Initiator init;
-    init.cpu = site.pool;
-    init.account = site.account;
-    init.extra_latency = 8 * sim::kMicrosecond;
-    rdma::Network* net = &cluster_->net();
-    rdma::MemAddr peer{site.node, rdma::Space::kNicMem};
-    rdma::MemAddr home{node_->id(), rdma::Space::kNicMem};
-    p.ship = [net, init, peer, home](uint64_t bytes) -> sim::Task<> {
-      co_await net->Read(init, peer, home, bytes);
-      co_await net->Write(init, peer, home, 64);
-    };
-  } else {
-    p.site = pipeline::Placement::Site::kLocalNic;
-  }
+  p.node = node_->id();
+  p.pool = &node_->hw().host_cpu();
+  p.account = node_->hw().acct_fs();
+  // The chunk crosses PCIe up to host DRAM and a small completion descriptor
+  // returns to the NIC.
+  hw::SmartNic* nic = &node_->hw().nic();
+  p.ship = [nic](uint64_t bytes) -> sim::Task<> {
+    co_await nic->pcie_n2h().Transfer(bytes);
+    co_await nic->pcie_h2n().Transfer(64);
+  };
   return p;
+}
+
+void NicFs::ScaleStages(int client) {
+  auto it = pipes_.find(client);
+  if (it == pipes_.end()) {
+    return;
+  }
+  ClientPipe* pipe = it->second.get();
+  size_t threshold = static_cast<size_t>(config_->stage_queue_threshold);
+  for (auto& unit_ptr : pipe->stages) {
+    StageUnit* unit = unit_ptr.get();
+    size_t depth = unit->queue.size();
+    if (depth > threshold && unit->workers < config_->max_stage_workers) {
+      unit->quiet_checks = 0;
+      sim::CpuPool& nic = node_->hw().nic().cpu();
+      bool host = config_->placer_pooling &&
+                  static_cast<double>(nic.busy_cores()) >=
+                      config_->placer_nic_saturation * static_cast<double>(nic.cores());
+      (host ? metrics_.placements_host : metrics_.placements_local)->Increment();
+      ++unit->workers;
+      engine_->Spawn(StageWorker(pipe, unit, host ? HostPlacement() : LocalPlacement()),
+                     "nicfs.stage");
+    } else if (depth < threshold && unit->workers - unit->retire_pending > 1) {
+      // Scale back down: the retire pill rides the stage queue so the worker
+      // winds down at a chunk boundary.
+      if (++unit->quiet_checks >= kScaleDownChecks) {
+        unit->quiet_checks = 0;
+        ++unit->retire_pending;
+        unit->queue.Push(nullptr);
+        RecordDepth(unit->qdepth, unit->queue.size(), unit->tl_qdepth);
+      }
+    } else {
+      unit->quiet_checks = 0;
+    }
+  }
 }
 
 void NicFs::PushDownstream(ClientPipe* pipe, StageUnit* unit, ChunkPtr chunk) {
@@ -589,7 +607,7 @@ sim::Task<> NicFs::StageWorker(ClientPipe* pipe, StageUnit* unit,
     RecordDepth(unit->qdepth, unit->queue.size(), unit->tl_qdepth);
     ChunkPtr chunk = std::move(*popped);
     if (chunk == nullptr) {
-      // Retire pill from the placer: this worker scales back down.
+      // Retire pill from ScaleStages: this worker scales back down.
       --unit->workers;
       --unit->retire_pending;
       metrics_.stage_workers_retired->Increment();
@@ -607,34 +625,12 @@ sim::Task<> NicFs::StageWorker(ClientPipe* pipe, StageUnit* unit,
     }
     sim::Time t0 = engine_->Now();
     if (where.ship) {
-      // Relocated worker: pay the data movement to the executing complex.
+      // Host-placed worker: pay the data movement to the host.
       co_await where.ship(chunk->bytes());
     }
     co_await unit->stage->Process(pipe->env, where, chunk);
     set.latency->Record(engine_->Now() - t0);
     PushDownstream(pipe, unit, std::move(chunk));
-  }
-}
-
-void NicFs::RegisterStageGroups(ClientPipe* pipe) {
-  for (auto& unit_ptr : pipe->stages) {
-    StageUnit* unit = unit_ptr.get();
-    pipeline::StagePlacer::Group group;
-    group.stage = unit->stage->name();
-    group.node = node_->id();
-    group.depth = [unit] { return unit->queue.size(); };
-    group.workers = [unit] { return unit->workers; };
-    group.retire_pending = [unit] { return unit->retire_pending; };
-    group.spawn = [this, pipe, unit](const pipeline::StagePlacer::Site& site) {
-      ++unit->workers;
-      engine_->Spawn(StageWorker(pipe, unit, PlacementFor(site)), "nicfs.stage");
-    };
-    group.retire = [this, unit] {
-      ++unit->retire_pending;
-      unit->queue.Push(nullptr);
-      RecordDepth(unit->qdepth, unit->queue.size(), unit->tl_qdepth);
-    };
-    cluster_->placer().RegisterGroup(std::move(group));
   }
 }
 

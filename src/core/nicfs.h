@@ -20,9 +20,10 @@
 // ReplAckMsg path, and a send-completion error kicks the retransmit sweeper
 // immediately (see DESIGN.md §10).
 //
-// Also implements: lease arbitration (§3.4), replication flow control via NIC
-// memory watermarks (§4), the kernel-worker failure detector and isolated
-// operation (§3.5), and epoch-based recovery state (§3.6).
+// Also implements: dynamic stage scaling (§3.1, ScaleStages), lease
+// arbitration (§3.4), replication flow control via NIC memory watermarks (§4),
+// the kernel-worker failure detector and isolated operation (§3.5), and
+// epoch-based recovery state (§3.6).
 
 #ifndef SRC_CORE_NICFS_H_
 #define SRC_CORE_NICFS_H_
@@ -38,7 +39,6 @@
 #include "src/core/fs_service.h"
 #include "src/core/kworker.h"
 #include "src/obs/metrics.h"
-#include "src/pipeline/placer.h"
 #include "src/pipeline/stage.h"
 #include "src/rdma/rpc.h"
 #include "src/sim/queue.h"
@@ -60,6 +60,15 @@ class NicFs : public FsService {
   // Kicks every pipe's retry sweeper so pending acks re-evaluate against the
   // new view.
   void OnPeerLiveness(int node, bool alive) override;
+
+  // Dynamic stage scaling (§3.1), one check of `client`'s pipe; the cluster
+  // calls it every 2 ms for each client in creation order. A stage whose
+  // queue is longer than stage_queue_threshold gains a worker, up to
+  // max_stage_workers: on the home NIC, or on the home host when
+  // placer_pooling is set and the NIC's busy/cores ratio has reached
+  // placer_nic_saturation. A stage that stays under the threshold for three
+  // checks in a row retires one extra worker; one worker always survives.
+  void ScaleStages(int client);
 
   // LibFS entry points: LibFS's host-side RPCs across PCIe to this NICFS
   // (kRpcStartPipeline, kRpcFsync, kRpcOpen), issued on the host cores.
@@ -138,9 +147,9 @@ class NicFs : public FsService {
   struct ClientPipe;
 
   // One configured pipeline::Stage of one pipe: the stage instance, its wait
-  // queue, and worker bookkeeping. Workers are generic (StageWorker) and may
-  // execute at any placement the StagePlacer chooses; a nullptr queue item is
-  // a retire pill.
+  // queue, and worker bookkeeping. Workers are generic (StageWorker) and run
+  // on the home NIC or, under host fallback, the home host (ScaleStages); a
+  // nullptr queue item is a retire pill.
   struct StageUnit {
     StageUnit(sim::Engine* engine, std::unique_ptr<pipeline::Stage> stage_in,
               size_t index_in)
@@ -152,6 +161,7 @@ class NicFs : public FsService {
     obs::TimeSeries* tl_qdepth = nullptr;  // every push and pop.
     int workers = 0;
     int retire_pending = 0;  // Retire pills pushed but not yet consumed.
+    int quiet_checks = 0;    // Consecutive ScaleStages checks under threshold.
   };
 
   // State shared by the primary publish path and the replica publish path.
@@ -258,17 +268,14 @@ class NicFs : public FsService {
   // Instantiates the pipe's stage chain from DfsConfig::pipeline_stages.
   void BuildStages(ClientPipe* pipe);
   // Generic queue-fed stage worker executing at `where`. Handles retire
-  // pills, the generalized optional-stage bypass (§3.3.2), the relocated
+  // pills, the generalized optional-stage bypass (§3.3.2), a host-placed
   // worker's data-shipping cost, and downstream hand-off.
   sim::Task<> StageWorker(ClientPipe* pipe, StageUnit* unit, pipeline::Placement where);
   void PushDownstream(ClientPipe* pipe, StageUnit* unit, ChunkPtr chunk);
-  // Placement descriptors: the home NIC, or a placer-chosen site (remote NIC
-  // / host) with its data-shipping cost model.
+  // Placement descriptors: the home NIC, or the home host with the PCIe cost
+  // of shipping each chunk up to it.
   pipeline::Placement LocalPlacement() const;
-  pipeline::Placement PlacementFor(const pipeline::StagePlacer::Site& site) const;
-  // Registers each scalable stage of this pipe as a placement group with the
-  // cluster's StagePlacer (which replaces the old per-node ScalingMonitor).
-  void RegisterStageGroups(ClientPipe* pipe);
+  pipeline::Placement HostPlacement() const;
   // Doorbell/CQ batching decision for the next verb post on `pipe`'s QP to
   // `target`: true when the post may ride an already-rung doorbell (skip verb
   // costs); the batch leader (every kDoorbellBatch-th post, or the first after
@@ -315,7 +322,7 @@ class NicFs : public FsService {
 
   // Registry-backed metric handles (hot-path increments stay pointer-cheap).
   struct Metrics {
-    explicit Metrics(const obs::MetricScope& scope_in);
+    Metrics(const obs::MetricScope& scope_in, const obs::MetricScope& placements);
     // Handle bundle for one pipeline::Stage, created on demand per configured
     // stage name: stage.<name> latency, bypassed.<name> (§3.3.2 generalized),
     // qdepth.<name>.
@@ -344,6 +351,9 @@ class NicFs : public FsService {
     obs::Counter* stage_workers_retired;
     obs::Counter* nic_reads;        // kRpcRead requests served (adaptive path).
     obs::Counter* nic_read_bytes;
+    // Where ScaleStages put grown workers (cluster-wide "placer.placements").
+    obs::Counter* placements_local;
+    obs::Counter* placements_host;
     // Fixed pipeline phases (not pluggable stages).
     obs::Histogram* stage_fetch;
     obs::Histogram* stage_publish;

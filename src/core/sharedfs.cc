@@ -175,19 +175,8 @@ sim::Task<Status> SharedFs::DigestRange(fslib::LogArea* log, uint64_t from, uint
     co_return plan.status();
   }
   // Host memcpy moves the data on several digestion threads (SharedFS
-  // "creates many threads", §2.1 I1), consuming PM write bandwidth and
-  // memory-controller (DRAM) bandwidth — Optane and DRAM share the iMC.
-  sim::Time memcpy_time = hw.host_cpu().CyclesToTime(static_cast<uint64_t>(
-      config_->fs_costs.pm_memcpy_cycles_per_byte * static_cast<double>(plan->copy_bytes)));
-  constexpr int kDigestThreads = 4;
-  std::vector<sim::Task<>> work;
-  for (int t = 0; t < kDigestThreads; ++t) {
-    work.push_back(hw.host_cpu().Run(memcpy_time / kDigestThreads, config_->host_fs_priority,
-                                     hw.acct_fs()));
-  }
-  work.push_back(hw.pm_write().Transfer(plan->copy_bytes));
-  work.push_back(hw.dram().Transfer(plan->copy_bytes));
-  co_await sim::AwaitAll(engine_, std::move(work));
+  // "creates many threads", §2.1 I1).
+  co_await node_->HostMemcpy(plan->copy_bytes, hw.acct_fs());
   node_->fs().ExecuteCopies(*plan);
   Status cst = node_->fs().CommitPublish(*plan, *parsed);
   if (!cst.ok()) {

@@ -1,11 +1,11 @@
 // Pipeline-stage API (Meili-style "SmartNIC as a service").
 //
-// A Stage is a relocatable unit of the NICFS persistence pipeline. NICFS
-// composes the per-pipe chain from DfsConfig::pipeline_stages through
-// MakeStage() and runs each stage through generic queue-fed workers; the
-// StagePlacer (placer.h) decides *where* those workers execute — the local
-// SmartNIC's wimpy cores, a pooled remote NIC, or host cores once every NIC
-// saturates.
+// A Stage is one unit of the NICFS persistence pipeline. NICFS composes the
+// per-pipe chain from DfsConfig::pipeline_stages through MakeStage() and runs
+// each stage through generic queue-fed workers, scaling a stage's worker count
+// with its queue depth (NicFs::ScaleStages). A worker runs on the home
+// SmartNIC's wimpy cores, or on the home host's cores when host fallback
+// (DfsConfig::placer_pooling) finds the NIC saturated.
 //
 // The set is closed: validate (§3.3.1), then a subsequence of the wire
 // transforms compress (§5.4), xor_encrypt and checksum, in that order
@@ -13,16 +13,16 @@
 //
 // Contract:
 //  - Process() is a coroutine that transforms one chunk in place. It charges
-//    compute to `where.pool` (never a hard-coded NIC), so a relocated worker
-//    automatically bills the right complex.
+//    compute to `where.pool` (never a hard-coded NIC), so a host-placed worker
+//    automatically bills the host.
 //  - Stages must tolerate elided payloads (a fetched range with no image):
 //    charge the modelled cycles, skip the byte transform.
 //  - The chain's first stage (validate) is required and its output also feeds
 //    the publication pipeline; every later stage may be skipped under
 //    backpressure (the generic worker's bypass, §3.3.2 generalized).
 //  - Order within one chunk is the configured chain order; cross-chunk order
-//    is restored downstream by reorder buffers, which is what makes worker
-//    migration transparent to the wire protocol.
+//    is restored downstream by reorder buffers, so NIC and host workers of
+//    one stage can share its queue without reordering the wire.
 
 #ifndef SRC_PIPELINE_STAGE_H_
 #define SRC_PIPELINE_STAGE_H_
@@ -46,16 +46,14 @@
 
 namespace linefs::pipeline {
 
-// Where a stage worker executes. Built by NICFS from a placer site.
+// Where a stage worker executes: the home NIC or the home host.
 struct Placement {
-  enum class Site { kLocalNic, kRemoteNic, kHost };
-  Site site = Site::kLocalNic;
   int node = 0;                  // Node whose cores run the stage.
   sim::CpuPool* pool = nullptr;  // Compute pool Process() charges cycles to.
   int account = 0;               // Busy-accounting bucket within `pool`.
-  // Data-movement cost of a relocated worker, awaited once per chunk before
-  // Process(): ships the chunk bytes to the executing complex and the result
-  // descriptor back. Empty for local-NIC placement.
+  // Data-movement cost of a host-placed worker, awaited once per chunk before
+  // Process(): ships the chunk bytes up to the host and the result descriptor
+  // back. Empty for NIC placement.
   std::function<sim::Task<>(uint64_t bytes)> ship;
 };
 

@@ -403,7 +403,7 @@ TEST_F(NicFsWindowTest, ScalingRetiresIdleExtraWorkers) {
     CO_ASSERT_OK(w);
     CO_ASSERT_OK(co_await fs->Fsync(*fd));
   });
-  // The burst is over; give the scaling monitor a few idle check intervals.
+  // The burst is over; give stage scaling a few idle checks.
   engine_.RunUntil(engine_.Now() + 2 * sim::kSecond);
   NicFs::StatsSnapshot stats = cluster_->nicfs(0)->stats();
   EXPECT_GT(stats.chunks_fetched, 40u);

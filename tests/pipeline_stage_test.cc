@@ -1,8 +1,8 @@
 // The pipeline-stage API (src/pipeline): the stage factory and config-chain
 // validation, per-chunk stage order through the generic workers, wire
-// round-trips of the transform stages (checksum seal, XOR scrambling), placer
-// policy and worker migration, and a seeded fault run with the full chain
-// armed.
+// round-trips of the transform stages (checksum seal, XOR scrambling), NICFS
+// stage scaling (host fallback, scale-down), and a seeded fault run with the
+// full chain armed.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "src/fault/plan.h"
 #include "src/fault/schedule.h"
 #include "src/obs/trace.h"
-#include "src/pipeline/placer.h"
 #include "src/pipeline/stage.h"
 #include "src/sim/engine.h"
 #include "src/workloads/minikv.h"
@@ -227,113 +226,103 @@ TEST(StagePluginTest, XorCipherIsInvolutiveAndChecksumIsStable) {
   EXPECT_EQ(WireChecksum(data), seal);
 }
 
-// --- Placer policy and migration ---------------------------------------------------
+// --- Stage scaling (NicFs::ScaleStages) -------------------------------------------
 
-TEST(StagePlacerTest, ChoosesPooledRemoteNicThenHostFallback) {
-  sim::Engine engine;
-  StagePlacer::Options opts;
-  opts.pooling = true;
-  opts.nic_saturation = 0.5;
-  obs::MetricsRegistry metrics;
-  StagePlacer placer(&engine, opts, obs::MetricScope(&metrics, "placer"));
-
-  // Zero-core NIC pools are saturated by definition (busy 0 >= 0.5 * 0);
-  // a populated pool with idle cores is not.
-  sim::CpuPool::Options zero;
-  zero.cores = 0;
-  sim::CpuPool::Options idle;
-  idle.cores = 4;
-  sim::CpuPool nic0(&engine, "nic0", zero);
-  sim::CpuPool nic1(&engine, "nic1", idle);
-  sim::CpuPool host0(&engine, "host0", idle);
-  placer.AddSite({0, /*host=*/false, &nic0, 0});
-  placer.AddSite({0, /*host=*/true, &host0, 0});
-  placer.AddSite({1, /*host=*/false, &nic1, 0});
-
-  // Local NIC saturated, remote NIC has headroom: pooled remote placement.
-  const StagePlacer::Site* site = placer.ChooseSite(0);
-  ASSERT_NE(site, nullptr);
-  EXPECT_EQ(site->node, 1);
-  EXPECT_FALSE(site->host);
-
-  // With every NIC saturated, fall back to the origin's host cores.
-  sim::CpuPool nic1_sat(&engine, "nic1_sat", zero);
-  StagePlacer placer2(&engine, opts, obs::MetricScope(&metrics, "placer2"));
-  placer2.AddSite({0, /*host=*/false, &nic0, 0});
-  placer2.AddSite({0, /*host=*/true, &host0, 0});
-  placer2.AddSite({1, /*host=*/false, &nic1_sat, 0});
-  site = placer2.ChooseSite(0);
-  ASSERT_NE(site, nullptr);
-  EXPECT_TRUE(site->host);
-  EXPECT_EQ(site->node, 0);
-
-  // Pooling disabled: always local, saturated or not.
-  StagePlacer::Options local_opts;
-  local_opts.pooling = false;
-  StagePlacer placer3(&engine, local_opts, obs::MetricScope(&metrics, "placer3"));
-  placer3.AddSite({0, /*host=*/false, &nic0, 0});
-  placer3.AddSite({0, /*host=*/true, &host0, 0});
-  site = placer3.ChooseSite(0);
-  ASSERT_NE(site, nullptr);
-  EXPECT_FALSE(site->host);
-  EXPECT_EQ(site->node, 0);
+// A hair-trigger grow threshold, and a NIC that counts as saturated as soon as
+// one of its cores is busy.
+DfsConfig ScalingConfig(bool host_fallback) {
+  DfsConfig config = TestConfig();
+  config.pipeline_stages = "validate,xor_encrypt,checksum";
+  config.stage_queue_threshold = 1;
+  config.max_stage_workers = 4;
+  config.placer_pooling = host_fallback;
+  config.placer_nic_saturation = 0.01;
+  return config;
 }
 
-TEST(StagePlacerTest, MigrationPreservesChunkWireOrder) {
-  DfsConfig config = TestConfig();
-  PipelineHarness harness(config);
-  LibFs* fs = harness.cluster_->CreateClient(0);
-  StagePlacer& placer = harness.cluster_->placer();
-  ASSERT_GT(placer.group_count(), 0u);
-  // The validate group of the pipe we just registered.
-  size_t group_id = 0;
-  for (size_t i = 0; i < placer.group_count(); ++i) {
-    if (placer.group(i).stage == "validate" && placer.group(i).node == 0) {
-      group_id = i;
-    }
-  }
-  // Node 0's host site is registered right after its NIC site.
-  const StagePlacer::Site* host_site = nullptr;
-  for (const StagePlacer::Site& s : placer.sites()) {
-    if (s.node == 0 && s.host) {
-      host_site = &s;
-    }
-  }
-  ASSERT_NE(host_site, nullptr);
-
+// Writes `bytes` of LibFs::PwriteGen's pattern to `path` in one burst, then
+// fsyncs.
+void WriteBurst(PipelineHarness& harness, LibFs* fs, const char* path, uint64_t bytes) {
   harness.RunClient([&]() -> sim::Task<> {
-    Result<int> fd = co_await fs->Open("/mig.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    Result<int> fd = co_await fs->Open(path, fslib::kOpenCreate | fslib::kOpenWrite);
     CO_ASSERT_OK(fd);
-    // First half with the NIC-resident worker...
-    CO_ASSERT_OK((co_await fs->PwriteGen(*fd, 8ULL << 20, 0, 3)));
-    CO_ASSERT_OK(co_await fs->Fsync(*fd));
-    // ...migrate the validate worker to the host mid-stream...
-    harness.cluster_->placer().MigrateTo(group_id, *host_site);
-    // ...second half with the relocated worker.
-    CO_ASSERT_OK((co_await fs->PwriteGen(*fd, 8ULL << 20, 8ULL << 20, 3)));
+    CO_ASSERT_OK((co_await fs->PwriteGen(*fd, bytes, 0, 3)));
     CO_ASSERT_OK(co_await fs->Fsync(*fd));
   });
+}
+
+TEST(StageScalingTest, HostFallbackWorkersKeepWireOrder) {
+  PipelineHarness harness(ScalingConfig(/*host_fallback=*/true));
+  LibFs* fs = harness.cluster_->CreateClient(0);
+  WriteBurst(harness, fs, "/spill.dat", 16ULL << 20);
   harness.Drain(3 * sim::kSecond);
 
+  // Grown workers ran on the host beside the NIC-resident first worker.
   obs::MetricsRegistry::Snapshot snap = harness.cluster_->metrics().TakeSnapshot();
-  EXPECT_GE(snap.counters["placer.migrations"], 1u);
   EXPECT_GE(snap.counters["placer.placements.host"], 1u);
 
-  // Wire order survived the migration: the replicas hold the exact bytes.
-  fslib::PublicFs& replica = harness.cluster_->dfs_node(1).fs();
-  Result<fslib::InodeNum> inum = replica.LookupChild(fslib::kRootInode, "mig.dat");
-  ASSERT_TRUE(inum.ok());
-  Result<fslib::FileAttr> attr = replica.GetAttr(*inum);
-  ASSERT_TRUE(attr.ok());
-  EXPECT_EQ(attr->size, 16ULL << 20);
-  std::vector<uint8_t> expected(16ULL << 20);
-  for (size_t i = 0; i < expected.size(); ++i) {
-    // LibFs::PwriteGen pattern: seed + (absolute_offset * 131) % 251.
-    expected[i] = static_cast<uint8_t>(3 + (i * 131) % 251);
+  // Wire order survived NIC and host workers sharing each stage: the replicas
+  // hold the exact bytes.
+  for (int node : {1, 2}) {
+    SCOPED_TRACE("replica " + std::to_string(node));
+    fslib::PublicFs& replica = harness.cluster_->dfs_node(node).fs();
+    Result<fslib::InodeNum> inum = replica.LookupChild(fslib::kRootInode, "spill.dat");
+    ASSERT_TRUE(inum.ok());
+    Result<fslib::FileAttr> attr = replica.GetAttr(*inum);
+    ASSERT_TRUE(attr.ok());
+    EXPECT_EQ(attr->size, 16ULL << 20);
+    std::vector<uint8_t> expected(16ULL << 20);
+    for (size_t i = 0; i < expected.size(); ++i) {
+      // LibFs::PwriteGen pattern: seed + (absolute_offset * 131) % 251.
+      expected[i] = static_cast<uint8_t>(3 + (i * 131) % 251);
+    }
+    std::vector<uint8_t> out(expected.size());
+    ASSERT_TRUE(replica.ReadData(*inum, 0, out).ok());
+    EXPECT_EQ(out, expected);
   }
-  std::vector<uint8_t> out(expected.size());
-  ASSERT_TRUE(replica.ReadData(*inum, 0, out).ok());
-  EXPECT_EQ(out, expected);
+}
+
+TEST(StageScalingTest, WithoutHostFallbackEveryWorkerStaysOnTheNic) {
+  PipelineHarness harness(ScalingConfig(/*host_fallback=*/false));
+  LibFs* fs = harness.cluster_->CreateClient(0);
+  WriteBurst(harness, fs, "/local.dat", 16ULL << 20);
+  harness.Drain(3 * sim::kSecond);
+
+  // The same saturated NIC grows workers, but only on itself.
+  obs::MetricsRegistry::Snapshot snap = harness.cluster_->metrics().TakeSnapshot();
+  EXPECT_GE(snap.counters["placer.placements.local"], 1u);
+  EXPECT_EQ(snap.counters["placer.placements.host"], 0u);
+}
+
+TEST(StageScalingTest, ExtraWorkerRetiresAfterThreeQuietChecks) {
+  DfsConfig config = ScalingConfig(/*host_fallback=*/false);
+  config.pipeline_stages = "validate";
+  PipelineHarness harness(config);
+  LibFs* fs = harness.cluster_->CreateClient(0);
+  WriteBurst(harness, fs, "/quiet.dat", 16ULL << 20);
+  core::NicFs* nicfs = harness.cluster_->nicfs(0);
+  int grown = nicfs->stats().stages["validate"].workers - 1;
+  ASSERT_GE(grown, 2) << "the burst must grow at least two extra workers";
+
+  // Idle from here on: record when each retirement lands, in 1 ms steps.
+  std::vector<sim::Time> retired_at;
+  uint64_t retired = nicfs->stats().stage_workers_retired;
+  sim::Time end = harness.engine_.Now() + 200 * sim::kMillisecond;
+  while (harness.engine_.Now() < end) {
+    harness.Drain(sim::kMillisecond);
+    uint64_t now_retired = nicfs->stats().stage_workers_retired;
+    for (; retired < now_retired; ++retired) {
+      retired_at.push_back(harness.engine_.Now());
+    }
+  }
+  // Every extra worker retired, one at a time, and one worker survives.
+  ASSERT_EQ(retired_at.size(), static_cast<size_t>(grown));
+  EXPECT_EQ(nicfs->stats().stages["validate"].workers, 1);
+  // A retirement resets the count, so the next one takes another three quiet
+  // checks, one every 2 ms.
+  for (size_t i = 1; i < retired_at.size(); ++i) {
+    EXPECT_EQ(retired_at[i] - retired_at[i - 1], 6 * sim::kMillisecond) << "retirement " << i;
+  }
 }
 
 // --- Seeded faults with the plugin chain armed -------------------------------------
