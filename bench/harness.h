@@ -71,14 +71,16 @@ class BenchReport {
   }
 
  private:
-  // Provenance: $LINEFS_GIT_SHA (CI stamps ${{ github.sha }}), then the local
-  // git checkout, else "unknown". Never fails the bench.
+  // Provenance: $LINEFS_GIT_SHA (CI stamps ${{ github.sha }}), then the git
+  // checkout the bench was built from (LINEFS_SOURCE_DIR, set by CMake),
+  // whatever the working directory, else "unknown". Never fails the bench.
   static std::string GitSha() {
     if (const char* sha = std::getenv("LINEFS_GIT_SHA")) {
       return sha;
     }
     std::string out;
-    if (std::FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+    std::string cmd = "git -C '" LINEFS_SOURCE_DIR "' rev-parse --short HEAD 2>/dev/null";
+    if (std::FILE* p = ::popen(cmd.c_str(), "r")) {
       char buf[128];
       while (std::fgets(buf, sizeof(buf), p) != nullptr) {
         out += buf;

@@ -101,11 +101,15 @@ Result<LogRange> LogArea::Export(uint64_t from, uint64_t to) const {
     range.headers = std::move(*headers);
     return range;
   }
-  range.image = ReadImage(from, to);
+  range.image = Image(from, to);
   return range;
 }
 
-SharedBytes LogArea::ReadImage(uint64_t from, uint64_t to) const {
+SharedBytes LogArea::Image(uint64_t from, uint64_t to) const {
+  if (to - from <= ToWrapBoundary(from)) {
+    return region_->Share(Phys(from), to - from);
+  }
+  // Across the wrap point: two physical pieces, read into one image.
   return SharedBytes::Filled(to - from, [&](uint8_t* image) {
     ForEachPiece(from, to - from, [&](uint64_t phys, uint64_t offset, uint64_t len) {
       region_->Read(phys, image + offset, len);
@@ -116,7 +120,7 @@ SharedBytes LogArea::ReadImage(uint64_t from, uint64_t to) const {
 void LogArea::Import(uint64_t from, uint64_t to, const LogRange& range) {
   if (!range.image.empty()) {
     ForEachPiece(from, range.image.size(), [&](uint64_t phys, uint64_t offset, uint64_t len) {
-      region_->WriteDurable(phys, range.image.data() + offset, len);
+      region_->WriteDurable(phys, range.image.Slice(offset, len));
     });
   } else {
     // Elided payloads: mirror the headers, every payload the origin kept
@@ -187,7 +191,7 @@ uint64_t LogArea::ChunkEnd(uint64_t from, uint64_t max_bytes) const {
 
 Result<std::vector<ParsedEntry>> LogArea::ParseRange(uint64_t from, uint64_t to) const {
   if (materialize_) {
-    return ParseChunkImage(ReadImage(from, to), from);
+    return ParseChunkImage(Image(from, to), from);
   }
   // Elided payloads: read header by header, skipping the unwritten data.
   std::vector<ParsedEntry> entries;

@@ -88,7 +88,8 @@ struct ParsedEntry {
 // parsed entry headers when they are elided. LogArea::Export produces one and
 // LogArea::Import applies it, so no caller branches on the mode. The image
 // is read out of PM once and then shared, never copied, by every stage and
-// replica it reaches. On the replication wire `image` may hold transformed
+// replica it reaches, and the log and public-area pages that hold its bytes
+// on every node borrow it (pmem::Region). On the replication wire `image` may hold transformed
 // (compressed or encrypted) bytes; ReplChunkMsg's flags say which.
 struct LogRange {
   SharedBytes image;                 // Empty when payloads are elided.
@@ -125,13 +126,14 @@ class LogArea {
 
   // Logical range [from, to) as it leaves this log (NIC fetch, replication,
   // retransmit): the raw image in logical order when payloads are
-  // materialised, else the parsed headers. Fails only when an elided range's
-  // headers do not parse.
+  // materialised, which the log's pages then share, else the parsed headers.
+  // Fails only when an elided range's headers do not parse.
   Result<LogRange> Export(uint64_t from, uint64_t to) const;
 
   // Applies `range` at the logical position [from, to) it held in the origin's
   // log (log areas are position-synchronised along the replication chain),
-  // persists it, and advances the tail to `to`. Elided headers get their
+  // persists it, and advances the tail to `to`. An image is stored by
+  // reference: the log pages it wholly covers borrow it. Elided headers get their
   // payloads (namespace names) and the wrap markers between them written back,
   // so this copy scans and validates like the origin's.
   void Import(uint64_t from, uint64_t to, const LogRange& range);
@@ -184,8 +186,10 @@ class LogArea {
   // end of the ring.
   void WriteWrapMarker(uint64_t logical, uint64_t seq);
 
-  // The bytes of logical range [from, to) in logical order, read once.
-  SharedBytes ReadImage(uint64_t from, uint64_t to) const;
+  // The bytes of logical range [from, to) in logical order: shared with the
+  // log's pages (Region::Share) unless the range crosses the wrap point,
+  // then read once.
+  SharedBytes Image(uint64_t from, uint64_t to) const;
   uint64_t Phys(uint64_t logical) const { return base_ + kMetaBytes + logical % capacity_; }
   uint64_t ToWrapBoundary(uint64_t logical) const {
     return capacity_ - logical % capacity_;  // Bytes until physical end.

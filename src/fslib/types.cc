@@ -2,103 +2,11 @@
 
 #include <cstring>
 
-#include "src/sim/check.h"
-
 #if defined(__x86_64__)
 #include <nmmintrin.h>
 #endif
 
 namespace linefs::fslib {
-
-SharedBytes::SharedBytes(std::vector<uint8_t> bytes) : size_(bytes.size()) {
-  auto owned = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
-  data_ = owned->data();
-  owner_ = std::move(owned);
-}
-
-namespace {
-
-// Freed log-range images, kept for the next image of about the same size.
-// An image runs to a chunk (megabytes) and lives only while its range
-// travels, so a run allocates and frees thousands. Handed back to malloc,
-// each is unmapped (above the mmap threshold) or trimmed from the top of the
-// heap, and the next one is faulted in afresh page by page. The simulator is
-// single-threaded, so the pool takes no lock.
-class ImagePool {
- public:
-  // Smaller buffers stay in malloc's bins: glibc's default mmap threshold.
-  static constexpr uint64_t kMinBytes = 128 << 10;
-  // The images in flight at once: fetched, in transfer and being published,
-  // on each pipeline.
-  static constexpr size_t kMaxKept = 8;
-
-  std::shared_ptr<uint8_t[]> Take(uint64_t n) {
-    // The smallest kept buffer that fits and wastes at most an eighth.
-    auto best = kept_.end();
-    for (auto it = kept_.begin(); it != kept_.end(); ++it) {
-      if (it->capacity >= n && it->capacity - n <= n / 8 &&
-          (best == kept_.end() || it->capacity < best->capacity)) {
-        best = it;
-      }
-    }
-    Buffer buffer;
-    if (best != kept_.end()) {
-      buffer = std::move(*best);
-      kept_.erase(best);
-    } else {
-      buffer = Buffer{std::make_unique_for_overwrite<uint8_t[]>(n), n};
-    }
-    return std::shared_ptr<uint8_t[]>(buffer.bytes.release(), Release{this, buffer.capacity});
-  }
-
- private:
-  struct Buffer {
-    std::unique_ptr<uint8_t[]> bytes;
-    uint64_t capacity = 0;
-  };
-  // The deleter of a buffer handed out: the last owner gives it back.
-  struct Release {
-    ImagePool* pool;
-    uint64_t capacity;
-    void operator()(uint8_t* bytes) const {
-      pool->Put(Buffer{std::unique_ptr<uint8_t[]>(bytes), capacity});
-    }
-  };
-
-  void Put(Buffer buffer) {
-    if (kept_.size() == kMaxKept) {
-      kept_.erase(kept_.begin());
-    }
-    kept_.push_back(std::move(buffer));
-  }
-
-  std::vector<Buffer> kept_;  // Oldest first.
-};
-
-}  // namespace
-
-std::shared_ptr<uint8_t[]> SharedBytes::Allocate(uint64_t n) {
-  if (n < ImagePool::kMinBytes) {
-    return std::make_shared_for_overwrite<uint8_t[]>(n);
-  }
-  // Never destroyed: an image may be released during static destruction.
-  // Its kept buffers stay reachable until the process exits.
-  static ImagePool* pool = new ImagePool;
-  return pool->Take(n);
-}
-
-SharedBytes SharedBytes::Slice(uint64_t offset, uint64_t n) const {
-  LINEFS_CHECK(offset <= size_ && n <= size_ - offset);
-  SharedBytes slice;
-  slice.owner_ = owner_;
-  slice.data_ = data_ + offset;
-  slice.size_ = n;
-  return slice;
-}
-
-bool operator==(const SharedBytes& a, std::span<const uint8_t> b) {
-  return a.size() == b.size() && (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
-}
 
 namespace {
 

@@ -5,11 +5,10 @@
 #define SRC_FSLIB_TYPES_H_
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
+#include "src/pmem/shared_bytes.h"
 #include "src/sim/result.h"
 
 namespace linefs::fslib {
@@ -52,61 +51,9 @@ struct FileAttr {
   uint64_t nlink = 0;
 };
 
-// An immutable slice of a byte buffer that its slices share: copying one
-// copies a reference, not the bytes. A log range fetched once into NIC
-// memory travels this way to validation, publication and every replica, and
-// the parsed entries' payloads are slices of it. The buffer lives as long as
-// its last slice.
-class SharedBytes {
- public:
-  using value_type = uint8_t;
-  using iterator = const uint8_t*;
-  using const_iterator = const uint8_t*;
-
-  SharedBytes() = default;
-  // Takes the vector's bytes without copying them.
-  explicit SharedBytes(std::vector<uint8_t> bytes);
-  // A buffer of n bytes that fill(uint8_t* bytes) writes once; it is not
-  // zero-filled first.
-  template <typename Fn>
-  static SharedBytes Filled(uint64_t n, Fn fill) {
-    if (n == 0) {
-      return SharedBytes();
-    }
-    std::shared_ptr<uint8_t[]> buffer = Allocate(n);
-    fill(buffer.get());
-    SharedBytes bytes;
-    bytes.data_ = buffer.get();
-    bytes.size_ = n;
-    bytes.owner_ = std::move(buffer);
-    return bytes;
-  }
-
-  const uint8_t* data() const { return data_; }
-  uint64_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const uint8_t* begin() const { return data_; }
-  const uint8_t* end() const { return data_ + size_; }
-  uint8_t operator[](uint64_t i) const { return data_[i]; }
-  operator std::span<const uint8_t>() const { return {data_, size_}; }
-
-  // Bytes [offset, offset + n) of this slice, sharing its buffer.
-  SharedBytes Slice(uint64_t offset, uint64_t n) const;
-
-  friend bool operator==(const SharedBytes& a, std::span<const uint8_t> b);
-  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
-    return a == std::span<const uint8_t>(b);
-  }
-
- private:
-  // An uninitialised buffer of n > 0 bytes. Large ones (log-range images)
-  // reuse a recently freed buffer of about the same size when there is one.
-  static std::shared_ptr<uint8_t[]> Allocate(uint64_t n);
-
-  std::shared_ptr<const void> owner_;
-  const uint8_t* data_ = nullptr;
-  uint64_t size_ = 0;
-};
+// Log-range images and the payloads parsed out of them (see
+// src/pmem/shared_bytes.h).
+using pmem::SharedBytes;
 
 inline uint64_t BlocksFor(uint64_t bytes) { return (bytes + kBlockSize - 1) >> kBlockShift; }
 

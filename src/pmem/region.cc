@@ -33,6 +33,9 @@ auto CopyFrom(const void* src) {
   };
 }
 
+// The StoreRuns lender of a store that lends nothing.
+bool LendNothing(uint64_t, uint64_t) { return false; }
+
 }  // namespace
 
 // Benchmarks construct Regions by the hundred; reusing blocks avoids
@@ -86,8 +89,18 @@ uint8_t* Region::Carve(Cursor& cursor, uint64_t bytes) {
   }
   uint8_t* piece = cursor.block + cursor.used;
   cursor.used += bytes;
-  bytes_backed_ += bytes;
+  own_bytes_backed_ += bytes;
   return piece;
+}
+
+uint8_t* Region::AllocPage() {
+  if (free_pages_ == nullptr) {
+    return Carve(page_cursor_, kPageSize);
+  }
+  uint8_t* page = free_pages_;
+  std::memcpy(&free_pages_, page, sizeof(free_pages_));
+  own_bytes_backed_ += kPageSize;
+  return page;
 }
 
 uint8_t* Region::AllocSlots(int slot_class) {
@@ -97,7 +110,7 @@ uint8_t* Region::AllocSlots(int slot_class) {
   }
   uint8_t* slots = head;
   std::memcpy(&head, slots, sizeof(head));
-  bytes_backed_ += kLineSize << slot_class;
+  own_bytes_backed_ += kLineSize << slot_class;
   return slots;
 }
 
@@ -105,7 +118,140 @@ void Region::FreeSlots(uint8_t* slots, int slot_class) {
   uint8_t*& head = free_slots_[slot_class];
   std::memcpy(slots, &head, sizeof(head));
   head = slots;
-  bytes_backed_ -= kLineSize << slot_class;
+  own_bytes_backed_ -= kLineSize << slot_class;
+}
+
+uint32_t Region::Pin(const SharedBytes& bytes) {
+  auto [it, added] = loan_of_buffer_.try_emplace(bytes.buffer_id(), 0);
+  if (added) {
+    if (free_loans_.empty()) {
+      loans_.emplace_back();
+      it->second = static_cast<uint32_t>(loans_.size());
+    } else {
+      it->second = free_loans_.back();
+      free_loans_.pop_back();
+    }
+    loans_[it->second - 1].buffer = bytes.Buffer();
+    pinned_bytes_ += bytes.buffer_bytes();
+  }
+  return it->second;
+}
+
+void Region::Unpin(uint32_t loan) {
+  Loan& held = loans_[loan - 1];
+  if (--held.pages > 0) {
+    return;
+  }
+  pinned_bytes_ -= held.buffer.buffer_bytes();
+  loan_of_buffer_.erase(held.buffer.buffer_id());
+  held.buffer = SharedBytes();
+  free_loans_.push_back(loan);
+}
+
+std::vector<SharedBytes> Region::pinned_buffers() const {
+  std::vector<SharedBytes> buffers;
+  for (const Loan& loan : loans_) {
+    if (loan.pages > 0) {
+      buffers.push_back(loan.buffer);
+    }
+  }
+  return buffers;
+}
+
+Region::Directory& Region::Dir(uint64_t offset) {
+  std::unique_ptr<Directory>& dir = dirs_[offset >> kDirShift];
+  if (!dir) {
+    dir = std::make_unique<Directory>();  // Value-init: all pages unbacked.
+  }
+  return *dir;
+}
+
+void Region::Release(Directory& dir, uint64_t idx) {
+  uint8_t*& page = dir.pages[idx];
+  uint64_t& lines = dir.lines[idx];
+  if (uint32_t loan = LoanOf(dir, idx); loan != 0) {
+    (*dir.loans)[idx] = 0;
+    Unpin(loan);
+  } else if (std::popcount(lines) > static_cast<int>(kMaxSlotLines)) {
+    std::memcpy(page, &free_pages_, sizeof(free_pages_));
+    free_pages_ = page;
+    own_bytes_backed_ -= kPageSize;
+  } else if (lines != 0) {
+    FreeSlots(page, SlotClass(static_cast<uint64_t>(std::popcount(lines))));
+  }
+  page = nullptr;
+  lines = 0;
+}
+
+void Region::Lend(uint64_t offset, const uint8_t* host, uint32_t loan) {
+  Directory& dir = Dir(offset);
+  uint64_t idx = (offset >> kPageShift) & (kPagesPerDir - 1);
+  ++loans_[loan - 1].pages;  // Before Release: the page may borrow it already.
+  Release(dir, idx);
+  if (dir.loans == nullptr) {
+    dir.loans = std::make_unique<std::array<uint32_t, kPagesPerDir>>();
+  }
+  (*dir.loans)[idx] = loan;
+  // Only read through: every store copies the page first (WritableRange).
+  dir.pages[idx] = const_cast<uint8_t*>(host);
+  dir.lines[idx] = ~0ULL;
+}
+
+SharedBytes Region::Held(uint64_t offset, uint64_t n) const {
+  uint64_t first = (offset + kPageSize - 1) & ~(kPageSize - 1);
+  uint64_t last = (offset + n) & ~(kPageSize - 1);
+  bool whole_pages = first < last;
+  const uint8_t* host = nullptr;
+  uint32_t loan = whole_pages ? BorrowedRun(first, last - first, &host)
+                              : BorrowedRun(offset, n, &host);
+  if (loan == 0) {
+    return SharedBytes();
+  }
+  const SharedBytes& buffer = loans_[loan - 1].buffer;
+  // Where `offset` falls in the buffer, if the range lies inside it.
+  auto pos = static_cast<uint64_t>(host - buffer.data());
+  uint64_t head = whole_pages ? first - offset : 0;
+  if (pos < head || pos - head + n > buffer.size()) {
+    return SharedBytes();
+  }
+  pos -= head;
+  if (whole_pages) {
+    // The partly covered edge pages are the region's own (an imported range
+    // copies them): their bytes must match the buffer's.
+    std::array<uint8_t, kPageSize> edge;
+    uint64_t tail = offset + n - last;
+    CopyOut(offset, edge.data(), head);
+    if (std::memcmp(edge.data(), buffer.data() + pos, head) != 0) {
+      return SharedBytes();
+    }
+    CopyOut(last, edge.data(), tail);
+    if (std::memcmp(edge.data(), buffer.data() + pos + (last - offset), tail) != 0) {
+      return SharedBytes();
+    }
+  }
+  return buffer.Slice(pos, n);
+}
+
+uint32_t Region::BorrowedRun(uint64_t offset, uint64_t n, const uint8_t** host) const {
+  uint64_t first = offset & ~(kPageSize - 1);
+  uint32_t loan = 0;
+  const uint8_t* base = nullptr;  // Host address of `first`.
+  for (uint64_t at = first; at < offset + n; at += kPageSize) {
+    const Directory* dir = dirs_[at >> kDirShift].get();
+    uint64_t idx = (at >> kPageShift) & (kPagesPerDir - 1);
+    uint32_t page_loan = dir != nullptr ? LoanOf(*dir, idx) : 0;
+    if (page_loan == 0) {
+      return 0;
+    }
+    if (at == first) {
+      loan = page_loan;
+      base = dir->pages[idx];
+    } else if (page_loan != loan || dir->pages[idx] != base + (at - first)) {
+      return 0;
+    }
+  }
+  *host = base + (offset - first);
+  return loan;
 }
 
 uint64_t Region::LineOffset(uint64_t lines, uint64_t line) {
@@ -116,18 +262,26 @@ uint64_t Region::LineOffset(uint64_t lines, uint64_t line) {
 }
 
 uint8_t* Region::WritableRange(uint64_t offset, uint64_t n) {
-  std::unique_ptr<Directory>& dir = dirs_[offset >> kDirShift];
-  if (!dir) {
-    dir = std::make_unique<Directory>();  // Value-init: all pages unbacked.
-  }
+  Directory& dir = Dir(offset);
   uint64_t idx = (offset >> kPageShift) & (kPagesPerDir - 1);
-  uint8_t*& page = dir->pages[idx];
-  uint64_t& lines = dir->lines[idx];
+  uint8_t*& page = dir.pages[idx];
+  uint64_t& lines = dir.lines[idx];
   uint64_t begin = offset & (kPageSize - 1);
   uint64_t end = begin + n;
   // Debug-only: this runs once per page of every store, and its callers
   // (StoreRuns) cut ranges at page edges by construction.
   assert(n > 0 && end <= kPageSize);
+  if (uint32_t loan = LoanOf(dir, idx); loan != 0) {
+    // Copy-on-write: the page gets its own copy before the store, or only a
+    // page of its own if the store covers all of it. A full page either way.
+    uint8_t* own = AllocPage();
+    if (n < kPageSize) {
+      std::memcpy(own, page, kPageSize);
+    }
+    (*dir.loans)[idx] = 0;
+    Unpin(loan);
+    page = own;
+  }
   uint64_t first = begin >> kLineShift;
   uint64_t last = (end - 1) >> kLineShift;
   uint64_t old = lines;
@@ -140,7 +294,7 @@ uint8_t* Region::WritableRange(uint64_t offset, uint64_t n) {
       // Unbacked or slot-packed: the new layout may need another backing.
       uint8_t* to = page;
       if (count > kMaxSlotLines) {
-        to = Carve(page_cursor_, kPageSize);
+        to = AllocPage();
       } else if (old == 0 || SlotClass(count) != SlotClass(old_count)) {
         to = AllocSlots(SlotClass(count));
       }
@@ -178,38 +332,42 @@ uint8_t* Region::WritableRange(uint64_t offset, uint64_t n) {
 // per run of bytes that are adjacent there (full pages carved in write order
 // are; a page's written lines in one range are consecutive slots).
 
-template <typename Fn>
-void Region::StoreRuns(uint64_t offset, uint64_t n, Fn emit) {
+template <typename LendFn, typename Fn>
+void Region::StoreRuns(uint64_t offset, uint64_t n, LendFn lend, Fn emit) {
   // The pending run: host bytes [run, run + run_len) take the range's bytes
-  // from `done` on.
+  // from `run_from` on.
   uint8_t* run = nullptr;
+  uint64_t run_from = 0;
   uint64_t run_len = 0;
-  uint64_t done = 0;
-  auto flush = [&] {
-    emit(run, done, run_len);
-    done += run_len;
-    run_len = 0;
-  };
-  while (n > 0) {
-    uint64_t in_page = std::min(n, kPageSize - (offset & (kPageSize - 1)));
-    uint8_t* dst = WritableRange(offset, in_page);
-    if (run_len > 0 && dst != run + run_len) {
-      flush();
+  for (uint64_t done = 0; done < n;) {
+    uint64_t at = offset + done;
+    uint64_t in_page = std::min(n - done, kPageSize - (at & (kPageSize - 1)));
+    if (in_page == kPageSize && lend(at, done)) {
+      if (run_len > 0) {
+        emit(run, run_from, run_len);
+        run_len = 0;
+      }
+    } else {
+      uint8_t* dst = WritableRange(at, in_page);
+      if (run_len > 0 && dst != run + run_len) {
+        emit(run, run_from, run_len);
+        run_len = 0;
+      }
+      if (run_len == 0) {
+        run = dst;
+        run_from = done;
+      }
+      run_len += in_page;
     }
-    if (run_len == 0) {
-      run = dst;
-    }
-    run_len += in_page;
-    offset += in_page;
-    n -= in_page;
+    done += in_page;
   }
   if (run_len > 0) {
-    flush();
+    emit(run, run_from, run_len);
   }
 }
 
 void Region::CopyIn(uint64_t offset, const void* src, uint64_t n) {
-  StoreRuns(offset, n, CopyFrom(src));
+  StoreRuns(offset, n, LendNothing, CopyFrom(src));
 }
 
 void Region::CopyOut(uint64_t offset, void* dst, uint64_t n) const {
@@ -312,26 +470,43 @@ void Region::Write(uint64_t offset, const void* src, uint64_t n) {
   total_bytes_written_ += n;
 }
 
-template <typename Fn>
-void Region::StoreDurable(const char* op, uint64_t offset, uint64_t n, Fn store) {
+template <typename LendFn, typename Fn>
+void Region::StoreDurable(const char* op, uint64_t offset, uint64_t n, LendFn lend, Fn store) {
   CheckRange(op, offset, n);
   // A persist that takes effect would kill this store's undo entry at once,
   // so none is captured. Only an armed FailAfterPersists() can make the
-  // Persist below a no-op and leave a crash needing the old bytes.
-  if (persists_left_ != kNoFailure) {
+  // Persist below a no-op and leave a crash needing the old bytes; the
+  // store then copies, like the Write() it stands for.
+  bool armed = persists_left_ != kNoFailure;
+  if (armed) {
     CaptureUndo(op, offset, n);
   }
-  StoreRuns(offset, n, store);
+  StoreRuns(
+      offset, n, [&](uint64_t at, uint64_t done) { return !armed && lend(at, done); }, store);
   total_bytes_written_ += n;
   Persist(offset, n);
 }
 
 void Region::WriteDurable(uint64_t offset, const void* src, uint64_t n) {
-  StoreDurable("Write", offset, n, CopyFrom(src));
+  StoreDurable("Write", offset, n, LendNothing, CopyFrom(src));
+}
+
+void Region::WriteDurable(uint64_t offset, const SharedBytes& bytes) {
+  uint32_t loan = 0;  // Pinned at the first page lent.
+  StoreDurable(
+      "Write", offset, bytes.size(),
+      [&](uint64_t at, uint64_t done) {
+        if (loan == 0) {
+          loan = Pin(bytes);
+        }
+        Lend(at, bytes.data() + done, loan);
+        return true;
+      },
+      CopyFrom(bytes.data()));
 }
 
 void Region::FillDurable(uint64_t offset, uint8_t value, uint64_t n) {
-  StoreDurable("Fill", offset, n,
+  StoreDurable("Fill", offset, n, LendNothing,
                [value](uint8_t* host, uint64_t, uint64_t len) { std::memset(host, value, len); });
 }
 
@@ -339,16 +514,47 @@ void Region::CopyDurable(uint64_t dst, uint64_t src, uint64_t n) {
   CheckRange("Copy", src, n);
   // Straight from the source pages into the destination's, so no byte may be
   // read after the copy overwrote it. Storing into one page only moves that
-  // page's lines, and CopyOut looks every page up anew.
+  // page's lines, lending a page frees only that page's backing, and CopyOut
+  // looks every page up anew.
   LINEFS_CHECK(src + n <= dst || dst + n <= src);
-  StoreDurable("Copy", dst, n, [this, src](uint8_t* host, uint64_t done, uint64_t len) {
-    CopyOut(src + done, host, len);
-  });
+  StoreDurable(
+      "Copy", dst, n,
+      [this, src](uint64_t at, uint64_t done) {
+        const uint8_t* host = nullptr;
+        uint32_t loan = BorrowedRun(src + done, kPageSize, &host);
+        if (loan != 0) {
+          Lend(at, host, loan);
+        }
+        return loan != 0;
+      },
+      [this, src](uint8_t* host, uint64_t done, uint64_t len) { CopyOut(src + done, host, len); });
 }
 
 void Region::Read(uint64_t offset, void* dst, uint64_t n) const {
   CheckRange("Read", offset, n);
   CopyOut(offset, dst, n);
+}
+
+SharedBytes Region::Share(uint64_t offset, uint64_t n) {
+  CheckRange("Share", offset, n);
+  if (n == 0) {
+    return SharedBytes();
+  }
+  if (SharedBytes held = Held(offset, n); !held.empty()) {
+    return held;
+  }
+  SharedBytes image = SharedBytes::Filled(n, [&](uint8_t* bytes) { CopyOut(offset, bytes, n); });
+  // The wholly covered pages now read the image instead: same bytes, and
+  // their own backing goes back to the free lists.
+  uint32_t loan = 0;
+  uint64_t first = (offset + kPageSize - 1) & ~(kPageSize - 1);
+  for (uint64_t at = first; at + kPageSize <= offset + n; at += kPageSize) {
+    if (loan == 0) {
+      loan = Pin(image);
+    }
+    Lend(at, image.data() + (at - offset), loan);
+  }
+  return image;
 }
 
 // Whether a persist still takes effect under FailAfterPersists().

@@ -39,8 +39,29 @@
 // Neither pages nor slots are zeroed when carved (pooled blocks come back
 // dirty, and freed slots hold old lines). The first write into a line zeroes
 // the part of the line it does not cover, so the cost is tens of bytes per
-// fresh line, not 4KB per page. bytes_backed() is the real footprint: full
-// pages x 4KB plus the bytes of live slot blocks.
+// fresh line, not 4KB per page.
+//
+// Borrowed pages. A page may instead be backed by 4KB of an immutable
+// SharedBytes buffer (a log-range image) that other pages, other Regions and
+// the image's own slices read too: its entry points into the buffer, its
+// mask has every line set, and a per-directory loan table (allocated with
+// the directory's first borrowed page) names the buffer. Three calls make a
+// page borrow: WriteDurable(offset, SharedBytes) for the pages the buffer
+// wholly covers, CopyDurable for a destination page whose 4KB all come from
+// one contiguous borrowed run, and Share() for the pages it reads into a new
+// image. So one log chunk's bytes are held once across the cluster, whatever
+// logs and public areas hold them. A store into a borrowed page first gives
+// the page its own copy (copy-on-write), or just a fresh page when it covers
+// the whole page; no store ever reaches a buffer. A page that starts to
+// borrow hands its own full page to a free list that carving takes from
+// first (slot blocks go to their own free lists). While FailAfterPersists()
+// is armed, stores copy their bytes as plain stores do, and Crash() restores
+// borrowed pages through the copy-on-write path.
+//
+// bytes_backed() is an upper bound on the host memory the Region keeps
+// alive: its own full pages x 4KB, its live slot blocks, and the whole of
+// every buffer one of its pages borrows, counted once per Region. A buffer
+// several Regions borrow counts in each of them.
 //
 // The file system stores through the durable calls (write, then persist at
 // once), which copy each byte once and capture no undo data. Undo capture
@@ -62,8 +83,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
+#include "src/pmem/shared_bytes.h"
 #include "src/sim/result.h"
 
 namespace linefs::pmem {
@@ -85,14 +108,25 @@ class Region {
   // back, so they capture no undo bytes; while FailAfterPersists() is armed
   // the persist may not take effect, so they capture like Write().
   void WriteDurable(uint64_t offset, const void* src, uint64_t n);
+  // Stores `bytes` at offset by reference: the pages they wholly cover
+  // borrow their buffer, and the two edge pages copy them.
+  void WriteDurable(uint64_t offset, const SharedBytes& bytes);
   // Fills [offset, offset+n) with `value`.
   void FillDurable(uint64_t offset, uint8_t value, uint64_t n);
   // Region-internal copy (DMA-style data movement) between ranges that do
-  // not overlap.
+  // not overlap. A destination page whose 4KB all come from one contiguous
+  // borrowed run borrows them too.
   void CopyDurable(uint64_t dst, uint64_t src, uint64_t n);
 
   // Reads current (possibly unpersisted) content.
   void Read(uint64_t offset, void* dst, uint64_t n) const;
+
+  // The current content of [offset, offset + n) as an immutable buffer: a
+  // slice of a buffer that already holds the range (its whole pages borrow
+  // it, and its edge bytes equal it) if there is one, else a new image read
+  // out of the range, which the pages it wholly covers then borrow in place
+  // of their own backing. Contents do not change.
+  SharedBytes Share(uint64_t offset, uint64_t n);
 
   template <typename T>
   void WriteObject(uint64_t offset, const T& obj) {
@@ -143,8 +177,13 @@ class Region {
   // Old bytes copied aside so that a crash could roll a store back.
   uint64_t undo_bytes_captured() const { return undo_bytes_captured_; }
 
-  // Host memory backing this region: full pages x 4KB + live slot blocks.
-  uint64_t bytes_backed() const { return bytes_backed_; }
+  // Host memory this region keeps alive: own_bytes_backed() plus every
+  // buffer its pages borrow, once each.
+  uint64_t bytes_backed() const { return own_bytes_backed_ + pinned_bytes_; }
+  // Its own full pages x 4KB + live slot blocks.
+  uint64_t own_bytes_backed() const { return own_bytes_backed_; }
+  // The whole of every buffer its pages borrow, once each.
+  std::vector<SharedBytes> pinned_buffers() const;
 
  private:
   static constexpr uint64_t kPageShift = 12;  // 4 KB pages.
@@ -163,10 +202,19 @@ class Region {
 
   // The pages of 2 MB of region space: per page, its host backing (a full
   // page or a slot block, told apart by the mask's popcount) and the mask of
-  // its written lines.
+  // its written lines. Once a page here has borrowed, `loans` holds per page
+  // 0 for own backing, else 1 + the index in loans_ of the buffer it borrows
+  // (whose bytes its host pointer then points into, read-only).
   struct Directory {
     std::array<uint8_t*, kPagesPerDir> pages{};
     std::array<uint64_t, kPagesPerDir> lines{};
+    std::unique_ptr<std::array<uint32_t, kPagesPerDir>> loans;
+  };
+
+  // A buffer some of this region's pages borrow, and how many.
+  struct Loan {
+    SharedBytes buffer;  // The whole buffer; empty while the slot is free.
+    uint64_t pages = 0;
   };
 
   // A 2 MB host block from std::aligned_alloc.
@@ -195,21 +243,47 @@ class Region {
   // Copies the current bytes of [offset, offset + n) into the undo log as a
   // live entry, so Crash() restores them unless a Persist() covers it.
   void CaptureUndo(const char* op, uint64_t offset, uint64_t n);
-  // The durable-store protocol: `store` writes [offset, offset + n) through
-  // StoreRuns, then the range is persisted.
-  template <typename Fn>
-  void StoreDurable(const char* op, uint64_t offset, uint64_t n, Fn store);
-  // Walks [offset, offset + n) page by page, backing what it touches, and
-  // calls emit(host, done, len) once per run of bytes adjacent in host
+  // The durable-store protocol: `lend` and `store` write [offset, offset +
+  // n) through StoreRuns, then the range is persisted. While a failure is
+  // armed nothing is lent.
+  template <typename LendFn, typename Fn>
+  void StoreDurable(const char* op, uint64_t offset, uint64_t n, LendFn lend, Fn store);
+  // Walks [offset, offset + n) page by page. A page the range wholly covers
+  // is first offered to lend(page_offset, done), which may make it borrow
+  // the range's bytes [done, done + 4KB) and return true. The rest it backs,
+  // calling emit(host, done, len) once per run of bytes adjacent in host
   // memory: `host` takes the range's bytes [done, done + len).
-  template <typename Fn>
-  void StoreRuns(uint64_t offset, uint64_t n, Fn emit);
+  template <typename LendFn, typename Fn>
+  void StoreRuns(uint64_t offset, uint64_t n, LendFn lend, Fn emit);
   // Host address of `offset`, for a write of n bytes that must not cross a
   // page edge: backs the page or moves it to a larger block if needed and
   // marks the range's lines written, zeroing what the range leaves uncovered
   // of a line written for the first time. The range is contiguous in host
   // memory.
   uint8_t* WritableRange(uint64_t offset, uint64_t n);
+  Directory& Dir(uint64_t offset);
+  // The loan (1 + index in loans_) page `idx` of `dir` borrows, or 0.
+  static uint32_t LoanOf(const Directory& dir, uint64_t idx) {
+    return dir.loans != nullptr ? (*dir.loans)[idx] : 0;
+  }
+  // If one loan's buffer backs all of [offset, offset + n) contiguously,
+  // returns it and sets *host to the buffer byte at offset; else 0.
+  uint32_t BorrowedRun(uint64_t offset, uint64_t n, const uint8_t** host) const;
+  // A slice of a borrowed buffer that holds the current bytes of [offset,
+  // offset + n), or empty if none is known to: the pages the range wholly
+  // covers (if none, every page it touches) borrow the buffer contiguously,
+  // and the range's bytes on partly covered edge pages equal the buffer's.
+  SharedBytes Held(uint64_t offset, uint64_t n) const;
+  // The loan of `bytes`' buffer, added with no pages if there is none.
+  uint32_t Pin(const SharedBytes& bytes);
+  // Makes the page at `offset` borrow the 4KB at `host` of loan `loan`'s
+  // buffer, releasing its old backing. Its content becomes those bytes.
+  void Lend(uint64_t offset, const uint8_t* host, uint32_t loan);
+  // Frees a page's backing: own pages and slot blocks to their free lists,
+  // a borrowed page's share of its loan.
+  void Release(Directory& dir, uint64_t idx);
+  void Unpin(uint32_t loan);
+  uint8_t* AllocPage();
   // Copies n bytes at page offset `offset` (within one partly written page
   // backed at `page`, with written lines `lines`) a run of lines at a time.
   static void CopyOutLines(const uint8_t* page, uint64_t lines, uint64_t offset, uint8_t* dst,
@@ -232,9 +306,15 @@ class Region {
   Cursor page_cursor_;
   Cursor slot_cursor_;
   // Per slot class, a list of free slot blocks linked through their first
-  // bytes.
+  // bytes, and the same for free full pages.
   std::array<uint8_t*, kSlotClasses> free_slots_{};
-  uint64_t bytes_backed_ = 0;
+  uint8_t* free_pages_ = nullptr;
+  uint64_t own_bytes_backed_ = 0;
+  // Borrowed buffers: loans_[i] is loan i + 1; free slots are reused.
+  std::vector<Loan> loans_;
+  std::vector<uint32_t> free_loans_;
+  std::unordered_map<const void*, uint32_t> loan_of_buffer_;
+  uint64_t pinned_bytes_ = 0;
   // Append-ordered undo records (Crash unwinds newest first) + their data.
   std::vector<UndoEntry> undo_log_;
   std::vector<uint8_t> undo_arena_;

@@ -9,6 +9,8 @@
 #include "tests/co_test_util.h"
 
 #include <cmath>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -688,6 +690,59 @@ TEST(LineFsTest, ElidedDataModeKeepsMetadataConsistent) {
     ASSERT_TRUE(attr.ok());
     EXPECT_EQ(attr->size, 4ULL << 20) << node;
   }
+}
+
+TEST(LineFsTest, MaterializedBytesAreHeldOnceAcrossTheCluster) {
+  // Each pre-written byte lands in six PM places: every node's log and public
+  // area. They all borrow the chunk image the primary's NIC fetched (or a
+  // copy only where a chunk edge splits a page), so the host memory the three
+  // Regions keep alive, each borrowed buffer counted once, stays under twice
+  // the bytes written. Six copies, one per place, would be about six times.
+  constexpr uint64_t kBytes = 8 << 20;
+  constexpr uint64_t kIo = 256 << 10;
+  DfsConfig config = SmallConfig(DfsMode::kLineFS);
+  config.log_size = 16ULL << 20;  // The pre-write fits without wrapping.
+  ClusterHarness harness(config);
+  LibFs* fs = harness.cluster().CreateClient(0);
+  std::vector<uint8_t> data = Pattern(kBytes, 5);
+
+  harness.RunClient([&]() -> sim::Task<> {
+    Result<int> fd = co_await fs->Open("/shared.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    CO_ASSERT_OK(fd);
+    for (uint64_t off = 0; off < kBytes; off += kIo) {
+      CO_ASSERT_OK((co_await fs->Pwrite(*fd, std::span(data).subspan(off, kIo), off)));
+    }
+    CO_ASSERT_OK((co_await fs->Fsync(*fd)));
+  });
+  // Until every node has published the whole file.
+  auto published = [&](int node) {
+    fslib::PublicFs& pub = harness.cluster().dfs_node(node).fs();
+    Result<fslib::InodeNum> inum = pub.LookupChild(fslib::kRootInode, "shared.dat");
+    return inum.ok() && pub.GetAttr(*inum).ok() && pub.GetAttr(*inum)->size == kBytes;
+  };
+  for (int wait = 0; wait < 30 && !(published(0) && published(1) && published(2)); ++wait) {
+    harness.Drain(sim::kSecond);
+  }
+
+  uint64_t kept = 0;
+  std::set<const void*> buffers;
+  for (int node = 0; node < 3; ++node) {
+    ASSERT_TRUE(published(node)) << "node " << node;
+    fslib::PublicFs& pub = harness.cluster().dfs_node(node).fs();
+    fslib::InodeNum inum = *pub.LookupChild(fslib::kRootInode, "shared.dat");
+    std::vector<uint8_t> out(kBytes);
+    ASSERT_TRUE(pub.ReadData(inum, 0, out).ok());
+    EXPECT_EQ(out, data) << "node " << node << " content mismatch";
+
+    const pmem::Region& pm = harness.cluster().hw_node(node).pm();
+    kept += pm.own_bytes_backed();
+    for (const pmem::SharedBytes& buffer : pm.pinned_buffers()) {
+      if (buffers.insert(buffer.buffer_id()).second) {
+        kept += buffer.buffer_bytes();
+      }
+    }
+  }
+  EXPECT_LT(kept, 2 * kBytes);
 }
 
 TEST(LineFsTest, PipelineStageStatsPopulated) {

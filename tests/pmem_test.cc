@@ -1,15 +1,19 @@
 // Unit tests for the persistent-memory emulation: persist/crash semantics,
-// slot-packed and full page backing, and the block allocator.
+// slot-packed, full and borrowed page backing, and the block allocator.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <random>
 #include <vector>
 
+#include "src/fslib/types.h"
 #include "src/pmem/alloc.h"
 #include "src/pmem/region.h"
+#include "src/pmem/shared_bytes.h"
 
 namespace linefs::pmem {
 namespace {
@@ -593,6 +597,214 @@ TEST(Region, DurableStoreCapturesNothingUnlessAFailureIsArmed) {
   EXPECT_EQ(out, first);
   region.Read(50000, out.data(), out.size());
   EXPECT_EQ(out, std::vector<uint8_t>(64, 0));
+}
+
+// A buffer the test shares with a region, and the CRC of its bytes when the
+// test made or received it.
+struct Source {
+  SharedBytes bytes;
+  uint32_t crc = 0;
+};
+
+Source MakeSource(SharedBytes bytes) {
+  uint32_t crc = fslib::Crc32c(bytes.data(), bytes.size());
+  return Source{std::move(bytes), crc};
+}
+
+TEST(Region, BorrowedPagesMatchACopyOnlyShadow) {
+  // One seeded mix of by-reference stores, shares, copies from borrowed and
+  // from own pages, plain and volatile stores, persists, armed persist
+  // failures and crashes. `shadow` only ever copies: it stores every buffer
+  // by pointer and reads where `region` shares. The two must hold the same
+  // bytes after every step, no buffer's bytes may change, and once `region`
+  // is gone only the test may hold the buffers.
+  constexpr uint64_t kSize = 128 << 10;  // 32 pages.
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    auto uniform = [&](uint64_t n) { return rng() % n; };
+    std::vector<Source> sources;
+    uint64_t borrowed_copies = 0;
+    uint64_t reshared = 0;
+    uint64_t max_pinned = 0;
+    bool armed = false;
+    {
+      Region shadow(kSize);
+      Region region(kSize);
+      std::vector<uint8_t> data;
+      std::vector<uint8_t> want(kSize);
+      std::vector<uint8_t> got(kSize);
+      for (int step = 0; step < 3000; ++step) {
+        // Ranges of whole pages, often page-aligned, so that pages borrow;
+        // ranges of any size and place, so that edges copy; and a few lines,
+        // so that slot-packed pages come to borrow too.
+        uint64_t kind = uniform(3);
+        uint64_t n = kind == 0   ? 4096 * (1 + uniform(6))
+                     : kind == 1 ? 1 + uniform(3 * 4096)
+                                 : 1 + uniform(200);
+        uint64_t off = uniform(kSize - n + 1);
+        if (uniform(2) == 0) {
+          off &= ~uint64_t{4095};
+        }
+        int op = static_cast<int>(uniform(20));
+        if (op < 4) {
+          // By reference, sometimes from the middle of a larger buffer.
+          uint64_t lead = uniform(3) == 0 ? uniform(5000) : 0;
+          SharedBytes buffer = SharedBytes::Filled(lead + n, [&](uint8_t* bytes) {
+            for (uint64_t i = 0; i < lead + n; ++i) {
+              bytes[i] = static_cast<uint8_t>(rng());
+            }
+          });
+          sources.push_back(MakeSource(buffer.Slice(lead, n)));
+          const SharedBytes& bytes = sources.back().bytes;
+          region.WriteDurable(off, bytes);
+          shadow.WriteDurable(off, bytes.data(), n);
+          // Sharing the range back finds the buffer, edge pages copied or not.
+          bool whole_page = (off + 4095) / 4096 < (off + n) / 4096;
+          if (!armed && whole_page && uniform(2) == 0) {
+            SharedBytes again = region.Share(off, n);
+            ASSERT_EQ(again.buffer_id(), bytes.buffer_id()) << "step " << step;
+            ASSERT_EQ(again.data(), bytes.data()) << "step " << step;
+            ++reshared;
+          }
+        } else if (op < 6) {
+          SharedBytes bytes = region.Share(off, n);
+          data.resize(n);
+          shadow.Read(off, data.data(), n);
+          ASSERT_TRUE(bytes == data) << "step " << step;
+          if (uniform(2) == 0) {
+            sources.push_back(MakeSource(std::move(bytes)));
+          }
+        } else if (op < 10) {
+          uint64_t src = uniform(kSize - n + 1);
+          if (off % 4096 == 0) {
+            src &= ~uint64_t{4095};  // Page to page: the case that may borrow.
+          }
+          if (src < off + n && off < src + n) {
+            continue;  // Copies between overlapping ranges abort.
+          }
+          uint64_t before = region.own_bytes_backed();
+          region.CopyDurable(off, src, n);
+          shadow.CopyDurable(off, src, n);
+          borrowed_copies += region.own_bytes_backed() < before ? 1 : 0;
+        } else if (op < 12) {
+          data.resize(n);
+          for (uint8_t& b : data) {
+            b = static_cast<uint8_t>(rng());
+          }
+          region.WriteDurable(off, data.data(), n);
+          shadow.WriteDurable(off, data.data(), n);
+        } else if (op < 14) {
+          data.assign(n, static_cast<uint8_t>(rng()));
+          region.Write(off, data.data(), n);
+          shadow.Write(off, data.data(), n);
+        } else if (op < 16) {
+          region.Persist(off, n);
+          shadow.Persist(off, n);
+        } else if (op < 17) {
+          uint64_t persists = uniform(6);
+          region.FailAfterPersists(persists);
+          shadow.FailAfterPersists(persists);
+          armed = true;
+        } else if (op < 18) {
+          region.Crash();
+          shadow.Crash();
+          armed = false;
+        } else if (op < 19) {
+          region.PersistAll();
+          shadow.PersistAll();
+        } else if (!sources.empty()) {
+          // The test lets go of a buffer: pages still borrowing it keep it.
+          size_t victim = uniform(sources.size());
+          ASSERT_EQ(fslib::Crc32c(sources[victim].bytes.data(), sources[victim].bytes.size()),
+                    sources[victim].crc);
+          sources.erase(sources.begin() + static_cast<ptrdiff_t>(victim));
+        }
+        shadow.Read(0, want.data(), kSize);
+        region.Read(0, got.data(), kSize);
+        ASSERT_EQ(got, want) << "step " << step << " op " << op;
+        ASSERT_EQ(region.unpersisted_bytes(), shadow.unpersisted_bytes()) << "step " << step;
+        ASSERT_EQ(region.pending_undo_count(), shadow.pending_undo_count()) << "step " << step;
+        uint64_t pinned = 0;
+        for (const SharedBytes& buffer : region.pinned_buffers()) {
+          pinned += buffer.buffer_bytes();
+        }
+        ASSERT_EQ(region.bytes_backed(), region.own_bytes_backed() + pinned) << "step " << step;
+        max_pinned = std::max<uint64_t>(max_pinned, region.pinned_buffers().size());
+      }
+    }
+    // Every kind of borrowing happened.
+    EXPECT_GT(borrowed_copies, 0u);
+    EXPECT_GT(reshared, 0u);
+    EXPECT_GT(max_pinned, 1u);
+    std::map<const void*, long> refs;
+    for (const Source& source : sources) {
+      EXPECT_EQ(fslib::Crc32c(source.bytes.data(), source.bytes.size()), source.crc);
+      ++refs[source.bytes.buffer_id()];
+    }
+    for (const Source& source : sources) {
+      EXPECT_EQ(source.bytes.use_count(), refs[source.bytes.buffer_id()]);
+    }
+  }
+}
+
+TEST(Region, CrashUnwindsACompactedUndoLog) {
+  // Enough volatile stores, most of them persisted again, that the undo log
+  // passes 1,024 records with fewer than half live and Persist compacts it,
+  // sliding the live records (and their saved bytes) down over the dead.
+  // Every store has a range of its own, so the durable state is the initial
+  // bytes with the persisted stores applied. Half the region borrows a
+  // buffer, and a share halfway rebinds pages under live stores, so the
+  // crash restores borrowed pages through copy-on-write.
+  constexpr uint64_t kSize = 256 << 10;
+  constexpr uint64_t kSlot = 128;
+  std::mt19937_64 rng(7);
+  std::vector<uint8_t> durable(kSize, 0);
+  SharedBytes initial = SharedBytes::Filled(kSize / 2, [&](uint8_t* bytes) {
+    for (uint64_t i = 0; i < kSize / 2; ++i) {
+      bytes[i] = static_cast<uint8_t>(rng());
+    }
+  });
+  std::memcpy(durable.data(), initial.data(), initial.size());
+  Region region(kSize);
+  region.WriteDurable(0, initial);
+  ASSERT_EQ(region.own_bytes_backed(), 0u);
+
+  std::vector<uint64_t> slots(kSize / kSlot);
+  for (uint64_t i = 0; i < slots.size(); ++i) {
+    slots[i] = i * kSlot;
+  }
+  std::shuffle(slots.begin(), slots.end(), rng);
+  constexpr size_t kStores = 1500;
+  size_t live = 0;
+  std::vector<uint8_t> data;
+  for (size_t i = 0; i < kStores; ++i) {
+    uint64_t n = 1 + rng() % kSlot;
+    uint64_t off = slots[i] + rng() % (kSlot - n + 1);
+    data.resize(n);
+    for (uint8_t& b : data) {
+      b = static_cast<uint8_t>(rng());
+    }
+    region.Write(off, data.data(), n);
+    if (rng() % 10 < 7) {
+      region.Persist(off, n);
+      std::memcpy(durable.data() + off, data.data(), n);
+    } else {
+      ++live;
+    }
+    if (i == kStores / 2) {
+      SharedBytes image = region.Share(kSize / 4, kSize / 2);
+      ASSERT_EQ(image.size(), kSize / 2);
+    }
+  }
+  ASSERT_EQ(region.pending_undo_count(), live);
+  ASSERT_GT(kStores, 1024u);
+  ASSERT_LT(live * 2, kStores);
+  region.Crash();
+  std::vector<uint8_t> got(kSize);
+  region.Read(0, got.data(), kSize);
+  EXPECT_EQ(got, durable);
+  EXPECT_EQ(region.pending_undo_count(), 0u);
 }
 
 TEST(Allocator, AllocatesDistinctBlocks) {
