@@ -1,7 +1,6 @@
 #include "src/core/libfs.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 
 #include "src/core/cluster.h"
@@ -512,14 +511,11 @@ sim::Task<Result<uint64_t>> LibFs::WriteInternal(fslib::InodeNum inum,
   }
   MutationGuard guard(this);
   bool materialize = config_->materialize_data;
-  // Generated payloads repeat every 251 bytes: byte `pos` of the file is
-  // seed + (pos * 131) % 251, copied out of one tile in slices.
-  std::vector<uint8_t> generated;
-  std::array<uint8_t, 251> tile{};
+  // Held for the whole call: AppendEntry suspends before the log copies the
+  // payload, and another write may replace pattern_ meanwhile.
+  std::shared_ptr<const std::vector<uint8_t>> pattern;
   if (materialize && data.empty()) {
-    for (uint64_t j = 0; j < tile.size(); ++j) {
-      tile[j] = static_cast<uint8_t>(seed + (j * 131) % 251);
-    }
+    pattern = Pattern(seed, std::min(len, kMaxEntryPayload));
   }
   uint64_t done = 0;
   while (done < len) {
@@ -534,15 +530,7 @@ sim::Task<Result<uint64_t>> LibFs::WriteInternal(fslib::InodeNum inum,
       if (!data.empty()) {
         payload = data.subspan(done, n);
       } else {
-        generated.resize(n);
-        uint64_t phase = (offset + done) % tile.size();
-        for (uint64_t i = 0; i < n;) {
-          uint64_t slice = std::min(n - i, tile.size() - phase);
-          std::memcpy(generated.data() + i, tile.data() + phase, slice);
-          i += slice;
-          phase = 0;
-        }
-        payload = generated;
+        payload = std::span<const uint8_t>(*pattern).subspan((offset + done) % kPatternPeriod, n);
       }
     }
     Status st = co_await AppendEntry(h, payload);
@@ -553,6 +541,23 @@ sim::Task<Result<uint64_t>> LibFs::WriteInternal(fslib::InodeNum inum,
   }
   metrics_.bytes_written->Add(len);
   co_return len;
+}
+
+std::shared_ptr<const std::vector<uint8_t>> LibFs::Pattern(uint8_t seed, uint64_t n) {
+  uint64_t size = n + kPatternPeriod - 1;
+  if (pattern_ == nullptr || pattern_seed_ != seed || pattern_->size() < size) {
+    // A new buffer, never a rewrite: earlier writes may still hold the old one.
+    auto bytes = std::make_shared<std::vector<uint8_t>>(std::max(size, kPatternPeriod));
+    for (uint64_t j = 0; j < kPatternPeriod; ++j) {
+      (*bytes)[j] = static_cast<uint8_t>(seed + (j * 131) % kPatternPeriod);
+    }
+    for (uint64_t filled = kPatternPeriod; filled < bytes->size(); filled *= 2) {
+      std::memcpy(bytes->data() + filled, bytes->data(), std::min(filled, bytes->size() - filled));
+    }
+    pattern_ = std::move(bytes);
+    pattern_seed_ = seed;
+  }
+  return pattern_;
 }
 
 sim::Task<Result<uint64_t>> LibFs::Write(int fd, std::span<const uint8_t> data) {

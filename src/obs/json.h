@@ -1,6 +1,6 @@
 // Minimal JSON document model used by the observability exporters (Chrome
-// trace files, BENCH_*.json reports) and by tests that verify those files
-// parse. No external dependency: the container ships no JSON library.
+// trace files, BENCH_*.json reports). No external dependency: the build uses
+// no JSON library. Tests parse the emitted files with tests/json_parse.h.
 //
 // Objects keep insertion order so emitted reports are stable and diffable.
 
@@ -8,7 +8,6 @@
 #define SRC_OBS_JSON_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -66,9 +65,6 @@ class JsonValue {
 
   // Serialises the document. indent > 0 pretty-prints.
   std::string Dump(int indent = 0) const;
-
-  // Strict parser; nullopt on any syntax error or trailing garbage.
-  static std::optional<JsonValue> Parse(std::string_view text);
 
  private:
   void DumpTo(std::string* out, int indent, int depth) const;

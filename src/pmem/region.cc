@@ -79,8 +79,8 @@ uint8_t* Region::Carve(Cursor& cursor, uint64_t bytes) {
       if (!block) {
         throw std::bad_alloc();
       }
-#ifdef MADV_HUGEPAGE
-      madvise(block.get(), kBlockSize, MADV_HUGEPAGE);  // Best effort.
+#ifdef MADV_NOHUGEPAGE
+      madvise(block.get(), kBlockSize, MADV_NOHUGEPAGE);  // Best effort.
 #endif
       blocks_.push_back(std::move(block));
     }

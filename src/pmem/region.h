@@ -30,11 +30,12 @@
 // Full pages and slot blocks are carved, each by its own cursor, out of 2MB
 // host blocks the Region owns, so pages written in order sit next to each
 // other in host memory and CopyIn/CopyOut merge them into one memcpy. Host
-// blocks are 2MB-aligned and advised as huge pages, so where the host has
-// transparent huge pages one fault and one TLB entry cover a block instead of
-// 512. They are recycled through a process-wide pool because benchmarks
-// construct hundreds of Regions back to back, and reusing blocks avoids
-// re-paying mmap/munmap + page faults.
+// blocks are advised never to be huge pages: a sparse Region touches a few 4KB
+// pages of each block, and a huge page would make all 2MB resident on the
+// first touch, so resident memory follows the touched 4KB pages whatever the
+// host's transparent huge page mode. Blocks are recycled through a
+// process-wide pool because benchmarks construct hundreds of Regions back to
+// back, and reusing blocks avoids re-paying mmap/munmap + page faults.
 //
 // Neither pages nor slots are zeroed when carved (pooled blocks come back
 // dirty, and freed slots hold old lines). The first write into a line zeroes

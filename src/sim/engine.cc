@@ -1,5 +1,6 @@
 #include "src/sim/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -77,8 +78,8 @@ void Engine::Dispatch(const char* label, Body&& body) {
 
 bool Engine::RunOne() {
   if (TimerIsNext()) {
-    Timer* timer = timers_.begin()->timer;
-    queue_.AdvanceTo(timers_.begin()->when, &now_);
+    Timer* timer = timers_.front().timer;
+    queue_.AdvanceTo(timers_.front().when, &now_);
     CancelTimer(timer);
     Dispatch(timer->label_, [timer] { timer->on_fire_(); });
     return true;
@@ -100,7 +101,7 @@ void Engine::RunUntil(Time t) {
   while (true) {
     Time next;
     if (TimerIsNext()) {
-      next = timers_.begin()->when;
+      next = timers_.front().when;
     } else if (!queue_.empty()) {
       next = queue_.NextTime(now_);
     } else {
@@ -125,27 +126,68 @@ bool Engine::TimerIsNext() const {
   if (queue_.empty()) {
     return true;
   }
-  const TimerKey& first = *timers_.begin();
+  const TimerSlot& first = timers_.front();
   Time next = queue_.NextTime(now_);
   return first.when != next ? first.when < next : first.seq < queue_.NextSeq();
 }
 
 void Engine::ArmTimer(Timer* timer, Time t, const char* label) {
-  timer->Cancel();
   ++schedule_calls_;
   if (t < now_) {
     t = now_;
     ++schedule_clamped_;
   }
-  timer->key_ = TimerKey{t, next_seq_++, timer};
+  TimerSlot slot{t, next_seq_++, timer};
   timer->label_ = label;
+  if (timer->armed_) {
+    // A move: the new key replaces the old one in place.
+    timers_[timer->heap_index_] = slot;
+    FixTimer(timer->heap_index_);
+    return;
+  }
   timer->armed_ = true;
-  timers_.insert(timer->key_);
+  timers_.push_back(slot);
+  FixTimer(timers_.size() - 1);
 }
 
 void Engine::CancelTimer(Timer* timer) {
-  timers_.erase(timer->key_);
+  size_t i = timer->heap_index_;
+  TimerSlot last = timers_.back();
+  timers_.pop_back();
+  if (i < timers_.size()) {
+    timers_[i] = last;
+    FixTimer(i);
+  }
   timer->armed_ = false;
+}
+
+void Engine::PlaceTimer(size_t i, TimerSlot slot) {
+  timers_[i] = slot;
+  slot.timer->heap_index_ = i;
+}
+
+void Engine::FixTimer(size_t i) {
+  TimerSlot slot = timers_[i];
+  while (i > 0 && slot < timers_[(i - 1) / 4]) {
+    PlaceTimer(i, timers_[(i - 1) / 4]);
+    i = (i - 1) / 4;
+  }
+  const size_t n = timers_.size();
+  while (i * 4 + 1 < n) {
+    size_t best = i * 4 + 1;
+    size_t end = std::min(best + 4, n);
+    for (size_t c = best + 1; c < end; ++c) {
+      if (timers_[c] < timers_[best]) {
+        best = c;
+      }
+    }
+    if (!(timers_[best] < slot)) {
+      break;
+    }
+    PlaceTimer(i, timers_[best]);
+    i = best;
+  }
+  PlaceTimer(i, slot);
 }
 
 void Engine::RunToCompletion(Task<> task) {

@@ -16,7 +16,7 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <set>
+#include <vector>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/task.h"
@@ -135,19 +135,23 @@ class Engine {
     void await_resume() const noexcept {}
   };
 
-  // Armed timers, ordered like queue items by (when, seq). Kept apart from
-  // the EventQueue so that a cancelled timer leaves no dead entry behind.
-  struct TimerKey {
+  // An armed timer's entry in the timer heap, ordered like queue items by
+  // (when, seq).
+  struct TimerSlot {
     Time when;
     uint64_t seq;
     Timer* timer;
-    bool operator<(const TimerKey& o) const {
+    bool operator<(const TimerSlot& o) const {
       return when != o.when ? when < o.when : seq < o.seq;
     }
   };
   void ArmTimer(Timer* timer, Time t, const char* label);
   void CancelTimer(Timer* timer);
   bool TimerIsNext() const;
+  // Stores `slot` at heap index `i` and tells its timer where it is.
+  void PlaceTimer(size_t i, TimerSlot slot);
+  // Sifts the slot at `i` up or down until the heap is ordered again.
+  void FixTimer(size_t i);
 
   // Runs one event's body with `label` ambient, timing it when an observer
   // is installed.
@@ -179,7 +183,11 @@ class Engine {
   // Two-tier (ready-ring + 4-ary heap) queue; see event_queue.h for the
   // ordering-contract proof sketch.
   EventQueue<std::coroutine_handle<>> queue_;
-  std::set<TimerKey> timers_;
+  // Armed timers: a 4-ary min-heap on (when, seq), kept apart from the
+  // EventQueue so that a cancelled timer leaves no dead entry behind. Each
+  // armed Timer knows its index, so cancel and move are O(log n) and, once
+  // the vector has grown, allocate nothing.
+  std::vector<TimerSlot> timers_;
 };
 
 }  // namespace linefs::sim

@@ -1,8 +1,8 @@
 // Cancellable one-shot timer.
 //
 // A timer that is armed for time `t` calls its callback at `t` unless it is
-// cancelled first. Armed timers live outside the engine's EventQueue, in an
-// ordered set (Engine::timers_), so cancelling one removes it outright: a
+// cancelled first. Armed timers live outside the engine's EventQueue, in a
+// heap of their own (Engine::timers_), so cancelling one removes it outright: a
 // cancelled timer never runs, is never counted as a processed event and never
 // shows in Engine::queue_depth(). This is what an RPC timeout
 // needs: almost every call is answered long before its timeout, and a plain
@@ -59,7 +59,7 @@ class Timer {
 
   Engine* engine_;
   std::function<void()> on_fire_;
-  Engine::TimerKey key_{};  // This timer's entry in Engine::timers_ while armed.
+  size_t heap_index_ = 0;  // This timer's slot in Engine::timers_ while armed.
   const char* label_ = nullptr;
   bool armed_ = false;
 };

@@ -745,6 +745,86 @@ TEST(LineFsTest, MaterializedBytesAreHeldOnceAcrossTheCluster) {
   EXPECT_LT(kept, 2 * kBytes);
 }
 
+TEST(LineFsTest, GeneratedPatternsSurviveInterleavedWriters) {
+  // PwriteGen hands each log entry a slice of a pattern buffer that LibFs
+  // builds once per seed. Two clients on one node, and two tasks on the first
+  // of them, write different seeds at the same time, in entries longer than
+  // the largest log entry and at offsets off the pattern's 251-byte period.
+  // Every byte must read back as its own seed's pattern,
+  // seed + (pos * 131) % 251, first from the writer's log and then, through
+  // a client that wrote nothing, from the published file.
+  struct Writer {
+    int client;
+    std::string path;
+    uint8_t seed;
+    std::vector<uint64_t> lengths;
+  };
+  constexpr uint64_t kStart = 123;
+  const std::vector<Writer> writers = {
+      {0, "/a.dat", 11, {(512 << 10) + 1000, (256 << 10) + 7, 5000}},
+      {1, "/b.dat", 97, {(256 << 10) + 7, 5000, (768 << 10) + 250}},
+      {0, "/c.dat", 200, {5000, (768 << 10) + 250, (512 << 10) + 1000}},
+  };
+  auto expected = [](uint8_t seed, uint64_t pos) {
+    return static_cast<uint8_t>(seed + (pos * 131) % 251);
+  };
+  ClusterHarness harness(SmallConfig(DfsMode::kLineFS));
+  std::vector<LibFs*> clients = {harness.cluster().CreateClient(0),
+                                 harness.cluster().CreateClient(0)};
+  int finished = 0;
+  for (const Writer& w : writers) {
+    harness.engine().Spawn([](LibFs* fs, const Writer* w, int* finished) -> sim::Task<> {
+      Result<int> fd = co_await fs->Open(w->path, fslib::kOpenCreate | fslib::kOpenWrite |
+                                                      fslib::kOpenRead);
+      CO_ASSERT_OK(fd);
+      uint64_t off = kStart;
+      for (uint64_t len : w->lengths) {
+        Result<uint64_t> n = co_await fs->PwriteGen(*fd, len, off, w->seed);
+        CO_ASSERT_OK(n);
+        EXPECT_EQ(*n, len);
+        off += len;
+      }
+      CO_ASSERT_OK((co_await fs->Fsync(*fd)));
+      ++*finished;
+    }(clients[w.client], &w, &finished));
+  }
+  sim::Time deadline = harness.engine().Now() + 600 * sim::kSecond;
+  while (finished < 3 && harness.engine().Now() < deadline && harness.engine().RunOne()) {
+  }
+  ASSERT_EQ(finished, 3);
+
+  auto check = [&](LibFs* fs, const Writer& w) {
+    uint64_t end = kStart;
+    for (uint64_t len : w.lengths) {
+      end += len;
+    }
+    harness.RunClient([&]() -> sim::Task<> {
+      Result<int> fd = co_await fs->Open(w.path, fslib::kOpenRead);
+      CO_ASSERT_OK(fd);
+      std::vector<uint8_t> out(end - kStart);
+      Result<uint64_t> n = co_await fs->Pread(*fd, out, kStart);
+      CO_ASSERT_OK(n);
+      EXPECT_EQ(*n, out.size()) << w.path;
+      for (uint64_t i = 0; i < out.size(); ++i) {
+        if (out[i] != expected(w.seed, kStart + i)) {
+          ADD_FAILURE() << w.path << " byte " << kStart + i << " is " << int{out[i]}
+                        << ", want " << int{expected(w.seed, kStart + i)};
+          break;
+        }
+      }
+      co_await fs->Close(*fd);
+    });
+  };
+  for (const Writer& w : writers) {
+    check(clients[w.client], w);
+  }
+  harness.Drain(5 * sim::kSecond);
+  LibFs* reader = harness.cluster().CreateClient(0);
+  for (const Writer& w : writers) {
+    check(reader, w);
+  }
+}
+
 TEST(LineFsTest, PipelineStageStatsPopulated) {
   ClusterHarness harness(SmallConfig(DfsMode::kLineFS));
   LibFs* fs = harness.cluster().CreateClient(0);

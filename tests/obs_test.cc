@@ -14,6 +14,7 @@
 #include "src/obs/report.h"
 #include "src/obs/trace.h"
 #include "src/sim/engine.h"
+#include "tests/json_parse.h"
 
 namespace linefs::obs {
 namespace {
@@ -148,7 +149,7 @@ TEST(TraceBuffer, ChromeJsonParsesAndContainsStages) {
                              static_cast<sim::Time>(i * 1000 + 500)});
   }
   std::string json = buffer.ToChromeJson();
-  std::optional<JsonValue> doc = JsonValue::Parse(json);
+  std::optional<JsonValue> doc = ParseJson(json);
   ASSERT_TRUE(doc.has_value()) << json.substr(0, 200);
   const JsonValue* events = doc->Find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -179,7 +180,7 @@ TEST(Json, RoundTrip) {
   arr.Append(JsonValue());  // null
   obj.Set("items", std::move(arr));
   std::string text = obj.Dump(2);
-  std::optional<JsonValue> parsed = JsonValue::Parse(text);
+  std::optional<JsonValue> parsed = ParseJson(text);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->Find("name")->AsString(), "bench \"x\"\n");
   EXPECT_DOUBLE_EQ(parsed->Find("n")->AsDouble(), 42.0);
@@ -190,10 +191,10 @@ TEST(Json, RoundTrip) {
 }
 
 TEST(Json, ParseRejectsGarbage) {
-  EXPECT_FALSE(JsonValue::Parse("{").has_value());
-  EXPECT_FALSE(JsonValue::Parse("{} trailing").has_value());
-  EXPECT_FALSE(JsonValue::Parse("{\"a\":}").has_value());
-  EXPECT_FALSE(JsonValue::Parse("").has_value());
+  EXPECT_FALSE(ParseJson("{").has_value());
+  EXPECT_FALSE(ParseJson("{} trailing").has_value());
+  EXPECT_FALSE(ParseJson("{\"a\":}").has_value());
+  EXPECT_FALSE(ParseJson("").has_value());
 }
 
 // --- Bench report ------------------------------------------------------------
@@ -218,7 +219,7 @@ TEST(BenchReport, JsonSchemaContainsStagesAndScalars) {
 
   JsonValue doc = ReportJson(data);
   std::string text = doc.Dump(2);
-  std::optional<JsonValue> parsed = JsonValue::Parse(text);
+  std::optional<JsonValue> parsed = ParseJson(text);
   ASSERT_TRUE(parsed.has_value()) << text.substr(0, 200);
   EXPECT_EQ(parsed->Find("bench")->AsString(), "unit");
   EXPECT_DOUBLE_EQ(parsed->Find("schema_version")->AsDouble(), 3.0);
@@ -264,7 +265,7 @@ TEST(BenchReport, WriteBenchJsonCreatesFile) {
   }
   std::fclose(f);
   std::remove(path.c_str());
-  std::optional<JsonValue> parsed = JsonValue::Parse(contents);
+  std::optional<JsonValue> parsed = ParseJson(contents);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->Find("bench")->AsString(), "smoke");
 }

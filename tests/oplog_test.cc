@@ -381,19 +381,38 @@ TEST(Crc32c, HardwareMatchesTablePath) {
     GTEST_SKIP() << "CPU has no crc32 instruction";
   }
   std::mt19937_64 rng(20261017);
-  std::vector<uint8_t> buf(4097 + 16);
+  std::vector<uint8_t> buf((4 << 20) + 64 + 16);
   for (uint8_t& b : buf) {
     b = static_cast<uint8_t>(rng());
   }
+  auto check = [&](size_t len, size_t start) {
+    auto seed = static_cast<uint32_t>(rng());
+    for (uint32_t s : {0u, seed}) {
+      ASSERT_EQ(Crc32cHardware(buf.data() + start, len, s),
+                Crc32cSlicing8(buf.data() + start, len, s))
+          << "len " << len << " start " << start << " seed " << s;
+    }
+  };
+  // Every length through the serial tail and the first three-stream rounds
+  // of 256-byte blocks.
   for (size_t len = 0; len <= 4097; ++len) {
     for (size_t start : {0, 1, 3, 7, 13}) {
-      auto seed = static_cast<uint32_t>(rng());
-      for (uint32_t s : {0u, seed}) {
-        ASSERT_EQ(Crc32cHardware(buf.data() + start, len, s),
-                  Crc32cSlicing8(buf.data() + start, len, s))
-            << "len " << len << " start " << start << " seed " << s;
+      check(len, start);
+    }
+  }
+  // The edges where the kernel switches between 3 x 8KB rounds, 3 x 256B
+  // rounds and the serial tail, and a few sizes well past them.
+  for (size_t edge : {size_t{3 * 256}, size_t{3 * 8192}, size_t{2 * 3 * 8192},
+                      size_t{(256 << 10) + 64}, size_t{4 << 20}}) {
+    for (size_t delta = 0; delta <= 8; ++delta) {
+      for (size_t start : {0, 1, 7, 13}) {
+        check(edge - delta, start);
+        check(edge + delta, start);
       }
     }
+  }
+  for (int i = 0; i < 50; ++i) {
+    check(rng() % (buf.size() - 16), rng() % 16);
   }
 }
 

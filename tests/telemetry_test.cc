@@ -21,6 +21,7 @@
 #include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
 #include "src/sim/engine.h"
+#include "tests/json_parse.h"
 
 namespace linefs::obs {
 namespace {
@@ -240,7 +241,7 @@ TEST(TraceBuffer, ChromeJsonEmitsTimelineCounterEvents) {
   EXPECT_NE(json.find("load.delivered"), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
   // Still valid JSON.
-  std::optional<JsonValue> parsed = JsonValue::Parse(json);
+  std::optional<JsonValue> parsed = ParseJson(json);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_NE(parsed->Find("traceEvents"), nullptr);
 }
